@@ -32,7 +32,13 @@ from .equilibrium import (
     _quality_best_response,
     max_share_from_perturbed_start,
 )
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DomainError,
+    NonFiniteError,
+    NumericalError,
+)
 from .harness import (
     SCENARIO_NAMES,
     ScenarioSpec,
@@ -326,6 +332,8 @@ def _load_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
     cost = [float(c) for c in raw.get("cost", [1.0] * n)]
     if len(cost) != n or q.shape[0] != n:
         raise ConfigError("alpha, q, and cost must have equal lengths")
+    if not np.all(np.isfinite(q) & (q >= 0)):
+        raise ConfigError(f"q must be finite and >= 0, got {q.tolist()}")
     try:
         platform = PlatformParams(
             n_streamers=n,
@@ -445,7 +453,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, DimensionMismatchError, NonFiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

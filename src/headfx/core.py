@@ -59,25 +59,25 @@ class PlatformParams:
     prices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.n_streamers < 1:
+        if not self.n_streamers >= 1:
             raise DomainError(f"n_streamers must be >= 1, got {self.n_streamers}")
-        if self.n_viewers < 0:
+        if not self.n_viewers >= 0:
             raise DomainError(f"n_viewers must be >= 0, got {self.n_viewers}")
         if not 0.0 <= self.tau < 1.0:
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.revenue_per_viewer < 0:
+        if not self.revenue_per_viewer >= 0:
             raise DomainError(f"revenue_per_viewer must be >= 0, got {self.revenue_per_viewer}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if self.phi <= 0:
+        if not self.phi > 0:
             raise DomainError(f"phi must be > 0, got {self.phi}")
         prices = self.prices
         if prices is None:
             prices = np.zeros(self.n_streamers)
         prices = _as_float_vector(prices, "prices", self.n_streamers)
-        if np.any(prices < 0):
+        if not np.all(prices >= 0):
             raise DomainError("prices must be >= 0")
         object.__setattr__(self, "prices", prices)
 
@@ -91,11 +91,11 @@ class StreamerParams:
     cost_coefficient: float = 0.2
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise DomainError(f"eta must be > 0, got {self.eta}")
-        if self.cost_coefficient <= 0:
+        if not self.cost_coefficient > 0:
             raise DomainError(f"cost_coefficient must be > 0, got {self.cost_coefficient}")
 
 

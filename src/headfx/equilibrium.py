@@ -179,11 +179,10 @@ def solve_joint_equilibrium(
     else:
         q = np.asarray(q0, dtype=float).copy()
 
-    converged_inner = False
+    settled = False
     outer = 0
     for outer in range(1, cfg.max_iter + 1):
         inner = solve_viewer_fixed_point(platform, streamers, q, n, cfg, theta)
-        converged_inner = inner.converged
         n_new = inner.state.n
         p = n_new / m if m > 0 else _softmax(_utilities(platform, alpha, q, n_new, theta_vec))
         q_target = _quality_best_response(platform, alpha, c, p)
@@ -193,12 +192,13 @@ def solve_joint_equilibrium(
             float(np.max(np.abs(q_new - q))),
         )
         n, q = n_new, q_new
-        if converged_inner and change <= cfg.tol:
+        if inner.converged and change <= cfg.tol:
+            settled = True
             break
 
     polish = solve_viewer_fixed_point(platform, streamers, q, n, cfg, theta)
     state = MarketState(n=polish.state.n, q=q, t=0.0)
-    converged = converged_inner and polish.converged and outer < cfg.max_iter
+    converged = settled and polish.converged
     return EquilibriumResult(
         state=state,
         converged=converged,

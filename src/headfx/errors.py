@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericalError (and its
-subclasses) to exit code 3; everything else is a plain bug.
+The CLI maps invalid input (ConfigError, DomainError,
+DimensionMismatchError, NonFiniteError) to exit code 2 and
+NumericalError (and its subclasses) to exit code 3; everything else is
+a plain bug.
 """
 
 

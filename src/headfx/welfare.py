@@ -32,7 +32,7 @@ from .equilibrium import (
     find_critical_beta,
     max_share_from_perturbed_start,
 )
-from .errors import BracketError, DomainError, NonFiniteError
+from .errors import BracketError, DomainError, NonFiniteError, NumericalError
 
 __all__ = [
     "WelfareBreakdown",
@@ -333,6 +333,51 @@ def optimize_allocation(
     )
 
 
+def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
+    """Damped viewer fixed point for every grid row at once.
+
+    Iterates streamer-major: reductions and broadcasts over the short
+    streamer axis are far slower along the trailing axis of a (K, N)
+    array than along the leading axis of its (N, K) transpose. Every
+    element sees the same operations in the same order as a row-wise
+    damped iteration, so the result is bitwise the same. Returns the
+    audiences as a C-ordered (K, N) array: on a transposed view, the
+    BLAS product p @ prices in the welfare evaluation rounds differently.
+    The work buffers live only in this scope, so they are freed before
+    the caller's welfare evaluation allocates its own temporaries.
+    """
+    v_theta_t = np.ascontiguousarray(v_theta.T)
+    big_n, k = v_theta_t.shape
+    n = np.full((big_n, k), m / big_n)
+    v = np.empty_like(n)
+    target = np.empty_like(n)
+    row = np.empty(k)
+    residual = np.inf
+    for _ in range(cfg.max_iter):
+        np.multiply(beta, n, out=v)
+        np.add(v_theta_t, v, out=v)
+        np.max(v, axis=0, out=row)
+        np.subtract(v, row, out=v)
+        np.exp(v, out=v)
+        np.sum(v, axis=0, out=row)
+        np.multiply(m, v, out=target)
+        np.divide(target, row, out=target)
+        np.subtract(n, target, out=v)
+        np.abs(v, out=v)
+        residual = float(v.max())
+        if residual <= cfg.tol:
+            return np.ascontiguousarray(n.T)
+        if not np.isfinite(residual):
+            break
+        np.multiply(1.0 - cfg.damping, n, out=n)
+        np.multiply(cfg.damping, target, out=target)
+        np.add(n, target, out=n)
+    raise NumericalError(
+        f"grid oracle fixed point did not converge: residual {residual:.3g} > "
+        f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
+    )
+
+
 def grid_search_allocation(
     platform: PlatformParams,
     streamers,
@@ -344,6 +389,8 @@ def grid_search_allocation(
 
     Solves the viewer fixed point for every grid allocation in one
     vectorized damped iteration; independent oracle for the optimizer.
+    Raises NumericalError if that iteration has not converged after
+    fp_cfg.max_iter sweeps or its residual turns non-finite.
     """
     if fp_cfg is None:
         fp_cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
@@ -365,16 +412,7 @@ def grid_search_allocation(
 
     base = alpha * q - platform.prices
     v_theta = base[None, :] + platform.phi * thetas
-    n = np.full_like(thetas, m / big_n)
-    for _ in range(fp_cfg.max_iter):
-        v = v_theta + platform.beta * n
-        v = v - v.max(axis=1, keepdims=True)
-        e = np.exp(v)
-        target = m * e / e.sum(axis=1, keepdims=True)
-        residual = np.max(np.abs(n - target))
-        if residual <= fp_cfg.tol:
-            break
-        n = (1.0 - fp_cfg.damping) * n + fp_cfg.damping * target
+    n = _grid_viewer_fixed_point(v_theta, m, platform.beta, fp_cfg)
 
     v = v_theta + platform.beta * n
     shift = v.max(axis=1, keepdims=True)

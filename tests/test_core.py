@@ -277,6 +277,20 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             StreamerParams(alpha=1.0, cost_coefficient=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"m": np.nan}, {"prices": np.array([0.0, np.nan])}]
+        + [{f: np.nan} for f in ("beta", "tau", "revenue_per_viewer", "gamma", "phi")],
+    )
+    def test_platform_nan_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            make_platform(**kwargs)
+
+    @pytest.mark.parametrize("field", ["alpha", "eta", "cost_coefficient"])
+    def test_streamer_nan_rejected(self, field):
+        with pytest.raises(DomainError):
+            StreamerParams(**{"alpha": 1.0, field: np.nan})
+
     def test_traffic_allocation_invariants(self):
         TrafficAllocation(np.array([0.25, 0.75]))
         with pytest.raises(DomainError):

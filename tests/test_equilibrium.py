@@ -155,6 +155,25 @@ class TestJointEquilibrium:
             revenue = 0.8 * 100 * np.array([s.alpha for s in streamers]) * p * (1 - p)
             assert np.all(np.abs(marginal - revenue) <= 1e-7 * (1 + np.abs(marginal)))
 
+    def test_convergence_on_the_last_allowed_round_is_reported(self):
+        plat = PlatformParams(n_streamers=3, n_viewers=10, beta=0.0)
+        streamers = [StreamerParams(alpha=a, cost_coefficient=2.0) for a in (1.0, 0.8, 1.2)]
+        cfg = FixedPointConfig(tol=1e-10, max_iter=1000)
+        free = solve_joint_equilibrium(plat, streamers, cfg)
+        assert free.converged
+        rounds = free.iterations
+        exact = solve_joint_equilibrium(
+            plat, streamers, dataclasses.replace(cfg, max_iter=rounds)
+        )
+        assert exact.converged
+        assert exact.iterations == rounds
+        assert np.array_equal(exact.state.n, free.state.n)
+        assert np.array_equal(exact.state.q, free.state.q)
+        short = solve_joint_equilibrium(
+            plat, streamers, dataclasses.replace(cfg, max_iter=rounds - 1)
+        )
+        assert not short.converged
+
 
 class TestEnumerate:
     def test_unique_below_threshold(self):

@@ -288,6 +288,18 @@ class TestCli:
         welfare_text = (out / "welfare.csv").read_text()
         assert "kkt_residual" in welfare_text
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
+         {"q": [0.8, -0.7, 0.5]}, {"prices": [0.0, float("nan"), 0.0]}],
+    )
+    def test_optimize_theta_invalid_instance_exit_code(self, tmp_path, capsys, bad):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"alpha": [1.2, 1.0, 0.4], "q": [0.8, 0.7, 0.5], **bad}))
+        code = main(["optimize-theta", "--instance", str(inst), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_equilibrium_csv_columns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -7,8 +7,9 @@ import pytest
 
 from headfx.core import MarketState, PlatformParams, StreamerParams, TrafficAllocation
 from headfx.equilibrium import FixedPointConfig
-from headfx.errors import DomainError, NonFiniteError
+from headfx.errors import DomainError, NonFiniteError, NumericalError
 from headfx.welfare import (
+    _grid_viewer_fixed_point,
     consumer_surplus,
     grid_search_allocation,
     head_effect_welfare_comparison,
@@ -241,6 +242,100 @@ class TestOptimizeAllocation:
         sol = optimize_allocation(plat, streamers, q)
         _, w_grid = grid_search_allocation(plat, streamers, q, resolution=0.001)
         assert sol.welfare >= w_grid - 1e-6 * abs(w_grid)
+
+
+def _row_major_fixed_point(v_theta, m, beta, fp_cfg):
+    n = np.full_like(v_theta, m / v_theta.shape[1])
+    for _ in range(fp_cfg.max_iter):
+        v = v_theta + beta * n
+        v = v - v.max(axis=1, keepdims=True)
+        e = np.exp(v)
+        target = m * e / e.sum(axis=1, keepdims=True)
+        residual = np.max(np.abs(n - target))
+        if residual <= fp_cfg.tol:
+            break
+        n = (1.0 - fp_cfg.damping) * n + fp_cfg.damping * target
+    return n
+
+
+def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
+    """The grid oracle as first written: one (K, N) row per grid point.
+
+    Kept as the bitwise reference for the streamer-major fixed point.
+    Returns (best theta, best welfare, v_theta, audiences).
+    """
+    big_n = platform.n_streamers
+    alpha = np.array([s.alpha for s in streamers])
+    c = np.array([s.cost_coefficient for s in streamers])
+    m = float(platform.n_viewers)
+    k = int(round(1.0 / resolution))
+    if big_n == 2:
+        i = np.arange(k + 1)
+        thetas = np.stack([i, k - i], axis=1) / k
+    else:
+        i, j = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
+        mask = i + j <= k
+        thetas = np.stack([i[mask], j[mask], k - i[mask] - j[mask]], axis=1) / k
+    v_theta = (alpha * q - platform.prices)[None, :] + platform.phi * thetas
+    n = _row_major_fixed_point(v_theta, m, platform.beta, fp_cfg)
+
+    v = v_theta + platform.beta * n
+    shift = v.max(axis=1, keepdims=True)
+    e = np.exp(v - shift)
+    p = e / e.sum(axis=1)[:, None]
+    v_gross = v + platform.prices[None, :]
+    shift_g = v_gross.max(axis=1, keepdims=True)
+    lse = shift_g[:, 0] + np.log(np.exp(v_gross - shift_g).sum(axis=1))
+    cs = m * (lse - p @ platform.prices)
+    ps = (1.0 - platform.tau) * platform.revenue_per_viewer * n.sum(axis=1) - np.sum(
+        c * q * q
+    )
+    w = cs + ps + platform_profit(platform)
+    best = int(np.argmax(w))
+    return simplex_project(thetas[best]), float(w[best]), v_theta, n
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize(
+        "alphas, q, prices",
+        [
+            ([1.1, 0.9], [0.6, 0.5], None),
+            ([1.1, 0.9], [0.6, 0.5], [0.3, 0.05]),
+            ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], None),
+            ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], [0.1, 0.4, 0.25]),
+        ],
+    )
+    def test_bitwise_equal_to_row_major_reference(self, alphas, q, prices):
+        plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
+        q = np.asarray(q, dtype=float)
+        cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
+        theta, w = grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
+        theta_ref, w_ref, v_theta, n_ref = _row_major_grid_oracle(
+            plat, streamers, q, 0.01, cfg
+        )
+        assert np.array_equal(theta.theta, theta_ref.theta)
+        assert w == w_ref
+        # Every grid point, not just the best one. The audiences must come
+        # back C-ordered: on a transposed view, p @ prices in the welfare
+        # evaluation rounds differently at full grid size.
+        n = _grid_viewer_fixed_point(v_theta, float(plat.n_viewers), plat.beta, cfg)
+        assert n.flags.c_contiguous
+        assert np.array_equal(n, n_ref)
+
+    def test_non_convergence_raises(self):
+        plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
+        with pytest.raises(NumericalError, match=r"residual \d.*\(max_iter=1\)"):
+            grid_search_allocation(
+                plat, streamers, np.array([0.8, 0.7, 0.5]), resolution=0.01,
+                fp_cfg=FixedPointConfig(max_iter=1),
+            )
+
+    def test_non_finite_residual_raises(self):
+        plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="residual nan"):
+            grid_search_allocation(
+                plat, streamers, np.array([np.inf, 0.7, 0.5]), resolution=0.01
+            )
 
 
 class TestMyopicDynamicAllocation:
