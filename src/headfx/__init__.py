@@ -43,14 +43,11 @@ from .abm import (
     PolicyIntervention,
     RoundRecord,
     SimConfig,
-    StreamerAgent,
-    ViewerAgent,
     apply_policy,
     init_platform,
     run_round,
     run_simulation,
     simulate,
-    viewer_round_utility,
 )
 from .metrics import (
     MetricsSummary,

@@ -10,22 +10,20 @@ small ones).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonFiniteError
 
 __all__ = [
-    "StreamerAgent",
-    "ViewerAgent",
     "PolicyIntervention",
     "SimConfig",
     "RoundRecord",
     "SimState",
     "SimRun",
     "init_platform",
-    "viewer_round_utility",
     "apply_policy",
     "run_round",
     "run_simulation",
@@ -34,33 +32,9 @@ __all__ = [
 
 POLICY_KINDS = ("high_tax", "boost_small", "subsidy")
 
-
-@dataclass
-class StreamerAgent:
-    """One content producer; quality and policy fields evolve per round."""
-
-    initial_quality: float
-    current_quality: float
-    cost_coefficient: float
-    revenue_share: float
-    exposure_boost: float = 1.0
-    followers: int = 0
-    content_type: int = 0
-    active: bool = True
-
-
-@dataclass
-class ViewerAgent:
-    """One viewer with sampled sensitivities and a loyalty attachment."""
-
-    interaction_willingness: float
-    price_sensitivity: float
-    quality_sensitivity: float
-    network_effect_sensitivity: float
-    preferred_content_type: int
-    loyalty: float
-    last_choice: int | None = None
-    satisfaction: float = 0.0
+# The round kernel walks the viewers in blocks of about this many utility
+# cells (512 KB of float64), so a block and its noise stay in cache.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -96,10 +70,31 @@ class PolicyIntervention:
                 raise DomainError(
                     f"bottom_fraction must lie in (0, 1], got {self.bottom_fraction}"
                 )
-        if self.kind == "boost_small" and self.boost_multiplier <= 0:
-            raise DomainError(f"boost_multiplier must be > 0, got {self.boost_multiplier}")
-        if self.kind == "subsidy" and self.per_round_amount < 0:
-            raise DomainError(f"per_round_amount must be >= 0, got {self.per_round_amount}")
+        if self.kind == "boost_small" and not 0.0 < self.boost_multiplier < math.inf:
+            raise DomainError(
+                f"boost_multiplier must be finite and > 0, got {self.boost_multiplier}"
+            )
+        if self.kind == "subsidy" and not 0.0 <= self.per_round_amount < math.inf:
+            raise DomainError(
+                f"per_round_amount must be finite and >= 0, got {self.per_round_amount}"
+            )
+
+
+_FLOAT_FIELDS = (
+    "base_revenue_share",
+    "network_effect_beta",
+    "quality_decay_rate",
+    "random_effect_scale",
+    "revenue_per_viewer",
+    "match_bonus",
+    "quality_responsiveness",
+    "investment_audience_scale",
+    "investment_min_revenue",
+    "investment_step_cap",
+    "subsidy_quality_efficiency",
+    "exit_revenue_floor",
+    "interaction_weight",
+)
 
 
 @dataclass(frozen=True)
@@ -132,34 +127,41 @@ class SimConfig:
     n_content_types: int = 3
 
     def __post_init__(self):
-        if self.n_streamers < 1 or self.n_viewers < 1:
+        # Every check is written so that NaN fails it.
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.prices is not None:
+            if len(self.prices) != self.n_streamers:
+                raise DomainError(
+                    f"prices has length {len(self.prices)}, expected {self.n_streamers}"
+                )
+            if not np.all(np.isfinite(np.asarray(self.prices, dtype=float))):
+                raise NonFiniteError(f"prices must be finite, got {list(self.prices)}")
+        if not (self.n_streamers >= 1 and self.n_viewers >= 1):
             raise DomainError("population counts must be >= 1")
-        if self.n_rounds < 0:
+        if not self.n_rounds >= 0:
             raise DomainError(f"n_rounds must be >= 0, got {self.n_rounds}")
         if not 0.0 <= self.base_revenue_share < 1.0:
             raise DomainError(f"base_revenue_share must lie in [0, 1), got {self.base_revenue_share}")
         if not 0.0 <= self.quality_decay_rate < 1.0:
             raise DomainError(f"quality_decay_rate must lie in [0, 1), got {self.quality_decay_rate}")
-        if self.random_effect_scale < 0:
+        if not self.random_effect_scale >= 0:
             raise DomainError(f"random_effect_scale must be >= 0, got {self.random_effect_scale}")
-        if self.revenue_per_viewer < 0:
+        if not self.revenue_per_viewer >= 0:
             raise DomainError(f"revenue_per_viewer must be >= 0, got {self.revenue_per_viewer}")
-        if self.quality_responsiveness < 0:
+        if not self.quality_responsiveness >= 0:
             raise DomainError("quality_responsiveness must be >= 0")
-        if self.investment_audience_scale <= 0:
+        if not self.investment_audience_scale > 0:
             raise DomainError("investment_audience_scale must be > 0")
-        if self.investment_step_cap <= 0:
+        if not self.investment_step_cap > 0:
             raise DomainError("investment_step_cap must be > 0")
-        if self.exit_revenue_floor < 0:
+        if not self.exit_revenue_floor >= 0:
             raise DomainError("exit_revenue_floor must be >= 0")
-        if self.exit_patience < 1:
+        if not self.exit_patience >= 1:
             raise DomainError("exit_patience must be >= 1")
-        if self.n_content_types < 1:
+        if not self.n_content_types >= 1:
             raise DomainError("n_content_types must be >= 1")
-        if self.prices is not None and len(self.prices) != self.n_streamers:
-            raise DomainError(
-                f"prices has length {len(self.prices)}, expected {self.n_streamers}"
-            )
         object.__setattr__(self, "policy_schedule", tuple(self.policy_schedule))
         for pol in self.policy_schedule:
             if pol.start_round > max(self.n_rounds, 1):
@@ -180,90 +182,9 @@ class RoundRecord:
     mean_satisfaction: float
 
 
-def init_platform(cfg: SimConfig):
-    """Sample fresh agent populations from a seeded generator.
-
-    Streamer initial quality is normal(0.5, 0.2) clipped to [0.1, 0.9];
-    cost coefficients are uniform on [0.1, 0.3]; viewer sensitivities use
-    their stated uniform ranges. Identical seeds give identical
-    populations.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    n, m = cfg.n_streamers, cfg.n_viewers
-
-    q0 = np.clip(rng.normal(0.5, 0.2, size=n), 0.1, 0.9)
-    cost_coef = rng.uniform(0.1, 0.3, size=n)
-    content_type = rng.integers(0, cfg.n_content_types, size=n)
-    streamers = [
-        StreamerAgent(
-            initial_quality=float(q0[i]),
-            current_quality=float(q0[i]),
-            cost_coefficient=float(cost_coef[i]),
-            revenue_share=cfg.base_revenue_share,
-            exposure_boost=1.0,
-            followers=0,
-            content_type=int(content_type[i]),
-        )
-        for i in range(n)
-    ]
-
-    interaction = rng.uniform(0.2, 0.8, size=m)
-    price_sens = rng.uniform(0.3, 0.7, size=m)
-    quality_sens = rng.uniform(0.4, 0.8, size=m)
-    network_sens = rng.uniform(0.1, 0.4, size=m)
-    preferred = rng.integers(0, cfg.n_content_types, size=m)
-    loyalty = rng.uniform(0.3, 0.7, size=m)
-    viewers = [
-        ViewerAgent(
-            interaction_willingness=float(interaction[j]),
-            price_sensitivity=float(price_sens[j]),
-            quality_sensitivity=float(quality_sens[j]),
-            network_effect_sensitivity=float(network_sens[j]),
-            preferred_content_type=int(preferred[j]),
-            loyalty=float(loyalty[j]),
-        )
-        for j in range(m)
-    ]
-    return streamers, viewers, rng
-
-
-def viewer_round_utility(
-    viewer: ViewerAgent,
-    streamer: StreamerAgent,
-    streamer_index: int,
-    prev_counts,
-    cfg: SimConfig,
-) -> float:
-    """Systematic (noise-free) utility of one viewer for one streamer.
-
-    The network term uses log(1 + previous audience) to damp the raw
-    count at large viewer pools; the exposure boost enters as log(boost)
-    so it acts as a multiplicative logit weight. Streamers that exited
-    the platform are not choosable.
-    """
-    if not streamer.active:
-        return float("-inf")
-    price = cfg.prices[streamer_index] if cfg.prices is not None else 0.0
-    count = float(prev_counts[streamer_index])
-    u = viewer.quality_sensitivity * streamer.current_quality
-    u += (
-        viewer.network_effect_sensitivity
-        * cfg.network_effect_beta
-        * np.log1p(count)
-    )
-    u -= viewer.price_sensitivity * price
-    if viewer.preferred_content_type == streamer.content_type:
-        u += cfg.match_bonus
-    if viewer.last_choice == streamer_index:
-        u += viewer.loyalty
-    u += np.log(streamer.exposure_boost)
-    u += cfg.interaction_weight * viewer.interaction_willingness * np.log1p(count)
-    return float(u)
-
-
 @dataclass
 class SimState:
-    """Vectorized runtime state; the agent lists remain the init surface."""
+    """Runtime state: the whole population as per-streamer and per-viewer arrays."""
 
     cfg: SimConfig
     rng: np.random.Generator
@@ -274,7 +195,6 @@ class SimState:
     revenue_share: np.ndarray
     exposure_boost: np.ndarray
     subsidy: np.ndarray
-    followers: np.ndarray
     content_type: np.ndarray
     active: np.ndarray
     lean_rounds: np.ndarray
@@ -286,46 +206,58 @@ class SimState:
     preferred: np.ndarray
     loyalty: np.ndarray
     last_choice: np.ndarray
-    satisfaction_mean: np.ndarray
     # round bookkeeping
     prev_counts: np.ndarray
     mean_quality_sens: float
     prices: np.ndarray
 
-    @classmethod
-    def from_populations(cls, cfg: SimConfig, streamers, viewers, rng) -> "SimState":
-        n, m = cfg.n_streamers, cfg.n_viewers
-        prices = (
-            np.asarray(cfg.prices, dtype=float)
-            if cfg.prices is not None
-            else np.zeros(n)
-        )
-        quality_sens = np.array([v.quality_sensitivity for v in viewers])
-        return cls(
-            cfg=cfg,
-            rng=rng,
-            quality=np.array([s.current_quality for s in streamers]),
-            q_initial=np.array([s.initial_quality for s in streamers]),
-            cost_coef=np.array([s.cost_coefficient for s in streamers]),
-            revenue_share=np.array([s.revenue_share for s in streamers]),
-            exposure_boost=np.array([s.exposure_boost for s in streamers]),
-            subsidy=np.zeros(n),
-            followers=np.zeros(n, dtype=np.int64),
-            content_type=np.array([s.content_type for s in streamers], dtype=np.int64),
-            active=np.array([s.active for s in streamers], dtype=bool),
-            lean_rounds=np.zeros(n, dtype=np.int64),
-            interaction=np.array([v.interaction_willingness for v in viewers]),
-            price_sens=np.array([v.price_sensitivity for v in viewers]),
-            quality_sens=quality_sens,
-            network_sens=np.array([v.network_effect_sensitivity for v in viewers]),
-            preferred=np.array([v.preferred_content_type for v in viewers], dtype=np.int64),
-            loyalty=np.array([v.loyalty for v in viewers]),
-            last_choice=np.full(m, -1, dtype=np.int64),
-            satisfaction_mean=np.zeros(m),
-            prev_counts=np.zeros(n, dtype=np.int64),
-            mean_quality_sens=float(quality_sens.mean()),
-            prices=prices,
-        )
+
+def init_platform(cfg: SimConfig) -> SimState:
+    """Draw a fresh population from a seeded generator into a SimState.
+
+    Streamer initial quality is normal(0.5, 0.2) clipped to [0.1, 0.9];
+    cost coefficients are uniform on [0.1, 0.3]; viewer sensitivities use
+    their stated uniform ranges. Identical seeds give identical
+    populations, and the generator is left where round 1 draws from it.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n, m = cfg.n_streamers, cfg.n_viewers
+
+    q0 = np.clip(rng.normal(0.5, 0.2, size=n), 0.1, 0.9)
+    cost_coef = rng.uniform(0.1, 0.3, size=n)
+    content_type = rng.integers(0, cfg.n_content_types, size=n)
+
+    interaction = rng.uniform(0.2, 0.8, size=m)
+    price_sens = rng.uniform(0.3, 0.7, size=m)
+    quality_sens = rng.uniform(0.4, 0.8, size=m)
+    network_sens = rng.uniform(0.1, 0.4, size=m)
+    preferred = rng.integers(0, cfg.n_content_types, size=m)
+    loyalty = rng.uniform(0.3, 0.7, size=m)
+
+    prices = np.asarray(cfg.prices, dtype=float) if cfg.prices is not None else np.zeros(n)
+    return SimState(
+        cfg=cfg,
+        rng=rng,
+        quality=q0.copy(),
+        q_initial=q0,
+        cost_coef=cost_coef,
+        revenue_share=np.full(n, cfg.base_revenue_share),
+        exposure_boost=np.ones(n),
+        subsidy=np.zeros(n),
+        content_type=content_type,
+        active=np.ones(n, dtype=bool),
+        lean_rounds=np.zeros(n, dtype=np.int64),
+        interaction=interaction,
+        price_sens=price_sens,
+        quality_sens=quality_sens,
+        network_sens=network_sens,
+        preferred=preferred,
+        loyalty=loyalty,
+        last_choice=np.full(m, -1, dtype=np.int64),
+        prev_counts=np.zeros(n, dtype=np.int64),
+        mean_quality_sens=float(quality_sens.mean()),
+        prices=prices,
+    )
 
 
 def apply_policy(policy: PolicyIntervention, state: SimState, round_idx: int) -> None:
@@ -360,20 +292,61 @@ def apply_policy(policy: PolicyIntervention, state: SimState, round_idx: int) ->
         state.subsidy[targets] += policy.per_round_amount
 
 
-def _round_utilities(state: SimState) -> np.ndarray:
+def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """Each viewer's argmax of utility plus Gumbel noise, and its value there.
+
+    Viewer j's systematic utility for streamer i is
+        qs_j q_i + beta ns_j log1p(n_i) - ps_j p_i + match_bonus [pref_j == type_i]
+        + log(boost_i) + w inter_j log1p(n_i) + loyalty_j [last_j == i],
+    with -inf for streamers that exited, where n_i is last round's audience.
+    The network term damps the raw count at large viewer pools, and the
+    exposure boost acts as a multiplicative logit weight.
+
+    The viewers are walked in row blocks of about _BLOCK_CELLS cells, built
+    in preallocated buffers. Each cell goes through the same operations
+    in the same order as a whole-matrix build, and drawing the noise block
+    by block in row order consumes the generator exactly as one (M, N)
+    draw does, so the result does not depend on the block size.
+    """
     cfg = state.cfg
+    m, n = cfg.n_viewers, cfg.n_streamers
+    rows = max(1, _BLOCK_CELLS // n)
     lognet = np.log1p(state.prev_counts.astype(float))
-    u = state.quality_sens[:, None] * state.quality[None, :]
-    u = u + cfg.network_effect_beta * state.network_sens[:, None] * lognet[None, :]
-    u = u - state.price_sens[:, None] * state.prices[None, :]
-    u = u + cfg.match_bonus * (state.preferred[:, None] == state.content_type[None, :])
-    u = u + np.log(state.exposure_boost)[None, :]
-    if cfg.interaction_weight != 0.0:
-        u = u + cfg.interaction_weight * state.interaction[:, None] * lognet[None, :]
-    rows = np.flatnonzero(state.last_choice >= 0)
-    u[rows, state.last_choice[rows]] += state.loyalty[rows]
-    u[:, ~state.active] = -np.inf
-    return u
+    network = cfg.network_effect_beta * state.network_sens
+    interaction = (
+        cfg.interaction_weight * state.interaction if cfg.interaction_weight != 0.0 else None
+    )
+    log_boost = np.log(state.exposure_boost)
+    exited = np.flatnonzero(~state.active)
+    scale = cfg.random_effect_scale
+
+    choices = np.empty(m, dtype=np.intp)
+    realized = np.empty(m)
+    u_buf = np.empty((min(rows, m), n))
+    term_buf = np.empty_like(u_buf)
+    match_buf = np.empty(u_buf.shape, dtype=bool)
+    for start in range(0, m, rows):
+        block = slice(start, min(start + rows, m))
+        k = block.stop - start
+        u, term, match = u_buf[:k], term_buf[:k], match_buf[:k]
+        np.multiply(state.quality_sens[block, None], state.quality, out=u)
+        u += np.multiply(network[block, None], lognet, out=term)
+        if cfg.prices is not None:  # ps * 0.0 is +0.0, and u - 0.0 == u
+            u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
+        np.equal(state.preferred[block, None], state.content_type, out=match)
+        u += np.multiply(cfg.match_bonus, match, out=term)
+        u += log_boost
+        if interaction is not None:
+            u += np.multiply(interaction[block, None], lognet, out=term)
+        last = state.last_choice[block]
+        loyal = np.flatnonzero(last >= 0)
+        u[loyal, last[loyal]] += state.loyalty[block][loyal]
+        u[:, exited] = -np.inf
+        if scale > 0:
+            u += state.rng.gumbel(0.0, scale, size=(k, n))
+        picked = np.argmax(u, axis=1, out=choices[block])
+        realized[block] = u[np.arange(k), picked]
+    return choices, realized
 
 
 def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
@@ -382,7 +355,8 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     Order of events: policies are re-applied from a clean slate, every
     viewer picks the argmax of utility plus Gumbel noise, money is split
     (platform keeps the exact remainder, so revenue conservation is an
-    identity), satisfaction accumulates, qualities take one myopic
+    identity), the mean realized utility is recorded as the round's
+    satisfaction, qualities take one myopic
     profit-gradient step against decay, clamped to [0, 1], and streamers
     whose revenue stayed below the viability floor for exit_patience
     consecutive rounds leave the platform for good.
@@ -396,21 +370,13 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
         if round_idx >= policy.start_round:
             apply_policy(policy, state, round_idx)
 
-    utilities = _round_utilities(state)
-    if cfg.random_effect_scale > 0:
-        noise = state.rng.gumbel(0.0, cfg.random_effect_scale, size=(m, n))
-    else:
-        noise = np.zeros((m, n))
-    total = utilities + noise
-    choices = np.argmax(total, axis=1)
-    realized = total[np.arange(m), choices]
+    choices, realized = _choose_streamers(state)
     counts = np.bincount(choices, minlength=n)
 
     r = cfg.revenue_per_viewer
     streamer_rev = (1.0 - state.revenue_share) * r * counts + state.subsidy
     platform_rev = r * m - float(streamer_rev.sum())
 
-    state.satisfaction_mean += (realized - state.satisfaction_mean) / round_idx
     mean_satisfaction = float(realized.mean())
 
     # Myopic investment responds to expected share gains at a fixed
@@ -445,7 +411,6 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
         if newly_exited.any() and bool((state.active & ~newly_exited).any()):
             state.active &= ~newly_exited
 
-    state.followers += counts
     state.last_choice = choices
     state.prev_counts = counts
 
@@ -465,19 +430,16 @@ class SimRun:
 
     records: tuple[RoundRecord, ...]
     q_initial: np.ndarray
-    final_satisfaction_means: np.ndarray
     state: SimState
 
 
 def simulate(cfg: SimConfig) -> SimRun:
-    """Initialize populations and run all rounds; deterministic per seed."""
-    streamers, viewers, rng = init_platform(cfg)
-    state = SimState.from_populations(cfg, streamers, viewers, rng)
+    """Draw the population and run all rounds; deterministic per seed."""
+    state = init_platform(cfg)
     records = [run_round(state, cfg, idx) for idx in range(1, cfg.n_rounds + 1)]
     return SimRun(
         records=tuple(records),
         q_initial=state.q_initial.copy(),
-        final_satisfaction_means=state.satisfaction_mean.copy(),
         state=state,
     )
 

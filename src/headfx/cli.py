@@ -89,6 +89,10 @@ def _load_scenario(args) -> ScenarioSpec:
             raise ConfigError("this subcommand takes a scenario config, not a sweep")
     else:
         spec = make_scenario("Baseline")
+    return _apply_seed_flags(spec, args)
+
+
+def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed_base=args.seed)
     if args.seeds is not None:
@@ -256,30 +260,20 @@ def _cmd_ab_test(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
-        spec = parse_config(args.config)
-        if isinstance(spec, ScenarioSpec):
-            if not args.parameter or not args.values:
-                raise ConfigError(
-                    "config has no [sweep] section; pass --parameter and --values"
-                )
-            spec = SweepSpec(
-                parameter=args.parameter,
-                values=tuple(_parse_values(args.parameter, args.values)),
-                base=spec,
-            )
+    spec = parse_config(args.config) if args.config else make_scenario("Baseline")
+    if isinstance(spec, SweepSpec):
+        spec = dataclasses.replace(spec, base=_apply_seed_flags(spec.base, args))
     else:
         if not args.parameter or not args.values:
-            raise ConfigError("sweep needs --parameter and --values (or a config)")
-        base = make_scenario("Baseline")
-        if args.seed is not None:
-            base = dataclasses.replace(base, seed_base=args.seed)
-        if args.seeds is not None:
-            base = dataclasses.replace(base, n_seeds=args.seeds)
+            raise ConfigError(
+                "config has no [sweep] section; pass --parameter and --values"
+                if args.config
+                else "sweep needs --parameter and --values (or a config)"
+            )
         spec = SweepSpec(
             parameter=args.parameter,
             values=tuple(_parse_values(args.parameter, args.values)),
-            base=base,
+            base=_apply_seed_flags(spec, args),
         )
     out = _out_dir(args, "headfx_out")
     artifact = sensitivity_sweep(spec, out_dir=out, threads=args.threads)
@@ -394,7 +388,11 @@ def _cmd_optimize_theta(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", type=str, default=None, help="scenario config file")
-    common.add_argument("--seed", type=int, default=None, help="base seed override")
+    common.add_argument(
+        "--seed", type=int, default=None,
+        help="base seed of the ABM replications (simulate, ab-test, sweep); "
+        "equilibrium and dynamics build their analytic instance from seed 0 and ignore it",
+    )
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--seeds", type=int, default=None, help="replication count")
     common.add_argument("--threads", type=int, default=1, help="parallel workers")

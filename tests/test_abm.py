@@ -1,26 +1,40 @@
 """Tests for the agent-based platform simulation."""
 
+import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from headfx import abm
 from headfx.abm import (
     PolicyIntervention,
     SimConfig,
     SimState,
-    StreamerAgent,
-    ViewerAgent,
     apply_policy,
     init_platform,
     run_round,
     run_simulation,
     simulate,
-    viewer_round_utility,
-    _round_utilities,
 )
-from headfx.errors import DomainError
+from headfx.errors import DomainError, NonFiniteError
+from headfx.harness import SCENARIO_NAMES, canonical_policies, make_scenario
 from headfx.metrics import gini
+
+# sha256 of every RoundRecord of Table 1 (four scenarios x seeds 0-9,
+# default config), pinned before the round kernel moved to row blocks
+TABLE1_HISTORY_SHA256 = "d7c34beef60f87bcd44727685470f91e174a85fc9b053ec1c715bce6d6581942"
+
+
+def hash_history(records, h):
+    for rec in records:
+        h.update(np.int64(rec.round_index).tobytes())
+        h.update(np.asarray(rec.viewer_counts, dtype=np.int64).tobytes())
+        h.update(np.asarray(rec.streamer_revenues, dtype=np.float64).tobytes())
+        h.update(np.float64(rec.platform_revenue).tobytes())
+        h.update(np.asarray(rec.qualities, dtype=np.float64).tobytes())
+        h.update(np.float64(rec.mean_satisfaction).tobytes())
 
 
 def small_cfg(**kw):
@@ -29,89 +43,178 @@ def small_cfg(**kw):
     return SimConfig(**defaults)
 
 
-def identical_streamers(n, cfg, q=0.5, c=0.2, content_type=0):
-    return [
-        StreamerAgent(
-            initial_quality=q,
-            current_quality=q,
-            cost_coefficient=c,
-            revenue_share=cfg.base_revenue_share,
-            content_type=content_type,
-        )
-        for _ in range(n)
-    ]
+def identical_streamers(state, q=0.5, c=0.2, content_type=0):
+    """Give every streamer of a fresh state the same quality, cost and type."""
+    state.quality[:] = q
+    state.q_initial[:] = q
+    state.cost_coef[:] = c
+    state.content_type[:] = content_type
+    return state
+
+
+def reference_round_utilities(state):
+    """The whole (M, N) utility matrix, built the way rounds used to build it."""
+    cfg = state.cfg
+    lognet = np.log1p(state.prev_counts.astype(float))
+    u = state.quality_sens[:, None] * state.quality[None, :]
+    u = u + cfg.network_effect_beta * state.network_sens[:, None] * lognet[None, :]
+    u = u - state.price_sens[:, None] * state.prices[None, :]
+    u = u + cfg.match_bonus * (state.preferred[:, None] == state.content_type[None, :])
+    u = u + np.log(state.exposure_boost)[None, :]
+    if cfg.interaction_weight != 0.0:
+        u = u + cfg.interaction_weight * state.interaction[:, None] * lognet[None, :]
+    rows = np.flatnonzero(state.last_choice >= 0)
+    u[rows, state.last_choice[rows]] += state.loyalty[rows]
+    u[:, ~state.active] = -np.inf
+    return u
+
+
+def reference_choose_streamers(state):
+    """One whole-matrix utility build and one (M, N) Gumbel draw."""
+    cfg = state.cfg
+    m, n = cfg.n_viewers, cfg.n_streamers
+    utilities = reference_round_utilities(state)
+    if cfg.random_effect_scale > 0:
+        noise = state.rng.gumbel(0.0, cfg.random_effect_scale, size=(m, n))
+    else:
+        noise = np.zeros((m, n))
+    total = utilities + noise
+    choices = np.argmax(total, axis=1)
+    return choices, total[np.arange(m), choices]
+
+
+def assert_same_history(a, b):
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert ra.round_index == rb.round_index
+        assert np.array_equal(ra.viewer_counts, rb.viewer_counts)
+        assert np.array_equal(ra.streamer_revenues, rb.streamer_revenues)
+        assert ra.platform_revenue == rb.platform_revenue
+        assert np.array_equal(ra.qualities, rb.qualities)
+        assert ra.mean_satisfaction == rb.mean_satisfaction
 
 
 class TestInitPlatform:
     def test_seed_determinism(self):
         cfg = small_cfg()
-        a_streamers, a_viewers, _ = init_platform(cfg)
-        b_streamers, b_viewers, _ = init_platform(cfg)
-        assert a_streamers == b_streamers
-        assert a_viewers == b_viewers
+        a, b = init_platform(cfg), init_platform(cfg)
+        for field in dataclasses.fields(SimState):
+            if field.name not in ("cfg", "rng"):
+                assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_clipped_normal_quality_mean(self):
         cfg = SimConfig(n_streamers=10000, n_viewers=1, n_rounds=0, seed=11)
-        streamers, _, _ = init_platform(cfg)
-        q0 = np.array([s.initial_quality for s in streamers])
+        state = init_platform(cfg)
+        q0 = state.q_initial
         assert abs(q0.mean() - 0.5) < 0.02
         assert q0.min() >= 0.1 and q0.max() <= 0.9
-        c = np.array([s.cost_coefficient for s in streamers])
+        assert np.array_equal(state.quality, q0)
+        c = state.cost_coef
         assert c.min() >= 0.1 and c.max() <= 0.3
 
     def test_viewer_fields_within_bounds(self):
         cfg = SimConfig(n_streamers=2, n_viewers=100000, n_rounds=0, seed=12)
-        _, viewers, _ = init_platform(cfg)
+        state = init_platform(cfg)
         fields = {
-            "interaction_willingness": (0.2, 0.8),
-            "price_sensitivity": (0.3, 0.7),
-            "quality_sensitivity": (0.4, 0.8),
-            "network_effect_sensitivity": (0.1, 0.4),
+            "interaction": (0.2, 0.8),
+            "price_sens": (0.3, 0.7),
+            "quality_sens": (0.4, 0.8),
+            "network_sens": (0.1, 0.4),
             "loyalty": (0.3, 0.7),
         }
         for name, (lo, hi) in fields.items():
-            vals = np.array([getattr(v, name) for v in viewers])
+            vals = getattr(state, name)
+            assert vals.shape == (cfg.n_viewers,)
             assert vals.min() >= lo and vals.max() <= hi
-        types = np.array([v.preferred_content_type for v in viewers])
-        assert set(types) == {0, 1, 2}
+        assert set(state.preferred) == {0, 1, 2}
+        assert np.all(state.last_choice == -1)
 
 
-class TestViewerRoundUtility:
-    def test_all_zero(self):
-        cfg = small_cfg()
-        viewer = ViewerAgent(0.5, 0.0, 0.0, 0.0, 1, 0.0)
-        streamer = StreamerAgent(0.5, 0.7, 0.2, 0.2, content_type=0)
-        assert viewer_round_utility(viewer, streamer, 0, np.zeros(5), cfg) == 0.0
+# streamer count of the block tests; a block then holds BLOCK_ROWS viewers
+BLOCK_N = 40
+BLOCK_ROWS = abm._BLOCK_CELLS // BLOCK_N
+BLOCK_SIZES = (700, BLOCK_ROWS, BLOCK_ROWS + 1, int(2.5 * BLOCK_ROWS))
 
-    def test_neutral_boost_contributes_nothing(self):
-        cfg = small_cfg()
-        viewer = ViewerAgent(0.5, 0.4, 0.6, 0.2, 0, 0.5)
-        streamer = StreamerAgent(0.5, 0.7, 0.2, 0.2, exposure_boost=1.0, content_type=0)
-        u1 = viewer_round_utility(viewer, streamer, 0, np.array([3, 0, 0, 0, 0]), cfg)
-        streamer.exposure_boost = 2.0
-        u2 = viewer_round_utility(viewer, streamer, 0, np.array([3, 0, 0, 0, 0]), cfg)
-        assert u2 - u1 == pytest.approx(np.log(2.0), abs=1e-12)
 
-    def test_inactive_streamer_not_choosable(self):
-        cfg = small_cfg()
-        viewer = ViewerAgent(0.5, 0.4, 0.6, 0.2, 0, 0.5)
-        streamer = StreamerAgent(0.5, 0.7, 0.2, 0.2, active=False)
-        assert viewer_round_utility(viewer, streamer, 0, np.zeros(5), cfg) == -np.inf
+class TestChooseStreamers:
+    """The row-block round kernel against the whole-matrix reference."""
 
-    def test_scalar_matches_vectorized(self):
-        cfg = small_cfg(n_streamers=4, n_viewers=6, match_bonus=0.3)
-        streamers, viewers, rng = init_platform(cfg)
-        state = SimState.from_populations(cfg, streamers, viewers, rng)
-        state.prev_counts = np.array([3, 0, 2, 1])
-        state.last_choice = np.array([0, -1, 2, 3, 1, -1])
-        for j, viewer in enumerate(viewers):
-            viewer.last_choice = int(state.last_choice[j]) if state.last_choice[j] >= 0 else None
-        u_vec = _round_utilities(state)
-        for j, viewer in enumerate(viewers):
-            for i, streamer in enumerate(streamers):
-                streamer.current_quality = state.quality[i]
-                u = viewer_round_utility(viewer, streamer, i, state.prev_counts, cfg)
-                assert u == pytest.approx(u_vec[j, i], abs=1e-12)
+    @staticmethod
+    def mid_run_state(m, **kw):
+        # mixed loyalty (some viewers have no last choice), uneven audiences,
+        # two exited streamers, live policies and nonzero prices
+        cfg = SimConfig(
+            n_streamers=BLOCK_N, n_viewers=m, seed=21, interaction_weight=0.3,
+            prices=tuple(np.linspace(0.0, 0.6, BLOCK_N)), **kw,
+        )
+        state = init_platform(cfg)
+        draw = np.random.default_rng(5)
+        state.last_choice = draw.integers(-1, BLOCK_N, size=m)
+        state.prev_counts = draw.integers(0, 3 * m // BLOCK_N, size=BLOCK_N)
+        state.quality = draw.uniform(0.0, 1.0, size=BLOCK_N)
+        state.exposure_boost[::3] = 1.2
+        state.active[[4, 17]] = False
+        return state
+
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    @pytest.mark.parametrize("scale", [0.2, 0.0])
+    def test_one_round_matches_whole_matrix(self, m, scale):
+        state = self.mid_run_state(m, random_effect_scale=scale)
+        twin = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
+        choices, realized = abm._choose_streamers(state)
+        ref_choices, ref_realized = reference_choose_streamers(twin)
+        assert np.array_equal(choices, ref_choices)
+        assert np.array_equal(realized, ref_realized)
+        assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert not np.isin(choices, [4, 17]).any()
+
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"random_effect_scale": 0.0}, {"interaction_weight": 0.4},
+         {"prices": tuple(np.linspace(0.0, 0.5, BLOCK_N))}],
+        ids=["default", "no_noise", "interaction", "prices"],
+    )
+    def test_histories_match_whole_matrix(self, monkeypatch, m, overrides):
+        cfg = SimConfig(
+            n_streamers=BLOCK_N, n_viewers=m, n_rounds=20, seed=3,
+            policy_schedule=canonical_policies("Combined"),
+            exit_revenue_floor=0.3 * m / BLOCK_N, **overrides,
+        )
+        blocked = simulate(cfg)
+        assert not blocked.state.active.all()  # some streamers exited
+        monkeypatch.setattr(abm, "_choose_streamers", reference_choose_streamers)
+        whole = simulate(cfg)
+        assert_same_history(blocked.records, whole.records)
+
+    def test_zero_sensitivities_give_zero_utility(self):
+        cfg = small_cfg(random_effect_scale=0.0, match_bonus=0.0)
+        state = init_platform(cfg)
+        for name in ("price_sens", "quality_sens", "network_sens", "loyalty"):
+            getattr(state, name)[:] = 0.0
+        state.prev_counts[:] = 7
+        _, realized = abm._choose_streamers(state)
+        assert np.all(realized == 0.0)
+
+    def test_boost_enters_as_log_weight(self):
+        cfg = SimConfig(n_streamers=1, n_viewers=50, random_effect_scale=0.0)
+        state = init_platform(cfg)
+        state.prev_counts[:] = 3
+        _, base = abm._choose_streamers(state)
+        state.exposure_boost[:] = 2.0
+        _, boosted = abm._choose_streamers(state)
+        assert boosted - base == pytest.approx(np.full(50, np.log(2.0)), abs=1e-12)
+
+    def test_exited_streamer_never_chosen(self):
+        cfg = small_cfg(random_effect_scale=0.0)
+        state = init_platform(cfg)
+        state.quality[:] = 0.0
+        state.quality[0] = 1.0  # the favourite of every viewer, but gone
+        state.active[0] = False
+        choices, realized = abm._choose_streamers(state)
+        assert not np.any(choices == 0)
+        assert np.all(np.isfinite(realized))
 
 
 class TestRunRound:
@@ -148,9 +251,7 @@ class TestRunRound:
                 n_streamers=15, n_viewers=1000, n_rounds=1, seed=seed,
                 match_bonus=0.0, exit_revenue_floor=0.0, investment_min_revenue=0.0,
             )
-            _, viewers, rng = init_platform(cfg)
-            streamers = identical_streamers(15, cfg)
-            state = SimState.from_populations(cfg, streamers, viewers, rng)
+            state = identical_streamers(init_platform(cfg))
             rec = run_round(state, cfg, 1)
             counts.append(rec.viewer_counts)
         mean_counts = np.mean(counts, axis=0)
@@ -164,12 +265,10 @@ class TestRunRound:
             exit_revenue_floor=10.0, exit_patience=2, match_bonus=0.0,
             investment_min_revenue=0.0,
         )
-        _, viewers, rng = init_platform(cfg)
-        streamers = identical_streamers(3, cfg, q=0.9)
+        state = identical_streamers(init_platform(cfg), q=0.9)
         # one hopeless streamer: bottom quality, never chosen much
-        streamers[2].current_quality = 0.0
-        streamers[2].initial_quality = 0.0
-        state = SimState.from_populations(cfg, streamers, viewers, rng)
+        state.quality[2] = 0.0
+        state.q_initial[2] = 0.0
         records = [run_round(state, cfg, idx) for idx in range(1, 11)]
         assert not state.active[2]
         assert records[-1].viewer_counts[2] == 0
@@ -228,9 +327,7 @@ class TestPolicies:
             PolicyIntervention("subsidy", per_round_amount=-1.0)
         with pytest.raises(DomainError):
             PolicyIntervention("nonsense")
-        cfg = small_cfg()
-        streamers, viewers, rng = init_platform(cfg)
-        state = SimState.from_populations(cfg, streamers, viewers, rng)
+        state = init_platform(small_cfg())
         with pytest.raises(DomainError):
             apply_policy(
                 PolicyIntervention("high_tax", start_round=1, top_k=99), state, 1
@@ -242,6 +339,14 @@ class TestPolicies:
 
 
 class TestRunSimulation:
+    def test_table1_histories_are_pinned(self):
+        h = hashlib.sha256()
+        for name in SCENARIO_NAMES:
+            sim = make_scenario(name).sim
+            for seed in range(10):
+                hash_history(run_simulation(dataclasses.replace(sim, seed=seed)), h)
+        assert h.hexdigest() == TABLE1_HISTORY_SHA256
+
     def test_zero_rounds(self):
         assert run_simulation(small_cfg(n_rounds=0)) == []
 
@@ -272,6 +377,24 @@ class TestRunSimulation:
             ]
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
+
+    @pytest.mark.parametrize("name", abm._FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_config_values_rejected(self, name, value):
+        with pytest.raises(NonFiniteError, match=name):
+            SimConfig(**{name: value})
+
+    def test_nan_fails_every_range_check(self):
+        nan = float("nan")
+        for kw in ({"n_rounds": nan}, {"exit_patience": nan}, {"n_content_types": nan}):
+            with pytest.raises(DomainError):
+                SimConfig(**kw)
+        with pytest.raises(NonFiniteError, match="prices"):
+            SimConfig(n_streamers=2, prices=(0.1, nan))
+        with pytest.raises(DomainError):
+            PolicyIntervention("boost_small", boost_multiplier=nan)
+        with pytest.raises(DomainError):
+            PolicyIntervention("subsidy", per_round_amount=nan)
 
     def test_policy_start_round_validated_against_horizon(self):
         with pytest.raises(DomainError):

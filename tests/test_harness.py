@@ -363,6 +363,45 @@ class TestCli:
         assert lines[0] == "parameter,value,metric,mean,sd"
         assert len(lines) == 1 + 2 * 6
 
+    def test_sweep_config_takes_seed_flags(self, tmp_path):
+        sweep = {"parameter": "network_effect_beta", "values": [0.05, 0.15]}
+        platform = {"n_streamers": 6, "n_viewers": 80, "n_rounds": 10}
+        flagged = write_config(
+            tmp_path, {"name": "Baseline", "platform": platform, "sweep": sweep}, "a.json"
+        )
+        pinned = write_config(
+            tmp_path,
+            {"name": "Baseline", "seed": 5, "n_seeds": 2, "platform": platform, "sweep": sweep},
+            "b.json",
+        )
+        assert main(["sweep", "--config", str(flagged), "--seed", "5", "--seeds", "2",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["sweep", "--config", str(pinned), "--out", str(tmp_path / "b")]) == 0
+        name = "sweep_network_effect_beta.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert main(["sweep", "--config", str(pinned), "--seed", "0",
+                     "--out", str(tmp_path / "c")]) == 0
+        assert (tmp_path / "c" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("platform", "network_effect_beta", float("nan")),
+            ("platform", "network_effect_beta", float("inf")),
+            ("overrides", "match_bonus", float("nan")),
+            ("overrides", "interaction_weight", float("inf")),
+            ("overrides", "prices", [0.0] * 14 + [float("nan")]),
+        ],
+        ids=["beta_nan", "beta_inf", "match_bonus_nan", "interaction_weight_inf", "prices_nan"],
+    )
+    def test_simulate_rejects_non_finite_config(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1, section: {key: value}})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "o" / "Baseline").exists()
+
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
 
