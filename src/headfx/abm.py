@@ -11,6 +11,7 @@ small ones).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ POLICY_KINDS = ("high_tax", "boost_small", "subsidy")
 _BLOCK_CELLS = 1 << 16
 
 
+def _require_integers(obj, names) -> None:
+    # bool is an Integral too, but a count of True is a config mistake.
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PolicyIntervention:
     """Rank-dependent intervention applied every round from start_round on.
@@ -58,6 +67,7 @@ class PolicyIntervention:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
+        _require_integers(self, ("start_round", "top_k"))
         if self.start_round < 1:
             raise DomainError(f"start_round must be >= 1, got {self.start_round}")
         if self.kind == "high_tax":
@@ -80,6 +90,7 @@ class PolicyIntervention:
             )
 
 
+_INT_FIELDS = ("n_streamers", "n_viewers", "n_rounds", "exit_patience", "n_content_types")
 _FLOAT_FIELDS = (
     "base_revenue_share",
     "network_effect_beta",
@@ -127,6 +138,7 @@ class SimConfig:
     n_content_types: int = 3
 
     def __post_init__(self):
+        _require_integers(self, _INT_FIELDS)
         # Every check is written so that NaN fails it.
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):

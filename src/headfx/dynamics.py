@@ -99,15 +99,38 @@ class StabilityReport:
     jacobian_step: float
 
 
-def _rhs_arrays(platform, alpha, eta, c, n, q, theta_vec) -> tuple[np.ndarray, np.ndarray]:
-    p = _softmax(_utilities(platform, alpha, q, n, theta_vec))
+def _flow(platform, alpha, eta, c, theta_vec, rows: int | None = None):
+    """The flow's right-hand side f(n, q) -> (dn/dt, dq/dt).
+
+    The constant vectors of the formulas are computed once, by the same
+    operations in the same order as inside the whole expressions, so f
+    is bitwise the formulas evaluated in full. For a batch of rows they
+    are tiled to (rows, N): numpy's elementwise loops are much faster on
+    equal shapes than on broadcast ones.
+    """
     m = platform.n_viewers
-    dn = platform.gamma * (m * p - n)
-    marginal_revenue = (
-        (1.0 - platform.tau) * platform.revenue_per_viewer * m * alpha * p * (1.0 - p)
-    )
-    dq = eta * (marginal_revenue - 2.0 * c * q)
-    return dn, dq
+    beta, gamma = platform.beta, platform.gamma
+    prices = platform.prices
+    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * m * alpha
+    cost_slope = 2.0 * c
+    theta_term = None if theta_vec is None else platform.phi * theta_vec
+    if rows is not None:
+        alpha, eta, prices, revenue, cost_slope = (
+            np.tile(x, (rows, 1)) for x in (alpha, eta, prices, revenue, cost_slope)
+        )
+        if theta_term is not None:
+            theta_term = np.tile(theta_term, (rows, 1))
+
+    def f(n, q):
+        v = alpha * q - prices + beta * n
+        if theta_term is not None:
+            v = v + theta_term
+        p = _softmax(v)
+        dn = gamma * (m * p - n)
+        dq = eta * (revenue * p * (1.0 - p) - cost_slope * q)
+        return dn, dq
+
+    return f
 
 
 def rhs(
@@ -125,8 +148,102 @@ def rhs(
         )
     alpha, eta, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
-    dn, dq = _rhs_arrays(platform, alpha, eta, c, state.n, state.q, theta_vec)
+    dn, dq = _flow(platform, alpha, eta, c, theta_vec)(state.n, state.q)
     return np.concatenate([dn, dq])
+
+
+def _divergence(n, q, m: float, t: float) -> DivergenceError | None:
+    """The error a state fails its integration checks with, or None."""
+    if not (np.isfinite(n).all() and np.isfinite(q).all()):
+        return DivergenceError(f"non-finite state at t={t:.6g}", t=t)
+    if max(np.abs(n).max(), np.abs(q).max()) > _EXPLOSION_BOUND:
+        return DivergenceError(f"state exceeded {_EXPLOSION_BOUND:g} at t={t:.6g}", t=t)
+    if (n > m * (1.0 + _N_BOUND_SLACK)).any():
+        return DivergenceError(f"audience left [0, M] at t={t:.6g}; decrease dt", t=t)
+    return None
+
+
+def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
+    """Classic RK4 for K starts at once, as (K, N) arrays.
+
+    Every row goes through the operations of a single-start run in the
+    same order, so each row's path is bitwise the one it would take
+    alone; a single start is integrated as a plain vector. The
+    divergence checks run on the whole batch; only on a step where one
+    fails are the rows told apart, and each failing row leaves the batch
+    with the error a single-start run would raise there.
+
+    Returns (trajectories, failures): a list with one Trajectory per row
+    (None for a failed row) and a dict from row index to DivergenceError.
+    """
+    m = float(platform.n_viewers)
+    dt = cfg.dt
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    n_steps = int(round(cfg.t_end / dt))
+    n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every != 0)
+
+    n = np.array(n0, dtype=float)
+    q = np.array(q0, dtype=float)
+    n_rec = np.empty((n_records,) + n.shape)
+    q_rec = np.empty((n_records,) + q.shape)
+    n_rec[0] = n
+    q_rec[0] = q
+    times = [0.0]
+    rows = np.arange(n.shape[0])
+    failures: dict[int, DivergenceError] = {}
+    if rows.size == 1:
+        n, q = n[0], q[0]
+        f = _flow(platform, alpha, eta, c, theta_vec)
+    else:
+        f = _flow(platform, alpha, eta, c, theta_vec, rows.size)
+
+    for step in range(1, n_steps + 1):
+        k1n, k1q = f(n, q)
+        k2n, k2q = f(n + half * k1n, q + half * k1q)
+        k3n, k3q = f(n + half * k2n, q + half * k2q)
+        k4n, k4q = f(n + dt * k3n, q + dt * k3q)
+        n = n + sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+        q = q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        q = np.maximum(q, 0.0)
+        n = np.maximum(n, 0.0)
+        t = step * dt
+
+        error = _divergence(n, q, m, t)
+        if error is not None:
+            if n.ndim == 1:
+                failures[int(rows[0])] = error
+                break
+            errors = [_divergence(n[i], q[i], m, t) for i in range(rows.size)]
+            failed = np.array([e is not None for e in errors])
+            for i in np.flatnonzero(failed):
+                failures[int(rows[i])] = errors[i]
+            if failed.all():
+                break
+            rows, n, q = rows[~failed], n[~failed], q[~failed]
+            f = _flow(platform, alpha, eta, c, theta_vec, rows.size)
+
+        if step % cfg.record_every == 0 or step == n_steps:
+            if rows.size == n_rec.shape[1]:
+                n_rec[len(times)] = n
+                q_rec[len(times)] = q
+            else:
+                n_rec[len(times), rows] = n
+                q_rec[len(times), rows] = q
+            times.append(t)
+
+    return [
+        None
+        if row in failures
+        else Trajectory(
+            times=np.array(times),
+            states=tuple(
+                MarketState(n=n_rec[j, row], q=q_rec[j, row], t=tj)
+                for j, tj in enumerate(times)
+            ),
+        )
+        for row in range(n_rec.shape[1])
+    ], failures
 
 
 def integrate(
@@ -144,43 +261,12 @@ def integrate(
     """
     alpha, eta, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
-    m = float(platform.n_viewers)
-    dt = cfg.dt
-    n_steps = int(round(cfg.t_end / dt))
-
-    def f(n, q):
-        return _rhs_arrays(platform, alpha, eta, c, n, q, theta_vec)
-
-    n = state0.n.copy()
-    q = state0.q.copy()
-    times = [0.0]
-    states = [MarketState(n=n.copy(), q=q.copy(), t=0.0)]
-
-    for step in range(1, n_steps + 1):
-        k1n, k1q = f(n, q)
-        k2n, k2q = f(n + 0.5 * dt * k1n, q + 0.5 * dt * k1q)
-        k3n, k3q = f(n + 0.5 * dt * k2n, q + 0.5 * dt * k2q)
-        k4n, k4q = f(n + dt * k3n, q + dt * k3q)
-        n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        q = np.maximum(q, 0.0)
-        n = np.maximum(n, 0.0)
-        t = step * dt
-
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(q))):
-            raise DivergenceError(f"non-finite state at t={t:.6g}", t=t)
-        if max(np.max(np.abs(n)), np.max(np.abs(q))) > _EXPLOSION_BOUND:
-            raise DivergenceError(f"state exceeded {_EXPLOSION_BOUND:g} at t={t:.6g}", t=t)
-        if np.any(n > m * (1.0 + _N_BOUND_SLACK)):
-            raise DivergenceError(
-                f"audience left [0, M] at t={t:.6g}; decrease dt", t=t
-            )
-
-        if step % cfg.record_every == 0 or step == n_steps:
-            times.append(t)
-            states.append(MarketState(n=n.copy(), q=q.copy(), t=t))
-
-    return Trajectory(times=np.array(times), states=tuple(states))
+    (trajectory,), failures = _integrate_batch(
+        platform, alpha, eta, c, state0.n[np.newaxis], state0.q[np.newaxis], cfg, theta_vec
+    )
+    if failures:
+        raise failures[0]
+    return trajectory
 
 
 def jacobian(
@@ -199,10 +285,10 @@ def jacobian(
     theta_vec = theta.theta if theta is not None else None
     big_n = platform.n_streamers
     x0 = np.concatenate([state.n, state.q])
+    flow = _flow(platform, alpha, eta, c, theta_vec)
 
     def f(x):
-        dn, dq = _rhs_arrays(platform, alpha, eta, c, x[:big_n], x[big_n:], theta_vec)
-        return np.concatenate([dn, dq])
+        return np.concatenate(flow(x[:big_n], x[big_n:]))
 
     dim = 2 * big_n
     jac = np.empty((dim, dim))
@@ -340,8 +426,15 @@ def path_dependence_experiment(
     n_minus = state0.n.copy()
     n_minus[0] = max(n_minus[0] - delta0 / 2.0, 0.0)
 
-    traj_plus = integrate(platform, streamers, MarketState(n_plus, state0.q.copy()), cfg)
-    traj_minus = integrate(platform, streamers, MarketState(n_minus, state0.q.copy()), cfg)
+    # Both twins run as one batch; the plus twin's error wins, as it
+    # would if the twins ran one after the other.
+    alpha, eta, c = streamer_arrays(streamers)
+    (traj_plus, traj_minus), failures = _integrate_batch(
+        platform, alpha, eta, c, np.stack([n_plus, n_minus]),
+        np.stack([state0.q, state0.q]), cfg, None,
+    )
+    if failures:
+        raise failures[min(failures)]
 
     np_mat = traj_plus.n_matrix()
     nm_mat = traj_minus.n_matrix()
@@ -379,16 +472,14 @@ def phase_portrait(
     initial_states,
     cfg: IntegratorConfig,
 ) -> PortraitResult:
-    """Integrate every grid start, collecting per-run divergence failures."""
+    """Integrate every grid start as one batch, collecting per-run divergence failures."""
     initial_states = list(initial_states)
     if not initial_states:
         raise DomainError("phase_portrait needs a non-empty grid of initial states")
-    trajectories: list[Trajectory | None] = []
-    failures: list[tuple[int, str]] = []
-    for idx, s0 in enumerate(initial_states):
-        try:
-            trajectories.append(integrate(platform, streamers, s0, cfg))
-        except DivergenceError as exc:
-            trajectories.append(None)
-            failures.append((idx, str(exc)))
+    alpha, eta, c = streamer_arrays(streamers)
+    trajectories, failures = _integrate_batch(
+        platform, alpha, eta, c, np.stack([s0.n for s0 in initial_states]),
+        np.stack([s0.q for s0 in initial_states]), cfg, None,
+    )
+    failures = [(idx, str(failures[idx])) for idx in sorted(failures)]
     return PortraitResult(trajectories=tuple(trajectories), failures=tuple(failures))

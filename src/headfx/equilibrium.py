@@ -10,6 +10,7 @@ which near-symmetric markets collapse into a concentrated outcome.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,26 +87,88 @@ def _utilities(platform, alpha, q, n, theta_vec):
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    """Max-shifted softmax of a vector, or of each row of a (K, N) array."""
+    if v.ndim == 1:
+        e = np.exp(v - v.max())
+        return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def _viewer_fixed_point_raw(platform, alpha, q, n0, cfg, theta_vec):
-    """Damped iteration on raw arrays; returns (n, converged, iters, residual)."""
+def _viewer_fixed_point_batch(platform, alpha, q, n0, cfg, theta_vec):
+    """Damped viewer fixed point for K starts at once.
+
+    q and n0 are (K, N) arrays. Every row goes through the operations of
+    a single-start iteration in the same order, so each row's result is
+    bitwise the one it would get alone; a row leaves the batch on the
+    iteration its residual first drops to cfg.tol. The active rows are
+    compacted only on such an iteration, and a lone active row is
+    iterated as a plain vector. Raises NumericalError as soon as an
+    active row's residual turns non-finite.
+
+    Returns (n, converged, iterations, residual) of shapes (K, N), (K,),
+    (K,) and (K,); rows that never converged keep their last damped
+    iterate, iterations = cfg.max_iter and their last residual.
+    """
     m = float(platform.n_viewers)
-    n = np.asarray(n0, dtype=float).copy()
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        p = _softmax(_utilities(platform, alpha, q, n, theta_vec))
-        target = m * p
-        residual = float(np.max(np.abs(n - target)))
-        if not np.isfinite(residual):
-            raise NumericalError("non-finite residual in viewer fixed-point iteration")
-        if residual <= cfg.tol:
-            break
-        n = (1.0 - cfg.damping) * n + cfg.damping * target
-    return n, residual <= cfg.tol, iterations, residual
+    tol, damping = cfg.tol, cfg.damping
+    keep = 1.0 - damping
+    beta = platform.beta
+    n = np.array(n0, dtype=float)
+    base = alpha * np.asarray(q, dtype=float) - platform.prices
+    theta_term = platform.phi * theta_vec if theta_vec is not None else None
+
+    n_out = np.empty_like(n)
+    converged = np.zeros(n.shape[0], dtype=bool)
+    iterations = np.full(n.shape[0], cfg.max_iter)
+    residual = np.full(n.shape[0], np.inf)
+    rows = np.arange(n.shape[0])
+    if rows.size == 1:
+        n, base = n[0], base[0]
+    res = np.inf
+    for it in range(1, cfg.max_iter + 1):
+        v = base + beta * n
+        if theta_term is not None:
+            v = v + theta_term
+        target = m * _softmax(v)
+        gap = np.abs(n - target)
+        if n.ndim == 1:
+            res = float(gap.max())
+            if not math.isfinite(res):
+                raise NumericalError("non-finite residual in viewer fixed-point iteration")
+            if res <= tol:
+                n_out[rows] = n
+                converged[rows] = True
+                iterations[rows] = it
+                residual[rows] = res
+                return n_out, converged, iterations, residual
+        else:
+            res = gap.max(axis=1)
+            if not np.isfinite(res).all():
+                raise NumericalError("non-finite residual in viewer fixed-point iteration")
+            done = res <= tol
+            if done.any():
+                finished = rows[done]
+                n_out[finished] = n[done]
+                converged[finished] = True
+                iterations[finished] = it
+                residual[finished] = res[done]
+                active = np.flatnonzero(~done)
+                if active.size == 0:
+                    return n_out, converged, iterations, residual
+                rows = rows[active]
+                # a lone survivor continues as a plain vector
+                pick = active[0] if active.size == 1 else active
+                n, target, base, res = n[pick], target[pick], base[pick], res[pick]
+        n = keep * n + damping * target
+    n_out[rows] = n
+    residual[rows] = res
+    return n_out, converged, iterations, residual
+
+
+def _check_audiences(n, m: float) -> None:
+    if np.any(n < 0) or np.any(n > m):
+        raise DomainError("n0 entries must lie in [0, M]")
 
 
 def solve_viewer_fixed_point(
@@ -125,16 +188,18 @@ def solve_viewer_fixed_point(
     m = float(platform.n_viewers)
     n0 = np.asarray(n0, dtype=float)
     q = np.asarray(q, dtype=float)
-    if np.any(n0 < 0) or np.any(n0 > m):
-        raise DomainError("n0 entries must lie in [0, M]")
+    _check_audiences(n0, m)
     alpha, _, _ = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
-    n, converged, iterations, residual = _viewer_fixed_point_raw(
-        platform, alpha, q, n0, cfg, theta_vec
+    n, converged, iterations, residual = _viewer_fixed_point_batch(
+        platform, alpha, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
     )
-    state = MarketState(n=n, q=q, t=0.0)
+    state = MarketState(n=n[0], q=q, t=0.0)
     return EquilibriumResult(
-        state=state, converged=converged, iterations=iterations, residual=residual
+        state=state,
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        residual=float(residual[0]),
     )
 
 
@@ -151,6 +216,76 @@ def _quality_best_response(platform, alpha, c, p) -> np.ndarray:
         / (2.0 * c)
     )
     return np.clip(raw, 0.0, Q_MAX)
+
+
+def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
+    """Alternate viewer fixed points and quality best responses for K starts.
+
+    n0 is a (K, N) array of audience starts; q0 is (K, N) or None for the
+    myopic best response to each start. Each row runs the outer rounds of
+    a single-start solve with the same operations in the same order, and
+    leaves the batch on the round it settles; the final viewer polish runs
+    for every row at once. Returns (n, q, converged, iterations, residual)
+    of shapes (K, N), (K, N), (K,), (K,) and (K,).
+    """
+    m = float(platform.n_viewers)
+    n = np.array(n0, dtype=float)
+    if q0 is None:
+        p = _softmax(_utilities(platform, alpha, np.zeros_like(n), n, theta_vec))
+        q = _quality_best_response(platform, alpha, c, p)
+    else:
+        q = np.array(q0, dtype=float)
+
+    n_out = np.empty_like(n)
+    q_out = np.empty_like(q)
+    settled = np.zeros(n.shape[0], dtype=bool)
+    rounds = np.full(n.shape[0], cfg.max_iter)
+    rows = np.arange(n.shape[0])
+    for outer in range(1, cfg.max_iter + 1):
+        _check_audiences(n, m)
+        n_new, inner_converged, _, _ = _viewer_fixed_point_batch(
+            platform, alpha, q, n, cfg, theta_vec
+        )
+        p = n_new / m if m > 0 else _softmax(_utilities(platform, alpha, q, n_new, theta_vec))
+        q_target = _quality_best_response(platform, alpha, c, p)
+        q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
+        change_n = np.max(np.abs(n_new - n), axis=1)
+        change_q = np.max(np.abs(q_new - q), axis=1)
+        # max(change_n, change_q) as Python's max picks it, NaN included
+        change = np.where(change_q > change_n, change_q, change_n)
+        n, q = n_new, q_new
+        done = inner_converged & (change <= cfg.tol)
+        if done.any():
+            finished = rows[done]
+            n_out[finished] = n[done]
+            q_out[finished] = q[done]
+            settled[finished] = True
+            rounds[finished] = outer
+            active = ~done
+            if not active.any():
+                break
+            rows, n, q = rows[active], n[active], q[active]
+    else:  # the rows still active never settled: keep their last round
+        n_out[rows] = n
+        q_out[rows] = q
+
+    _check_audiences(n_out, m)
+    n_polished, polished, _, residual = _viewer_fixed_point_batch(
+        platform, alpha, q_out, n_out, cfg, theta_vec
+    )
+    return n_polished, q_out, settled & polished, rounds, residual
+
+
+def _results(n, q, converged, iterations, residual) -> list[EquilibriumResult]:
+    return [
+        EquilibriumResult(
+            state=MarketState(n=n[i], q=q[i], t=0.0),
+            converged=bool(converged[i]),
+            iterations=int(iterations[i]),
+            residual=float(residual[i]),
+        )
+        for i in range(n.shape[0])
+    ]
 
 
 def solve_joint_equilibrium(
@@ -171,40 +306,12 @@ def solve_joint_equilibrium(
     big_n = platform.n_streamers
     alpha, _, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
-
-    n = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float).copy()
-    if q0 is None:
-        p = _softmax(_utilities(platform, alpha, np.zeros(big_n), n, theta_vec))
-        q = _quality_best_response(platform, alpha, c, p)
-    else:
-        q = np.asarray(q0, dtype=float).copy()
-
-    settled = False
-    outer = 0
-    for outer in range(1, cfg.max_iter + 1):
-        inner = solve_viewer_fixed_point(platform, streamers, q, n, cfg, theta)
-        n_new = inner.state.n
-        p = n_new / m if m > 0 else _softmax(_utilities(platform, alpha, q, n_new, theta_vec))
-        q_target = _quality_best_response(platform, alpha, c, p)
-        q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
-        change = max(
-            float(np.max(np.abs(n_new - n))),
-            float(np.max(np.abs(q_new - q))),
-        )
-        n, q = n_new, q_new
-        if inner.converged and change <= cfg.tol:
-            settled = True
-            break
-
-    polish = solve_viewer_fixed_point(platform, streamers, q, n, cfg, theta)
-    state = MarketState(n=polish.state.n, q=q, t=0.0)
-    converged = settled and polish.converged
-    return EquilibriumResult(
-        state=state,
-        converged=converged,
-        iterations=outer,
-        residual=polish.residual,
+    n = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float)
+    q = None if q0 is None else np.asarray(q0, dtype=float)[np.newaxis]
+    (result,) = _results(
+        *_joint_equilibrium_batch(platform, alpha, c, n[np.newaxis], q, cfg, theta_vec)
     )
+    return result
 
 
 def _cluster_distance(a: EquilibriumResult, b: EquilibriumResult) -> float:
@@ -222,17 +329,19 @@ def enumerate_equilibria(
     """Multi-start probe for distinct joint equilibria.
 
     Runs the joint solver from cfg.n_starts Dirichlet-uniform audience
-    vectors on the scaled simplex, drops non-converged runs, and merges
-    results within max-norm distance 10 * cfg.tol of an earlier find.
-    Returned equilibria are sorted by descending max audience share.
+    vectors on the scaled simplex as one (n_starts, N) batch, drops
+    non-converged runs, and merges results within max-norm distance
+    10 * cfg.tol of an earlier find (in start order). Returned equilibria
+    are sorted by descending max audience share.
     """
     rng = np.random.default_rng(seed)
     m = float(platform.n_viewers)
     starts = rng.dirichlet(np.ones(platform.n_streamers), size=cfg.n_starts) * m
+    alpha, _, c = streamer_arrays(streamers)
+    solved = _joint_equilibrium_batch(platform, alpha, c, starts, None, cfg, None)
 
     distinct: list[EquilibriumResult] = []
-    for n0 in starts:
-        res = solve_joint_equilibrium(platform, streamers, cfg, n0=n0)
+    for res in _results(*solved):
         if not res.converged:
             continue
         if all(_cluster_distance(res, other) >= 10.0 * cfg.tol for other in distinct):

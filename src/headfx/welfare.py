@@ -28,7 +28,7 @@ from .equilibrium import (
     FixedPointConfig,
     _softmax,
     _utilities,
-    _viewer_fixed_point_raw,
+    _viewer_fixed_point_batch,
     find_critical_beta,
     max_share_from_perturbed_start,
 )
@@ -127,8 +127,13 @@ def total_welfare(
 
 def _welfare_raw(platform, alpha, c, q, theta_vec, cfg, n0):
     """Welfare at the viewer equilibrium for a raw (possibly off-simplex)
-    promotion vector; used by the optimizer and finite-difference probes."""
-    n, converged, _, _ = _viewer_fixed_point_raw(platform, alpha, q, n0, cfg, theta_vec)
+    promotion vector; used by the optimizer and finite-difference probes.
+
+    Returns (welfare, n, p, converged, residual) of the fixed point."""
+    n, converged, _, residual = _viewer_fixed_point_batch(
+        platform, alpha, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
+    )
+    n = n[0]
     v = _utilities(platform, alpha, q, n, theta_vec)
     p = _softmax(v)
     cs = platform.n_viewers * (
@@ -138,7 +143,16 @@ def _welfare_raw(platform, alpha, c, q, theta_vec, cfg, n0):
         np.sum(c * q * q)
     )
     pi = platform_profit(platform)
-    return cs + ps + pi, n, p, converged
+    return cs + ps + pi, n, p, bool(converged[0]), float(residual[0])
+
+
+def _welfare_state(platform, streamers, q, theta, cfg, n0):
+    """Breakdown and state at theta, with the fixed point's converged flag
+    and residual."""
+    alpha, _, c = streamer_arrays(streamers)
+    _, n, _, converged, residual = _welfare_raw(platform, alpha, c, q, theta.theta, cfg, n0)
+    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
+    return total_welfare(platform, streamers, state, theta), state, converged, residual
 
 
 def welfare_at_theta(
@@ -152,19 +166,25 @@ def welfare_at_theta(
     """Re-solve the viewer equilibrium under theta and evaluate welfare.
 
     Quality is held fixed: the promotion instrument steers audiences, and
-    the welfare derivatives being reproduced treat q as given.
+    the welfare derivatives being reproduced treat q as given. Raises
+    NumericalError naming the residual when the viewer fixed point has
+    not converged within cfg.max_iter iterations.
     """
     if cfg is None:
         cfg = FixedPointConfig(tol=1e-12)
     q = np.asarray(q, dtype=float)
     m = float(platform.n_viewers)
     big_n = platform.n_streamers
-    if n0 is None:
-        n0 = np.full(big_n, m / big_n)
-    alpha, _, c = streamer_arrays(streamers)
-    _, n, _, _ = _welfare_raw(platform, alpha, c, q, theta.theta, cfg, n0)
-    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
-    return total_welfare(platform, streamers, state, theta), state
+    n0 = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float)
+    breakdown, state, converged, residual = _welfare_state(
+        platform, streamers, q, theta, cfg, n0
+    )
+    if not converged:
+        raise NumericalError(
+            f"viewer fixed point under theta did not converge: residual {residual:.3g} > "
+            f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
+        )
+    return breakdown, state
 
 
 def welfare_gradient_theta(
@@ -216,8 +236,8 @@ def numeric_welfare_gradient_theta(
         dn = base.copy()
         up[i] += h
         dn[i] -= h
-        w_up, _, _, _ = _welfare_raw(platform, alpha, c, q, up, cfg, n0)
-        w_dn, _, _, _ = _welfare_raw(platform, alpha, c, q, dn, cfg, n0)
+        w_up = _welfare_raw(platform, alpha, c, q, up, cfg, n0)[0]
+        w_dn = _welfare_raw(platform, alpha, c, q, dn, cfg, n0)[0]
         grad[i] = (w_up - w_dn) / (2.0 * h)
     return grad
 
@@ -293,7 +313,7 @@ def optimize_allocation(
         else np.asarray(init_theta.theta, dtype=float).copy()
     )
     n_warm = np.full(big_n, m / big_n)
-    w_cur, n_warm, p, _ = _welfare_raw(platform, alpha, c, q, theta, fp_cfg, n_warm)
+    w_cur, n_warm, p, _, _ = _welfare_raw(platform, alpha, c, q, theta, fp_cfg, n_warm)
 
     s_prev = step
     residual = np.inf
@@ -307,7 +327,7 @@ def optimize_allocation(
         accepted = False
         for _ in range(60):
             trial = simplex_project(theta + s * g).theta
-            w_trial, n_trial, p_trial, _ = _welfare_raw(
+            w_trial, n_trial, p_trial, _, _ = _welfare_raw(
                 platform, alpha, c, q, trial, fp_cfg, n_warm
             )
             if w_trial >= w_cur - 1e-12 * (1.0 + abs(w_cur)):
@@ -322,14 +342,16 @@ def optimize_allocation(
     g = m * p / phi + r * m * p * (1.0 - p) * phi
     residual = _kkt_residual(g, theta)
     allocation = simplex_project(theta)
-    breakdown, _ = welfare_at_theta(platform, streamers, q, allocation, fp_cfg, n_warm)
+    breakdown, _, fp_converged, _ = _welfare_state(
+        platform, streamers, q, allocation, fp_cfg, n_warm
+    )
     return AllocationSolution(
         theta=allocation,
         welfare=breakdown.total,
         kkt_residual=residual,
         active_set=tuple(int(i) for i in np.flatnonzero(allocation.theta == 0.0)),
         iterations=iterations,
-        converged=residual <= tol,
+        converged=residual <= tol and fp_converged,
     )
 
 

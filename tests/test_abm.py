@@ -396,6 +396,27 @@ class TestRunSimulation:
         with pytest.raises(DomainError):
             PolicyIntervention("subsidy", per_round_amount=nan)
 
+    @pytest.mark.parametrize("name", abm._INT_FIELDS)
+    @pytest.mark.parametrize("value", [100.5, 2.0, True, "3"])
+    def test_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            SimConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["start_round", "top_k"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, False])
+    def test_policy_integer_fields_reject_non_integers(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be an integer"):
+            PolicyIntervention("high_tax", **{name: value})
+
+    def test_numpy_integers_accepted(self):
+        policy = PolicyIntervention("high_tax", start_round=np.int32(2), top_k=np.int64(2))
+        cfg = SimConfig(
+            n_streamers=np.int64(4), n_viewers=np.int64(40), n_rounds=np.int64(3),
+            exit_patience=np.int16(2), n_content_types=np.uint8(2), seed=1,
+            policy_schedule=(policy,),
+        )
+        assert len(run_simulation(cfg)) == 3
+
     def test_policy_start_round_validated_against_horizon(self):
         with pytest.raises(DomainError):
             SimConfig(

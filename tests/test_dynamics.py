@@ -4,10 +4,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfx.core import MarketState, PlatformParams, StreamerParams
 from headfx.dynamics import (
     IntegratorConfig,
+    _integrate_batch,
     analytic_viewer_blocks,
     assess_stability,
     hhi,
@@ -295,3 +298,230 @@ class TestPhasePortrait:
         plat, streamers = symmetric_instance()
         with pytest.raises(DomainError):
             phase_portrait(plat, streamers, [], IntegratorConfig(dt=0.1, t_end=1.0))
+
+
+# The single-start RK4 integrator as first written, one start per Python
+# loop. Kept as the bitwise reference for the batched (K, N) integrator.
+
+
+def _reference_integrate(platform, streamers, state0, cfg):
+    """Returns (times, n matrix, q matrix) or raises DivergenceError."""
+    alpha = np.array([s.alpha for s in streamers])
+    eta = np.array([s.eta for s in streamers])
+    c = np.array([s.cost_coefficient for s in streamers])
+    m = float(platform.n_viewers)
+    dt = cfg.dt
+    n_steps = int(round(cfg.t_end / dt))
+
+    def f(n, q):
+        v = alpha * q - platform.prices + platform.beta * n
+        e = np.exp(v - v.max())
+        p = e / e.sum()
+        mm = platform.n_viewers
+        dn = platform.gamma * (mm * p - n)
+        revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * mm * alpha * p * (1.0 - p)
+        return dn, eta * (revenue - 2.0 * c * q)
+
+    n = state0.n.copy()
+    q = state0.q.copy()
+    times, ns, qs = [0.0], [n.copy()], [q.copy()]
+    for step in range(1, n_steps + 1):
+        k1n, k1q = f(n, q)
+        k2n, k2q = f(n + 0.5 * dt * k1n, q + 0.5 * dt * k1q)
+        k3n, k3q = f(n + 0.5 * dt * k2n, q + 0.5 * dt * k2q)
+        k4n, k4q = f(n + dt * k3n, q + dt * k3q)
+        n = n + (dt / 6.0) * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        q = np.maximum(q, 0.0)
+        n = np.maximum(n, 0.0)
+        t = step * dt
+        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(q))):
+            raise DivergenceError(f"non-finite state at t={t:.6g}", t=t)
+        if max(np.max(np.abs(n)), np.max(np.abs(q))) > 1e12:
+            raise DivergenceError(f"state exceeded {1e12:g} at t={t:.6g}", t=t)
+        if np.any(n > m * (1.0 + 1e-3)):
+            raise DivergenceError(f"audience left [0, M] at t={t:.6g}; decrease dt", t=t)
+        if step % cfg.record_every == 0 or step == n_steps:
+            times.append(t)
+            ns.append(n.copy())
+            qs.append(q.copy())
+    return np.array(times), np.array(ns), np.array(qs)
+
+
+def _reference_outcome(platform, streamers, state0, cfg):
+    try:
+        return _reference_integrate(platform, streamers, state0, cfg)
+    except DivergenceError as exc:
+        return exc
+
+
+def _assert_same_path(traj, ref):
+    times, ns, qs = ref
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.n_matrix(), ns)
+    assert np.array_equal(traj.q_matrix(), qs)
+    assert [s.t for s in traj.states] == times.tolist()
+
+
+def _twin_starts(state0, delta0, m):
+    n_plus = state0.n.copy()
+    n_plus[0] = min(n_plus[0] + delta0 / 2.0, m)
+    n_minus = state0.n.copy()
+    n_minus[0] = max(n_minus[0] - delta0 / 2.0, 0.0)
+    return MarketState(n_plus, state0.q.copy()), MarketState(n_minus, state0.q.copy())
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("record_every", [1, 100])
+    @pytest.mark.parametrize("n", [2, 15])
+    def test_path_dependence_twins(self, record_every, n):
+        plat = PlatformParams(n_streamers=n, n_viewers=1000.0, beta=0.15 if n > 2 else 0.002)
+        rng = np.random.default_rng(n)
+        streamers = [
+            StreamerParams(alpha=0.6, eta=float(e), cost_coefficient=float(c))
+            for e, c in zip(rng.uniform(0.8, 1.2, n), rng.uniform(0.1, 0.3, n))
+        ]
+        cfg = IntegratorConfig(dt=0.05, t_end=15.0, record_every=record_every)
+        state0 = MarketState(n=np.full(n, 1000.0 / n), q=rng.uniform(0.5, 2.0, n))
+        record = path_dependence_experiment(plat, streamers, 1.0, cfg, state0=state0)
+        plus, minus = _twin_starts(state0, 1.0, 1000.0)
+        ref_plus = _reference_integrate(plat, streamers, plus, cfg)
+        ref_minus = _reference_integrate(plat, streamers, minus, cfg)
+        _assert_same_path(record.trajectory_plus, ref_plus)
+        _assert_same_path(record.trajectory_minus, ref_minus)
+        _assert_same_path(integrate(plat, streamers, plus, cfg), ref_plus)
+        _assert_same_path(integrate(plat, streamers, minus, cfg), ref_minus)
+        assert np.array_equal(record.times, ref_plus[0])
+        assert np.array_equal(record.gap_plus, ref_plus[1][:, 0] - ref_plus[1][:, 1])
+        assert np.array_equal(record.gap_minus, ref_minus[1][:, 0] - ref_minus[1][:, 1])
+        assert record.winner_plus == int(np.argmax(ref_plus[1][-1]))
+        assert record.winner_minus == int(np.argmax(ref_minus[1][-1]))
+        assert record.terminal_hhi_plus == hhi(ref_plus[1][-1])
+        assert record.terminal_hhi_minus == hhi(ref_minus[1][-1])
+
+    def test_default_start_twins(self):
+        plat, streamers = symmetric_instance(n=3, beta=0.05)
+        cfg = IntegratorConfig(dt=0.05, t_end=10.0, record_every=7)
+        record = path_dependence_experiment(plat, streamers, 0.5, cfg)
+        p = np.full(3, 1.0 / 3)
+        q0 = (1.0 - 0.2) * 1.0 * 100.0 * np.ones(3) * p * (1.0 - p) / (2.0 * np.full(3, 2.0))
+        state0 = MarketState(n=np.full(3, 100.0 / 3), q=q0)
+        assert np.array_equal(record.trajectory_plus.states[0].q, q0)
+        plus, minus = _twin_starts(state0, 0.5, 100.0)
+        _assert_same_path(record.trajectory_plus, _reference_integrate(plat, streamers, plus, cfg))
+        _assert_same_path(
+            record.trajectory_minus, _reference_integrate(plat, streamers, minus, cfg)
+        )
+
+    def _twin_error(self, plat, streamers, state0, delta0, cfg):
+        with pytest.raises(DivergenceError) as info:
+            path_dependence_experiment(plat, streamers, delta0, cfg, state0=state0)
+        return info.value
+
+    def test_only_the_minus_twin_diverges(self):
+        plat, streamers = symmetric_instance(beta=0.01)
+        # streamer 0 starts far above M: the plus twin is clamped to M,
+        # the minus twin stays outside the box
+        state0 = MarketState(n=np.array([300.0, 0.0]), q=np.array([0.5, 0.5]))
+        cfg = IntegratorConfig(dt=0.05, t_end=5.0)
+        plus, minus = _twin_starts(state0, 10.0, 100.0)
+        assert not isinstance(_reference_outcome(plat, streamers, plus, cfg), Exception)
+        want = _reference_outcome(plat, streamers, minus, cfg)
+        assert isinstance(want, DivergenceError)
+        got = self._twin_error(plat, streamers, state0, 10.0, cfg)
+        assert str(got) == str(want) and got.t == want.t
+
+    def test_both_twins_diverge_and_the_plus_twin_wins(self):
+        plat, streamers = symmetric_instance(beta=0.2)
+        state0 = MarketState(n=np.array([65.0, 35.0]), q=np.array([5.0, 9.0]))
+        cfg = IntegratorConfig(dt=5.0, t_end=60.0)
+        plus, minus = _twin_starts(state0, 5.0, 100.0)
+        want = _reference_outcome(plat, streamers, plus, cfg)
+        other = _reference_outcome(plat, streamers, minus, cfg)
+        # the minus twin fails first, yet the plus twin's error is raised
+        assert isinstance(want, DivergenceError) and isinstance(other, DivergenceError)
+        assert other.t < want.t
+        got = self._twin_error(plat, streamers, state0, 5.0, cfg)
+        assert str(got) == str(want) and got.t == want.t
+
+    def test_single_start_divergence(self):
+        plat, streamers = symmetric_instance(beta=0.2)
+        state0 = MarketState(n=np.array([60.0, 40.0]), q=np.array([0.5, 0.5]))
+        cfg = IntegratorConfig(dt=40.0, t_end=400.0)
+        want = _reference_outcome(plat, streamers, state0, cfg)
+        with pytest.raises(DivergenceError) as info:
+            integrate(plat, streamers, state0, cfg)
+        assert str(info.value) == str(want) and info.value.t == want.t
+
+    def test_phase_portrait_with_diverging_middle_starts(self):
+        plat, streamers = symmetric_instance(beta=0.05)
+        q = np.array([0.8, 1.2])
+        grid = [
+            MarketState(n=np.array([70.0, 30.0]), q=q),
+            MarketState(n=np.array([500.0, 500.0]), q=q),  # leaves [0, M]
+            MarketState(n=np.array([40.0, 60.0]), q=q),
+            MarketState(n=np.array([50.0, 50.0]), q=np.array([2e12, 0.5])),  # explodes
+            MarketState(n=np.array([50.0, 50.0]), q=np.array([np.inf, 0.5])),  # non-finite
+            MarketState(n=np.array([10.0, 90.0]), q=q),
+        ]
+        cfg = IntegratorConfig(dt=0.05, t_end=8.0, record_every=3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            result = phase_portrait(plat, streamers, grid, cfg)
+            refs = [_reference_outcome(plat, streamers, s, cfg) for s in grid]
+        want_failures = tuple(
+            (i, str(r)) for i, r in enumerate(refs) if isinstance(r, DivergenceError)
+        )
+        assert [i for i, _ in want_failures] == [1, 3, 4]
+        assert {msg.split(" at ")[0] for _, msg in want_failures} == {
+            "audience left [0, M]", "state exceeded 1e+12", "non-finite state",
+        }
+        assert result.failures == want_failures
+        for traj, ref in zip(result.trajectories, refs):
+            if isinstance(ref, DivergenceError):
+                assert traj is None
+            else:
+                _assert_same_path(traj, ref)
+
+
+class TestBatchProperties:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4),
+        st.sampled_from([0.05, 0.5, 4.0]), st.integers(1, 7),
+    )
+    def test_integrator_rows_are_independent(self, seed, k, n, dt, record_every):
+        rng = np.random.default_rng(seed)
+        plat = PlatformParams(
+            n_streamers=n, n_viewers=100.0, beta=float(rng.uniform(0.0, 0.3)),
+            prices=rng.uniform(0.0, 0.3, n),
+        )
+        alpha, eta, c = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n), rng.uniform(1.0, 3.0, n)
+        n0 = rng.dirichlet(np.ones(n), size=k) * 100.0
+        q0 = rng.uniform(0.0, 3.0, (k, n))
+        perm = rng.permutation(k)
+        cfg = IntegratorConfig(dt=dt, t_end=20 * dt, record_every=record_every)
+
+        def paths(trajectories):
+            return [None if t is None else (t.n_matrix(), t.q_matrix()) for t in trajectories]
+
+        def messages(failures):
+            return {i: (str(e), e.t) for i, e in failures.items()}
+
+        trajs, failures = _integrate_batch(plat, alpha, eta, c, n0, q0, cfg, None)
+        trajs_p, failures_p = _integrate_batch(plat, alpha, eta, c, n0[perm], q0[perm], cfg, None)
+        assert messages(failures_p) == {
+            int(np.flatnonzero(perm == i)[0]): v for i, v in messages(failures).items()
+        }
+        for i in range(k):
+            single, single_failures = _integrate_batch(
+                plat, alpha, eta, c, n0[i : i + 1], q0[i : i + 1], cfg, None
+            )
+            for got in (paths(single)[0], paths(trajs_p)[int(np.flatnonzero(perm == i)[0])]):
+                want = paths(trajs)[i]
+                if want is None:
+                    assert got is None
+                else:
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert messages(single_failures) == (
+                {0: messages(failures)[i]} if i in failures else {}
+            )

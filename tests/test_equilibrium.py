@@ -4,17 +4,27 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headfx.core import MarketState, PlatformParams, StreamerParams, choice_probabilities
+from headfx.core import (
+    MarketState,
+    PlatformParams,
+    StreamerParams,
+    TrafficAllocation,
+    choice_probabilities,
+)
 from headfx.equilibrium import (
     FixedPointConfig,
+    _joint_equilibrium_batch,
+    _viewer_fixed_point_batch,
     enumerate_equilibria,
     find_critical_beta,
     max_share_from_perturbed_start,
     solve_joint_equilibrium,
     solve_viewer_fixed_point,
 )
-from headfx.errors import BracketError, DomainError
+from headfx.errors import BracketError, DomainError, NumericalError
 
 CFG = FixedPointConfig(tol=1e-11, max_iter=40000)
 
@@ -261,3 +271,250 @@ class TestFixedPointConfig:
             FixedPointConfig(max_iter=0)
         with pytest.raises(DomainError):
             FixedPointConfig(n_starts=0)
+
+
+# The single-start solvers as first written, one start per Python loop.
+# Kept as the bitwise reference for the batched (K, N) kernels.
+
+
+def _reference_viewer_fixed_point(platform, alpha, q, n0, cfg, theta_vec):
+    m = float(platform.n_viewers)
+    n = np.asarray(n0, dtype=float).copy()
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        v = alpha * q - platform.prices + platform.beta * n
+        if theta_vec is not None:
+            v = v + platform.phi * theta_vec
+        e = np.exp(v - v.max())
+        target = m * (e / e.sum())
+        residual = float(np.max(np.abs(n - target)))
+        if not np.isfinite(residual):
+            raise NumericalError("non-finite residual in viewer fixed-point iteration")
+        if residual <= cfg.tol:
+            break
+        n = (1.0 - cfg.damping) * n + cfg.damping * target
+    return n, residual <= cfg.tol, iterations, residual
+
+
+def _reference_quality(platform, alpha, c, p):
+    raw = (
+        (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers
+        * alpha * p * (1.0 - p) / (2.0 * c)
+    )
+    return np.clip(raw, 0.0, 10.0)
+
+
+def _reference_joint(platform, streamers, cfg, n0=None, q0=None, theta=None):
+    """Returns (n, q, converged, iterations, residual) of one start."""
+    m = float(platform.n_viewers)
+    big_n = platform.n_streamers
+    alpha = np.array([s.alpha for s in streamers])
+    c = np.array([s.cost_coefficient for s in streamers])
+    theta_vec = theta.theta if theta is not None else None
+    n = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float).copy()
+    if q0 is None:
+        v = alpha * np.zeros(big_n) - platform.prices + platform.beta * n
+        if theta_vec is not None:
+            v = v + platform.phi * theta_vec
+        e = np.exp(v - v.max())
+        q = _reference_quality(platform, alpha, c, e / e.sum())
+    else:
+        q = np.asarray(q0, dtype=float).copy()
+    settled = False
+    outer = 0
+    for outer in range(1, cfg.max_iter + 1):
+        n_new, inner_converged, _, _ = _reference_viewer_fixed_point(
+            platform, alpha, q, n, cfg, theta_vec
+        )
+        q_target = _reference_quality(platform, alpha, c, n_new / m)
+        q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
+        change = max(
+            float(np.max(np.abs(n_new - n))), float(np.max(np.abs(q_new - q)))
+        )
+        n, q = n_new, q_new
+        if inner_converged and change <= cfg.tol:
+            settled = True
+            break
+    n_pol, polished, _, residual = _reference_viewer_fixed_point(
+        platform, alpha, q, n, cfg, theta_vec
+    )
+    return n_pol, q, settled and polished, outer, residual
+
+
+def _reference_enumerate(platform, streamers, cfg, seed):
+    rng = np.random.default_rng(seed)
+    m = float(platform.n_viewers)
+    starts = rng.dirichlet(np.ones(platform.n_streamers), size=cfg.n_starts) * m
+    distinct = []
+    for n0 in starts:
+        n, q, converged, iterations, residual = _reference_joint(
+            platform, streamers, cfg, n0=n0
+        )
+        if not converged:
+            continue
+        if all(
+            max(float(np.max(np.abs(n - d[0]))), float(np.max(np.abs(q - d[1]))))
+            >= 10.0 * cfg.tol
+            for d in distinct
+        ):
+            distinct.append((n, q, converged, iterations, residual))
+    distinct.sort(key=lambda d: float(d[0].max() / d[0].sum()), reverse=True)
+    return distinct
+
+
+def _as_tuple(res):
+    return res.state.n, res.state.q, res.converged, res.iterations, res.residual
+
+
+def _assert_bitwise(got, want):
+    n, q, converged, iterations, residual = got
+    n_ref, q_ref, converged_ref, iterations_ref, residual_ref = want
+    assert np.array_equal(n, n_ref)
+    assert np.array_equal(q, q_ref)
+    assert converged == converged_ref
+    assert iterations == iterations_ref
+    assert residual == residual_ref
+
+
+def _instance(n, beta, prices, seed=0, m=100.0):
+    rng = np.random.default_rng(seed)
+    plat = PlatformParams(
+        n_streamers=n, n_viewers=m, beta=beta, tau=0.2,
+        prices=rng.uniform(0.0, 0.5, n) if prices else None,
+    )
+    streamers = [
+        StreamerParams(alpha=float(a), cost_coefficient=float(c))
+        for a, c in zip(rng.uniform(0.8, 1.2, n), rng.uniform(1.5, 3.0, n))
+    ]
+    return plat, streamers
+
+
+class TestBatchMatchesReference:
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("prices", [False, True])
+    @pytest.mark.parametrize("beta", [0.005, 0.2], ids=["unique", "tipping"])
+    def test_enumeration(self, n, prices, beta):
+        plat, streamers = _instance(n, beta, prices)
+        cfg = FixedPointConfig(tol=1e-11, max_iter=40000, n_starts=12)
+        found = enumerate_equilibria(plat, streamers, cfg, seed=n)
+        reference = _reference_enumerate(plat, streamers, cfg, seed=n)
+        assert len(found) == len(reference) >= 1
+        for res, ref in zip(found, reference):
+            _assert_bitwise(_as_tuple(res), ref)
+
+    @pytest.mark.parametrize("prices, max_iter", [(False, 145), (True, 46)])
+    def test_enumeration_with_a_short_round_budget(self, prices, max_iter):
+        # Some starts settle within the budget and some do not, so rows
+        # leave the batch on different rounds and others run out.
+        plat, streamers = _instance(5, 0.005, prices)
+        cfg = FixedPointConfig(tol=1e-11, max_iter=max_iter, n_starts=12)
+        starts = np.random.default_rng(5).dirichlet(np.ones(5), size=12) * 100.0
+        flags = [_reference_joint(plat, streamers, cfg, n0=s)[2] for s in starts]
+        assert any(flags) and not all(flags)
+        found = enumerate_equilibria(plat, streamers, cfg, seed=5)
+        reference = _reference_enumerate(plat, streamers, cfg, seed=5)
+        assert len(found) == len(reference) >= 1
+        for res, ref in zip(found, reference):
+            _assert_bitwise(_as_tuple(res), ref)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("prices", [False, True])
+    @pytest.mark.parametrize("with_theta", [False, True])
+    def test_joint_batch_per_start(self, n, prices, with_theta):
+        plat, streamers = _instance(n, 0.01, prices, seed=n + 7)
+        rng = np.random.default_rng(n)
+        theta = TrafficAllocation(rng.dirichlet(np.ones(n))) if with_theta else None
+        cfg = FixedPointConfig(tol=1e-11, max_iter=40000)
+        starts = rng.dirichlet(np.ones(n), size=4) * 100.0
+        alpha = np.array([s.alpha for s in streamers])
+        c = np.array([s.cost_coefficient for s in streamers])
+        batch = _joint_equilibrium_batch(
+            plat, alpha, c, starts, None, cfg, None if theta is None else theta.theta
+        )
+        for i, n0 in enumerate(starts):
+            want = _reference_joint(plat, streamers, cfg, n0=n0, theta=theta)
+            _assert_bitwise(tuple(x[i] for x in batch), want)
+            single = solve_joint_equilibrium(plat, streamers, cfg, n0=n0, theta=theta)
+            _assert_bitwise(_as_tuple(single), want)
+
+    def test_single_start_solvers(self):
+        plat, streamers = _instance(3, 0.02, True, seed=3)
+        alpha = np.array([s.alpha for s in streamers])
+        theta = TrafficAllocation(np.array([0.2, 0.5, 0.3]))
+        q = np.array([0.4, 0.9, 0.6])
+        n0 = np.array([10.0, 30.0, 60.0])
+        for cfg in (CFG, FixedPointConfig(tol=1e-14, max_iter=7)):
+            for th in (None, theta):
+                res = solve_viewer_fixed_point(plat, streamers, q, n0, cfg, th)
+                ref = _reference_viewer_fixed_point(
+                    plat, alpha, q, n0, cfg, None if th is None else th.theta
+                )
+                _assert_bitwise(_as_tuple(res), (ref[0], q) + ref[1:])
+            q0 = np.array([1.0, 0.1, 2.0])
+            _assert_bitwise(
+                _as_tuple(solve_joint_equilibrium(plat, streamers, cfg, n0=n0, q0=q0)),
+                _reference_joint(plat, streamers, cfg, n0=n0, q0=q0),
+            )
+
+    def test_non_finite_residual_raises_from_the_batch(self):
+        plat = PlatformParams(n_streamers=2, n_viewers=100, beta=0.01)
+        cfg = FixedPointConfig(tol=1e-11, max_iter=100)
+        alpha = np.array([1.0, 1.0])
+        q = np.array([[0.5, 0.5], [np.inf, 0.5], [0.2, 0.1]])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            _viewer_fixed_point_batch(plat, alpha, q, np.full((3, 2), 50.0), cfg, None)
+
+
+def _batch_case(draw_seed, k, n):
+    rng = np.random.default_rng(draw_seed)
+    plat = PlatformParams(
+        n_streamers=n, n_viewers=100.0, beta=float(rng.uniform(0.0, 0.05)),
+        prices=rng.uniform(0.0, 0.3, n),
+    )
+    alpha = rng.uniform(0.5, 1.5, n)
+    c = rng.uniform(1.5, 3.0, n)
+    starts = rng.dirichlet(np.ones(n), size=k) * 100.0
+    q = rng.uniform(0.0, 2.0, (k, n))
+    return plat, alpha, c, starts, q, rng.permutation(k)
+
+
+class TestBatchProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5),
+        st.integers(1, 400),
+    )
+    def test_viewer_fixed_point_rows_are_independent(self, seed, k, n, max_iter):
+        plat, alpha, _, starts, q, perm = _batch_case(seed, k, n)
+        cfg = FixedPointConfig(tol=1e-11, max_iter=max_iter)
+        batch = _viewer_fixed_point_batch(plat, alpha, q, starts, cfg, None)
+        permuted = _viewer_fixed_point_batch(plat, alpha, q[perm], starts[perm], cfg, None)
+        for got, want in zip(permuted, batch):
+            assert np.array_equal(got, want[perm])
+        for i in range(k):
+            single = _viewer_fixed_point_batch(
+                plat, alpha, q[i : i + 1], starts[i : i + 1], cfg, None
+            )
+            for got, want in zip(single, batch):
+                assert np.array_equal(got[0], want[i])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 80))
+    def test_joint_rows_are_independent(self, seed, k, n, max_iter):
+        plat, alpha, c, starts, q, perm = _batch_case(seed, k, n)
+        cfg = FixedPointConfig(tol=1e-10, max_iter=max_iter)
+        for q0 in (None, q):
+            batch = _joint_equilibrium_batch(plat, alpha, c, starts, q0, cfg, None)
+            permuted = _joint_equilibrium_batch(
+                plat, alpha, c, starts[perm], None if q0 is None else q0[perm], cfg, None
+            )
+            for got, want in zip(permuted, batch):
+                assert np.array_equal(got, want[perm])
+            for i in range(k):
+                single = _joint_equilibrium_batch(
+                    plat, alpha, c, starts[i : i + 1],
+                    None if q0 is None else q0[i : i + 1], cfg, None,
+                )
+                for got, want in zip(single, batch):
+                    assert np.array_equal(got[0], want[i])

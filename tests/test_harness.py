@@ -402,6 +402,27 @@ class TestCli:
         assert "config error" in err and key in err
         assert not (tmp_path / "o" / "Baseline").exists()
 
+    @pytest.mark.parametrize(
+        "payload,key",
+        [
+            ({"platform": {"n_streamers": 15.5}}, "n_streamers"),
+            ({"platform": {"n_viewers": 100.5}}, "n_viewers"),
+            ({"platform": {"n_rounds": 2.5}}, "n_rounds"),
+            ({"overrides": {"exit_patience": 5.0}}, "exit_patience"),
+            ({"overrides": {"n_content_types": True}}, "n_content_types"),
+            ({"name": "custom", "policies": [{"kind": "subsidy", "start_round": 10.5}]},
+             "start_round"),
+            ({"name": "custom", "policies": [{"kind": "high_tax", "top_k": 2.5}]}, "top_k"),
+        ],
+        ids=lambda x: x if isinstance(x, str) else None,
+    )
+    def test_simulate_rejects_non_integer_counts(self, tmp_path, capsys, payload, key):
+        cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1, **payload})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be an integer" in err
+
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
 

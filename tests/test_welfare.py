@@ -127,6 +127,15 @@ class TestTotalWelfare:
         w_p, _ = welfare_at_theta(plat, streamers_p, q[perm], theta_p)
         assert w_p.total == pytest.approx(w.total, rel=1e-10)
 
+    def test_unconverged_fixed_point_raises_naming_the_residual(self):
+        plat, streamers, _ = instance([1.2, 0.8, 1.0], [0.7, 0.5, 0.6], beta=0.002)
+        theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
+        q = np.array([0.7, 0.5, 0.6])
+        with pytest.raises(NumericalError, match=r"residual \d.*\(max_iter=1\)"):
+            welfare_at_theta(plat, streamers, q, theta, FixedPointConfig(max_iter=1))
+        # enough iterations: the same call returns
+        welfare_at_theta(plat, streamers, q, theta, FixedPointConfig(tol=1e-12))
+
 
 class TestWelfareGradient:
     def test_symmetric_gradient_equal(self):
@@ -235,6 +244,19 @@ class TestOptimizeAllocation:
         sol = optimize_allocation(plat, streamers, np.array([0.6, 0.5]))
         assert np.all(sol.theta.theta >= 0)
         assert sol.theta.theta.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unconverged_fixed_point_is_not_reported_converged(self):
+        plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
+        q = np.array([0.8, 0.7, 0.5])
+        # A loose KKT tolerance is met at once; only the one-sweep fixed
+        # point stands between the solution and converged=True.
+        loose = optimize_allocation(plat, streamers, q, tol=1e6)
+        assert loose.converged
+        starved = optimize_allocation(
+            plat, streamers, q, tol=1e6, fp_cfg=FixedPointConfig(max_iter=1)
+        )
+        assert starved.kkt_residual <= 1e6
+        assert not starved.converged
 
     def test_two_streamer_grid_equivalence(self):
         plat, streamers, _ = instance([1.1, 0.9], [0.6, 0.5], beta=0.001)
