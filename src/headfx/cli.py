@@ -18,20 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .abm import SimConfig
-from .core import MarketState, PlatformParams, StreamerParams, streamer_arrays
+from .core import MarketState, PlatformParams, StreamerParams, streamer_profit
 from .dynamics import (
     IntegratorConfig,
+    best_response_quality,
     hhi,
     integrate,
     path_dependence_experiment,
     phase_portrait,
     stability_at,
 )
-from .equilibrium import (
-    FixedPointConfig,
-    _quality_best_response,
-    max_share_from_perturbed_start,
-)
+from .equilibrium import FixedPointConfig, max_share_from_perturbed_start
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -124,9 +121,7 @@ def _cmd_equilibrium(args) -> int:
     with path.open("w", newline="") as fh:
         fh.write("streamer_id,n_star,q_star,share,profit\n")
         for i, s in enumerate(streamers):
-            profit = (1 - platform.tau) * platform.revenue_per_viewer * n[i] - (
-                s.cost_coefficient * q[i] ** 2
-            )
+            profit = streamer_profit(n[i], q[i], platform, s)
             fh.write(
                 f"{i + 1},{n[i]:.6g},{q[i]:.6g},{n[i] / platform.n_viewers:.6g},{profit:.6g}\n"
             )
@@ -137,10 +132,9 @@ def _cmd_equilibrium(args) -> int:
 def _dynamics_start(platform, streamers) -> MarketState:
     m = float(platform.n_viewers)
     big_n = platform.n_streamers
-    alpha, _, c = streamer_arrays(streamers)
     n0 = np.full(big_n, m / big_n)
     n0[0] = min(n0[0] + 1e-3 * m, m)
-    q0 = _quality_best_response(platform, alpha, c, np.full(big_n, 1.0 / big_n))
+    q0 = best_response_quality(platform, streamers, np.full(big_n, 1.0 / big_n))
     return MarketState(n=n0, q=q0)
 
 
@@ -187,14 +181,12 @@ def _cmd_dynamics(args) -> int:
     elif args.kind == "portrait":
         m = float(platform.n_viewers)
         big_n = platform.n_streamers
-        alpha, _, c = streamer_arrays(streamers)
         starts = []
         for share0 in np.linspace(0.05, 0.95, args.grid):
             n0 = np.full(big_n, (1.0 - share0) * m / max(big_n - 1, 1))
             n0[0] = share0 * m
-            p0 = n0 / m
             starts.append(
-                MarketState(n=n0, q=_quality_best_response(platform, alpha, c, p0))
+                MarketState(n=n0, q=best_response_quality(platform, streamers, n0 / m))
             )
         portrait = phase_portrait(platform, streamers, starts, cfg)
         path = export_phase_csv(portrait, out / "phase_portrait.csv")
@@ -213,7 +205,7 @@ def _cmd_dynamics(args) -> int:
 
 
 def _write_trajectory_csv(path: Path, traj) -> None:
-    n_streamers = traj.states[0].n.shape[0]
+    n_streamers = traj.n.shape[1]
     with path.open("w", newline="") as fh:
         header = (
             ["t"]
@@ -221,10 +213,10 @@ def _write_trajectory_csv(path: Path, traj) -> None:
             + [f"q_{i + 1}" for i in range(n_streamers)]
         )
         fh.write(",".join(header) + "\n")
-        for t, state in zip(traj.times, traj.states):
+        for t, n, q in zip(traj.times, traj.n, traj.q):
             row = [f"{t:.6g}"]
-            row += [f"{x:.6g}" for x in state.n]
-            row += [f"{x:.6g}" for x in state.q]
+            row += [f"{x:.6g}" for x in n]
+            row += [f"{x:.6g}" for x in q]
             fh.write(",".join(row) + "\n")
 
 
@@ -328,10 +320,16 @@ def _load_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
         raise ConfigError("alpha, q, and cost must have equal lengths")
     if not np.all(np.isfinite(q) & (q >= 0)):
         raise ConfigError(f"q must be finite and >= 0, got {q.tolist()}")
+    n_viewers = raw.get("n_viewers", 1000)
+    # A count must be a whole number a float holds exactly: int() raises on
+    # Infinity, truncates 50.7, and a 400-digit integer overflows float().
+    number = isinstance(n_viewers, (int, float)) and not isinstance(n_viewers, bool)
+    if not (number and abs(n_viewers) < 2**53 and float(n_viewers).is_integer()):
+        raise ConfigError(f"n_viewers must be a whole number below 2**53, got {n_viewers!r}")
     try:
         platform = PlatformParams(
             n_streamers=n,
-            n_viewers=int(raw.get("n_viewers", 1000)),
+            n_viewers=int(n_viewers),
             beta=float(raw.get("beta", 0.0)),
             tau=float(raw.get("tau", 0.2)),
             revenue_per_viewer=float(raw.get("revenue_per_viewer", 1.0)),

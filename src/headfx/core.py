@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonFiniteError
+from .logit import logit_slope, softmax, utility
 
 __all__ = [
     "PlatformParams",
@@ -162,11 +163,8 @@ def deterministic_utility(
     _as_float_vector(state.n, "state.n", N)
     _as_float_vector(state.q, "state.q", N)
     alpha, _, _ = streamer_arrays(streamers)
-    v = alpha * state.q - platform.prices + platform.beta * state.n
-    if theta is not None:
-        th = _as_float_vector(theta.theta, "theta", N)
-        v = v + platform.phi * th
-    return v
+    th = None if theta is None else _as_float_vector(theta.theta, "theta", N)
+    return utility(alpha, state.q, platform.prices, platform.beta, state.n, platform.phi, th)
 
 
 def choice_probabilities(v) -> np.ndarray:
@@ -181,9 +179,7 @@ def choice_probabilities(v) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise NonFiniteError(f"V contains a non-finite entry at index {bad}")
-    shifted = v - v.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    return softmax(v)
 
 
 def expected_viewers(p, m: float) -> np.ndarray:
@@ -241,4 +237,4 @@ def audience_quality_sensitivity(
     v = deterministic_utility(platform, streamers, state, theta)
     p = choice_probabilities(v)
     alpha, _, _ = streamer_arrays(streamers)
-    return platform.n_viewers * alpha * p * (1.0 - p)
+    return logit_slope(platform.n_viewers * alpha, p)

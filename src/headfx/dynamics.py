@@ -19,15 +19,17 @@ from .core import (
     MarketState,
     PlatformParams,
     TrafficAllocation,
+    choice_probabilities,
+    deterministic_utility,
     streamer_arrays,
 )
-from .equilibrium import _quality_best_response, _softmax, _utilities
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
     DomainError,
     NonFiniteError,
 )
+from .logit import logit_slope, quality_best_response, softmax, utility
 
 __all__ = [
     "IntegratorConfig",
@@ -36,6 +38,7 @@ __all__ = [
     "PathDependenceRecord",
     "PortraitResult",
     "rhs",
+    "best_response_quality",
     "integrate",
     "jacobian",
     "analytic_viewer_blocks",
@@ -54,11 +57,10 @@ _N_BOUND_SLACK = 1e-3
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator controls; only classic RK4 is supported."""
+    """Step, horizon and sampling stride of the fixed-step classic RK4 integrator."""
 
     dt: float = 0.01
     t_end: float = 200.0
-    method: str = "rk4"
     record_every: int = 1
 
     def __post_init__(self):
@@ -66,28 +68,25 @@ class IntegratorConfig:
             raise DomainError(f"dt must be > 0, got {self.dt}")
         if self.t_end <= 0:
             raise DomainError(f"t_end must be > 0, got {self.t_end}")
-        if self.method != "rk4":
-            raise DomainError(f"unsupported method {self.method!r}, only 'rk4'")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled path of the market state at strictly increasing times."""
+    """Sampled path of the market state at strictly increasing times.
+
+    times has shape (T,); n and q have shape (T, N), row j holding the
+    audiences and qualities at times[j].
+    """
 
     times: np.ndarray
-    states: tuple[MarketState, ...]
-
-    def n_matrix(self) -> np.ndarray:
-        return np.array([s.n for s in self.states])
-
-    def q_matrix(self) -> np.ndarray:
-        return np.array([s.q for s in self.states])
+    n: np.ndarray
+    q: np.ndarray
 
     @property
     def terminal(self) -> MarketState:
-        return self.states[-1]
+        return MarketState(n=self.n[-1], q=self.q[-1], t=float(self.times[-1]))
 
 
 @dataclass(frozen=True)
@@ -109,25 +108,21 @@ def _flow(platform, alpha, eta, c, theta_vec, rows: int | None = None):
     equal shapes than on broadcast ones.
     """
     m = platform.n_viewers
-    beta, gamma = platform.beta, platform.gamma
+    beta, gamma, phi = platform.beta, platform.gamma, platform.phi
     prices = platform.prices
     revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * m * alpha
     cost_slope = 2.0 * c
-    theta_term = None if theta_vec is None else platform.phi * theta_vec
     if rows is not None:
         alpha, eta, prices, revenue, cost_slope = (
             np.tile(x, (rows, 1)) for x in (alpha, eta, prices, revenue, cost_slope)
         )
-        if theta_term is not None:
-            theta_term = np.tile(theta_term, (rows, 1))
+        if theta_vec is not None:
+            theta_vec = np.tile(theta_vec, (rows, 1))
 
     def f(n, q):
-        v = alpha * q - prices + beta * n
-        if theta_term is not None:
-            v = v + theta_term
-        p = _softmax(v)
+        p = softmax(utility(alpha, q, prices, beta, n, phi, theta_vec))
         dn = gamma * (m * p - n)
-        dq = eta * (revenue * p * (1.0 - p) - cost_slope * q)
+        dq = eta * (logit_slope(revenue, p) - cost_slope * q)
         return dn, dq
 
     return f
@@ -150,6 +145,13 @@ def rhs(
     theta_vec = theta.theta if theta is not None else None
     dn, dq = _flow(platform, alpha, eta, c, theta_vec)(state.n, state.q)
     return np.concatenate([dn, dq])
+
+
+def best_response_quality(platform: PlatformParams, streamers, shares) -> np.ndarray:
+    """Myopic best-response quality with the choice probabilities held at shares."""
+    alpha, _, c = streamer_arrays(streamers)
+    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha
+    return quality_best_response(revenue, c, np.asarray(shares, dtype=float))
 
 
 def _divergence(n, q, m: float, t: float) -> DivergenceError | None:
@@ -235,13 +237,7 @@ def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
     return [
         None
         if row in failures
-        else Trajectory(
-            times=np.array(times),
-            states=tuple(
-                MarketState(n=n_rec[j, row], q=q_rec[j, row], t=tj)
-                for j, tj in enumerate(times)
-            ),
-        )
+        else Trajectory(times=np.array(times), n=n_rec[:, row], q=q_rec[:, row])
         for row in range(n_rec.shape[1])
     ], failures
 
@@ -314,8 +310,7 @@ def analytic_viewer_blocks(
     dV_j/dq_j = alpha_j; exposed to cross-validate the numeric Jacobian.
     """
     alpha, _, _ = streamer_arrays(streamers)
-    theta_vec = theta.theta if theta is not None else None
-    p = _softmax(_utilities(platform, alpha, state.q, state.n, theta_vec))
+    p = choice_probabilities(deterministic_utility(platform, streamers, state, theta))
     m = platform.n_viewers
     big_n = platform.n_streamers
     dp_dv = np.diag(p) - np.outer(p, p)
@@ -415,11 +410,8 @@ def path_dependence_experiment(
         raise DomainError(f"delta0 must lie in (0, M), got {delta0}")
 
     if state0 is None:
-        alpha, _, c = streamer_arrays(streamers)
-        n_base = np.full(big_n, m / big_n)
-        p = np.full(big_n, 1.0 / big_n)
-        q_base = _quality_best_response(platform, alpha, c, p)
-        state0 = MarketState(n=n_base, q=q_base, t=0.0)
+        q_base = best_response_quality(platform, streamers, np.full(big_n, 1.0 / big_n))
+        state0 = MarketState(n=np.full(big_n, m / big_n), q=q_base, t=0.0)
 
     n_plus = state0.n.copy()
     n_plus[0] = min(n_plus[0] + delta0 / 2.0, m)
@@ -436,14 +428,12 @@ def path_dependence_experiment(
     if failures:
         raise failures[min(failures)]
 
-    np_mat = traj_plus.n_matrix()
-    nm_mat = traj_minus.n_matrix()
-    term_plus = traj_plus.terminal.n
-    term_minus = traj_minus.terminal.n
+    term_plus = traj_plus.n[-1]
+    term_minus = traj_minus.n[-1]
     return PathDependenceRecord(
         times=traj_plus.times,
-        gap_plus=np_mat[:, 0] - np_mat[:, 1],
-        gap_minus=nm_mat[:, 0] - nm_mat[:, 1],
+        gap_plus=traj_plus.n[:, 0] - traj_plus.n[:, 1],
+        gap_minus=traj_minus.n[:, 0] - traj_minus.n[:, 1],
         winner_plus=int(np.argmax(term_plus)),
         winner_minus=int(np.argmax(term_minus)),
         dominant_share_plus=float(term_plus.max() / term_plus.sum()),

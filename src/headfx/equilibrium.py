@@ -10,7 +10,6 @@ which near-symmetric markets collapse into a concentrated outcome.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +20,10 @@ from .core import (
     TrafficAllocation,
     streamer_arrays,
 )
-from .errors import BracketError, DomainError, NumericalError
+from .errors import BracketError, DomainError
+from .logit import quality_best_response, softmax, utility, viewer_fixed_point
 
 __all__ = [
-    "Q_MAX",
     "FixedPointConfig",
     "EquilibriumResult",
     "solve_viewer_fixed_point",
@@ -33,11 +32,6 @@ __all__ = [
     "find_critical_beta",
     "max_share_from_perturbed_start",
 ]
-
-# Quality best responses are clamped to [0, Q_MAX] to guard divergence in
-# early iterations; keep interior optima below this in test instances.
-Q_MAX = 10.0
-
 
 @dataclass(frozen=True)
 class FixedPointConfig:
@@ -79,91 +73,12 @@ class EquilibriumResult:
         return float(self.shares().max()) if self.state.n.sum() > 0 else 0.0
 
 
-def _utilities(platform, alpha, q, n, theta_vec):
-    v = alpha * q - platform.prices + platform.beta * n
-    if theta_vec is not None:
-        v = v + platform.phi * theta_vec
-    return v
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax of a vector, or of each row of a (K, N) array."""
-    if v.ndim == 1:
-        e = np.exp(v - v.max())
-        return e / e.sum()
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _viewer_fixed_point_batch(platform, alpha, q, n0, cfg, theta_vec):
-    """Damped viewer fixed point for K starts at once.
-
-    q and n0 are (K, N) arrays. Every row goes through the operations of
-    a single-start iteration in the same order, so each row's result is
-    bitwise the one it would get alone; a row leaves the batch on the
-    iteration its residual first drops to cfg.tol. The active rows are
-    compacted only on such an iteration, and a lone active row is
-    iterated as a plain vector. Raises NumericalError as soon as an
-    active row's residual turns non-finite.
-
-    Returns (n, converged, iterations, residual) of shapes (K, N), (K,),
-    (K,) and (K,); rows that never converged keep their last damped
-    iterate, iterations = cfg.max_iter and their last residual.
-    """
-    m = float(platform.n_viewers)
-    tol, damping = cfg.tol, cfg.damping
-    keep = 1.0 - damping
-    beta = platform.beta
-    n = np.array(n0, dtype=float)
-    base = alpha * np.asarray(q, dtype=float) - platform.prices
-    theta_term = platform.phi * theta_vec if theta_vec is not None else None
-
-    n_out = np.empty_like(n)
-    converged = np.zeros(n.shape[0], dtype=bool)
-    iterations = np.full(n.shape[0], cfg.max_iter)
-    residual = np.full(n.shape[0], np.inf)
-    rows = np.arange(n.shape[0])
-    if rows.size == 1:
-        n, base = n[0], base[0]
-    res = np.inf
-    for it in range(1, cfg.max_iter + 1):
-        v = base + beta * n
-        if theta_term is not None:
-            v = v + theta_term
-        target = m * _softmax(v)
-        gap = np.abs(n - target)
-        if n.ndim == 1:
-            res = float(gap.max())
-            if not math.isfinite(res):
-                raise NumericalError("non-finite residual in viewer fixed-point iteration")
-            if res <= tol:
-                n_out[rows] = n
-                converged[rows] = True
-                iterations[rows] = it
-                residual[rows] = res
-                return n_out, converged, iterations, residual
-        else:
-            res = gap.max(axis=1)
-            if not np.isfinite(res).all():
-                raise NumericalError("non-finite residual in viewer fixed-point iteration")
-            done = res <= tol
-            if done.any():
-                finished = rows[done]
-                n_out[finished] = n[done]
-                converged[finished] = True
-                iterations[finished] = it
-                residual[finished] = res[done]
-                active = np.flatnonzero(~done)
-                if active.size == 0:
-                    return n_out, converged, iterations, residual
-                rows = rows[active]
-                # a lone survivor continues as a plain vector
-                pick = active[0] if active.size == 1 else active
-                n, target, base, res = n[pick], target[pick], base[pick], res[pick]
-        n = keep * n + damping * target
-    n_out[rows] = n
-    residual[rows] = res
-    return n_out, converged, iterations, residual
+    """logit.viewer_fixed_point under the market constants of platform."""
+    return viewer_fixed_point(
+        alpha, q, platform.prices, platform.beta, platform.phi, theta_vec,
+        n0, float(platform.n_viewers), cfg,
+    )
 
 
 def _check_audiences(n, m: float) -> None:
@@ -194,28 +109,8 @@ def solve_viewer_fixed_point(
     n, converged, iterations, residual = _viewer_fixed_point_batch(
         platform, alpha, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
     )
-    state = MarketState(n=n[0], q=q, t=0.0)
-    return EquilibriumResult(
-        state=state,
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
-        residual=float(residual[0]),
-    )
-
-
-def _quality_best_response(platform, alpha, c, p) -> np.ndarray:
-    # FOC c'(q) = (1 - tau) R M alpha P (1 - P); quadratic cost gives the
-    # closed form below, clamped to guard early-iteration divergence.
-    raw = (
-        (1.0 - platform.tau)
-        * platform.revenue_per_viewer
-        * platform.n_viewers
-        * alpha
-        * p
-        * (1.0 - p)
-        / (2.0 * c)
-    )
-    return np.clip(raw, 0.0, Q_MAX)
+    (result,) = _results(n, q[np.newaxis], converged, iterations, residual)
+    return result
 
 
 def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
@@ -229,10 +124,12 @@ def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
     of shapes (K, N), (K, N), (K,), (K,) and (K,).
     """
     m = float(platform.n_viewers)
+    prices, beta, phi = platform.prices, platform.beta, platform.phi
+    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha
     n = np.array(n0, dtype=float)
     if q0 is None:
-        p = _softmax(_utilities(platform, alpha, np.zeros_like(n), n, theta_vec))
-        q = _quality_best_response(platform, alpha, c, p)
+        p = softmax(utility(alpha, np.zeros_like(n), prices, beta, n, phi, theta_vec))
+        q = quality_best_response(revenue, c, p)
     else:
         q = np.array(q0, dtype=float)
 
@@ -246,8 +143,8 @@ def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
         n_new, inner_converged, _, _ = _viewer_fixed_point_batch(
             platform, alpha, q, n, cfg, theta_vec
         )
-        p = n_new / m if m > 0 else _softmax(_utilities(platform, alpha, q, n_new, theta_vec))
-        q_target = _quality_best_response(platform, alpha, c, p)
+        p = n_new / m if m > 0 else softmax(utility(alpha, q, prices, beta, n_new, phi, theta_vec))
+        q_target = quality_best_response(revenue, c, p)
         q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
         change_n = np.max(np.abs(n_new - n), axis=1)
         change_q = np.max(np.abs(q_new - q), axis=1)

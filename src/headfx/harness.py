@@ -402,11 +402,9 @@ def export_phase_csv(portrait: PortraitResult, path) -> Path:
         for idx, traj in enumerate(portrait.trajectories):
             if traj is None:
                 continue
-            for t, state in zip(traj.times, traj.states):
-                for i in range(state.n.shape[0]):
-                    writer.writerow(
-                        [idx, f"{t:.6g}", i + 1, f"{state.n[i]:.6g}", f"{state.q[i]:.6g}"]
-                    )
+            for t, n, q in zip(traj.times, traj.n, traj.q):
+                for i in range(n.shape[0]):
+                    writer.writerow([idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"])
     return path
 
 

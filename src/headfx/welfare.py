@@ -26,13 +26,11 @@ from .core import (
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .equilibrium import (
     FixedPointConfig,
-    _softmax,
-    _utilities,
-    _viewer_fixed_point_batch,
     find_critical_beta,
     max_share_from_perturbed_start,
 )
 from .errors import BracketError, DomainError, NonFiniteError, NumericalError
+from .logit import logit_slope, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
     "WelfareBreakdown",
@@ -74,11 +72,6 @@ class WelfareBreakdown:
         return cls(cs, ps, pi, cs + ps + pi)
 
 
-def _logsumexp(v: np.ndarray) -> float:
-    m = v.max()
-    return float(m + np.log(np.exp(v - m).sum()))
-
-
 def consumer_surplus(
     platform: PlatformParams,
     streamers,
@@ -96,7 +89,7 @@ def consumer_surplus(
     p = choice_probabilities(v_net)
     v_gross = v_net + platform.prices
     expected_price = float(p @ platform.prices)
-    return platform.n_viewers * (_logsumexp(v_gross) - expected_price)
+    return platform.n_viewers * (float(logsumexp(v_gross)) - expected_price)
 
 
 def producer_surplus(platform: PlatformParams, streamers, state: MarketState) -> float:
@@ -130,20 +123,23 @@ def _welfare_raw(platform, alpha, c, q, theta_vec, cfg, n0):
     promotion vector; used by the optimizer and finite-difference probes.
 
     Returns (welfare, n, p, converged, residual) of the fixed point."""
-    n, converged, _, residual = _viewer_fixed_point_batch(
-        platform, alpha, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
+    prices, beta, phi = platform.prices, platform.beta, platform.phi
+    n, converged, _, residual = viewer_fixed_point(
+        alpha, q[np.newaxis], prices, beta, phi, theta_vec, n0[np.newaxis],
+        float(platform.n_viewers), cfg,
     )
     n = n[0]
-    v = _utilities(platform, alpha, q, n, theta_vec)
-    p = _softmax(v)
-    cs = platform.n_viewers * (
-        _logsumexp(v + platform.prices) - float(p @ platform.prices)
-    )
-    ps = (1.0 - platform.tau) * platform.revenue_per_viewer * float(n.sum()) - float(
-        np.sum(c * q * q)
-    )
-    pi = platform_profit(platform)
-    return cs + ps + pi, n, p, bool(converged[0]), float(residual[0])
+    w, p = _welfare_of(platform, c, q, utility(alpha, q, prices, beta, n, phi, theta_vec), n)
+    return float(w), n, p, bool(converged[0]), float(residual[0])
+
+
+def _welfare_of(platform, c, q, v, n):
+    """Total welfare and choice probabilities at utilities v and audiences n,
+    each of shape (..., N); consumer surplus as in consumer_surplus."""
+    p = softmax(v)
+    cs = platform.n_viewers * (logsumexp(v + platform.prices) - p @ platform.prices)
+    ps = (1.0 - platform.tau) * platform.revenue_per_viewer * n.sum(axis=-1) - np.sum(c * q * q)
+    return cs + ps + platform_profit(platform), p
 
 
 def _welfare_state(platform, streamers, q, theta, cfg, n0):
@@ -187,6 +183,11 @@ def welfare_at_theta(
     return breakdown, state
 
 
+def _foc_gradient(platform: PlatformParams, p) -> np.ndarray:
+    m, phi = platform.n_viewers, platform.phi
+    return m * p / phi + logit_slope(platform.revenue_per_viewer * m, p) * phi
+
+
 def welfare_gradient_theta(
     platform: PlatformParams,
     streamers,
@@ -202,10 +203,7 @@ def welfare_gradient_theta(
     """
     v = deterministic_utility(platform, streamers, state, theta)
     p = choice_probabilities(v)
-    m = platform.n_viewers
-    r = platform.revenue_per_viewer
-    phi = platform.phi
-    return m * p / phi + r * m * p * (1.0 - p) * phi
+    return _foc_gradient(platform, p)
 
 
 def numeric_welfare_gradient_theta(
@@ -304,8 +302,6 @@ def optimize_allocation(
     m = float(platform.n_viewers)
     big_n = platform.n_streamers
     alpha, _, c = streamer_arrays(streamers)
-    r = platform.revenue_per_viewer
-    phi = platform.phi
 
     theta = (
         np.full(big_n, 1.0 / big_n)
@@ -319,7 +315,7 @@ def optimize_allocation(
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = m * p / phi + r * m * p * (1.0 - p) * phi
+        g = _foc_gradient(platform, p)
         residual = _kkt_residual(g, theta)
         if residual <= tol:
             break
@@ -339,7 +335,7 @@ def optimize_allocation(
         if not accepted:
             break
 
-    g = m * p / phi + r * m * p * (1.0 - p) * phi
+    g = _foc_gradient(platform, p)
     residual = _kkt_residual(g, theta)
     allocation = simplex_project(theta)
     breakdown, _, fp_converged, _ = _welfare_state(
@@ -436,19 +432,7 @@ def grid_search_allocation(
     v_theta = base[None, :] + platform.phi * thetas
     n = _grid_viewer_fixed_point(v_theta, m, platform.beta, fp_cfg)
 
-    v = v_theta + platform.beta * n
-    shift = v.max(axis=1, keepdims=True)
-    e = np.exp(v - shift)
-    sums = e.sum(axis=1)
-    p = e / sums[:, None]
-    v_gross = v + platform.prices[None, :]
-    shift_g = v_gross.max(axis=1, keepdims=True)
-    lse = shift_g[:, 0] + np.log(np.exp(v_gross - shift_g).sum(axis=1))
-    cs = m * (lse - p @ platform.prices)
-    ps = (1.0 - platform.tau) * platform.revenue_per_viewer * n.sum(axis=1) - np.sum(
-        c * q * q
-    )
-    w = cs + ps + platform_profit(platform)
+    w, _ = _welfare_of(platform, c, q, v_theta + platform.beta * n, n)
     best = int(np.argmax(w))
     return simplex_project(thetas[best]), float(w[best])
 
@@ -504,19 +488,18 @@ def myopic_dynamic_allocation(
                 segment=segment,
             )
         )
-        state = MarketState(
-            n=segment.terminal.n, q=segment.terminal.q, t=0.0
-        )
+        state = MarketState(n=segment.n[-1], q=segment.q[-1])
         t += span
     return steps
 
 
 def time_averaged_welfare(platform, streamers, steps: list[MyopicStep]) -> float:
     """Mean instantaneous welfare over every recorded sample of a run."""
-    totals = []
-    for step in steps:
-        for s in step.segment.states:
-            totals.append(total_welfare(platform, streamers, s, step.theta).total)
+    totals = [
+        total_welfare(platform, streamers, MarketState(n=n, q=q), step.theta).total
+        for step in steps
+        for n, q in zip(step.segment.n, step.segment.q)
+    ]
     return float(np.mean(totals))
 
 

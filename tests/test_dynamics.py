@@ -63,8 +63,8 @@ class TestIntegrate:
         traj = integrate(
             plat, streamers, eq.state, IntegratorConfig(dt=0.01, t_end=10.0, record_every=100)
         )
-        drift_n = np.max(np.abs(traj.n_matrix() - eq.state.n))
-        drift_q = np.max(np.abs(traj.q_matrix() - eq.state.q))
+        drift_n = np.max(np.abs(traj.n - eq.state.n))
+        drift_q = np.max(np.abs(traj.q - eq.state.q))
         assert max(drift_n, drift_q) < 1e-8
 
     def test_converges_to_symmetric_point_from_asymmetric_start(self):
@@ -106,9 +106,9 @@ class TestIntegrate:
             plat, streamers, state0, IntegratorConfig(dt=0.01, t_end=5.0, record_every=50)
         )
         gap0 = 60.0 - 100.0
-        for t, state in zip(traj.times, traj.states):
+        for t, n in zip(traj.times, traj.n):
             expected = 100.0 + gap0 * np.exp(-plat.gamma * t)
-            assert state.n.sum() == pytest.approx(expected, rel=1e-6)
+            assert n.sum() == pytest.approx(expected, rel=1e-6)
 
     def test_divergence_error_names_time(self):
         plat, streamers = symmetric_instance(beta=0.2)
@@ -264,7 +264,7 @@ class TestPhasePortrait:
         )
         assert not result.failures
         for traj in result.completed():
-            assert np.max(np.abs(traj.n_matrix() - eq.state.n)) < 1e-8
+            assert np.max(np.abs(traj.n - eq.state.n)) < 1e-8
 
     def test_sample_count_bookkeeping(self):
         plat, streamers = symmetric_instance(beta=0.01)
@@ -273,8 +273,9 @@ class TestPhasePortrait:
         result = phase_portrait(plat, streamers, [state, state], cfg)
         expected = 10.0 / 0.1 / 5 + 1
         for traj in result.completed():
-            assert len(traj.states) == expected
-        total_rows = sum(len(t.states) for t in result.completed())
+            assert traj.times.shape == (expected,)
+            assert traj.n.shape == traj.q.shape == (expected, 2)
+        total_rows = sum(t.n.shape[0] for t in result.completed())
         assert total_rows == expected * 2
 
     def test_concentration_nondecreasing_under_strong_feedback(self):
@@ -292,7 +293,7 @@ class TestPhasePortrait:
         )
         assert not result.failures
         for traj in result.completed():
-            assert hhi(traj.terminal.n) >= hhi(traj.states[0].n) - 1e-6
+            assert hhi(traj.terminal.n) >= hhi(traj.n[0]) - 1e-6
 
     def test_empty_grid_rejected(self):
         plat, streamers = symmetric_instance()
@@ -358,9 +359,11 @@ def _reference_outcome(platform, streamers, state0, cfg):
 def _assert_same_path(traj, ref):
     times, ns, qs = ref
     assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.n_matrix(), ns)
-    assert np.array_equal(traj.q_matrix(), qs)
-    assert [s.t for s in traj.states] == times.tolist()
+    assert np.array_equal(traj.n, ns)
+    assert np.array_equal(traj.q, qs)
+    terminal = traj.terminal
+    assert terminal.t == times[-1]
+    assert np.array_equal(terminal.n, ns[-1]) and np.array_equal(terminal.q, qs[-1])
 
 
 def _twin_starts(state0, delta0, m):
@@ -406,7 +409,7 @@ class TestBatchMatchesReference:
         p = np.full(3, 1.0 / 3)
         q0 = (1.0 - 0.2) * 1.0 * 100.0 * np.ones(3) * p * (1.0 - p) / (2.0 * np.full(3, 2.0))
         state0 = MarketState(n=np.full(3, 100.0 / 3), q=q0)
-        assert np.array_equal(record.trajectory_plus.states[0].q, q0)
+        assert np.array_equal(record.trajectory_plus.q[0], q0)
         plus, minus = _twin_starts(state0, 0.5, 100.0)
         _assert_same_path(record.trajectory_plus, _reference_integrate(plat, streamers, plus, cfg))
         _assert_same_path(
@@ -502,7 +505,7 @@ class TestBatchProperties:
         cfg = IntegratorConfig(dt=dt, t_end=20 * dt, record_every=record_every)
 
         def paths(trajectories):
-            return [None if t is None else (t.n_matrix(), t.q_matrix()) for t in trajectories]
+            return [None if t is None else (t.n, t.q) for t in trajectories]
 
         def messages(failures):
             return {i: (str(e), e.t) for i, e in failures.items()}

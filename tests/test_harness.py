@@ -291,7 +291,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "bad",
         [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
-         {"q": [0.8, -0.7, 0.5]}, {"prices": [0.0, float("nan"), 0.0]}],
+         {"q": [0.8, -0.7, 0.5]}, {"prices": [0.0, float("nan"), 0.0]},
+         {"n_viewers": float("inf")}, {"n_viewers": 50.7}, {"n_viewers": 10**400}],
     )
     def test_optimize_theta_invalid_instance_exit_code(self, tmp_path, capsys, bad):
         inst = tmp_path / "inst.json"

@@ -1,0 +1,88 @@
+"""Module-boundary rules of the headfx package, checked on its source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "headfx"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _headfx_module(node: ast.ImportFrom) -> bool:
+    return node.level > 0 or (node.module or "").split(".")[0] == "headfx"
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attribute reads on a plain name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def private_imports(tree: ast.Module) -> list[str]:
+    """Every `_`-prefixed name a module takes from another headfx module.
+
+    Covers `from .mod import _name` and attribute reads `mod._name` on a
+    headfx module bound by `from . import mod` or `import headfx.mod`.
+    """
+    found, module_aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _headfx_module(node):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif node.module is None or node.module == "headfx":
+                    module_aliases.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "headfx":
+                    module_aliases.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = _dotted(node.value)
+            if (
+                not node.attr.startswith("__")
+                and owner is not None
+                and owner.split(".")[0] in module_aliases
+            ):
+                found.append(f"line {node.lineno}: reads {owner}.{node.attr}")
+    return found
+
+
+def test_package_sources_found():
+    assert {"core.py", "logit.py", "equilibrium.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    assert private_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from .equilibrium import _softmax",
+        "from headfx.welfare import x, _grid_viewer_fixed_point as g",
+        "from . import equilibrium\nequilibrium._utilities(1)",
+        "import headfx.dynamics\nheadfx.dynamics._flow",
+    ],
+)
+def test_checker_flags_private_imports(source):
+    assert private_imports(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from __future__ import annotations",
+        "from .logit import softmax",
+        "from numpy import _core",
+        "from . import logit\nlogit.__name__",
+    ],
+)
+def test_checker_allows_public_imports(source):
+    assert private_imports(ast.parse(source)) == []
