@@ -11,12 +11,11 @@ small ones).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonFiniteError, require_integers
 
 __all__ = [
     "PolicyIntervention",
@@ -36,14 +35,6 @@ POLICY_KINDS = ("high_tax", "boost_small", "subsidy")
 # The round kernel walks the viewers in blocks of about this many utility
 # cells (512 KB of float64), so a block and its noise stay in cache.
 _BLOCK_CELLS = 1 << 16
-
-
-def _require_integers(obj, names) -> None:
-    # bool is an Integral too, but a count of True is a config mistake.
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,7 @@ class PolicyIntervention:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        _require_integers(self, ("start_round", "top_k"))
+        require_integers(self, ("start_round", "top_k"))
         if self.start_round < 1:
             raise DomainError(f"start_round must be >= 1, got {self.start_round}")
         if self.kind == "high_tax":
@@ -138,7 +129,7 @@ class SimConfig:
     n_content_types: int = 3
 
     def __post_init__(self):
-        _require_integers(self, _INT_FIELDS)
+        require_integers(self, _INT_FIELDS)
         # Every check is written so that NaN fails it.
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):

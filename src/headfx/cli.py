@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .abm import SimConfig
-from .core import MarketState, PlatformParams, StreamerParams, streamer_profit
+from .core import Market, MarketState, PlatformParams, StreamerParams, streamer_profit
 from .dynamics import (
     IntegratorConfig,
     best_response_quality,
@@ -129,15 +129,6 @@ def _cmd_equilibrium(args) -> int:
     return 0
 
 
-def _dynamics_start(platform, streamers) -> MarketState:
-    m = float(platform.n_viewers)
-    big_n = platform.n_streamers
-    n0 = np.full(big_n, m / big_n)
-    n0[0] = min(n0[0] + 1e-3 * m, m)
-    q0 = best_response_quality(platform, streamers, np.full(big_n, 1.0 / big_n))
-    return MarketState(n=n0, q=q0)
-
-
 def _cmd_dynamics(args) -> int:
     spec = _load_scenario(args)
     platform, streamers = analytic_instance(spec.sim)
@@ -148,7 +139,10 @@ def _cmd_dynamics(args) -> int:
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
     if args.kind == "trajectory":
-        traj = integrate(platform, streamers, _dynamics_start(platform, streamers), cfg)
+        # from the equilibrium probe's start, at the best response to even shares
+        n0 = Market.from_params(platform, streamers).perturbed_start()
+        q0 = best_response_quality(platform, streamers, np.full(n0.size, 1.0 / n0.size))
+        traj = integrate(platform, streamers, MarketState(n=n0, q=q0), cfg)
         path = out / "trajectory.csv"
         _write_trajectory_csv(path, traj)
         report = stability_at(platform, streamers, traj.terminal)

@@ -18,6 +18,7 @@ from .logit import logit_slope, softmax, utility
 __all__ = [
     "PlatformParams",
     "StreamerParams",
+    "Market",
     "MarketState",
     "TrafficAllocation",
     "deterministic_utility",
@@ -27,7 +28,6 @@ __all__ = [
     "marginal_cost",
     "streamer_profit",
     "audience_quality_sensitivity",
-    "streamer_arrays",
 ]
 
 
@@ -100,12 +100,53 @@ class StreamerParams:
             raise DomainError(f"cost_coefficient must be > 0, got {self.cost_coefficient}")
 
 
-def streamer_arrays(streamers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column vectors (alpha, eta, cost_coefficient) for a streamer list."""
-    alpha = np.array([s.alpha for s in streamers], dtype=float)
-    eta = np.array([s.eta for s in streamers], dtype=float)
-    c = np.array([s.cost_coefficient for s in streamers], dtype=float)
-    return alpha, eta, c
+@dataclass(frozen=True)
+class Market:
+    """The per-streamer arrays and derived coefficients every solver reads.
+
+    alpha, eta, c (cost coefficients), prices and revenue, the marginal
+    revenue coefficient (1 - tau) R M alpha, are (N,) arrays; m is M as a
+    float. Built by from_params from inputs their classes validated.
+    """
+
+    alpha: np.ndarray
+    eta: np.ndarray
+    c: np.ndarray
+    prices: np.ndarray
+    m: float
+    beta: float
+    phi: float
+    gamma: float
+    tau: float
+    revenue_per_viewer: float
+    revenue: np.ndarray
+
+    @classmethod
+    def from_params(cls, platform: PlatformParams, streamers) -> "Market":
+        alpha = np.array([s.alpha for s in streamers], dtype=float)
+        return cls(
+            alpha=alpha,
+            eta=np.array([s.eta for s in streamers], dtype=float),
+            c=np.array([s.cost_coefficient for s in streamers], dtype=float),
+            prices=platform.prices,
+            m=float(platform.n_viewers),
+            beta=platform.beta,
+            phi=platform.phi,
+            gamma=platform.gamma,
+            tau=platform.tau,
+            revenue_per_viewer=platform.revenue_per_viewer,
+            revenue=(1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha,
+        )
+
+    def symmetric_split(self) -> np.ndarray:
+        """The audience split m / N for every streamer."""
+        return np.full(self.alpha.shape[0], self.m / self.alpha.shape[0])
+
+    def perturbed_start(self, perturbation: float = 1e-3) -> np.ndarray:
+        """The symmetric split with streamer 0 nudged up by perturbation * m."""
+        n0 = self.symmetric_split()
+        n0[0] = min(n0[0] + perturbation * self.m, self.m)
+        return n0
 
 
 @dataclass(frozen=True)
@@ -162,7 +203,7 @@ def deterministic_utility(
         raise DimensionMismatchError(f"streamers has length {len(streamers)}, expected {N}")
     _as_float_vector(state.n, "state.n", N)
     _as_float_vector(state.q, "state.q", N)
-    alpha, _, _ = streamer_arrays(streamers)
+    alpha = Market.from_params(platform, streamers).alpha
     th = None if theta is None else _as_float_vector(theta.theta, "theta", N)
     return utility(alpha, state.q, platform.prices, platform.beta, state.n, platform.phi, th)
 
@@ -236,5 +277,5 @@ def audience_quality_sensitivity(
     """Own-quality audience response M alpha_i P_i (1 - P_i), holding n fixed."""
     v = deterministic_utility(platform, streamers, state, theta)
     p = choice_probabilities(v)
-    alpha, _, _ = streamer_arrays(streamers)
+    alpha = Market.from_params(platform, streamers).alpha
     return logit_slope(platform.n_viewers * alpha, p)

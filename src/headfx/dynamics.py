@@ -11,23 +11,25 @@ experiments, concentration (HHI), and phase-portrait sweeps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    Market,
     MarketState,
     PlatformParams,
     TrafficAllocation,
     choice_probabilities,
     deterministic_utility,
-    streamer_arrays,
 )
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
     DomainError,
     NonFiniteError,
+    require_integers,
 )
 from .logit import logit_slope, quality_best_response, softmax, utility
 
@@ -64,10 +66,11 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise DomainError(f"dt must be > 0, got {self.dt}")
-        if self.t_end <= 0:
-            raise DomainError(f"t_end must be > 0, got {self.t_end}")
+        require_integers(self, ("record_every",))
+        if not 0.0 < self.dt < math.inf:
+            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
+        if not 0.0 < self.t_end < math.inf:
+            raise DomainError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -98,20 +101,19 @@ class StabilityReport:
     jacobian_step: float
 
 
-def _flow(platform, alpha, eta, c, theta_vec, rows: int | None = None):
+def _flow(market: Market, theta_vec, rows: int | None = None):
     """The flow's right-hand side f(n, q) -> (dn/dt, dq/dt).
 
-    The constant vectors of the formulas are computed once, by the same
-    operations in the same order as inside the whole expressions, so f
-    is bitwise the formulas evaluated in full. For a batch of rows they
-    are tiled to (rows, N): numpy's elementwise loops are much faster on
-    equal shapes than on broadcast ones.
+    The constant vectors of the formulas (the market's, and the cost
+    slope 2 c) are formed once, by the same operations in the same order
+    as inside the whole expressions, so f is bitwise the formulas
+    evaluated in full. For a batch of rows they are tiled to (rows, N):
+    numpy's elementwise loops are much faster on equal shapes than on
+    broadcast ones.
     """
-    m = platform.n_viewers
-    beta, gamma, phi = platform.beta, platform.gamma, platform.phi
-    prices = platform.prices
-    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * m * alpha
-    cost_slope = 2.0 * c
+    m, beta, gamma, phi = market.m, market.beta, market.gamma, market.phi
+    alpha, eta, prices, revenue = market.alpha, market.eta, market.prices, market.revenue
+    cost_slope = 2.0 * market.c
     if rows is not None:
         alpha, eta, prices, revenue, cost_slope = (
             np.tile(x, (rows, 1)) for x in (alpha, eta, prices, revenue, cost_slope)
@@ -141,17 +143,15 @@ def rhs(
         raise DimensionMismatchError(
             f"state has {state.n.shape[0]} streamers, expected {platform.n_streamers}"
         )
-    alpha, eta, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
-    dn, dq = _flow(platform, alpha, eta, c, theta_vec)(state.n, state.q)
+    dn, dq = _flow(Market.from_params(platform, streamers), theta_vec)(state.n, state.q)
     return np.concatenate([dn, dq])
 
 
 def best_response_quality(platform: PlatformParams, streamers, shares) -> np.ndarray:
     """Myopic best-response quality with the choice probabilities held at shares."""
-    alpha, _, c = streamer_arrays(streamers)
-    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha
-    return quality_best_response(revenue, c, np.asarray(shares, dtype=float))
+    market = Market.from_params(platform, streamers)
+    return quality_best_response(market.revenue, market.c, np.asarray(shares, dtype=float))
 
 
 def _divergence(n, q, m: float, t: float) -> DivergenceError | None:
@@ -165,7 +165,7 @@ def _divergence(n, q, m: float, t: float) -> DivergenceError | None:
     return None
 
 
-def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
+def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
     """Classic RK4 for K starts at once, as (K, N) arrays.
 
     Every row goes through the operations of a single-start run in the
@@ -178,7 +178,7 @@ def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
     Returns (trajectories, failures): a list with one Trajectory per row
     (None for a failed row) and a dict from row index to DivergenceError.
     """
-    m = float(platform.n_viewers)
+    m = market.m
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
@@ -196,9 +196,9 @@ def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
     failures: dict[int, DivergenceError] = {}
     if rows.size == 1:
         n, q = n[0], q[0]
-        f = _flow(platform, alpha, eta, c, theta_vec)
+        f = _flow(market, theta_vec)
     else:
-        f = _flow(platform, alpha, eta, c, theta_vec, rows.size)
+        f = _flow(market, theta_vec, rows.size)
 
     for step in range(1, n_steps + 1):
         k1n, k1q = f(n, q)
@@ -223,7 +223,7 @@ def _integrate_batch(platform, alpha, eta, c, n0, q0, cfg, theta_vec):
             if failed.all():
                 break
             rows, n, q = rows[~failed], n[~failed], q[~failed]
-            f = _flow(platform, alpha, eta, c, theta_vec, rows.size)
+            f = _flow(market, theta_vec, rows.size)
 
         if step % cfg.record_every == 0 or step == n_steps:
             if rows.size == n_rec.shape[1]:
@@ -255,10 +255,10 @@ def integrate(
     each accepted step clamps q (and shaves float-noise negatives off n).
     Blow-ups and audiences escaping [0, M] raise DivergenceError naming t.
     """
-    alpha, eta, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
     (trajectory,), failures = _integrate_batch(
-        platform, alpha, eta, c, state0.n[np.newaxis], state0.q[np.newaxis], cfg, theta_vec
+        Market.from_params(platform, streamers), state0.n[np.newaxis], state0.q[np.newaxis],
+        cfg, theta_vec,
     )
     if failures:
         raise failures[0]
@@ -277,11 +277,10 @@ def jacobian(
     Per-coordinate step h_i = base_step * (1 + |x_i|) on the stacked
     state x = (n, q).
     """
-    alpha, eta, c = streamer_arrays(streamers)
     theta_vec = theta.theta if theta is not None else None
     big_n = platform.n_streamers
     x0 = np.concatenate([state.n, state.q])
-    flow = _flow(platform, alpha, eta, c, theta_vec)
+    flow = _flow(Market.from_params(platform, streamers), theta_vec)
 
     def f(x):
         return np.concatenate(flow(x[:big_n], x[big_n:]))
@@ -309,13 +308,11 @@ def analytic_viewer_blocks(
     Uses dP_i/dV_j = P_i (delta_ij - P_j) with dV_j/dn_j = beta and
     dV_j/dq_j = alpha_j; exposed to cross-validate the numeric Jacobian.
     """
-    alpha, _, _ = streamer_arrays(streamers)
+    market = Market.from_params(platform, streamers)
     p = choice_probabilities(deterministic_utility(platform, streamers, state, theta))
-    m = platform.n_viewers
-    big_n = platform.n_streamers
     dp_dv = np.diag(p) - np.outer(p, p)
-    dndot_dn = platform.gamma * (m * platform.beta * dp_dv - np.eye(big_n))
-    dndot_dq = platform.gamma * m * dp_dv * alpha[np.newaxis, :]
+    dndot_dn = market.gamma * (market.m * market.beta * dp_dv - np.eye(platform.n_streamers))
+    dndot_dq = market.gamma * market.m * dp_dv * market.alpha[np.newaxis, :]
     return dndot_dn, dndot_dq
 
 
@@ -402,28 +399,26 @@ def path_dependence_experiment(
     best-response quality, which for identical streamers sits exactly on
     the symmetric branch so the twins isolate the perturbation.
     """
-    m = float(platform.n_viewers)
+    market = Market.from_params(platform, streamers)
     big_n = platform.n_streamers
     if big_n < 2:
         raise DomainError("path dependence needs at least 2 streamers")
-    if not 0.0 < delta0 < m:
+    if not 0.0 < delta0 < market.m:
         raise DomainError(f"delta0 must lie in (0, M), got {delta0}")
 
     if state0 is None:
-        q_base = best_response_quality(platform, streamers, np.full(big_n, 1.0 / big_n))
-        state0 = MarketState(n=np.full(big_n, m / big_n), q=q_base, t=0.0)
+        q_base = quality_best_response(market.revenue, market.c, np.full(big_n, 1.0 / big_n))
+        state0 = MarketState(n=market.symmetric_split(), q=q_base, t=0.0)
 
     n_plus = state0.n.copy()
-    n_plus[0] = min(n_plus[0] + delta0 / 2.0, m)
+    n_plus[0] = min(n_plus[0] + delta0 / 2.0, market.m)
     n_minus = state0.n.copy()
     n_minus[0] = max(n_minus[0] - delta0 / 2.0, 0.0)
 
     # Both twins run as one batch; the plus twin's error wins, as it
     # would if the twins ran one after the other.
-    alpha, eta, c = streamer_arrays(streamers)
     (traj_plus, traj_minus), failures = _integrate_batch(
-        platform, alpha, eta, c, np.stack([n_plus, n_minus]),
-        np.stack([state0.q, state0.q]), cfg, None,
+        market, np.stack([n_plus, n_minus]), np.stack([state0.q, state0.q]), cfg, None
     )
     if failures:
         raise failures[min(failures)]
@@ -466,9 +461,8 @@ def phase_portrait(
     initial_states = list(initial_states)
     if not initial_states:
         raise DomainError("phase_portrait needs a non-empty grid of initial states")
-    alpha, eta, c = streamer_arrays(streamers)
     trajectories, failures = _integrate_batch(
-        platform, alpha, eta, c, np.stack([s0.n for s0 in initial_states]),
+        Market.from_params(platform, streamers), np.stack([s0.n for s0 in initial_states]),
         np.stack([s0.q for s0 in initial_states]), cfg, None,
     )
     failures = [(idx, str(failures[idx])) for idx in sorted(failures)]

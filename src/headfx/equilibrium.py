@@ -10,17 +10,13 @@ which near-symmetric markets collapse into a concentrated outcome.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MarketState,
-    PlatformParams,
-    TrafficAllocation,
-    streamer_arrays,
-)
-from .errors import BracketError, DomainError
+from .core import Market, MarketState, PlatformParams, TrafficAllocation
+from .errors import BracketError, DomainError, require_integers
 from .logit import quality_best_response, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -43,10 +39,11 @@ class FixedPointConfig:
     n_starts: int = 32
 
     def __post_init__(self):
+        require_integers(self, ("max_iter", "n_starts"))
         if not 0.0 < self.damping <= 1.0:
             raise DomainError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.tol <= 0:
-            raise DomainError(f"tol must be > 0, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_starts < 1:
@@ -73,14 +70,6 @@ class EquilibriumResult:
         return float(self.shares().max()) if self.state.n.sum() > 0 else 0.0
 
 
-def _viewer_fixed_point_batch(platform, alpha, q, n0, cfg, theta_vec):
-    """logit.viewer_fixed_point under the market constants of platform."""
-    return viewer_fixed_point(
-        alpha, q, platform.prices, platform.beta, platform.phi, theta_vec,
-        n0, float(platform.n_viewers), cfg,
-    )
-
-
 def _check_audiences(n, m: float) -> None:
     if np.any(n < 0) or np.any(n > m):
         raise DomainError("n0 entries must lie in [0, M]")
@@ -100,20 +89,19 @@ def solve_viewer_fixed_point(
     max-norm residual drops below cfg.tol. Non-convergence is reported in
     the result, not raised; iterates stay inside [0, M] by construction.
     """
-    m = float(platform.n_viewers)
+    market = Market.from_params(platform, streamers)
     n0 = np.asarray(n0, dtype=float)
     q = np.asarray(q, dtype=float)
-    _check_audiences(n0, m)
-    alpha, _, _ = streamer_arrays(streamers)
+    _check_audiences(n0, market.m)
     theta_vec = theta.theta if theta is not None else None
-    n, converged, iterations, residual = _viewer_fixed_point_batch(
-        platform, alpha, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
+    n, converged, iterations, residual = viewer_fixed_point(
+        market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
     )
     (result,) = _results(n, q[np.newaxis], converged, iterations, residual)
     return result
 
 
-def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
+def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
     """Alternate viewer fixed points and quality best responses for K starts.
 
     n0 is a (K, N) array of audience starts; q0 is (K, N) or None for the
@@ -123,9 +111,8 @@ def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
     for every row at once. Returns (n, q, converged, iterations, residual)
     of shapes (K, N), (K, N), (K,), (K,) and (K,).
     """
-    m = float(platform.n_viewers)
-    prices, beta, phi = platform.prices, platform.beta, platform.phi
-    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha
+    alpha, c, prices, revenue = market.alpha, market.c, market.prices, market.revenue
+    m, beta, phi = market.m, market.beta, market.phi
     n = np.array(n0, dtype=float)
     if q0 is None:
         p = softmax(utility(alpha, np.zeros_like(n), prices, beta, n, phi, theta_vec))
@@ -140,9 +127,7 @@ def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
     rows = np.arange(n.shape[0])
     for outer in range(1, cfg.max_iter + 1):
         _check_audiences(n, m)
-        n_new, inner_converged, _, _ = _viewer_fixed_point_batch(
-            platform, alpha, q, n, cfg, theta_vec
-        )
+        n_new, inner_converged, _, _ = viewer_fixed_point(market, q, n, cfg, theta_vec)
         p = n_new / m if m > 0 else softmax(utility(alpha, q, prices, beta, n_new, phi, theta_vec))
         q_target = quality_best_response(revenue, c, p)
         q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
@@ -167,9 +152,7 @@ def _joint_equilibrium_batch(platform, alpha, c, n0, q0, cfg, theta_vec):
         q_out[rows] = q
 
     _check_audiences(n_out, m)
-    n_polished, polished, _, residual = _viewer_fixed_point_batch(
-        platform, alpha, q_out, n_out, cfg, theta_vec
-    )
+    n_polished, polished, _, residual = viewer_fixed_point(market, q_out, n_out, cfg, theta_vec)
     return n_polished, q_out, settled & polished, rounds, residual
 
 
@@ -199,15 +182,11 @@ def solve_joint_equilibrium(
     is at most cfg.tol; the returned residual is re-evaluated from a
     final viewer polish at the converged quality.
     """
-    m = float(platform.n_viewers)
-    big_n = platform.n_streamers
-    alpha, _, c = streamer_arrays(streamers)
+    market = Market.from_params(platform, streamers)
     theta_vec = theta.theta if theta is not None else None
-    n = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float)
+    n = market.symmetric_split() if n0 is None else np.asarray(n0, dtype=float)
     q = None if q0 is None else np.asarray(q0, dtype=float)[np.newaxis]
-    (result,) = _results(
-        *_joint_equilibrium_batch(platform, alpha, c, n[np.newaxis], q, cfg, theta_vec)
-    )
+    (result,) = _results(*_joint_equilibrium_batch(market, n[np.newaxis], q, cfg, theta_vec))
     return result
 
 
@@ -231,11 +210,10 @@ def enumerate_equilibria(
     10 * cfg.tol of an earlier find (in start order). Returned equilibria
     are sorted by descending max audience share.
     """
+    market = Market.from_params(platform, streamers)
     rng = np.random.default_rng(seed)
-    m = float(platform.n_viewers)
-    starts = rng.dirichlet(np.ones(platform.n_streamers), size=cfg.n_starts) * m
-    alpha, _, c = streamer_arrays(streamers)
-    solved = _joint_equilibrium_batch(platform, alpha, c, starts, None, cfg, None)
+    starts = rng.dirichlet(np.ones(platform.n_streamers), size=cfg.n_starts) * market.m
+    solved = _joint_equilibrium_batch(market, starts, None, cfg, None)
 
     distinct: list[EquilibriumResult] = []
     for res in _results(*solved):
@@ -259,10 +237,7 @@ def max_share_from_perturbed_start(
     coordinate 0 nudged up by perturbation * M, which fixes which
     streamer dominates whenever concentration occurs.
     """
-    m = float(platform.n_viewers)
-    big_n = platform.n_streamers
-    n0 = np.full(big_n, m / big_n)
-    n0[0] = min(n0[0] + perturbation * m, m)
+    n0 = Market.from_params(platform, streamers).perturbed_start(perturbation)
     res = solve_joint_equilibrium(platform, streamers, cfg, n0=n0)
     return res.max_share(), res
 

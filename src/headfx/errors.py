@@ -1,10 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer check of
+the config classes.
 
 The CLI maps invalid input (ConfigError, DomainError,
 DimensionMismatchError, NonFiniteError) to exit code 2 and
 NumericalError (and its subclasses) to exit code 3; everything else is
 a plain bug.
 """
+
+import numbers
 
 
 class HeadfxError(Exception):
@@ -41,3 +44,12 @@ class BracketError(NumericalError):
 
 class ConfigError(HeadfxError, ValueError):
     """A scenario/sweep config file is malformed; the message names the key."""
+
+
+def require_integers(obj, names) -> None:
+    """Raise DomainError unless each named attribute of obj is an integer."""
+    # bool is an Integral too, but a count of True is a config mistake.
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")

@@ -6,9 +6,11 @@ closed-form quality best response, and the damped viewer fixed point
 n = M P(n) (logit identities as in Train, *Discrete Choice Methods with
 Simulation*, ch. 3). The formulas take raw arrays of shape (..., N),
 work over the last axis and take a 1-D input as one vector; a row of a
-batch gets bitwise the result of the 1-D call on that row. Nothing
-here validates its inputs: the public entry points in ``core`` do, and
-the solvers call these kernels inside their iterations.
+batch gets bitwise the result of the 1-D call on that row. The fixed
+point reads its coefficients from a ``core.Market`` by attribute, so
+this module imports nothing from ``core``. Nothing here validates its
+inputs: the public entry points in ``core`` do, and the solvers call
+these kernels inside their iterations.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ def quality_best_response(revenue, c, p):
     return np.clip(logit_slope(revenue, p) / (2.0 * c), 0.0, Q_MAX)
 
 
-def viewer_fixed_point(alpha, q, prices, beta, phi, theta, n0, m, cfg):
+def viewer_fixed_point(market, q, n0, cfg, theta):
     """Damped viewer fixed point n = m softmax(V(n)) for K starts at once.
 
-    V is utility(alpha, q, prices, beta, n, phi, theta), its constant part
-    computed once by the same operations; q and n0 are (K, N) arrays and
-    cfg supplies damping, tol and max_iter. Each row takes the steps of a
+    market is a core.Market (read by attribute for alpha, prices, beta,
+    phi and m); V is utility(alpha, q, prices, beta, n, phi, theta), its
+    constant part computed once by the same operations; q and n0 are
+    (K, N) arrays, cfg supplies damping, tol and max_iter, and theta is
+    an (N,) promotion vector or None. Each row takes the steps of a
     single-start iteration, n <- (1 - damping) n + damping m softmax(V(n)),
     so its result is bitwise the one it would get alone, and leaves the
     batch on the iteration its residual first drops to cfg.tol; the batch
@@ -82,11 +86,12 @@ def viewer_fixed_point(alpha, q, prices, beta, phi, theta, n0, m, cfg):
     (K,) and (K,); rows that never converged keep their last damped
     iterate, iterations = cfg.max_iter and their last residual.
     """
+    beta, m = market.beta, market.m
     tol, damping = cfg.tol, cfg.damping
     keep = 1.0 - damping
     n = np.array(n0, dtype=float)
-    base = alpha * np.asarray(q, dtype=float) - prices
-    theta_term = phi * theta if theta is not None else None
+    base = market.alpha * np.asarray(q, dtype=float) - market.prices
+    theta_term = market.phi * theta if theta is not None else None
 
     n_out = np.empty_like(n)
     converged = np.zeros(n.shape[0], dtype=bool)

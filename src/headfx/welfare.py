@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    Market,
     MarketState,
     PlatformParams,
     TrafficAllocation,
     choice_probabilities,
     deterministic_utility,
-    streamer_arrays,
 )
 from .dynamics import IntegratorConfig, Trajectory, integrate
 from .equilibrium import (
@@ -94,7 +94,7 @@ def consumer_surplus(
 
 def producer_surplus(platform: PlatformParams, streamers, state: MarketState) -> float:
     """Total streamer profit: commission-net revenue minus quality costs."""
-    _, _, c = streamer_arrays(streamers)
+    c = Market.from_params(platform, streamers).c
     revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * state.n.sum()
     return float(revenue - np.sum(c * state.q * state.q))
 
@@ -118,37 +118,29 @@ def total_welfare(
     )
 
 
-def _welfare_raw(platform, alpha, c, q, theta_vec, cfg, n0):
+def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     """Welfare at the viewer equilibrium for a raw (possibly off-simplex)
     promotion vector; used by the optimizer and finite-difference probes.
 
     Returns (welfare, n, p, converged, residual) of the fixed point."""
-    prices, beta, phi = platform.prices, platform.beta, platform.phi
     n, converged, _, residual = viewer_fixed_point(
-        alpha, q[np.newaxis], prices, beta, phi, theta_vec, n0[np.newaxis],
-        float(platform.n_viewers), cfg,
+        market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
     )
     n = n[0]
-    w, p = _welfare_of(platform, c, q, utility(alpha, q, prices, beta, n, phi, theta_vec), n)
+    v = utility(market.alpha, q, market.prices, market.beta, n, market.phi, theta_vec)
+    w, p = _welfare_of(market, q, v, n)
     return float(w), n, p, bool(converged[0]), float(residual[0])
 
 
-def _welfare_of(platform, c, q, v, n):
+def _welfare_of(market: Market, q, v, n):
     """Total welfare and choice probabilities at utilities v and audiences n,
-    each of shape (..., N); consumer surplus as in consumer_surplus."""
+    each of shape (..., N); the three parts as in consumer_surplus,
+    producer_surplus and platform_profit."""
     p = softmax(v)
-    cs = platform.n_viewers * (logsumexp(v + platform.prices) - p @ platform.prices)
-    ps = (1.0 - platform.tau) * platform.revenue_per_viewer * n.sum(axis=-1) - np.sum(c * q * q)
-    return cs + ps + platform_profit(platform), p
-
-
-def _welfare_state(platform, streamers, q, theta, cfg, n0):
-    """Breakdown and state at theta, with the fixed point's converged flag
-    and residual."""
-    alpha, _, c = streamer_arrays(streamers)
-    _, n, _, converged, residual = _welfare_raw(platform, alpha, c, q, theta.theta, cfg, n0)
-    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
-    return total_welfare(platform, streamers, state, theta), state, converged, residual
+    cs = market.m * (logsumexp(v + market.prices) - p @ market.prices)
+    net = (1.0 - market.tau) * market.revenue_per_viewer
+    ps = net * n.sum(axis=-1) - np.sum(market.c * q * q)
+    return cs + ps + market.tau * market.revenue_per_viewer * market.m, p
 
 
 def welfare_at_theta(
@@ -169,18 +161,16 @@ def welfare_at_theta(
     if cfg is None:
         cfg = FixedPointConfig(tol=1e-12)
     q = np.asarray(q, dtype=float)
-    m = float(platform.n_viewers)
-    big_n = platform.n_streamers
-    n0 = np.full(big_n, m / big_n) if n0 is None else np.asarray(n0, dtype=float)
-    breakdown, state, converged, residual = _welfare_state(
-        platform, streamers, q, theta, cfg, n0
-    )
+    market = Market.from_params(platform, streamers)
+    n0 = market.symmetric_split() if n0 is None else np.asarray(n0, dtype=float)
+    _, n, _, converged, residual = _welfare_raw(market, q, theta.theta, cfg, n0)
     if not converged:
         raise NumericalError(
             f"viewer fixed point under theta did not converge: residual {residual:.3g} > "
             f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
         )
-    return breakdown, state
+    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
+    return total_welfare(platform, streamers, state, theta), state
 
 
 def _foc_gradient(platform: PlatformParams, p) -> np.ndarray:
@@ -223,10 +213,9 @@ def numeric_welfare_gradient_theta(
     if cfg is None:
         cfg = FixedPointConfig(tol=1e-13)
     q = np.asarray(q, dtype=float)
-    alpha, _, c = streamer_arrays(streamers)
-    m = float(platform.n_viewers)
+    market = Market.from_params(platform, streamers)
+    n0 = market.symmetric_split()
     big_n = platform.n_streamers
-    n0 = np.full(big_n, m / big_n)
     grad = np.empty(big_n)
     base = np.asarray(theta.theta, dtype=float)
     for i in range(big_n):
@@ -234,8 +223,8 @@ def numeric_welfare_gradient_theta(
         dn = base.copy()
         up[i] += h
         dn[i] -= h
-        w_up = _welfare_raw(platform, alpha, c, q, up, cfg, n0)[0]
-        w_dn = _welfare_raw(platform, alpha, c, q, dn, cfg, n0)[0]
+        w_up = _welfare_raw(market, q, up, cfg, n0)[0]
+        w_dn = _welfare_raw(market, q, dn, cfg, n0)[0]
         grad[i] = (w_up - w_dn) / (2.0 * h)
     return grad
 
@@ -299,17 +288,15 @@ def optimize_allocation(
     if fp_cfg is None:
         fp_cfg = FixedPointConfig(tol=1e-13, max_iter=20000)
     q = np.asarray(q, dtype=float)
-    m = float(platform.n_viewers)
+    market = Market.from_params(platform, streamers)
     big_n = platform.n_streamers
-    alpha, _, c = streamer_arrays(streamers)
 
     theta = (
         np.full(big_n, 1.0 / big_n)
         if init_theta is None
         else np.asarray(init_theta.theta, dtype=float).copy()
     )
-    n_warm = np.full(big_n, m / big_n)
-    w_cur, n_warm, p, _, _ = _welfare_raw(platform, alpha, c, q, theta, fp_cfg, n_warm)
+    w_cur, n_warm, p, _, _ = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
 
     s_prev = step
     residual = np.inf
@@ -323,9 +310,7 @@ def optimize_allocation(
         accepted = False
         for _ in range(60):
             trial = simplex_project(theta + s * g).theta
-            w_trial, n_trial, p_trial, _, _ = _welfare_raw(
-                platform, alpha, c, q, trial, fp_cfg, n_warm
-            )
+            w_trial, n_trial, p_trial, _, _ = _welfare_raw(market, q, trial, fp_cfg, n_warm)
             if w_trial >= w_cur - 1e-12 * (1.0 + abs(w_cur)):
                 theta, w_cur, n_warm, p = trial, w_trial, n_trial, p_trial
                 s_prev = s
@@ -338,9 +323,9 @@ def optimize_allocation(
     g = _foc_gradient(platform, p)
     residual = _kkt_residual(g, theta)
     allocation = simplex_project(theta)
-    breakdown, _, fp_converged, _ = _welfare_state(
-        platform, streamers, q, allocation, fp_cfg, n_warm
-    )
+    _, n, _, fp_converged, _ = _welfare_raw(market, q, allocation.theta, fp_cfg, n_warm)
+    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
+    breakdown = total_welfare(platform, streamers, state, allocation)
     return AllocationSolution(
         theta=allocation,
         welfare=breakdown.total,
@@ -416,8 +401,7 @@ def grid_search_allocation(
     if big_n not in (2, 3):
         raise DomainError("grid oracle supports 2 or 3 streamers")
     q = np.asarray(q, dtype=float)
-    alpha, _, c = streamer_arrays(streamers)
-    m = float(platform.n_viewers)
+    market = Market.from_params(platform, streamers)
 
     k = int(round(1.0 / resolution))
     if big_n == 2:
@@ -428,11 +412,11 @@ def grid_search_allocation(
         mask = i + j <= k
         thetas = np.stack([i[mask], j[mask], k - i[mask] - j[mask]], axis=1) / k
 
-    base = alpha * q - platform.prices
-    v_theta = base[None, :] + platform.phi * thetas
-    n = _grid_viewer_fixed_point(v_theta, m, platform.beta, fp_cfg)
+    base = market.alpha * q - market.prices
+    v_theta = base[None, :] + market.phi * thetas
+    n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, fp_cfg)
 
-    w, _ = _welfare_of(platform, c, q, v_theta + platform.beta * n, n)
+    w, _ = _welfare_of(market, q, v_theta + market.beta * n, n)
     best = int(np.argmax(w))
     return simplex_project(thetas[best]), float(w[best])
 

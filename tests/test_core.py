@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfx.core import (
+    Market,
     MarketState,
     PlatformParams,
     StreamerParams,
@@ -297,3 +300,54 @@ class TestDomainGuards:
             TrafficAllocation(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             TrafficAllocation(np.array([-0.1, 1.1]))
+
+
+class TestMarket:
+    """Every coefficient of the bundle equals, bit for bit, the inline
+    expression the solvers used before it had one home."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        m=st.one_of(st.integers(0, 10**7), st.floats(0.0, 1e7)),
+        tau=st.floats(0.0, 0.99),
+        r=st.floats(0.0, 10.0),
+        with_prices=st.booleans(),
+        perturbation=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fields_equal_the_inline_expressions(
+        self, n, m, tau, r, with_prices, perturbation, seed
+    ):
+        rng = np.random.default_rng(seed)
+        platform = PlatformParams(
+            n_streamers=n, n_viewers=m, beta=float(rng.uniform(0.0, 0.5)), tau=tau,
+            revenue_per_viewer=r, gamma=float(rng.uniform(0.1, 2.0)),
+            phi=float(rng.uniform(0.1, 2.0)),
+            prices=rng.uniform(0.0, 1.0, n) if with_prices else None,
+        )
+        streamers = [
+            StreamerParams(alpha=float(a), eta=float(e), cost_coefficient=float(c))
+            for a, e, c in zip(rng.uniform(0, 2, n), rng.uniform(0.1, 2, n), rng.uniform(0.1, 3, n))
+        ]
+        market = Market.from_params(platform, streamers)
+
+        alpha = np.array([s.alpha for s in streamers], dtype=float)
+        eta = np.array([s.eta for s in streamers], dtype=float)
+        c = np.array([s.cost_coefficient for s in streamers], dtype=float)
+        revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha
+        for got, want in ((market.alpha, alpha), (market.eta, eta), (market.c, c),
+                          (market.prices, platform.prices), (market.revenue, revenue)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+        m_float = float(platform.n_viewers)
+        assert type(market.m) is float and market.m == m_float
+        for name in ("beta", "phi", "gamma", "tau", "revenue_per_viewer"):
+            assert getattr(market, name) == getattr(platform, name)
+
+        big_n = platform.n_streamers
+        assert np.array_equal(market.symmetric_split(), np.full(big_n, m_float / big_n))
+        for step in (perturbation, 1e-3):
+            n0 = np.full(big_n, m_float / big_n)
+            n0[0] = min(n0[0] + step * m_float, m_float)
+            assert np.array_equal(market.perturbed_start(step), n0)
+        assert np.array_equal(market.perturbed_start(), market.perturbed_start(1e-3))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx.core import MarketState, PlatformParams, StreamerParams
+from headfx.core import Market, MarketState, PlatformParams, StreamerParams
 from headfx.dynamics import (
     IntegratorConfig,
     _integrate_batch,
@@ -116,6 +116,22 @@ class TestIntegrate:
         with pytest.raises(DivergenceError, match="t="):
             # dt far beyond the stability limit of the stiff feedback
             integrate(plat, streamers, state0, IntegratorConfig(dt=40.0, t_end=400.0))
+
+
+class TestIntegratorConfig:
+    @pytest.mark.parametrize("field", ["dt", "t_end"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_step_and_horizon_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite and > 0"):
+            IntegratorConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 2.5, 3.0, True])
+    def test_record_every_must_be_a_positive_integer(self, value):
+        with pytest.raises(DomainError, match="record_every must be"):
+            IntegratorConfig(record_every=value)
+
+    def test_numpy_integer_stride_accepted(self):
+        assert IntegratorConfig(record_every=np.int64(3)).record_every == 3
 
 
 class TestJacobian:
@@ -499,6 +515,10 @@ class TestBatchProperties:
             prices=rng.uniform(0.0, 0.3, n),
         )
         alpha, eta, c = rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n), rng.uniform(1.0, 3.0, n)
+        market = Market.from_params(plat, [
+            StreamerParams(alpha=float(a), eta=float(e), cost_coefficient=float(b))
+            for a, e, b in zip(alpha, eta, c)
+        ])
         n0 = rng.dirichlet(np.ones(n), size=k) * 100.0
         q0 = rng.uniform(0.0, 3.0, (k, n))
         perm = rng.permutation(k)
@@ -510,14 +530,14 @@ class TestBatchProperties:
         def messages(failures):
             return {i: (str(e), e.t) for i, e in failures.items()}
 
-        trajs, failures = _integrate_batch(plat, alpha, eta, c, n0, q0, cfg, None)
-        trajs_p, failures_p = _integrate_batch(plat, alpha, eta, c, n0[perm], q0[perm], cfg, None)
+        trajs, failures = _integrate_batch(market, n0, q0, cfg, None)
+        trajs_p, failures_p = _integrate_batch(market, n0[perm], q0[perm], cfg, None)
         assert messages(failures_p) == {
             int(np.flatnonzero(perm == i)[0]): v for i, v in messages(failures).items()
         }
         for i in range(k):
             single, single_failures = _integrate_batch(
-                plat, alpha, eta, c, n0[i : i + 1], q0[i : i + 1], cfg, None
+                market, n0[i : i + 1], q0[i : i + 1], cfg, None
             )
             for got in (paths(single)[0], paths(trajs_p)[int(np.flatnonzero(perm == i)[0])]):
                 want = paths(trajs)[i]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfx.core import (
+    Market,
     MarketState,
     PlatformParams,
     StreamerParams,
@@ -17,7 +18,6 @@ from headfx.core import (
 from headfx.equilibrium import (
     FixedPointConfig,
     _joint_equilibrium_batch,
-    _viewer_fixed_point_batch,
     enumerate_equilibria,
     find_critical_beta,
     max_share_from_perturbed_start,
@@ -25,6 +25,7 @@ from headfx.equilibrium import (
     solve_viewer_fixed_point,
 )
 from headfx.errors import BracketError, DomainError, NumericalError
+from headfx.logit import viewer_fixed_point
 
 CFG = FixedPointConfig(tol=1e-11, max_iter=40000)
 
@@ -269,6 +270,19 @@ class TestFixedPointConfig:
             FixedPointConfig(tol=0.0)
         with pytest.raises(DomainError):
             FixedPointConfig(max_iter=0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # a NaN tol is never reached and an infinite one reports any
+        # first sweep as converged
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            FixedPointConfig(tol=tol)
+
+    @pytest.mark.parametrize("field", ["max_iter", "n_starts"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            FixedPointConfig(**{field: value})
         with pytest.raises(DomainError):
             FixedPointConfig(n_starts=0)
 
@@ -427,10 +441,9 @@ class TestBatchMatchesReference:
         theta = TrafficAllocation(rng.dirichlet(np.ones(n))) if with_theta else None
         cfg = FixedPointConfig(tol=1e-11, max_iter=40000)
         starts = rng.dirichlet(np.ones(n), size=4) * 100.0
-        alpha = np.array([s.alpha for s in streamers])
-        c = np.array([s.cost_coefficient for s in streamers])
         batch = _joint_equilibrium_batch(
-            plat, alpha, c, starts, None, cfg, None if theta is None else theta.theta
+            Market.from_params(plat, streamers), starts, None, cfg,
+            None if theta is None else theta.theta,
         )
         for i, n0 in enumerate(starts):
             want = _reference_joint(plat, streamers, cfg, n0=n0, theta=theta)
@@ -460,10 +473,10 @@ class TestBatchMatchesReference:
     def test_non_finite_residual_raises_from_the_batch(self):
         plat = PlatformParams(n_streamers=2, n_viewers=100, beta=0.01)
         cfg = FixedPointConfig(tol=1e-11, max_iter=100)
-        alpha = np.array([1.0, 1.0])
+        market = Market.from_params(plat, [StreamerParams(alpha=1.0)] * 2)
         q = np.array([[0.5, 0.5], [np.inf, 0.5], [0.2, 0.1]])
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
-            _viewer_fixed_point_batch(plat, alpha, q, np.full((3, 2), 50.0), cfg, None)
+            viewer_fixed_point(market, q, np.full((3, 2), 50.0), cfg, None)
 
 
 def _batch_case(draw_seed, k, n):
@@ -474,9 +487,12 @@ def _batch_case(draw_seed, k, n):
     )
     alpha = rng.uniform(0.5, 1.5, n)
     c = rng.uniform(1.5, 3.0, n)
+    streamers = [
+        StreamerParams(alpha=float(a), cost_coefficient=float(b)) for a, b in zip(alpha, c)
+    ]
     starts = rng.dirichlet(np.ones(n), size=k) * 100.0
     q = rng.uniform(0.0, 2.0, (k, n))
-    return plat, alpha, c, starts, q, rng.permutation(k)
+    return Market.from_params(plat, streamers), starts, q, rng.permutation(k)
 
 
 class TestBatchProperties:
@@ -486,35 +502,32 @@ class TestBatchProperties:
         st.integers(1, 400),
     )
     def test_viewer_fixed_point_rows_are_independent(self, seed, k, n, max_iter):
-        plat, alpha, _, starts, q, perm = _batch_case(seed, k, n)
+        market, starts, q, perm = _batch_case(seed, k, n)
         cfg = FixedPointConfig(tol=1e-11, max_iter=max_iter)
-        batch = _viewer_fixed_point_batch(plat, alpha, q, starts, cfg, None)
-        permuted = _viewer_fixed_point_batch(plat, alpha, q[perm], starts[perm], cfg, None)
+        batch = viewer_fixed_point(market, q, starts, cfg, None)
+        permuted = viewer_fixed_point(market, q[perm], starts[perm], cfg, None)
         for got, want in zip(permuted, batch):
             assert np.array_equal(got, want[perm])
         for i in range(k):
-            single = _viewer_fixed_point_batch(
-                plat, alpha, q[i : i + 1], starts[i : i + 1], cfg, None
-            )
+            single = viewer_fixed_point(market, q[i : i + 1], starts[i : i + 1], cfg, None)
             for got, want in zip(single, batch):
                 assert np.array_equal(got[0], want[i])
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 4), st.integers(1, 80))
     def test_joint_rows_are_independent(self, seed, k, n, max_iter):
-        plat, alpha, c, starts, q, perm = _batch_case(seed, k, n)
+        market, starts, q, perm = _batch_case(seed, k, n)
         cfg = FixedPointConfig(tol=1e-10, max_iter=max_iter)
         for q0 in (None, q):
-            batch = _joint_equilibrium_batch(plat, alpha, c, starts, q0, cfg, None)
+            batch = _joint_equilibrium_batch(market, starts, q0, cfg, None)
             permuted = _joint_equilibrium_batch(
-                plat, alpha, c, starts[perm], None if q0 is None else q0[perm], cfg, None
+                market, starts[perm], None if q0 is None else q0[perm], cfg, None
             )
             for got, want in zip(permuted, batch):
                 assert np.array_equal(got, want[perm])
             for i in range(k):
                 single = _joint_equilibrium_batch(
-                    plat, alpha, c, starts[i : i + 1],
-                    None if q0 is None else q0[i : i + 1], cfg, None,
+                    market, starts[i : i + 1], None if q0 is None else q0[i : i + 1], cfg, None
                 )
                 for got, want in zip(single, batch):
                     assert np.array_equal(got[0], want[i])

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from headfx import cli, equilibrium
 from headfx.abm import SimConfig, run_simulation
 from headfx.cli import main
 from headfx.errors import ConfigError
@@ -424,8 +425,56 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and f"{key} must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "argv,key",
+        [
+            (["dynamics", "--dt", "nan"], "dt"),
+            (["dynamics", "--dt", "inf"], "dt"),
+            (["dynamics", "--t-end", "nan"], "t_end"),
+            (["dynamics", "--t-end", "inf"], "t_end"),
+            (["equilibrium", "--tol", "nan"], "tol"),
+            (["equilibrium", "--tol", "inf"], "tol"),
+            (["dynamics", "--kind", "stability", "--tol", "nan"], "tol"),
+        ],
+        ids=["dt_nan", "dt_inf", "t_end_nan", "t_end_inf", "eq_tol_nan", "eq_tol_inf",
+             "stability_tol_nan"],
+    )
+    def test_analytic_commands_reject_non_finite_controls(self, tmp_path, capsys, argv, key):
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{key} must be finite and > 0" in err
+
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
+
+    def test_trajectory_starts_where_the_equilibrium_probe_starts(self, tmp_path, monkeypatch):
+        seen = {}
+        integrate, solve_joint = cli.integrate, equilibrium.solve_joint_equilibrium
+
+        def spy_integrate(platform, streamers, state0, cfg, theta=None):
+            seen["instance"], seen["trajectory"] = (platform, streamers), state0.n.copy()
+            return integrate(platform, streamers, state0, cfg, theta)
+
+        def spy_solve_joint(platform, streamers, cfg, n0=None, **kwargs):
+            seen["probe"] = np.array(n0)
+            return solve_joint(platform, streamers, cfg, n0=n0, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", spy_integrate)
+        monkeypatch.setattr(equilibrium, "solve_joint_equilibrium", spy_solve_joint)
+        config = write_config(
+            tmp_path, {"name": "Baseline", "platform": {"n_streamers": 3, "n_viewers": 70}}
+        )
+        code = main(["dynamics", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--beta", "0.005", "--dt", "0.05", "--t-end", "1"])
+        assert code == 0
+        platform, streamers = seen["instance"]
+        cfg = equilibrium.FixedPointConfig()
+        equilibrium.max_share_from_perturbed_start(platform, streamers, cfg)
+        n0 = np.full(3, 70.0 / 3)
+        n0[0] = min(n0[0] + 1e-3 * 70.0, 70.0)
+        assert np.array_equal(seen["trajectory"], seen["probe"])
+        assert np.array_equal(seen["trajectory"], n0)
 
     def test_dynamics_sidecar_summary(self, tmp_path):
         out = tmp_path / "dyn"

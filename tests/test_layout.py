@@ -53,6 +53,24 @@ def private_imports(tree: ast.Module) -> list[str]:
     return found
 
 
+def headfx_imports(tree: ast.Module) -> set[str]:
+    """The headfx modules a module imports from, by their dotted names."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _headfx_module(node):
+            if node.level > 0:
+                base = "headfx" + (f".{node.module}" if node.module else "")
+            else:
+                base = node.module
+            if base == "headfx":
+                found.update(f"headfx.{alias.name}" for alias in node.names)
+            else:
+                found.add(base)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.split(".")[0] == "headfx")
+    return found
+
+
 def test_package_sources_found():
     assert {"core.py", "logit.py", "equilibrium.py"} <= {p.name for p in MODULES}
 
@@ -60,6 +78,28 @@ def test_package_sources_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_logit_is_a_leaf_module():
+    # The solvers hand logit a core.Market, which it reads by attribute;
+    # an import of core (or of anything built on it) would be a cycle.
+    tree = ast.parse((SRC / "logit.py").read_text())
+    assert headfx_imports(tree) <= {"headfx.errors"}
+
+
+@pytest.mark.parametrize(
+    "source, modules",
+    [
+        ("from .errors import NumericalError", {"headfx.errors"}),
+        ("from .core import Market", {"headfx.core"}),
+        ("from . import core", {"headfx.core"}),
+        ("import headfx.dynamics as d", {"headfx.dynamics"}),
+        ("from headfx.welfare import x", {"headfx.welfare"}),
+        ("import numpy as np\nfrom math import isfinite", set()),
+    ],
+)
+def test_headfx_imports_found(source, modules):
+    assert headfx_imports(ast.parse(source)) == modules
 
 
 @pytest.mark.parametrize(
