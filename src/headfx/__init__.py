@@ -77,6 +77,7 @@ from .harness import (
     ab_compare,
     make_scenario,
     parse_config,
+    parse_instance,
     run_scenario,
     sensitivity_sweep,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, require_integers
+from .errors import DomainError, NonFiniteError, require_integers, require_numbers
 
 __all__ = [
     "PolicyIntervention",
@@ -59,6 +59,9 @@ class PolicyIntervention:
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
         require_integers(self, ("start_round", "top_k"))
+        require_numbers(
+            self, ("raised_share", "bottom_fraction", "boost_multiplier", "per_round_amount")
+        )
         if self.start_round < 1:
             raise DomainError(f"start_round must be >= 1, got {self.start_round}")
         if self.kind == "high_tax":
@@ -130,6 +133,7 @@ class SimConfig:
 
     def __post_init__(self):
         require_integers(self, _INT_FIELDS)
+        require_numbers(self, _FLOAT_FIELDS)
         # Every check is written so that NaN fails it.
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):

@@ -45,6 +45,7 @@ from .harness import (
     export_phase_csv,
     make_scenario,
     parse_config,
+    parse_instance,
     run_scenario,
     sensitivity_sweep,
 )
@@ -135,6 +136,8 @@ def _cmd_dynamics(args) -> int:
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
+    if round(cfg.t_end / cfg.dt) == 0:
+        raise ConfigError(f"t_end {cfg.t_end:g} / dt {cfg.dt:g} rounds to zero RK4 steps")
     out = _out_dir(args, "headfx_out")
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
@@ -280,64 +283,8 @@ def _parse_values(parameter: str, text: str) -> list:
         raise ConfigError(f"bad sweep values {text!r}: {exc}") from exc
 
 
-_INSTANCE_KEYS = (
-    "n_viewers",
-    "beta",
-    "tau",
-    "revenue_per_viewer",
-    "phi",
-    "prices",
-    "alpha",
-    "q",
-    "cost",
-)
-
-
-def _load_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarray]:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read instance file {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("instance file must contain a JSON object")
-    for key in raw:
-        if key not in _INSTANCE_KEYS:
-            raise ConfigError(f"unknown key {key!r} in instance file")
-    for key in ("alpha", "q"):
-        if key not in raw:
-            raise ConfigError(f"instance file is missing {key!r}")
-    alpha = [float(a) for a in raw["alpha"]]
-    q = np.asarray(raw["q"], dtype=float)
-    n = len(alpha)
-    cost = [float(c) for c in raw.get("cost", [1.0] * n)]
-    if len(cost) != n or q.shape[0] != n:
-        raise ConfigError("alpha, q, and cost must have equal lengths")
-    if not np.all(np.isfinite(q) & (q >= 0)):
-        raise ConfigError(f"q must be finite and >= 0, got {q.tolist()}")
-    n_viewers = raw.get("n_viewers", 1000)
-    # A count must be a whole number a float holds exactly: int() raises on
-    # Infinity, truncates 50.7, and a 400-digit integer overflows float().
-    number = isinstance(n_viewers, (int, float)) and not isinstance(n_viewers, bool)
-    if not (number and abs(n_viewers) < 2**53 and float(n_viewers).is_integer()):
-        raise ConfigError(f"n_viewers must be a whole number below 2**53, got {n_viewers!r}")
-    try:
-        platform = PlatformParams(
-            n_streamers=n,
-            n_viewers=int(n_viewers),
-            beta=float(raw.get("beta", 0.0)),
-            tau=float(raw.get("tau", 0.2)),
-            revenue_per_viewer=float(raw.get("revenue_per_viewer", 1.0)),
-            phi=float(raw.get("phi", 1.0)),
-            prices=np.asarray(raw["prices"], dtype=float) if "prices" in raw else None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"instance file: {exc}") from exc
-    streamers = [StreamerParams(alpha=a, eta=1.0, cost_coefficient=c) for a, c in zip(alpha, cost)]
-    return platform, streamers, q
-
-
 def _cmd_optimize_theta(args) -> int:
-    platform, streamers, q = _load_instance(args.instance)
+    platform, streamers, q = parse_instance(args.instance)
     if args.phi is not None:
         platform = dataclasses.replace(platform, phi=args.phi)
     solution = optimize_allocation(platform, streamers, q, tol=args.tol)

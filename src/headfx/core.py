@@ -8,6 +8,7 @@ inputs; all other modules build on these.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,20 +67,19 @@ class PlatformParams:
             raise DomainError(f"n_viewers must be >= 0, got {self.n_viewers}")
         if not 0.0 <= self.tau < 1.0:
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
-        if not self.beta >= 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if not self.revenue_per_viewer >= 0:
-            raise DomainError(f"revenue_per_viewer must be >= 0, got {self.revenue_per_viewer}")
-        if not self.gamma > 0:
-            raise DomainError(f"gamma must be > 0, got {self.gamma}")
-        if not self.phi > 0:
-            raise DomainError(f"phi must be > 0, got {self.phi}")
+        # Every check is written so that NaN fails it.
+        for name in ("beta", "revenue_per_viewer"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("gamma", "phi"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         prices = self.prices
         if prices is None:
             prices = np.zeros(self.n_streamers)
         prices = _as_float_vector(prices, "prices", self.n_streamers)
-        if not np.all(prices >= 0):
-            raise DomainError("prices must be >= 0")
+        if not np.all((prices >= 0) & (prices < math.inf)):
+            raise DomainError(f"prices must be finite and >= 0, got {prices.tolist()}")
         object.__setattr__(self, "prices", prices)
 
 
@@ -92,12 +92,11 @@ class StreamerParams:
     cost_coefficient: float = 0.2
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise DomainError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.eta > 0:
-            raise DomainError(f"eta must be > 0, got {self.eta}")
-        if not self.cost_coefficient > 0:
-            raise DomainError(f"cost_coefficient must be > 0, got {self.cost_coefficient}")
+        if not 0.0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
+        for name in ("eta", "cost_coefficient"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ experiments, concentration (HHI), and phase-portrait sweeps.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ __all__ = [
 
 # Integration aborts when any state magnitude passes this bound.
 _EXPLOSION_BOUND = 1e12
+# The finite-difference Jacobian steps coordinate i by this times (1 + |x_i|).
+_JACOBIAN_STEP = 1e-6
 # Slack on the runtime check that audiences stay inside [0, M].
 _N_BOUND_SLACK = 1e-3
 
@@ -71,6 +74,10 @@ class IntegratorConfig:
             raise DomainError(f"dt must be finite and > 0, got {self.dt}")
         if not 0.0 < self.t_end < math.inf:
             raise DomainError(f"t_end must be finite and > 0, got {self.t_end}")
+        if not self.t_end / self.dt <= sys.maxsize:
+            raise DomainError(
+                f"t_end / dt must be at most {sys.maxsize} steps, got {self.t_end / self.dt:g}"
+            )
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
@@ -98,7 +105,6 @@ class StabilityReport:
 
     eigen_real_parts: np.ndarray
     stable: bool
-    jacobian_step: float
 
 
 def _flow(market: Market, theta_vec, rows: int | None = None):
@@ -270,11 +276,10 @@ def jacobian(
     streamers,
     state: MarketState,
     theta: TrafficAllocation | None = None,
-    base_step: float = 1e-6,
 ) -> np.ndarray:
     """Central finite-difference Jacobian of the flow, 2N x 2N.
 
-    Per-coordinate step h_i = base_step * (1 + |x_i|) on the stacked
+    Per-coordinate step h_i = _JACOBIAN_STEP * (1 + |x_i|) on the stacked
     state x = (n, q).
     """
     theta_vec = theta.theta if theta is not None else None
@@ -288,7 +293,7 @@ def jacobian(
     dim = 2 * big_n
     jac = np.empty((dim, dim))
     for i in range(dim):
-        h = base_step * (1.0 + abs(x0[i]))
+        h = _JACOBIAN_STEP * (1.0 + abs(x0[i]))
         xp = x0.copy()
         xm = x0.copy()
         xp[i] += h
@@ -316,7 +321,7 @@ def analytic_viewer_blocks(
     return dndot_dn, dndot_dq
 
 
-def assess_stability(jac: np.ndarray, jacobian_step: float = 1e-6) -> StabilityReport:
+def assess_stability(jac: np.ndarray) -> StabilityReport:
     """Eigenvalue test: stable iff every real part is below -1e-9."""
     jac = np.asarray(jac, dtype=float)
     if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
@@ -324,11 +329,7 @@ def assess_stability(jac: np.ndarray, jacobian_step: float = 1e-6) -> StabilityR
     if not np.all(np.isfinite(jac)):
         raise NonFiniteError("Jacobian contains non-finite entries")
     real_parts = np.sort(np.linalg.eigvals(jac).real)[::-1]
-    return StabilityReport(
-        eigen_real_parts=real_parts,
-        stable=bool(real_parts[0] < -1e-9),
-        jacobian_step=jacobian_step,
-    )
+    return StabilityReport(eigen_real_parts=real_parts, stable=bool(real_parts[0] < -1e-9))
 
 
 def stability_at(
@@ -336,11 +337,9 @@ def stability_at(
     streamers,
     state: MarketState,
     theta: TrafficAllocation | None = None,
-    base_step: float = 1e-6,
 ) -> StabilityReport:
     """Jacobian + eigenvalue assessment in one call."""
-    jac = jacobian(platform, streamers, state, theta, base_step)
-    return assess_stability(jac, jacobian_step=base_step)
+    return assess_stability(jacobian(platform, streamers, state, theta))
 
 
 def hhi(n) -> float:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check of
-the config classes.
+"""Exception types shared across the package, and the integer and number
+checks of the config classes.
 
 The CLI maps invalid input (ConfigError, DomainError,
 DimensionMismatchError, NonFiniteError) to exit code 2 and
@@ -8,6 +8,7 @@ a plain bug.
 """
 
 import numbers
+import sys
 
 
 class HeadfxError(Exception):
@@ -47,9 +48,21 @@ class ConfigError(HeadfxError, ValueError):
 
 
 def require_integers(obj, names) -> None:
-    """Raise DomainError unless each named attribute of obj is an integer."""
+    """Raise DomainError unless each named attribute of obj is an integer
+    that numpy can size an array with (at most sys.maxsize, the intp maximum)."""
     # bool is an Integral too, but a count of True is a config mistake.
     for name in names:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise DomainError(f"{name} must be an integer, got {value!r}")
+        if value > sys.maxsize:
+            raise DomainError(f"{name} must be at most {sys.maxsize}, got {value}")
+
+
+def require_numbers(obj, names) -> None:
+    """Raise DomainError unless each named attribute of obj is a real number;
+    NaN and infinities pass, for the range checks to name."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise DomainError(f"{name} must be a number, got {value!r}")

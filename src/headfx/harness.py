@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from pathlib import Path
-
 import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .abm import PolicyIntervention, SimConfig, SimRun, simulate
-from .errors import ConfigError, HeadfxError
+from .core import PlatformParams, StreamerParams
+from .errors import ConfigError, DomainError, HeadfxError, require_integers
 from .metrics import METRIC_COLUMNS, MetricsSummary, summarize, write_summary_csv
 from .dynamics import PortraitResult
 
@@ -36,6 +36,7 @@ __all__ = [
     "export_plot_data",
     "export_phase_csv",
     "parse_config",
+    "parse_instance",
 ]
 
 SCENARIO_NAMES = ("Baseline", "High_Tax", "Boost_Small", "Combined")
@@ -54,38 +55,24 @@ SWEEPABLE_PARAMETERS = (
     "n_viewers",
 )
 
-_PLATFORM_KEYS = (
-    "n_streamers",
+# The document's sections name the fields of the classes they build:
+# [platform] SimConfig's first block, [overrides] its behavioral second
+# block (everything after seed), and each policy a PolicyIntervention.
+_SIM_FIELDS = [f.name for f in dataclasses.fields(SimConfig)]
+_PLATFORM_KEYS = _SIM_FIELDS[: _SIM_FIELDS.index("policy_schedule")]
+_OVERRIDE_KEYS = _SIM_FIELDS[_SIM_FIELDS.index("seed") + 1:]
+_POLICY_KEYS = [f.name for f in dataclasses.fields(PolicyIntervention)]
+_SCENARIO_KEYS = ("name", "seed", "n_seeds", "platform", "overrides", "policies", "sweep")
+_INSTANCE_KEYS = (
     "n_viewers",
-    "n_rounds",
-    "base_revenue_share",
-    "network_effect_beta",
-    "quality_decay_rate",
-    "random_effect_scale",
-)
-_OVERRIDE_KEYS = (
+    "beta",
+    "tau",
     "revenue_per_viewer",
-    "match_bonus",
+    "phi",
     "prices",
-    "quality_responsiveness",
-    "investment_audience_scale",
-    "investment_min_revenue",
-    "investment_step_cap",
-    "boost_investment",
-    "subsidy_quality_efficiency",
-    "exit_revenue_floor",
-    "exit_patience",
-    "interaction_weight",
-    "n_content_types",
-)
-_POLICY_KEYS = (
-    "kind",
-    "start_round",
-    "top_k",
-    "raised_share",
-    "bottom_fraction",
-    "boost_multiplier",
-    "per_round_amount",
+    "alpha",
+    "q",
+    "cost",
 )
 
 
@@ -115,17 +102,29 @@ class ScenarioSpec:
     n_seeds: int = 10
     seed_base: int = 0
 
+    def __post_init__(self):
+        require_integers(self, ("n_seeds", "seed_base"))
+        if self.n_seeds < 1:
+            raise DomainError(f"n_seeds must be >= 1, got {self.n_seeds}")
+        if self.seed_base < 0:
+            raise DomainError(f"seed_base must be >= 0, got {self.seed_base}")
+
     def seeds(self) -> list[int]:
         return list(range(self.seed_base, self.seed_base + self.n_seeds))
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A one-parameter grid run on top of a base scenario."""
+    """A one-parameter grid run on top of a base scenario.
+
+    scenarios holds the base scenario at each grid value, built (and so
+    checked) with the spec itself.
+    """
 
     parameter: str
     values: tuple
     base: ScenarioSpec
+    scenarios: tuple[ScenarioSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.parameter not in SWEEPABLE_PARAMETERS:
@@ -133,8 +132,21 @@ class SweepSpec:
                 f"unsupported sweep parameter {self.parameter!r}; "
                 f"expected one of {SWEEPABLE_PARAMETERS}"
             )
-        if not self.values:
-            raise ConfigError("sweep values must be non-empty")
+        if not (isinstance(self.values, (list, tuple)) and self.values):
+            raise ConfigError(f"sweep values must be a non-empty list, got {self.values!r}")
+        object.__setattr__(self, "values", tuple(self.values))
+        scenarios = []
+        for value in self.values:
+            try:
+                sim = dataclasses.replace(self.base.sim, **{self.parameter: value})
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(
+                    f"sweep value {value!r} invalid for {self.parameter}: {exc}"
+                ) from exc
+            scenarios.append(dataclasses.replace(
+                self.base, name=f"{self.base.name}_{self.parameter}_{value}", sim=sim
+            ))
+        object.__setattr__(self, "scenarios", tuple(scenarios))
 
 
 @dataclass(frozen=True)
@@ -319,21 +331,7 @@ class SweepArtifact:
 
 def sensitivity_sweep(sweep: SweepSpec, out_dir=None, threads: int = 1) -> SweepArtifact:
     """Run the base scenario at each parameter value; emit a long CSV."""
-    artifacts = []
-    for value in sweep.values:
-        try:
-            sim = dataclasses.replace(sweep.base.sim, **{sweep.parameter: value})
-        except Exception as exc:
-            raise ConfigError(
-                f"sweep value {value!r} invalid for {sweep.parameter}: {exc}"
-            ) from exc
-        spec = ScenarioSpec(
-            name=f"{sweep.base.name}_{sweep.parameter}_{value}",
-            sim=sim,
-            n_seeds=sweep.base.n_seeds,
-            seed_base=sweep.base.seed_base,
-        )
-        artifacts.append(run_scenario(spec, out_dir=None, threads=threads))
+    artifacts = [run_scenario(spec, out_dir=None, threads=threads) for spec in sweep.scenarios]
 
     if out_dir is not None:
         out = Path(out_dir)
@@ -408,10 +406,40 @@ def export_phase_csv(portrait: PortraitResult, path) -> Path:
     return path
 
 
-def _reject_unknown(section: dict, allowed, where: str) -> None:
-    for key in section:
+def _read_document(path, allowed, where: str) -> dict:
+    """The JSON object in the file at path, whose keys must all be in allowed."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 decoding
+        raise ConfigError(f"cannot read {where} {path}: {exc}") from exc
+    return _fields(raw, allowed, where)
+
+
+def _fields(value, allowed, where: str) -> dict:
+    """value itself, if it is an object whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    for key in value:
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    """value as a float, if it is a JSON number (not a boolean) a float can hold."""
+    try:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where} must be a number a float can hold, got {value!r}")
+
+
+def _numbers(value, where: str) -> list[float]:
+    """value as floats, if it is a JSON list of numbers."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    return [_number(x, where) for x in value]
 
 
 def parse_config(path) -> ScenarioSpec | SweepSpec:
@@ -422,18 +450,7 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
     (custom scenarios only), sweep (turns the result into a SweepSpec).
     Unknown keys anywhere are rejected by name.
     """
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    _reject_unknown(
-        raw,
-        ("name", "seed", "n_seeds", "platform", "overrides", "policies", "sweep"),
-        "the top level",
-    )
+    raw = _read_document(path, _SCENARIO_KEYS, "scenario config")
     if "name" not in raw:
         raise ConfigError(f"{path}: missing required key 'name'")
     name = raw["name"]
@@ -441,59 +458,76 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
         raise ConfigError(
             f"unknown scenario name {name!r}; expected one of {SCENARIO_NAMES} or 'custom'"
         )
-
-    kwargs: dict = {}
-    platform = raw.get("platform", {})
-    if not isinstance(platform, dict):
-        raise ConfigError("[platform] must be an object")
-    _reject_unknown(platform, _PLATFORM_KEYS, "[platform]")
-    kwargs.update(platform)
-
-    overrides = raw.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("[overrides] must be an object")
-    _reject_unknown(overrides, _OVERRIDE_KEYS, "[overrides]")
-    if "prices" in overrides and overrides["prices"] is not None:
-        overrides = dict(overrides)
-        overrides["prices"] = tuple(float(p) for p in overrides["prices"])
-    kwargs.update(overrides)
-
+    kwargs = {
+        **_fields(raw.get("platform", {}), _PLATFORM_KEYS, "[platform]"),
+        **_fields(raw.get("overrides", {}), _OVERRIDE_KEYS, "[overrides]"),
+    }
     policies = raw.get("policies", [])
+    if not isinstance(policies, list):
+        raise ConfigError(f"[policies] must be a list, got {policies!r}")
     if policies and name != "custom":
         raise ConfigError(
             f"[policies] is only allowed for 'custom' scenarios; {name!r} has a canonical schedule"
         )
-    schedule = []
-    for idx, pol in enumerate(policies):
-        if not isinstance(pol, dict):
-            raise ConfigError(f"[policies][{idx}] must be an object")
-        _reject_unknown(pol, _POLICY_KEYS, f"[policies][{idx}]")
-        if "kind" not in pol:
-            raise ConfigError(f"[policies][{idx}] is missing 'kind'")
-        try:
-            schedule.append(PolicyIntervention(**pol))
-        except ValueError as exc:
-            raise ConfigError(f"[policies][{idx}]: {exc}") from exc
+    sweep = _fields(raw.get("sweep", {}), ("parameter", "values"), "[sweep]")
+    if "sweep" in raw and not ("parameter" in sweep and "values" in sweep):
+        raise ConfigError("[sweep] requires 'parameter' and 'values'")
 
     try:
+        if kwargs.get("prices") is not None:
+            kwargs["prices"] = tuple(_numbers(kwargs["prices"], "prices"))
+        schedule = []
+        for idx, pol in enumerate(policies):
+            where = f"[policies][{idx}]"
+            if "kind" not in _fields(pol, _POLICY_KEYS, where):
+                raise ConfigError(f"{where} is missing 'kind'")
+            schedule.append(PolicyIntervention(**pol))
         sim = SimConfig(policy_schedule=tuple(schedule), **kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    seed_base = raw.get("seed", 0)
-    n_seeds = raw.get("n_seeds", 10)
-    if not isinstance(seed_base, int) or not isinstance(n_seeds, int) or n_seeds < 1:
-        raise ConfigError("'seed' must be an integer and 'n_seeds' a positive integer")
-    spec = make_scenario(name, sim=sim, n_seeds=n_seeds, seed_base=seed_base)
-
-    if "sweep" in raw:
-        sweep = raw["sweep"]
-        if not isinstance(sweep, dict):
-            raise ConfigError("[sweep] must be an object")
-        _reject_unknown(sweep, ("parameter", "values"), "[sweep]")
-        if "parameter" not in sweep or "values" not in sweep:
-            raise ConfigError("[sweep] requires 'parameter' and 'values'")
-        return SweepSpec(
-            parameter=sweep["parameter"], values=tuple(sweep["values"]), base=spec
+        spec = make_scenario(
+            name, sim=sim, n_seeds=raw.get("n_seeds", 10), seed_base=raw.get("seed", 0)
         )
+        if "sweep" in raw:
+            return SweepSpec(parameter=sweep["parameter"], values=sweep["values"], base=spec)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return spec
+
+
+def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarray]:
+    """Strict parse of an optimize-theta instance file.
+
+    JSON object with alpha and q (required, one entry per streamer), cost,
+    prices, n_viewers, beta, tau, revenue_per_viewer and phi. Returns the
+    platform, the streamers and the quality vector q.
+    """
+    raw = _read_document(path, _INSTANCE_KEYS, "instance file")
+    for key in ("alpha", "q"):
+        if key not in raw:
+            raise ConfigError(f"instance file is missing {key!r}")
+    try:
+        # A count must be a whole number a float holds exactly: int() raises
+        # on Infinity and truncates 50.7.
+        n_viewers = _number(raw.get("n_viewers", 1000), "n_viewers")
+        if not (abs(n_viewers) < 2**53 and n_viewers.is_integer()):
+            raise ConfigError(f"n_viewers must be a whole number below 2**53, got {n_viewers!r}")
+        alpha = _numbers(raw["alpha"], "alpha")
+        q = np.array(_numbers(raw["q"], "q"))
+        cost = _numbers(raw.get("cost", [1.0] * len(alpha)), "cost")
+        if not len(alpha) == len(q) == len(cost):
+            raise ConfigError("alpha, q, and cost must have equal lengths")
+        if not np.all(np.isfinite(q) & (q >= 0)):
+            raise ConfigError(f"q must be finite and >= 0, got {q.tolist()}")
+        platform = PlatformParams(
+            n_streamers=len(alpha),
+            n_viewers=int(n_viewers),
+            beta=_number(raw.get("beta", 0.0), "beta"),
+            tau=_number(raw.get("tau", 0.2), "tau"),
+            revenue_per_viewer=_number(raw.get("revenue_per_viewer", 1.0), "revenue_per_viewer"),
+            phi=_number(raw.get("phi", 1.0), "phi"),
+            prices=np.array(_numbers(raw["prices"], "prices")) if "prices" in raw else None,
+        )
+        streamers = [StreamerParams(alpha=a, eta=1.0, cost_coefficient=c)
+                     for a, c in zip(alpha, cost)]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return platform, streamers, q

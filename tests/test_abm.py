@@ -417,6 +417,22 @@ class TestRunSimulation:
         )
         assert len(run_simulation(cfg)) == 3
 
+    @pytest.mark.parametrize("name", abm._INT_FIELDS)
+    def test_counts_beyond_intp_rejected(self, name):
+        # numpy cannot size an array past its intp maximum
+        with pytest.raises(DomainError, match=f"{name} must be at most"):
+            SimConfig(**{name: int(np.iinfo(np.intp).max) + 1})
+
+    @pytest.mark.parametrize("name", ["match_bonus", "network_effect_beta"])
+    @pytest.mark.parametrize("value", ["0.3", None, [0.3], True])
+    def test_float_fields_reject_non_numbers(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be a number"):
+            SimConfig(**{name: value})
+
+    def test_policy_amounts_reject_non_numbers(self):
+        with pytest.raises(DomainError, match="per_round_amount must be a number"):
+            PolicyIntervention("subsidy", per_round_amount="x")
+
     def test_policy_start_round_validated_against_horizon(self):
         with pytest.raises(DomainError):
             SimConfig(

@@ -283,7 +283,9 @@ class TestDomainGuards:
     @pytest.mark.parametrize(
         "kwargs",
         [{"m": np.nan}, {"prices": np.array([0.0, np.nan])}]
-        + [{f: np.nan} for f in ("beta", "tau", "revenue_per_viewer", "gamma", "phi")],
+        + [{f: np.nan} for f in ("beta", "tau", "revenue_per_viewer", "gamma", "phi")]
+        + [{"prices": np.array([0.0, np.inf])}]
+        + [{f: np.inf} for f in ("beta", "revenue_per_viewer", "gamma", "phi")],
     )
     def test_platform_nan_rejected(self, kwargs):
         with pytest.raises(DomainError):
@@ -293,6 +295,11 @@ class TestDomainGuards:
     def test_streamer_nan_rejected(self, field):
         with pytest.raises(DomainError):
             StreamerParams(**{"alpha": 1.0, field: np.nan})
+
+    @pytest.mark.parametrize("field", ["alpha", "eta", "cost_coefficient"])
+    def test_streamer_infinity_rejected(self, field):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            StreamerParams(**{"alpha": 1.0, field: np.inf})
 
     def test_traffic_allocation_invariants(self):
         TrafficAllocation(np.array([0.25, 0.75]))

@@ -133,6 +133,17 @@ class TestIntegratorConfig:
     def test_numpy_integer_stride_accepted(self):
         assert IntegratorConfig(record_every=np.int64(3)).record_every == 3
 
+    @pytest.mark.parametrize(
+        "t_end,dt", [(1e300, 1e-10), (200.0, 5e-324), (1e300, 1e-5)]
+    )
+    def test_step_count_must_fit_an_array(self, t_end, dt):
+        with pytest.raises(DomainError, match="t_end / dt must be at most"):
+            IntegratorConfig(dt=dt, t_end=t_end)
+
+    def test_horizon_shorter_than_half_a_step_allowed(self):
+        # a myopic control's last segment can be that short
+        assert IntegratorConfig(dt=0.01, t_end=1e-3).t_end == 1e-3
+
 
 class TestJacobian:
     def test_single_streamer_beta_zero_diagonal(self):

@@ -1,16 +1,23 @@
 """Tests for the scenario runner, config parsing, and exports."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headfx import cli, equilibrium
-from headfx.abm import SimConfig, run_simulation
+from headfx.abm import POLICY_KINDS, SimConfig, run_simulation
 from headfx.cli import main
-from headfx.errors import ConfigError
+from headfx.errors import ConfigError, DomainError
 from headfx.harness import (
+    SWEEPABLE_PARAMETERS,
     ScenarioSpec,
     SweepSpec,
     ab_compare,
@@ -106,6 +113,36 @@ class TestParseConfig:
             parse_config(path)
 
 
+class TestSpecChecks:
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [({"n_seeds": 0}, "n_seeds must be >= 1"), ({"n_seeds": True}, "n_seeds must be an integer"),
+         ({"seed_base": -1}, "seed_base must be >= 0"),
+         ({"seed_base": 1.5}, "seed_base must be an integer")],
+    )
+    def test_scenario_spec_checks_itself(self, kwargs, message):
+        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1)
+        with pytest.raises(DomainError, match=message):
+            dataclasses.replace(spec, **kwargs)
+        with pytest.raises(DomainError, match=message):
+            make_scenario("Baseline", sim=FAST_SIM, **{"n_seeds": 1, **kwargs})
+
+    @pytest.mark.parametrize("values", [5, (), [], "0.1", None])
+    def test_sweep_values_must_be_a_non_empty_list(self, values):
+        base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1)
+        with pytest.raises(ConfigError, match="sweep values must be a non-empty list"):
+            SweepSpec(parameter="network_effect_beta", values=values, base=base)
+
+    def test_sweep_builds_its_grid(self):
+        base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=3)
+        sweep = SweepSpec(parameter="n_viewers", values=[40, 80], base=base)
+        assert sweep.values == (40, 80)
+        assert [s.name for s in sweep.scenarios] == ["Baseline_n_viewers_40",
+                                                     "Baseline_n_viewers_80"]
+        assert [s.sim.n_viewers for s in sweep.scenarios] == [40, 80]
+        assert {(s.n_seeds, s.seed_base) for s in sweep.scenarios} == {(2, 3)}
+
+
 class TestRunScenario:
     def test_single_seed_reproduces_run_simulation(self, tmp_path):
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1, seed_base=5)
@@ -196,10 +233,10 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 6
 
     def test_invalid_value_names_grid_point(self):
+        # the spec builds its grid's scenarios, so a bad value fails before any run
         base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1, seed_base=0)
-        spec = SweepSpec(parameter="base_revenue_share", values=(0.1, 1.5), base=base)
         with pytest.raises(ConfigError, match="1.5"):
-            sensitivity_sweep(spec)
+            SweepSpec(parameter="base_revenue_share", values=(0.1, 1.5), base=base)
 
 
 class TestExportPlotData:
@@ -293,7 +330,9 @@ class TestCli:
         "bad",
         [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
          {"q": [0.8, -0.7, 0.5]}, {"prices": [0.0, float("nan"), 0.0]},
-         {"n_viewers": float("inf")}, {"n_viewers": 50.7}, {"n_viewers": 10**400}],
+         {"n_viewers": float("inf")}, {"n_viewers": 50.7}, {"n_viewers": 10**400},
+         {"alpha": 5}, {"alpha": ["x"]}, {"q": "ab"}, {"beta": [1]}, {"tau": None},
+         {"cost": [float("inf"), 1.0, 1.0]}, {"alpha": [1.2, float("inf"), 0.4]}],
     )
     def test_optimize_theta_invalid_instance_exit_code(self, tmp_path, capsys, bad):
         inst = tmp_path / "inst.json"
@@ -386,19 +425,36 @@ class TestCli:
         assert (tmp_path / "c" / name).read_bytes() != (tmp_path / "b" / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "section,key,value",
+        "payload,flags,key",
         [
-            ("platform", "network_effect_beta", float("nan")),
-            ("platform", "network_effect_beta", float("inf")),
-            ("overrides", "match_bonus", float("nan")),
-            ("overrides", "interaction_weight", float("inf")),
-            ("overrides", "prices", [0.0] * 14 + [float("nan")]),
+            ({"platform": {"network_effect_beta": float("nan")}}, [], "network_effect_beta"),
+            ({"platform": {"network_effect_beta": float("inf")}}, [], "network_effect_beta"),
+            ({"overrides": {"match_bonus": float("nan")}}, [], "match_bonus"),
+            ({"overrides": {"interaction_weight": float("inf")}}, [], "interaction_weight"),
+            ({"overrides": {"prices": [0.0] * 14 + [float("nan")]}}, [], "prices"),
+            (None, [], "cannot read"),
+            ({"overrides": {"prices": "abc"}}, [], "prices"),
+            ({"overrides": {"prices": 5}}, [], "prices"),
+            ({"name": "custom", "policies": 5}, [], "policies"),
+            ({"name": "custom", "policies": [{"kind": "subsidy", "per_round_amount": "x"}]},
+             [], "per_round_amount"),
+            ({"sweep": {"parameter": "n_viewers", "values": 5}}, [], "sweep values"),
+            ({"seed": -1}, [], "seed_base"),
+            ({"platform": {"n_viewers": 10**48}}, [], "n_viewers"),
+            ({}, ["--seeds", "0"], "n_seeds"),
+            ({}, ["--seeds", "-1"], "n_seeds"),
         ],
-        ids=["beta_nan", "beta_inf", "match_bonus_nan", "interaction_weight_inf", "prices_nan"],
+        ids=["beta_nan", "beta_inf", "match_bonus_nan", "interaction_weight_inf", "prices_nan",
+             "missing_file", "prices_string", "prices_number", "policies_number",
+             "policy_amount_string", "sweep_values_number", "seed_negative",
+             "n_viewers_beyond_intp", "seeds_flag_zero", "seeds_flag_negative"],
     )
-    def test_simulate_rejects_non_finite_config(self, tmp_path, capsys, section, key, value):
-        cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1, section: {key: value}})
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    def test_simulate_rejects_non_finite_config(self, tmp_path, capsys, payload, flags, key):
+        # payload None: no file at the --config path
+        cfg = tmp_path / "missing.json"
+        if payload is not None:
+            cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1, **payload})
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and key in err
@@ -415,6 +471,8 @@ class TestCli:
             ({"name": "custom", "policies": [{"kind": "subsidy", "start_round": 10.5}]},
              "start_round"),
             ({"name": "custom", "policies": [{"kind": "high_tax", "top_k": 2.5}]}, "top_k"),
+            ({"seed": True}, "seed_base"),
+            ({"n_seeds": True}, "n_seeds"),
         ],
         ids=lambda x: x if isinstance(x, str) else None,
     )
@@ -426,24 +484,32 @@ class TestCli:
         assert "config error" in err and f"{key} must be an integer" in err
 
     @pytest.mark.parametrize(
-        "argv,key",
+        "argv,message",
         [
-            (["dynamics", "--dt", "nan"], "dt"),
-            (["dynamics", "--dt", "inf"], "dt"),
-            (["dynamics", "--t-end", "nan"], "t_end"),
-            (["dynamics", "--t-end", "inf"], "t_end"),
-            (["equilibrium", "--tol", "nan"], "tol"),
-            (["equilibrium", "--tol", "inf"], "tol"),
-            (["dynamics", "--kind", "stability", "--tol", "nan"], "tol"),
+            (["dynamics", "--dt", "nan"], "dt must be finite and > 0"),
+            (["dynamics", "--dt", "inf"], "dt must be finite and > 0"),
+            (["dynamics", "--t-end", "nan"], "t_end must be finite and > 0"),
+            (["dynamics", "--t-end", "inf"], "t_end must be finite and > 0"),
+            (["equilibrium", "--tol", "nan"], "tol must be finite and > 0"),
+            (["equilibrium", "--tol", "inf"], "tol must be finite and > 0"),
+            (["dynamics", "--kind", "stability", "--tol", "nan"], "tol must be finite and > 0"),
+            (["dynamics", "--t-end", "1e300", "--dt", "1e-10"], "t_end / dt must be at most"),
+            (["dynamics", "--dt", "5e-324"], "t_end / dt must be at most"),
+            (["dynamics", "--t-end", "1e300", "--dt", "1e-5"], "t_end / dt must be at most"),
+            (["dynamics", "--dt", "500", "--t-end", "200"], "rounds to zero RK4 steps"),
+            (["equilibrium", "--beta", "inf"], "beta must be finite and >= 0"),
+            (["dynamics", "--beta", "inf"], "beta must be finite and >= 0"),
         ],
         ids=["dt_nan", "dt_inf", "t_end_nan", "t_end_inf", "eq_tol_nan", "eq_tol_inf",
-             "stability_tol_nan"],
+             "stability_tol_nan", "steps_inf", "dt_subnormal", "steps_beyond_intp",
+             "zero_steps", "eq_beta_inf", "dyn_beta_inf"],
     )
-    def test_analytic_commands_reject_non_finite_controls(self, tmp_path, capsys, argv, key):
+    def test_analytic_commands_reject_non_finite_controls(self, tmp_path, capsys, argv,
+                                                          message):
         code = main(argv + ["--out", str(tmp_path / "o")])
         assert code == 2
         err = capsys.readouterr().err
-        assert "config error" in err and f"{key} must be finite and > 0" in err
+        assert "config error" in err and message in err
 
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
@@ -494,3 +560,95 @@ class TestCli:
         assert "terminal_hhi" in summary and "stable" in summary
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,n_1,n_2,n_3,q_1,q_2,q_3"
+
+
+# Values no documented key accepts everywhere: NaN, infinities, negatives,
+# fractions, booleans, null, strings, lists, objects, integers past intp.
+JUNK = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -1, -2.5, 0.5, True, False, None, "x", "1",
+     [], [1.0], {}, {"a": 1}, 2**63, 10**30, -(2**64)]
+)
+_SIM = SimConfig()
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario or sweep config at tiny sizes, every value valid."""
+    n = draw(st.integers(3, 4))  # the top-3 share warns below 3 streamers
+    # the named schedules start at round 10, so only Baseline runs at 3 rounds
+    name = draw(st.sampled_from(("Baseline", "custom", "Combined")))
+    doc = {
+        "name": name, "seed": draw(st.integers(0, 5)), "n_seeds": 1,
+        "platform": {"n_streamers": n, "n_viewers": draw(st.integers(1, 50)),
+                     "n_rounds": draw(st.integers(1, 3)),
+                     "network_effect_beta": draw(st.sampled_from([0.0, 0.15, 0.5]))},
+        "overrides": draw(st.fixed_dictionaries({}, optional={
+            "prices": st.just([0.1] * n), "match_bonus": st.just(0.3),
+            "exit_patience": st.integers(1, 3), "n_content_types": st.integers(1, 3),
+            "boost_investment": st.booleans(), "interaction_weight": st.just(0.1)})),
+    }
+    if name == "custom":
+        doc["policies"] = [
+            {"kind": kind, "start_round": 1, "top_k": 1, "per_round_amount": 2.0}
+            for kind in draw(st.lists(st.sampled_from(POLICY_KINDS), max_size=2))
+        ]
+    if draw(st.booleans()):
+        parameter = draw(st.sampled_from(SWEEPABLE_PARAMETERS))
+        values = [3, 4] if parameter.startswith("n_") else [0.1, 0.2]
+        doc["sweep"] = {"parameter": parameter, "values": values}
+    return doc
+
+
+@st.composite
+def instance_documents(draw):
+    """An optimize-theta instance file at tiny sizes, every value valid."""
+    n = draw(st.integers(1, 3))
+    doc = {key: draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n))
+           for key, lo, hi in (("alpha", 0.0, 2.0), ("q", 0.0, 1.0), ("cost", 0.5, 3.0),
+                               ("prices", 0.0, 0.2))}
+    return {**doc, "n_viewers": draw(st.integers(1, 50)), "beta": draw(st.floats(0.0, 0.01)),
+            "tau": 0.2, "phi": 1.0}
+
+
+def _slots(node):
+    """(container, key) for every value nested in a JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            yield node, key
+            yield from _slots(child)
+
+
+@st.composite
+def damaged(draw, documents):
+    """A valid document with up to two values replaced by junk or dropped."""
+    doc = draw(documents)
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.integers(0, 9)) == 0:
+            return draw(JUNK)  # the whole document
+        container, key = draw(st.sampled_from(list(_slots(doc))))
+        if isinstance(container, dict) and draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = draw(JUNK)
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    document=st.one_of(
+        st.tuples(st.just("config"), damaged(scenario_documents())),
+        st.tuples(st.just("instance"), damaged(instance_documents())),
+    )
+)
+def test_any_document_exits_with_a_documented_code(document):
+    kind, payload = document
+    if kind == "instance":
+        command = "optimize-theta"
+    else:
+        command = "sweep" if isinstance(payload, dict) and "sweep" in payload else "simulate"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(payload))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, f"--{kind}", str(path), "--out", str(Path(tmp) / "o")])
+    assert code in (0, 2, 3)

@@ -126,3 +126,37 @@ def test_checker_flags_private_imports(source):
 )
 def test_checker_allows_public_imports(source):
     assert private_imports(ast.parse(source)) == []
+
+
+def json_readers(tree: ast.Module) -> list[str]:
+    """Every read of JSON text in a module: json.load(s) calls and imports."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("json.load", "json.loads"):
+            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name in ("load", "loads")]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "harness.py"], ids=lambda p: p.name
+)
+def test_only_harness_reads_json(path):
+    # The input documents' format, and its checks, live behind harness's reader.
+    assert json_readers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import json\njson.loads(text)", True),
+        ("import json\njson.load(fh)", True),
+        ("from json import loads", True),
+        ("import json\njson.dumps(summary)", False),
+        ("from json import dumps", False),
+    ],
+)
+def test_json_reader_checker(source, flagged):
+    assert bool(json_readers(ast.parse(source))) == flagged
