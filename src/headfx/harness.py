@@ -108,6 +108,12 @@ class ScenarioSpec:
             raise DomainError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if self.seed_base < 0:
             raise DomainError(f"seed_base must be >= 0, got {self.seed_base}")
+        # A zero-round run is valid for the simulator, but it has no history
+        # to summarize, so a scenario must have at least one round.
+        if self.sim.n_rounds < 1:
+            raise DomainError(
+                f"scenario {self.name!r}: n_rounds must be >= 1, got {self.sim.n_rounds}"
+            )
 
     def seeds(self) -> list[int]:
         return list(range(self.seed_base, self.seed_base + self.n_seeds))

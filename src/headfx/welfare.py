@@ -11,7 +11,9 @@ concentrated-vs-dispersed welfare comparison.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +31,14 @@ from .equilibrium import (
     find_critical_beta,
     max_share_from_perturbed_start,
 )
-from .errors import BracketError, DomainError, NonFiniteError, NumericalError
+from .errors import (
+    BracketError,
+    DomainError,
+    NonFiniteError,
+    NumericalError,
+    require_integers,
+    require_numbers,
+)
 from .logit import logit_slope, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -118,6 +127,22 @@ def total_welfare(
     )
 
 
+def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> FixedPointConfig:
+    """The viewer fixed-point config the welfare layer uses when none is given.
+
+    The map T(n) = M softmax(base + beta n) has the symmetric positive
+    semidefinite Jacobian beta M (diag P - P P^T), whose rows have absolute
+    sums at most beta M / 2. So for beta M < 2 it is a max-norm contraction
+    with a unique fixed point, and the undamped iteration (damping 1)
+    converges at least as fast as any damped one; otherwise the iteration
+    keeps the default damping of FixedPointConfig.
+    """
+    cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
+    if market.beta * market.m < 2.0:
+        return dataclasses.replace(cfg, damping=1.0)
+    return cfg
+
+
 def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     """Welfare at the viewer equilibrium for a raw (possibly off-simplex)
     promotion vector; used by the optimizer and finite-difference probes.
@@ -156,12 +181,15 @@ def welfare_at_theta(
     Quality is held fixed: the promotion instrument steers audiences, and
     the welfare derivatives being reproduced treat q as given. Raises
     NumericalError naming the residual when the viewer fixed point has
-    not converged within cfg.max_iter iterations.
+    not converged within cfg.max_iter iterations. Without cfg the fixed
+    point runs to tol 1e-12 within 5000 sweeps, undamped when beta M < 2
+    (the map is then a max-norm contraction with factor at most beta M / 2)
+    and with damping 0.5 otherwise; a given cfg is used as it is.
     """
-    if cfg is None:
-        cfg = FixedPointConfig(tol=1e-12)
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
+    if cfg is None:
+        cfg = _default_fixed_point(market, tol=1e-12)
     n0 = market.symmetric_split() if n0 is None else np.asarray(n0, dtype=float)
     _, n, _, converged, residual = _welfare_raw(market, q, theta.theta, cfg, n0)
     if not converged:
@@ -208,12 +236,15 @@ def numeric_welfare_gradient_theta(
 
     Diagnostic companion to the analytic gradient; the two are not
     asserted to agree because the analytic form ignores the audience
-    feedback through the fixed point.
+    feedback through the fixed point. Without cfg each re-solve runs to
+    tol 1e-13 within 5000 sweeps, undamped when beta M < 2 (a max-norm
+    contraction with factor at most beta M / 2) and with damping 0.5
+    otherwise; a given cfg is used as it is.
     """
-    if cfg is None:
-        cfg = FixedPointConfig(tol=1e-13)
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
+    if cfg is None:
+        cfg = _default_fixed_point(market, tol=1e-13)
     n0 = market.symmetric_split()
     big_n = platform.n_streamers
     grad = np.empty(big_n)
@@ -283,12 +314,24 @@ def optimize_allocation(
     evaluates the analytic first-order-condition gradient, and moves
     theta <- project(theta + s g) with a backtracking line search that
     never accepts a welfare decrease (beyond float noise). Terminates on
-    the complementary-slackness KKT residual.
+    the complementary-slackness KKT residual, tol, within max_iter steps;
+    step is the largest step tried. Without fp_cfg the viewer fixed point
+    runs to tol 1e-13 within 20000 sweeps, undamped when beta M < 2 (a
+    max-norm contraction with factor at most beta M / 2) and with damping
+    0.5 otherwise; a given fp_cfg is used as it is.
     """
-    if fp_cfg is None:
-        fp_cfg = FixedPointConfig(tol=1e-13, max_iter=20000)
+    controls = SimpleNamespace(step=step, tol=tol, max_iter=max_iter)
+    require_integers(controls, ("max_iter",))
+    require_numbers(controls, ("step", "tol"))
+    for name, value in (("step", step), ("tol", tol)):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
+    if fp_cfg is None:
+        fp_cfg = _default_fixed_point(market, tol=1e-13, max_iter=20000)
     big_n = platform.n_streamers
 
     theta = (
@@ -337,7 +380,7 @@ def optimize_allocation(
 
 
 def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
-    """Damped viewer fixed point for every grid row at once.
+    """Viewer fixed point, damped by cfg.damping, for every grid row at once.
 
     Iterates streamer-major: reductions and broadcasts over the short
     streamer axis are far slower along the trailing axis of a (K, N)
@@ -391,17 +434,20 @@ def grid_search_allocation(
     """Brute-force welfare maximization over a simplex grid (N = 2 or 3).
 
     Solves the viewer fixed point for every grid allocation in one
-    vectorized damped iteration; independent oracle for the optimizer.
+    vectorized iteration; independent oracle for the optimizer. Without
+    fp_cfg it runs to tol 1e-10 within 5000 sweeps, undamped when
+    beta M < 2 (a max-norm contraction with factor at most beta M / 2)
+    and with damping 0.5 otherwise; a given fp_cfg is used as it is.
     Raises NumericalError if that iteration has not converged after
     fp_cfg.max_iter sweeps or its residual turns non-finite.
     """
-    if fp_cfg is None:
-        fp_cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
     big_n = platform.n_streamers
     if big_n not in (2, 3):
         raise DomainError("grid oracle supports 2 or 3 streamers")
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
+    if fp_cfg is None:
+        fp_cfg = _default_fixed_point(market, tol=1e-10)
 
     k = int(round(1.0 / resolution))
     if big_n == 2:

@@ -29,6 +29,7 @@ from headfx.harness import (
 )
 
 FAST_SIM = SimConfig(n_streamers=6, n_viewers=80, n_rounds=10)
+INSTANCE_N3 = str(Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json")
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -126,6 +127,11 @@ class TestSpecChecks:
             dataclasses.replace(spec, **kwargs)
         with pytest.raises(DomainError, match=message):
             make_scenario("Baseline", sim=FAST_SIM, **{"n_seeds": 1, **kwargs})
+
+    def test_scenario_needs_a_round(self):
+        # SimConfig allows zero rounds; a scenario has to summarize a history
+        with pytest.raises(DomainError, match="n_rounds must be >= 1"):
+            ScenarioSpec(name="Baseline", sim=dataclasses.replace(FAST_SIM, n_rounds=0))
 
     @pytest.mark.parametrize("values", [5, (), [], "0.1", None])
     def test_sweep_values_must_be_a_non_empty_list(self, values):
@@ -499,10 +505,14 @@ class TestCli:
             (["dynamics", "--dt", "500", "--t-end", "200"], "rounds to zero RK4 steps"),
             (["equilibrium", "--beta", "inf"], "beta must be finite and >= 0"),
             (["dynamics", "--beta", "inf"], "beta must be finite and >= 0"),
+            (["optimize-theta", "--instance", INSTANCE_N3, "--tol", "nan"],
+             "tol must be finite and > 0"),
+            (["optimize-theta", "--instance", INSTANCE_N3, "--tol", "-1"],
+             "tol must be finite and > 0"),
         ],
         ids=["dt_nan", "dt_inf", "t_end_nan", "t_end_inf", "eq_tol_nan", "eq_tol_inf",
              "stability_tol_nan", "steps_inf", "dt_subnormal", "steps_beyond_intp",
-             "zero_steps", "eq_beta_inf", "dyn_beta_inf"],
+             "zero_steps", "eq_beta_inf", "dyn_beta_inf", "opt_tol_nan", "opt_tol_negative"],
     )
     def test_analytic_commands_reject_non_finite_controls(self, tmp_path, capsys, argv,
                                                           message):
@@ -510,6 +520,20 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["ab-test"], ["sweep", "--parameter", "n_viewers", "--values", "50"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_zero_rounds_rejected_before_any_seed_runs(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1,
+                                      "platform": {"n_rounds": 0}})
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "n_rounds must be >= 1" in err
+        assert not out.exists()
 
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2

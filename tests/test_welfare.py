@@ -1,13 +1,18 @@
 """Tests for welfare accounting and promotion-share optimization."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from headfx.core import MarketState, PlatformParams, StreamerParams, TrafficAllocation
+from headfx.core import Market, MarketState, PlatformParams, StreamerParams, TrafficAllocation
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import DomainError, NonFiniteError, NumericalError
+from headfx.harness import parse_instance
+from headfx.logit import viewer_fixed_point
 from headfx.welfare import (
     _grid_viewer_fixed_point,
     consumer_surplus,
@@ -258,6 +263,25 @@ class TestOptimizeAllocation:
         assert starved.kkt_residual <= 1e6
         assert not starved.converged
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"tol": float("nan")}, "tol must be finite and > 0"),
+            ({"tol": -1.0}, "tol must be finite and > 0"),
+            ({"tol": 0.0}, "tol must be finite and > 0"),
+            ({"tol": "1e-8"}, "tol must be a number"),
+            ({"step": float("nan")}, "step must be finite and > 0"),
+            ({"step": float("inf")}, "step must be finite and > 0"),
+            ({"max_iter": 0}, "max_iter must be >= 1"),
+            ({"max_iter": 2.5}, "max_iter must be an integer"),
+            ({"max_iter": True}, "max_iter must be an integer"),
+        ],
+    )
+    def test_controls_checked_at_the_boundary(self, kwargs, message):
+        plat, streamers, _ = instance([1.1, 0.9], [0.6, 0.5], beta=0.001)
+        with pytest.raises(DomainError, match=message):
+            optimize_allocation(plat, streamers, np.array([0.6, 0.5]), **kwargs)
+
     def test_two_streamer_grid_equivalence(self):
         plat, streamers, _ = instance([1.1, 0.9], [0.6, 0.5], beta=0.001)
         q = np.array([0.6, 0.5])
@@ -358,6 +382,116 @@ class TestGridOracle:
             grid_search_allocation(
                 plat, streamers, np.array([np.inf, 0.7, 0.5]), resolution=0.01
             )
+
+
+# Each entry point's own (tol, max_iter) when it is called without a config.
+_DEFAULT_CONTROLS = {
+    "grid": (1e-10, 5000),
+    "optimize": (1e-13, 20000),
+    "welfare": (1e-12, 5000),
+    "gradient": (1e-13, 5000),
+}
+
+
+def _entry_point_outputs(site, plat, streamers, q, cfg):
+    theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
+    if site == "grid":
+        best, w = grid_search_allocation(plat, streamers, q, resolution=0.02, fp_cfg=cfg)
+        return best.theta, w
+    if site == "optimize":
+        sol = optimize_allocation(plat, streamers, q, fp_cfg=cfg)
+        return (sol.theta.theta, sol.welfare, sol.kkt_residual, sol.iterations,
+                sol.converged)
+    if site == "welfare":
+        breakdown, state = welfare_at_theta(plat, streamers, q, theta, cfg)
+        return breakdown.total, breakdown.consumer_surplus, state.n
+    return (numeric_welfare_gradient_theta(plat, streamers, q, theta, cfg),)
+
+
+def _random_instance(seed):
+    """A 3-streamer instance drawn as acceptance criterion 10 and the
+    benchmark's generated optimize-theta instance draw theirs."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.5, 1.3, 3)
+    q = rng.uniform(0.4, 0.9, 3)
+    plat = PlatformParams(
+        n_streamers=3, n_viewers=50, beta=float(rng.uniform(0.0, 0.004)), tau=0.2
+    )
+    streamers = [StreamerParams(alpha=float(a), eta=1.0, cost_coefficient=2.0) for a in alphas]
+    return plat, streamers, q
+
+
+_ORACLE_INSTANCES = {
+    **{f"criterion10_seed{seed}": lambda seed=seed: _random_instance(seed)
+       for seed in range(200, 210)},
+    "instance_n3": lambda: parse_instance(
+        Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json"
+    ),
+    "generated_seed0": lambda: _random_instance(0),
+}
+
+
+class TestDefaultDamping:
+    """Without a config, the welfare layer iterates undamped when beta M < 2."""
+
+    @pytest.mark.parametrize("site", sorted(_DEFAULT_CONTROLS))
+    @pytest.mark.parametrize("beta, damping", [(0.002, 1.0), (0.05, 0.5)],
+                             ids=["contraction", "beta_m_2.5"])
+    def test_default_is_the_explicit_config(self, site, beta, damping):
+        plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=beta)
+        q = np.array([0.8, 0.7, 0.5])
+        tol, max_iter = _DEFAULT_CONTROLS[site]
+        explicit = FixedPointConfig(damping=damping, tol=tol, max_iter=max_iter)
+        default = _entry_point_outputs(site, plat, streamers, q, None)
+        given_cfg = _entry_point_outputs(site, plat, streamers, q, explicit)
+        assert len(default) == len(given_cfg)
+        for a, b in zip(default, given_cfg):
+            assert np.array_equal(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        big_n=st.sampled_from([2, 3]),
+        m=st.floats(1.0, 200.0),
+        beta_m=st.floats(0.0, 1.9),
+        data=st.data(),
+    )
+    def test_undamped_agrees_with_damped_in_no_more_sweeps(self, big_n, m, beta_m, data):
+        unit = st.floats(0.0, 1.0)
+        alphas = data.draw(st.lists(st.floats(0.2, 2.0), min_size=big_n, max_size=big_n))
+        q = np.array(data.draw(st.lists(unit, min_size=big_n, max_size=big_n)))
+        prices = data.draw(st.none() | st.lists(unit, min_size=big_n, max_size=big_n))
+        weights = data.draw(st.none() | st.lists(st.floats(0.01, 1.0), min_size=big_n,
+                                                 max_size=big_n))
+        theta = None if weights is None else np.array(weights) / sum(weights)
+        plat, streamers, _ = instance(alphas, q, m=m, beta=beta_m / m, prices=prices)
+        market = Market.from_params(plat, streamers)
+        assert market.beta * market.m < 2.0
+        tol = 1e-10
+        solved = {}
+        for damping in (1.0, 0.5):
+            cfg = FixedPointConfig(damping=damping, tol=tol, max_iter=20000)
+            n, converged, sweeps, _ = viewer_fixed_point(
+                market, q[np.newaxis], market.symmetric_split()[np.newaxis], cfg, theta
+            )
+            assert converged[0]
+            solved[damping] = n[0], int(sweeps[0])
+        (n_undamped, sweeps_undamped), (n_damped, sweeps_damped) = solved[1.0], solved[0.5]
+        # each end point is within tol / (1 - beta M / 2) of the unique fixed point
+        bound = 2.0 * tol / (1.0 - market.beta * market.m / 2.0)
+        assert np.max(np.abs(n_undamped - n_damped)) <= bound
+        assert sweeps_undamped <= sweeps_damped
+
+    @pytest.mark.parametrize("name", list(_ORACLE_INSTANCES))
+    def test_grid_argmax_unchanged_from_the_damped_oracle(self, name):
+        plat, streamers, q = _ORACLE_INSTANCES[name]()
+        assert plat.beta * plat.n_viewers < 2.0
+        theta, w = grid_search_allocation(plat, streamers, q, resolution=0.002)
+        theta_damped, w_damped = grid_search_allocation(
+            plat, streamers, q, resolution=0.002,
+            fp_cfg=FixedPointConfig(tol=1e-10, max_iter=5000),
+        )
+        assert np.array_equal(theta.theta, theta_damped.theta)
+        assert abs(w - w_damped) <= 1e-9 * abs(w_damped)
 
 
 class TestMyopicDynamicAllocation:
