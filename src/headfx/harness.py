@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -222,19 +223,8 @@ def _aggregate(summaries) -> tuple[dict[str, float], dict[str, float]]:
     return mean, sd
 
 
-def run_scenario(spec: ScenarioSpec, out_dir=None, threads: int = 1) -> RunArtifact:
-    """Run n_seeds replications with seeds seed_base..seed_base+n_seeds-1.
-
-    Writes one round-history CSV per seed plus summary.csv (per-seed rows
-    and mean/sd rows at 4 decimals) when out_dir is given. Identical specs
-    regenerate identical artifacts.
-    """
-    tasks = [(spec.name, dataclasses.replace(spec.sim, seed=s)) for s in spec.seeds()]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            runs = list(pool.map(_simulate_seed, tasks))
-    else:
-        runs = [_simulate_seed(task) for task in tasks]
+def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
+    """Summaries and aggregates of one scenario's runs; its CSVs when out_dir is given."""
     summaries = [summarize(run.records, run.q_initial) for run in runs]
     mean, sd = _aggregate(summaries)
 
@@ -267,6 +257,32 @@ def run_scenario(spec: ScenarioSpec, out_dir=None, threads: int = 1) -> RunArtif
     )
 
 
+def _run_scenarios(specs, out_dir, threads: int) -> list[RunArtifact]:
+    """Every seed of every scenario in specs, as one flat task list on one
+    pool of threads workers (in process when threads is 1); one artifact
+    per scenario."""
+    tasks = [(spec.name, dataclasses.replace(spec.sim, seed=s))
+             for spec in specs for s in spec.seeds()]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            runs = list(pool.map(_simulate_seed, tasks))
+    else:
+        runs = [_simulate_seed(task) for task in tasks]
+    flat = iter(runs)
+    return [_artifact(spec, list(itertools.islice(flat, spec.n_seeds)), out_dir)
+            for spec in specs]
+
+
+def run_scenario(spec: ScenarioSpec, out_dir=None, threads: int = 1) -> RunArtifact:
+    """Run n_seeds replications with seeds seed_base..seed_base+n_seeds-1.
+
+    Writes one round-history CSV per seed plus summary.csv (per-seed rows
+    and mean/sd rows at 4 decimals) when out_dir is given. Identical specs
+    regenerate identical artifacts.
+    """
+    return _run_scenarios([spec], out_dir, threads)[0]
+
+
 @dataclass(frozen=True)
 class ABComparison:
     """Paired-seed comparison across scenarios."""
@@ -294,7 +310,7 @@ def ab_compare(specs, out_dir=None, threads: int = 1) -> ABComparison:
     if len(plans) != 1:
         raise ConfigError("scenario seed plans differ; pairing would be broken")
 
-    artifacts = [run_scenario(spec, out_dir=out_dir, threads=threads) for spec in specs]
+    artifacts = _run_scenarios(specs, out_dir, threads)
     fractions: dict[tuple[str, str, str], float] = {}
     n_seeds = specs[0].n_seeds
     for metric in METRIC_COLUMNS:
@@ -337,7 +353,7 @@ class SweepArtifact:
 
 def sensitivity_sweep(sweep: SweepSpec, out_dir=None, threads: int = 1) -> SweepArtifact:
     """Run the base scenario at each parameter value; emit a long CSV."""
-    artifacts = [run_scenario(spec, out_dir=None, threads=threads) for spec in sweep.scenarios]
+    artifacts = _run_scenarios(sweep.scenarios, None, threads)
 
     if out_dir is not None:
         out = Path(out_dir)

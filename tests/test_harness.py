@@ -228,6 +228,36 @@ class TestABCompare:
         assert (tmp_path / "orderings.csv").exists()
 
 
+def _files(root: Path) -> dict:
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestOnePool:
+    """A command sends every (scenario, seed) run to one pool; odd seed counts
+    split each scenario's seeds across the two workers."""
+
+    def test_ab_compare_pooled_matches_sequential(self, tmp_path):
+        specs = [
+            make_scenario(name, sim=FAST_SIM, n_seeds=3, seed_base=2)
+            for name in ("Baseline", "High_Tax", "Boost_Small")
+        ]
+        for threads in (1, 2):
+            ab_compare(specs, out_dir=tmp_path / str(threads), threads=threads)
+        sequential = _files(tmp_path / "1")
+        assert len(sequential) == 2 + 3 * 4  # comparison, orderings; per scenario 3 seeds, summary
+        assert _files(tmp_path / "2") == sequential
+
+    def test_sweep_pooled_matches_sequential(self, tmp_path):
+        base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=3, seed_base=0)
+        spec = SweepSpec(parameter="n_viewers", values=(40, 60, 80), base=base)
+        for threads in (1, 2):
+            sensitivity_sweep(spec, out_dir=tmp_path / str(threads), threads=threads)
+        sequential = _files(tmp_path / "1")
+        assert list(sequential) == [Path("sweep_n_viewers.csv")]
+        assert _files(tmp_path / "2") == sequential
+
+
 class TestSweep:
     def test_long_format_csv(self, tmp_path):
         base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from headfx.core import Market, MarketState, PlatformParams, StreamerParams, Tra
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import DomainError, NonFiniteError, NumericalError
 from headfx.harness import parse_instance
+from headfx import welfare
 from headfx.logit import viewer_fixed_point
 from headfx.welfare import (
     _grid_viewer_fixed_point,
+    _grid_welfare,
+    _simplex_grid,
     consumer_surplus,
     grid_search_allocation,
     head_effect_welfare_comparison,
@@ -291,24 +295,29 @@ class TestOptimizeAllocation:
 
 
 def _row_major_fixed_point(v_theta, m, beta, fp_cfg):
+    """Returns the audiences, the sweep the iteration stopped on (None when
+    it ran out of max_iter) and the residual of its last sweep."""
     n = np.full_like(v_theta, m / v_theta.shape[1])
-    for _ in range(fp_cfg.max_iter):
+    residual = np.inf
+    for sweep in range(fp_cfg.max_iter):
         v = v_theta + beta * n
         v = v - v.max(axis=1, keepdims=True)
         e = np.exp(v)
         target = m * e / e.sum(axis=1, keepdims=True)
         residual = np.max(np.abs(n - target))
         if residual <= fp_cfg.tol:
-            break
+            return n, sweep, residual
         n = (1.0 - fp_cfg.damping) * n + fp_cfg.damping * target
-    return n
+    return n, None, residual
 
 
 def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
     """The grid oracle as first written: one (K, N) row per grid point.
 
-    Kept as the bitwise reference for the streamer-major fixed point.
-    Returns (best theta, best welfare, v_theta, audiences).
+    Kept as the bitwise reference for the streamer-major, block-wise
+    oracle. Returns the best theta and welfare and, at every grid point,
+    the grid, v_theta, the audiences and the welfare, with the sweep and
+    residual the fixed point stopped on.
     """
     big_n = platform.n_streamers
     alpha = np.array([s.alpha for s in streamers])
@@ -323,7 +332,7 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
         mask = i + j <= k
         thetas = np.stack([i[mask], j[mask], k - i[mask] - j[mask]], axis=1) / k
     v_theta = (alpha * q - platform.prices)[None, :] + platform.phi * thetas
-    n = _row_major_fixed_point(v_theta, m, platform.beta, fp_cfg)
+    n, sweep, residual = _row_major_fixed_point(v_theta, m, platform.beta, fp_cfg)
 
     v = v_theta + platform.beta * n
     shift = v.max(axis=1, keepdims=True)
@@ -338,35 +347,125 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
     )
     w = cs + ps + platform_profit(platform)
     best = int(np.argmax(w))
-    return simplex_project(thetas[best]), float(w[best]), v_theta, n
+    return SimpleNamespace(
+        theta=simplex_project(thetas[best]), w_best=float(w[best]), thetas=thetas,
+        v_theta=v_theta, n=n, w=w, sweep=sweep, residual=residual,
+    )
+
+
+# (alphas, q, prices): N = 2 and 3, without and with prices
+_GRID_CASES = [
+    ([1.1, 0.9], [0.6, 0.5], None),
+    ([1.1, 0.9], [0.6, 0.5], [0.3, 0.05]),
+    ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], None),
+    ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], [0.1, 0.4, 0.25]),
+]
+
+
+def _grid_instance(alphas, q, prices):
+    plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
+    return plat, streamers, np.asarray(q, dtype=float)
+
+
+def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01):
+    """theta, welfare and audiences bitwise the row-major oracle's, at every grid point."""
+    ref = _row_major_grid_oracle(plat, streamers, q, resolution, cfg)
+    theta, w = grid_search_allocation(plat, streamers, q, resolution=resolution, fp_cfg=cfg)
+    assert np.array_equal(theta.theta, ref.theta.theta)
+    assert w == ref.w_best
+    # the argmax breaks ties by column order, so the columns keep the rows' order
+    big_n = plat.n_streamers
+    assert np.array_equal(_simplex_grid(big_n, int(round(1.0 / resolution))), ref.thetas.T)
+    market = Market.from_params(plat, streamers)
+    v_theta = np.ascontiguousarray(ref.v_theta.T)
+    n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, cfg)
+    assert np.array_equal(n, ref.n.T)
+    assert np.array_equal(_grid_welfare(market, q, v_theta, n), ref.w)
+
+
+@pytest.fixture
+def blocks_of_97_columns(monkeypatch):
+    """Column blocks of 97, which divides neither grid at resolution 0.01
+    (K = 101 at N = 2, 5151 at N = 3), so blocks stop at different sweeps."""
+
+    def use(big_n):
+        monkeypatch.setattr(welfare, "_BLOCK_CELLS", 97 * big_n)
+
+    return use
 
 
 class TestGridOracle:
-    @pytest.mark.parametrize(
-        "alphas, q, prices",
-        [
-            ([1.1, 0.9], [0.6, 0.5], None),
-            ([1.1, 0.9], [0.6, 0.5], [0.3, 0.05]),
-            ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], None),
-            ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], [0.1, 0.4, 0.25]),
-        ],
-    )
+    @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
     def test_bitwise_equal_to_row_major_reference(self, alphas, q, prices):
-        plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
-        q = np.asarray(q, dtype=float)
-        cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
-        theta, w = grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
-        theta_ref, w_ref, v_theta, n_ref = _row_major_grid_oracle(
-            plat, streamers, q, 0.01, cfg
+        plat, streamers, q = _grid_instance(alphas, q, prices)
+        _assert_grid_matches_reference(
+            plat, streamers, q, FixedPointConfig(tol=1e-10, max_iter=5000)
         )
-        assert np.array_equal(theta.theta, theta_ref.theta)
-        assert w == w_ref
-        # Every grid point, not just the best one. The audiences must come
-        # back C-ordered: on a transposed view, p @ prices in the welfare
-        # evaluation rounds differently at full grid size.
-        n = _grid_viewer_fixed_point(v_theta, float(plat.n_viewers), plat.beta, cfg)
-        assert n.flags.c_contiguous
-        assert np.array_equal(n, n_ref)
+
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
+    def test_blocks_bitwise_equal_to_row_major_reference(
+        self, blocks_of_97_columns, alphas, q, prices, damping
+    ):
+        plat, streamers, q = _grid_instance(alphas, q, prices)
+        blocks_of_97_columns(plat.n_streamers)
+        cfg = FixedPointConfig(tol=1e-10, max_iter=5000, damping=damping)
+        _assert_grid_matches_reference(plat, streamers, q, cfg)
+
+    def test_blocks_step_together_after_a_residual_rises(self, blocks_of_97_columns):
+        # At a tol this close to rounding noise, a block's residual can rise
+        # back above tol after the block stopped, so every block must keep
+        # stepping past the latest block's first stop (seen on this instance).
+        plat, streamers, _ = instance(
+            [1.0004918412431627, 0.9464941843258796, 0.8754066529469071],
+            [0.3038337249018921, 0.6301754355448759, 0.8810030593882772],
+            beta=0.0015922387856054025,
+        )
+        q = np.array([0.3038337249018921, 0.6301754355448759, 0.8810030593882772])
+        blocks_of_97_columns(3)
+        _assert_grid_matches_reference(
+            plat, streamers, q, FixedPointConfig(tol=1e-14, max_iter=5000)
+        )
+
+    @pytest.mark.parametrize("damping", [0.5, 1.0])
+    def test_max_iter_counts_the_sweeps_of_the_whole_grid(self, blocks_of_97_columns, damping):
+        plat, streamers, q = _grid_instance(*_GRID_CASES[3])
+        blocks_of_97_columns(3)
+        cfg = FixedPointConfig(tol=1e-10, max_iter=5000, damping=damping)
+        sweep = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg).sweep
+        with pytest.raises(NumericalError, match=rf"residual \d.*\(max_iter={sweep}\)"):
+            grid_search_allocation(
+                plat, streamers, q, resolution=0.01,
+                fp_cfg=dataclasses.replace(cfg, max_iter=sweep),
+            )
+        _assert_grid_matches_reference(
+            plat, streamers, q, dataclasses.replace(cfg, max_iter=sweep + 1)
+        )
+
+    def test_max_iter_reached_while_stepping_together(self, blocks_of_97_columns):
+        # Undamped at tol 1e-14 every block of this instance stops by sweep
+        # 14, but the residual of the whole grid bounces above tol: the
+        # blocks step together until max_iter and name the grid's residual.
+        plat, streamers, q = _grid_instance(*_GRID_CASES[2])
+        blocks_of_97_columns(3)
+        cfg = FixedPointConfig(tol=1e-14, max_iter=40, damping=1.0)
+        ref = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg)
+        assert ref.sweep is None
+        message = rf"residual {ref.residual:.3g} > .*\(max_iter=40\)"
+        with pytest.raises(NumericalError, match=message):
+            grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
+
+    def test_nan_in_one_later_block_raises(self, blocks_of_97_columns):
+        plat, streamers, q = _grid_instance(*_GRID_CASES[2])
+        blocks_of_97_columns(3)
+        cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
+        v_theta = np.ascontiguousarray(
+            _row_major_grid_oracle(plat, streamers, q, 0.01, cfg).v_theta.T
+        )
+        # the last column, in the last block: every earlier block has converged
+        v_theta[1, -1] = np.nan
+        with pytest.raises(NumericalError, match="residual nan"):
+            _grid_viewer_fixed_point(v_theta, float(plat.n_viewers), plat.beta, cfg)
 
     def test_non_convergence_raises(self):
         plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
