@@ -437,7 +437,6 @@ class SimRun:
 
     records: tuple[RoundRecord, ...]
     q_initial: np.ndarray
-    state: SimState
 
 
 def simulate(cfg: SimConfig) -> SimRun:
@@ -447,7 +446,6 @@ def simulate(cfg: SimConfig) -> SimRun:
     return SimRun(
         records=tuple(records),
         q_initial=state.q_initial.copy(),
-        state=state,
     )
 
 

@@ -4,14 +4,18 @@
 
 Subcommands: equilibrium, dynamics, simulate, ab-test, sweep,
 optimize-theta. Exit codes: 0 success, 2 config error, 3 numerical
-failure. All outputs are UTF-8 CSV with header rows.
+failure, which includes an equilibrium solve that did not converge in
+`equilibrium` and `dynamics --kind stability`. Every output file is
+written by harness.write_table or harness.write_json: CSV tables with a
+header row and the dynamics JSON sidecar, all UTF-8 with LF line ends.
+optimize-theta's welfare.csv ends with the stability verdict of the
+audience equilibrium under the optimal promotion shares.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +25,8 @@ from .abm import SimConfig
 from .core import Market, MarketState, PlatformParams, StreamerParams, streamer_profit
 from .dynamics import (
     IntegratorConfig,
+    analytic_viewer_blocks,
+    assess_stability,
     best_response_quality,
     hhi,
     integrate,
@@ -48,9 +54,11 @@ from .harness import (
     parse_instance,
     run_scenario,
     sensitivity_sweep,
+    write_json,
+    write_table,
 )
 from .metrics import METRIC_COLUMNS
-from .welfare import grid_search_allocation, optimize_allocation, welfare_at_theta
+from .welfare import grid_search_allocation, optimize_allocation
 
 __all__ = ["main"]
 
@@ -98,10 +106,17 @@ def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     return spec
 
 
-def _out_dir(args, default: str) -> Path:
-    out = Path(args.out) if args.out else Path(default)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _converged_equilibrium(platform, streamers, tol: float):
+    """The equilibrium probe's (max share, solve); NumericalError if the
+    solve did not converge."""
+    share, result = max_share_from_perturbed_start(
+        platform, streamers, FixedPointConfig(tol=tol)
+    )
+    if not result.converged:
+        raise NumericalError(
+            f"equilibrium solve did not converge (residual {result.residual:.3g})"
+        )
+    return share, result
 
 
 def _cmd_equilibrium(args) -> int:
@@ -109,23 +124,18 @@ def _cmd_equilibrium(args) -> int:
     platform, streamers = analytic_instance(spec.sim)
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
-    cfg = FixedPointConfig(tol=args.tol)
-    share, result = max_share_from_perturbed_start(platform, streamers, cfg)
-    if not result.converged:
-        raise NumericalError(
-            f"equilibrium solve did not converge (residual {result.residual:.3g})"
-        )
-    out = _out_dir(args, "headfx_out")
-    path = out / "equilibrium.csv"
+    share, result = _converged_equilibrium(platform, streamers, args.tol)
     n = result.state.n
     q = result.state.q
-    with path.open("w", newline="") as fh:
-        fh.write("streamer_id,n_star,q_star,share,profit\n")
-        for i, s in enumerate(streamers):
-            profit = streamer_profit(n[i], q[i], platform, s)
-            fh.write(
-                f"{i + 1},{n[i]:.6g},{q[i]:.6g},{n[i] / platform.n_viewers:.6g},{profit:.6g}\n"
-            )
+    path = write_table(
+        args.out / "equilibrium.csv",
+        ["streamer_id", "n_star", "q_star", "share", "profit"],
+        (
+            [i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}", f"{n[i] / platform.n_viewers:.6g}",
+             f"{streamer_profit(n[i], q[i], platform, s):.6g}"]
+            for i, s in enumerate(streamers)
+        ),
+    )
     print(f"wrote {path} (max share {share:.4f}, residual {result.residual:.3g})")
     return 0
 
@@ -138,7 +148,6 @@ def _cmd_dynamics(args) -> int:
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
     if round(cfg.t_end / cfg.dt) == 0:
         raise ConfigError(f"t_end {cfg.t_end:g} / dt {cfg.dt:g} rounds to zero RK4 steps")
-    out = _out_dir(args, "headfx_out")
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
     if args.kind == "trajectory":
@@ -146,16 +155,19 @@ def _cmd_dynamics(args) -> int:
         n0 = Market.from_params(platform, streamers).perturbed_start()
         q0 = best_response_quality(platform, streamers, np.full(n0.size, 1.0 / n0.size))
         traj = integrate(platform, streamers, MarketState(n=n0, q=q0), cfg)
-        path = out / "trajectory.csv"
-        _write_trajectory_csv(path, traj)
+        labels = range(1, n0.size + 1)
+        path = write_table(
+            args.out / "trajectory.csv",
+            ["t", *(f"n_{i}" for i in labels), *(f"q_{i}" for i in labels)],
+            ([f"{x:.6g}" for x in (t, *n, *q)] for t, n, q in zip(traj.times, traj.n, traj.q)),
+        )
         report = stability_at(platform, streamers, traj.terminal)
         summary["terminal_hhi"] = hhi(traj.terminal.n)
         summary["stable"] = report.stable
         summary["max_eigen_real_part"] = float(report.eigen_real_parts[0])
         print(f"wrote {path}")
     elif args.kind == "stability":
-        fp_cfg = FixedPointConfig(tol=args.tol)
-        share, result = max_share_from_perturbed_start(platform, streamers, fp_cfg)
+        share, result = _converged_equilibrium(platform, streamers, args.tol)
         report = stability_at(platform, streamers, result.state)
         summary["equilibrium_max_share"] = share
         summary["terminal_hhi"] = hhi(result.state.n)
@@ -165,11 +177,9 @@ def _cmd_dynamics(args) -> int:
         record = path_dependence_experiment(
             platform, streamers, delta0=args.delta0 * platform.n_viewers, cfg=cfg
         )
-        path = out / "path_dependence.csv"
-        with path.open("w", newline="") as fh:
-            fh.write("t,gap_plus,gap_minus\n")
-            for t, gp, gm in zip(record.times, record.gap_plus, record.gap_minus):
-                fh.write(f"{t:.6g},{gp:.6g},{gm:.6g}\n")
+        rows = zip(record.times, record.gap_plus, record.gap_minus)
+        path = write_table(args.out / "path_dependence.csv", ["t", "gap_plus", "gap_minus"],
+                           ([f"{x:.6g}" for x in row] for row in rows))
         summary["winner_plus"] = record.winner_plus
         summary["winner_minus"] = record.winner_minus
         summary["terminal_hhi"] = record.terminal_hhi_plus
@@ -186,7 +196,7 @@ def _cmd_dynamics(args) -> int:
                 MarketState(n=n0, q=best_response_quality(platform, streamers, n0 / m))
             )
         portrait = phase_portrait(platform, streamers, starts, cfg)
-        path = export_phase_csv(portrait, out / "phase_portrait.csv")
+        path = export_phase_csv(portrait, args.out / "phase_portrait.csv")
         summary["n_trajectories"] = len(portrait.trajectories)
         summary["n_failures"] = len(portrait.failures)
         terminal_hhis = [hhi(t.terminal.n) for t in portrait.completed()]
@@ -195,35 +205,17 @@ def _cmd_dynamics(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown dynamics kind {args.kind!r}")
 
-    sidecar = out / "dynamics_summary.json"
-    sidecar.write_text(json.dumps(summary, indent=2) + "\n")
+    sidecar = write_json(args.out / "dynamics_summary.json", summary)
     print(f"wrote {sidecar}")
     return 0
 
 
-def _write_trajectory_csv(path: Path, traj) -> None:
-    n_streamers = traj.n.shape[1]
-    with path.open("w", newline="") as fh:
-        header = (
-            ["t"]
-            + [f"n_{i + 1}" for i in range(n_streamers)]
-            + [f"q_{i + 1}" for i in range(n_streamers)]
-        )
-        fh.write(",".join(header) + "\n")
-        for t, n, q in zip(traj.times, traj.n, traj.q):
-            row = [f"{t:.6g}"]
-            row += [f"{x:.6g}" for x in n]
-            row += [f"{x:.6g}" for x in q]
-            fh.write(",".join(row) + "\n")
-
-
 def _cmd_simulate(args) -> int:
     spec = _load_scenario(args)
-    out = _out_dir(args, "headfx_out")
-    artifact = run_scenario(spec, out_dir=out, threads=args.threads)
+    artifact = run_scenario(spec, out_dir=args.out, threads=args.threads)
     for kind in ("viewers", "revenues", "quality", "satisfaction"):
-        export_plot_data(artifact, kind, out / "plots")
-    print(f"{spec.name}: {spec.n_seeds} seeds -> {out / spec.name}")
+        export_plot_data(artifact, kind, args.out / "plots")
+    print(f"{spec.name}: {spec.n_seeds} seeds -> {args.out / spec.name}")
     for col in METRIC_COLUMNS:
         print(f"  {col}: {artifact.mean[col]:.4f} (sd {artifact.sd[col]:.4f})")
     return 0
@@ -235,8 +227,7 @@ def _cmd_ab_test(args) -> int:
         make_scenario(name, sim=base.sim, n_seeds=base.n_seeds, seed_base=base.seed_base)
         for name in args.scenarios
     ]
-    out = _out_dir(args, "headfx_out")
-    comparison = ab_compare(specs, out_dir=out, threads=args.threads)
+    comparison = ab_compare(specs, out_dir=args.out, threads=args.threads)
     header = "scenario      " + "  ".join(f"{c:>18s}" for c in METRIC_COLUMNS)
     print(header)
     for art in comparison.artifacts:
@@ -244,7 +235,7 @@ def _cmd_ab_test(args) -> int:
             f"{art.mean[c]:>10.4f}±{art.sd[c]:<6.4f}" for c in METRIC_COLUMNS
         )
         print(f"{art.scenario:<12s}  {cells}")
-    print(f"wrote {out / 'comparison.csv'} and {out / 'orderings.csv'}")
+    print(f"wrote {args.out / 'comparison.csv'} and {args.out / 'orderings.csv'}")
     return 0
 
 
@@ -264,9 +255,8 @@ def _cmd_sweep(args) -> int:
             values=tuple(_parse_values(args.parameter, args.values)),
             base=_apply_seed_flags(spec, args),
         )
-    out = _out_dir(args, "headfx_out")
-    artifact = sensitivity_sweep(spec, out_dir=out, threads=args.threads)
-    print(f"wrote {out / f'sweep_{spec.parameter}.csv'}")
+    artifact = sensitivity_sweep(spec, out_dir=args.out, threads=args.threads)
+    print(f"wrote {args.out / f'sweep_{spec.parameter}.csv'}")
     for value, art in zip(artifact.values, artifact.artifacts):
         print(
             f"  {spec.parameter}={value}: gini {art.mean['gini']:.4f} "
@@ -288,24 +278,27 @@ def _cmd_optimize_theta(args) -> int:
     if args.phi is not None:
         platform = dataclasses.replace(platform, phi=args.phi)
     solution = optimize_allocation(platform, streamers, q, tol=args.tol)
-    breakdown, _ = welfare_at_theta(platform, streamers, q, solution.theta)
-    out = _out_dir(args, "headfx_out")
-    theta_path = out / "theta_star.csv"
-    with theta_path.open("w", newline="") as fh:
-        fh.write("streamer_id,theta_star\n")
-        for i, th in enumerate(solution.theta.theta):
-            fh.write(f"{i + 1},{th:.6g}\n")
-    welfare_path = out / "welfare.csv"
-    with welfare_path.open("w", newline="") as fh:
-        fh.write("quantity,value\n")
-        fh.write(f"consumer_surplus,{breakdown.consumer_surplus:.6g}\n")
-        fh.write(f"producer_surplus,{breakdown.producer_surplus:.6g}\n")
-        fh.write(f"platform_profit,{breakdown.platform_profit:.6g}\n")
-        fh.write(f"total_welfare,{breakdown.total:.6g}\n")
-        fh.write(f"kkt_residual,{solution.kkt_residual:.6g}\n")
-        fh.write(f"iterations,{solution.iterations}\n")
-        fh.write(f"converged,{solution.converged}\n")
-        fh.write(f"active_set,{';'.join(str(i + 1) for i in solution.active_set)}\n")
+    breakdown = solution.breakdown
+    # The welfare layer holds q fixed, so the verdict is the audience
+    # block's: the joint (n, q) flow is not at rest at this state.
+    report = assess_stability(
+        analytic_viewer_blocks(platform, streamers, solution.state, solution.theta)[0]
+    )
+    max_real = float(report.eigen_real_parts[0])
+    theta_path = write_table(args.out / "theta_star.csv", ["streamer_id", "theta_star"],
+                             ([i + 1, f"{th:.6g}"] for i, th in enumerate(solution.theta.theta)))
+    welfare_path = write_table(args.out / "welfare.csv", ["quantity", "value"], [
+        ["consumer_surplus", f"{breakdown.consumer_surplus:.6g}"],
+        ["producer_surplus", f"{breakdown.producer_surplus:.6g}"],
+        ["platform_profit", f"{breakdown.platform_profit:.6g}"],
+        ["total_welfare", f"{breakdown.total:.6g}"],
+        ["kkt_residual", f"{solution.kkt_residual:.6g}"],
+        ["iterations", solution.iterations],
+        ["converged", solution.converged],
+        ["active_set", ";".join(str(i + 1) for i in solution.active_set)],
+        ["viewer_stable", report.stable],
+        ["viewer_max_eigen_real_part", f"{max_real:.6g}"],
+    ])
 
     print(f"theta* = {np.round(solution.theta.theta, 6).tolist()}")
     print(
@@ -314,6 +307,8 @@ def _cmd_optimize_theta(args) -> int:
     )
     print(f"KKT residual {solution.kkt_residual:.3g}; active set "
           f"{[i + 1 for i in solution.active_set] or 'none'}")
+    print(f"audience equilibrium {'stable' if report.stable else 'unstable'} "
+          f"(max eigenvalue real part {max_real:.3g})")
     if args.grid_oracle:
         theta_grid, w_grid = grid_search_allocation(platform, streamers, q)
         print(
@@ -332,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="base seed of the ABM replications (simulate, ab-test, sweep); "
         "equilibrium and dynamics build their analytic instance from seed 0 and ignore it",
     )
-    common.add_argument("--out", type=str, default=None, help="output directory")
+    common.add_argument("--out", type=Path, default=Path("headfx_out"),
+                        help="output directory (default headfx_out)")
     common.add_argument("--seeds", type=int, default=None, help="replication count")
     common.add_argument("--threads", type=int, default=1, help="parallel workers")
 

@@ -1,8 +1,10 @@
 """Scenario runner, A/B comparison, and sensitivity sweeps.
 
-Owns config ingestion, seed management, and all CSV export: per-seed
+Owns config ingestion, seed management, and every output file: per-seed
 round histories, per-scenario summaries, the cross-scenario comparison
-table, long-format sweep grids, and tidy plot-data series.
+table, long-format sweep grids, and tidy plot-data series. write_table
+and write_json are the program's only writers; every CSV and JSON file
+is UTF-8 with LF line ends.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .abm import PolicyIntervention, SimConfig, SimRun, simulate
 from .core import PlatformParams, StreamerParams
 from .errors import ConfigError, DomainError, HeadfxError, require_integers
-from .metrics import METRIC_COLUMNS, MetricsSummary, summarize, write_summary_csv
+from .metrics import METRIC_COLUMNS, MetricsSummary, summarize
 from .dynamics import PortraitResult
 
 __all__ = [
@@ -38,6 +40,8 @@ __all__ = [
     "export_phase_csv",
     "parse_config",
     "parse_instance",
+    "write_table",
+    "write_json",
 ]
 
 SCENARIO_NAMES = ("Baseline", "High_Tax", "Boost_Small", "Combined")
@@ -166,7 +170,6 @@ class RunArtifact:
     runs: tuple[SimRun, ...]
     mean: dict[str, float]
     sd: dict[str, float]
-    history_paths: tuple[Path, ...]
 
 
 def make_scenario(name: str, sim: SimConfig | None = None, n_seeds: int = 10,
@@ -190,6 +193,30 @@ def _simulate_seed(task: tuple[str, SimConfig]) -> SimRun:
         raise type(exc)(f"scenario {scenario!r}, seed {cfg.seed}: {exc}") from exc
 
 
+def write_table(path, header, rows) -> Path:
+    """Write the CSV table at path: the header row, then rows.
+
+    UTF-8 with LF line ends; creates the parent directories. Callers
+    format their own cells.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def write_json(path, document) -> Path:
+    """Write document at path as indented JSON, UTF-8 with LF line ends;
+    creates the parent directories."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8", newline="")
+    return path
+
+
 def _write_history_csv(path: Path, run: SimRun) -> None:
     n = len(run.records[0].viewer_counts) if run.records else 0
     header = (
@@ -200,17 +227,12 @@ def _write_history_csv(path: Path, run: SimRun) -> None:
         + [f"q_{i + 1}" for i in range(n)]
         + ["mean_satisfaction"]
     )
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in run.records:
-            row = [rec.round_index]
-            row += [int(x) for x in rec.viewer_counts]
-            row += [f"{x:.6g}" for x in rec.streamer_revenues]
-            row += [f"{rec.platform_revenue:.6g}"]
-            row += [f"{x:.6g}" for x in rec.qualities]
-            row += [f"{rec.mean_satisfaction:.6g}"]
-            writer.writerow(row)
+    write_table(path, header, (
+        [rec.round_index, *(int(x) for x in rec.viewer_counts)]
+        + [f"{x:.6g}" for x in (*rec.streamer_revenues, rec.platform_revenue,
+                                *rec.qualities, rec.mean_satisfaction)]
+        for rec in run.records
+    ))
 
 
 def _aggregate(summaries) -> tuple[dict[str, float], dict[str, float]]:
@@ -228,23 +250,15 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
     summaries = [summarize(run.records, run.q_initial) for run in runs]
     mean, sd = _aggregate(summaries)
 
-    history_paths: list[Path] = []
     if out_dir is not None:
         scen_dir = Path(out_dir) / spec.name
-        scen_dir.mkdir(parents=True, exist_ok=True)
         for seed, run in zip(spec.seeds(), runs):
-            path = scen_dir / f"seed_{seed}.csv"
-            _write_history_csv(path, run)
-            history_paths.append(path)
-        with (scen_dir / "summary.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", *METRIC_COLUMNS])
-            for seed, summ in zip(spec.seeds(), summaries):
-                writer.writerow(
-                    [seed] + [f"{getattr(summ, col):.4f}" for col in METRIC_COLUMNS]
-                )
-            writer.writerow(["mean"] + [f"{mean[col]:.4f}" for col in METRIC_COLUMNS])
-            writer.writerow(["sd"] + [f"{sd[col]:.4f}" for col in METRIC_COLUMNS])
+            _write_history_csv(scen_dir / f"seed_{seed}.csv", run)
+        rows = [[seed] + [f"{getattr(summ, col):.4f}" for col in METRIC_COLUMNS]
+                for seed, summ in zip(spec.seeds(), summaries)]
+        rows.append(["mean"] + [f"{mean[col]:.4f}" for col in METRIC_COLUMNS])
+        rows.append(["sd"] + [f"{sd[col]:.4f}" for col in METRIC_COLUMNS])
+        write_table(scen_dir / "summary.csv", ["seed", *METRIC_COLUMNS], rows)
 
     return RunArtifact(
         scenario=spec.name,
@@ -253,7 +267,6 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
         runs=tuple(runs),
         mean=mean,
         sd=sd,
-        history_paths=tuple(history_paths),
     )
 
 
@@ -326,16 +339,14 @@ def ab_compare(specs, out_dir=None, threads: int = 1) -> ABComparison:
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_summary_csv(
-            out / "comparison.csv",
-            [(art.scenario, MetricsSummary(**art.mean)) for art in artifacts],
+        write_table(out / "comparison.csv", ["scenario", *METRIC_COLUMNS], (
+            [art.scenario] + [f"{art.mean[col]:.4f}" for col in METRIC_COLUMNS]
+            for art in artifacts
+        ))
+        write_table(
+            out / "orderings.csv", ["metric", "scenario_a", "scenario_b", "fraction_a_below_b"],
+            ([metric, a, b, f"{frac:.4f}"] for (metric, a, b), frac in sorted(fractions.items())),
         )
-        with (out / "orderings.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "scenario_a", "scenario_b", "fraction_a_below_b"])
-            for (metric, a, b), frac in sorted(fractions.items()):
-                writer.writerow([metric, a, b, f"{frac:.4f}"])
     return ABComparison(artifacts=tuple(artifacts), ordering_fractions=fractions)
 
 
@@ -356,22 +367,13 @@ def sensitivity_sweep(sweep: SweepSpec, out_dir=None, threads: int = 1) -> Sweep
     artifacts = _run_scenarios(sweep.scenarios, None, threads)
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with (out / f"sweep_{sweep.parameter}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "value", "metric", "mean", "sd"])
-            for value, art in zip(sweep.values, artifacts):
-                for metric in METRIC_COLUMNS:
-                    writer.writerow(
-                        [
-                            sweep.parameter,
-                            f"{value:.6g}" if isinstance(value, float) else value,
-                            metric,
-                            f"{art.mean[metric]:.6g}",
-                            f"{art.sd[metric]:.6g}",
-                        ]
-                    )
+        write_table(Path(out_dir) / f"sweep_{sweep.parameter}.csv",
+                    ["parameter", "value", "metric", "mean", "sd"], (
+            [sweep.parameter, f"{value:.6g}" if isinstance(value, float) else value,
+             metric, f"{art.mean[metric]:.6g}", f"{art.sd[metric]:.6g}"]
+            for value, art in zip(sweep.values, artifacts)
+            for metric in METRIC_COLUMNS
+        ))
     return SweepArtifact(
         parameter=sweep.parameter, values=tuple(sweep.values), artifacts=tuple(artifacts)
     )
@@ -389,43 +391,31 @@ def export_plot_data(artifact: RunArtifact, kind: str, out_dir) -> Path:
     """
     if kind not in _PLOT_KINDS:
         raise ConfigError(f"unknown plot kind {kind!r}; expected one of {_PLOT_KINDS}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{artifact.scenario}_{kind}.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        if kind == "satisfaction":
-            writer.writerow(["seed", "round", "mean_satisfaction"])
-            for seed, run in zip(artifact.seeds, artifact.runs):
-                for rec in run.records:
-                    writer.writerow([seed, rec.round_index, f"{rec.mean_satisfaction:.6g}"])
-        else:
-            field = {"viewers": "viewer_counts", "revenues": "streamer_revenues",
-                     "quality": "qualities"}[kind]
-            writer.writerow(["seed", "round", "streamer", kind])
-            for seed, run in zip(artifact.seeds, artifact.runs):
-                for rec in run.records:
-                    values = getattr(rec, field)
-                    for i, v in enumerate(values):
-                        text = str(int(v)) if kind == "viewers" else f"{v:.6g}"
-                        writer.writerow([seed, rec.round_index, i + 1, text])
-    return path
+    path = Path(out_dir) / f"{artifact.scenario}_{kind}.csv"
+    records = [(seed, rec) for seed, run in zip(artifact.seeds, artifact.runs)
+               for rec in run.records]
+    if kind == "satisfaction":
+        return write_table(path, ["seed", "round", "mean_satisfaction"], (
+            [seed, rec.round_index, f"{rec.mean_satisfaction:.6g}"] for seed, rec in records
+        ))
+    field = {"viewers": "viewer_counts", "revenues": "streamer_revenues",
+             "quality": "qualities"}[kind]
+    return write_table(path, ["seed", "round", "streamer", kind], (
+        [seed, rec.round_index, i + 1, str(int(v)) if kind == "viewers" else f"{v:.6g}"]
+        for seed, rec in records
+        for i, v in enumerate(getattr(rec, field))
+    ))
 
 
 def export_phase_csv(portrait: PortraitResult, path) -> Path:
     """Write (trajectory, t, streamer, n, q) sample pairs for plotting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trajectory", "t", "streamer", "n", "q"])
-        for idx, traj in enumerate(portrait.trajectories):
-            if traj is None:
-                continue
-            for t, n, q in zip(traj.times, traj.n, traj.q):
-                for i in range(n.shape[0]):
-                    writer.writerow([idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"])
-    return path
+    return write_table(path, ["trajectory", "t", "streamer", "n", "q"], (
+        [idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"]
+        for idx, traj in enumerate(portrait.trajectories)
+        if traj is not None
+        for t, n, q in zip(traj.times, traj.n, traj.q)
+        for i in range(n.shape[0])
+    ))
 
 
 def _read_document(path, allowed, where: str) -> dict:

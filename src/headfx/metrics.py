@@ -8,10 +8,8 @@ are pure and RNG-free.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -26,8 +24,6 @@ __all__ = [
     "avg_satisfaction",
     "quality_improvement",
     "summarize",
-    "write_summary_csv",
-    "read_summary_csv",
 ]
 
 METRIC_COLUMNS = (
@@ -50,9 +46,6 @@ class MetricsSummary:
     tail_share: float
     avg_satisfaction: float
     quality_improvement: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_COLUMNS}
 
 
 def gini(x) -> float:
@@ -154,30 +147,3 @@ def summarize(history, q_initial) -> MetricsSummary:
         avg_satisfaction=float(final.mean_satisfaction),
         quality_improvement=quality_improvement(q_initial, final.qualities),
     )
-
-
-def write_summary_csv(path, rows) -> None:
-    """Write (scenario, MetricsSummary) rows at 4 decimals, table order."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", *METRIC_COLUMNS])
-        for scenario, summary in rows:
-            writer.writerow(
-                [scenario] + [f"{getattr(summary, col):.4f}" for col in METRIC_COLUMNS]
-            )
-
-
-def read_summary_csv(path) -> list[tuple[str, MetricsSummary]]:
-    """Inverse of write_summary_csv (values at the written precision)."""
-    rows: list[tuple[str, MetricsSummary]] = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                (
-                    rec["scenario"],
-                    MetricsSummary(**{col: float(rec[col]) for col in METRIC_COLUMNS}),
-                )
-            )
-    return rows

@@ -278,14 +278,20 @@ def simplex_project(v) -> TrafficAllocation:
 
 @dataclass(frozen=True)
 class AllocationSolution:
-    """Result of projected gradient ascent over promotion shares."""
+    """Result of projected gradient ascent over promotion shares, with the
+    viewer equilibrium under theta and its welfare breakdown."""
 
     theta: TrafficAllocation
-    welfare: float
+    state: MarketState
+    breakdown: WelfareBreakdown
     kkt_residual: float
     active_set: tuple[int, ...]
     iterations: int
     converged: bool
+
+    @property
+    def welfare(self) -> float:
+        return self.breakdown.total
 
 
 def _kkt_residual(g: np.ndarray, theta: np.ndarray) -> float:
@@ -368,10 +374,10 @@ def optimize_allocation(
     allocation = simplex_project(theta)
     _, n, _, fp_converged, _ = _welfare_raw(market, q, allocation.theta, fp_cfg, n_warm)
     state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
-    breakdown = total_welfare(platform, streamers, state, allocation)
     return AllocationSolution(
         theta=allocation,
-        welfare=breakdown.total,
+        state=state,
+        breakdown=total_welfare(platform, streamers, state, allocation),
         kkt_residual=residual,
         active_set=tuple(int(i) for i in np.flatnonzero(allocation.theta == 0.0)),
         iterations=iterations,

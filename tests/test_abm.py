@@ -182,11 +182,12 @@ class TestChooseStreamers:
             policy_schedule=canonical_policies("Combined"),
             exit_revenue_floor=0.3 * m / BLOCK_N, **overrides,
         )
-        blocked = simulate(cfg)
-        assert not blocked.state.active.all()  # some streamers exited
+        state = init_platform(cfg)
+        blocked = [run_round(state, cfg, idx) for idx in range(1, cfg.n_rounds + 1)]
+        assert not state.active.all()  # some streamers exited
         monkeypatch.setattr(abm, "_choose_streamers", reference_choose_streamers)
         whole = simulate(cfg)
-        assert_same_history(blocked.records, whole.records)
+        assert_same_history(blocked, whole.records)
 
     def test_zero_sensitivities_give_zero_utility(self):
         cfg = small_cfg(random_effect_scale=0.0, match_bonus=0.0)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import tempfile
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx import cli, equilibrium
+from headfx import cli, equilibrium, harness
 from headfx.abm import POLICY_KINDS, SimConfig, run_simulation
 from headfx.cli import main
+from headfx.equilibrium import FixedPointConfig
 from headfx.errors import ConfigError, DomainError
 from headfx.harness import (
     SWEEPABLE_PARAMETERS,
@@ -26,7 +28,10 @@ from headfx.harness import (
     parse_config,
     run_scenario,
     sensitivity_sweep,
+    write_json,
+    write_table,
 )
+from headfx.metrics import MetricsSummary
 
 FAST_SIM = SimConfig(n_streamers=6, n_viewers=80, n_rounds=10)
 INSTANCE_N3 = str(Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json")
@@ -227,6 +232,31 @@ class TestABCompare:
         assert len(lines) == 3
         assert (tmp_path / "orderings.csv").exists()
 
+    def test_comparison_csv_at_four_decimals(self, tmp_path, monkeypatch):
+        summary = MetricsSummary(1 / 3, 2 / 3, 1 / 7, 1 / 3, 0.0, -1 / 3)
+        monkeypatch.setattr(harness, "summarize", lambda records, q_initial: summary)
+        specs = [make_scenario(name, sim=FAST_SIM, n_seeds=2) for name in ("Baseline", "Combined")]
+        ab_compare(specs, out_dir=tmp_path)
+        lines = (tmp_path / "comparison.csv").read_text().splitlines()
+        assert lines[1:] == [
+            "Baseline,0.3333,0.6667,0.1429,0.3333,0.0000,-0.3333",
+            "Combined,0.3333,0.6667,0.1429,0.3333,0.0000,-0.3333",
+        ]
+
+
+class TestWriters:
+    def test_write_table_is_utf8_lf_after_the_header(self, tmp_path):
+        path = write_table(tmp_path / "new" / "t.csv", ["name", "value"],
+                           [["gini", "0.5000"], ["ünï", 3], ["a,b", ""]])
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data == 'name,value\ngini,0.5000\nünï,3\n"a,b",\n'.encode("utf-8")
+
+    def test_write_json_is_indented_utf8_lf(self, tmp_path):
+        path = write_json(tmp_path / "new" / "s.json", {"kind": "ü", "hhi": [0.5, 1]})
+        assert path.read_bytes() == json.dumps({"kind": "ü", "hhi": [0.5, 1]},
+                                               indent=2).encode("utf-8") + b"\n"
+
 
 def _files(root: Path) -> dict:
     return {path.relative_to(root): path.read_bytes()
@@ -340,6 +370,7 @@ class TestCli:
         assert (out / "Baseline" / "seed_0.csv").exists()
         assert (out / "Baseline" / "summary.csv").exists()
         assert (out / "plots" / "Baseline_satisfaction.csv").exists()
+        assert [p.name for p in out.rglob("*.csv") if b"\r" in p.read_bytes()] == []
 
     def test_optimize_theta_roundtrip(self, tmp_path):
         inst = tmp_path / "inst.json"
@@ -361,6 +392,28 @@ class TestCli:
         assert len(lines) == 4
         welfare_text = (out / "welfare.csv").read_text()
         assert "kkt_residual" in welfare_text
+
+    @pytest.mark.parametrize(
+        "instance, stable, max_real",
+        [(None, "True", -0.967261),
+         ({"alpha": [1, 1, 1], "q": [0.5, 0.5, 0.5], "beta": 50, "n_viewers": 1000},
+          "False", 16665.7)],
+        ids=["instance_n3", "beta_m_5e4"],
+    )
+    def test_optimize_theta_reports_audience_stability(self, tmp_path, capsys, instance,
+                                                       stable, max_real):
+        path = INSTANCE_N3
+        if instance is not None:
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(instance))
+        out = tmp_path / "opt"
+        assert main(["optimize-theta", "--instance", str(path), "--out", str(out)]) == 0
+        rows = dict(line.split(",") for line in (out / "welfare.csv").read_text().splitlines())
+        assert rows["converged"] == "True"
+        assert rows["viewer_stable"] == stable
+        assert float(rows["viewer_max_eigen_real_part"]) == pytest.approx(max_real, rel=1e-5)
+        verdict = "stable" if stable == "True" else "unstable"
+        assert f"audience equilibrium {verdict}" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "bad",
@@ -563,6 +616,17 @@ class TestCli:
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "n_rounds must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["equilibrium"], ["dynamics", "--kind", "stability"]], ids=lambda a: a[0]
+    )
+    def test_unconverged_equilibrium_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "FixedPointConfig",
+                            functools.partial(FixedPointConfig, max_iter=1))
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == 3
+        assert "equilibrium solve did not converge" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_without_parameters_is_config_error(self):

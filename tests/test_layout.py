@@ -160,3 +160,79 @@ def test_only_harness_reads_json(path):
 )
 def test_json_reader_checker(source, flagged):
     assert bool(json_readers(ast.parse(source))) == flagged
+
+
+_WRITE_MODE_CHARS = set("wax+")
+
+
+def _writes(call: ast.Call, mode_index: int) -> bool:
+    """Whether an open call's mode (positional mode_index or mode=) can write;
+    a mode that is not a string literal counts as one that can."""
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    if mode is None and len(call.args) > mode_index:
+        mode = call.args[mode_index]
+    if mode is None:
+        return False
+    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
+        return bool(_WRITE_MODE_CHARS & set(mode.value))
+    return True
+
+
+def file_writers(tree: ast.Module) -> list[str]:
+    """Every way a module could write an output file itself: imports of csv
+    or json, open(path, mode) and path.open(mode) in a write mode, and
+    .write_text or .write_bytes calls."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"line {node.lineno}: imports {a.name}" for a in node.names
+                      if a.name.split(".")[0] in ("csv", "json")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            (node.module or "").split(".")[0] in ("csv", "json")
+        ):
+            found.append(f"line {node.lineno}: imports from {node.module}")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open" and _writes(node, 1):
+                found.append(f"line {node.lineno}: opens a file to write")
+            elif isinstance(func, ast.Attribute) and (
+                (func.attr == "open" and _writes(node, 0))
+                or func.attr in ("write_text", "write_bytes")
+            ):
+                found.append(f"line {node.lineno}: calls .{func.attr} to write")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "harness.py"], ids=lambda p: p.name
+)
+def test_only_harness_writes_files(path):
+    # The output format (UTF-8, LF, csv dialect) lives behind harness's writers.
+    assert file_writers(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("import csv", True),
+        ("import json as j", True),
+        ("from json import dumps", True),
+        ("from csv import writer", True),
+        ("open(path, 'w')", True),
+        ("open(path, mode='a', encoding='utf-8')", True),
+        ("open(path, 'r+b')", True),
+        ("open(path, flags)", True),
+        ("path.open('w', newline='')", True),
+        ("Path(p).open(mode='x')", True),
+        ("path.write_text(text)", True),
+        ("path.write_bytes(data)", True),
+        ("open(path)", False),
+        ("open(path, 'rb')", False),
+        ("path.open()", False),
+        ("path.open(newline='')", False),
+        ("path.read_text(encoding='utf-8')", False),
+        ("from .harness import write_table\nwrite_table(path, header, rows)", False),
+    ],
+)
+def test_file_writer_checker(source, flagged):
+    assert bool(file_writers(ast.parse(source))) == flagged

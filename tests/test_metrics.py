@@ -8,16 +8,12 @@ from hypothesis import strategies as st
 from headfx.abm import RoundRecord
 from headfx.errors import DimensionMismatchError, DomainError
 from headfx.metrics import (
-    METRIC_COLUMNS,
-    MetricsSummary,
     avg_satisfaction,
     gini,
     quality_improvement,
-    read_summary_csv,
     summarize,
     top_k_share,
     viewer_mobility,
-    write_summary_csv,
 )
 
 
@@ -203,24 +199,3 @@ class TestSummarize:
     def test_empty_history_rejected(self):
         with pytest.raises(DomainError):
             summarize([], np.array([0.5]))
-
-
-class TestSummaryCsv:
-    def test_round_trip_at_four_decimals(self, tmp_path):
-        rows = [
-            ("Baseline", MetricsSummary(0.5557, 0.459, 6.6884, 0.541, 0.9893, -0.1344)),
-            ("Combined", MetricsSummary(0.2636, 0.301, 18.8245, 0.699, 1.7533, 0.0966)),
-        ]
-        path = tmp_path / "summary.csv"
-        write_summary_csv(path, rows)
-        header = path.read_text().splitlines()[0]
-        assert header == "scenario," + ",".join(METRIC_COLUMNS)
-        again = read_summary_csv(path)
-        assert again == rows
-
-    def test_four_decimal_formatting(self, tmp_path):
-        rows = [("X", MetricsSummary(1 / 3, 2 / 3, 1 / 7, 1 / 3, 0.0, -1 / 3))]
-        path = tmp_path / "summary.csv"
-        write_summary_csv(path, rows)
-        line = path.read_text().splitlines()[1]
-        assert line == "X,0.3333,0.6667,0.1429,0.3333,0.0000,-0.3333"
