@@ -106,6 +106,12 @@ def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     return spec
 
 
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
+
+
 def _converged_equilibrium(platform, streamers, tol: float):
     """The equilibrium probe's (max share, solve); NumericalError if the
     solve did not converge."""
@@ -212,7 +218,7 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_scenario(args)
-    artifact = run_scenario(spec, out_dir=args.out, threads=args.threads)
+    artifact = run_scenario(spec, out_dir=args.out, threads=_threads(args))
     for kind in ("viewers", "revenues", "quality", "satisfaction"):
         export_plot_data(artifact, kind, args.out / "plots")
     print(f"{spec.name}: {spec.n_seeds} seeds -> {args.out / spec.name}")
@@ -227,7 +233,7 @@ def _cmd_ab_test(args) -> int:
         make_scenario(name, sim=base.sim, n_seeds=base.n_seeds, seed_base=base.seed_base)
         for name in args.scenarios
     ]
-    comparison = ab_compare(specs, out_dir=args.out, threads=args.threads)
+    comparison = ab_compare(specs, out_dir=args.out, threads=_threads(args))
     header = "scenario      " + "  ".join(f"{c:>18s}" for c in METRIC_COLUMNS)
     print(header)
     for art in comparison.artifacts:
@@ -255,7 +261,7 @@ def _cmd_sweep(args) -> int:
             values=tuple(_parse_values(args.parameter, args.values)),
             base=_apply_seed_flags(spec, args),
         )
-    artifact = sensitivity_sweep(spec, out_dir=args.out, threads=args.threads)
+    artifact = sensitivity_sweep(spec, out_dir=args.out, threads=_threads(args))
     print(f"wrote {args.out / f'sweep_{spec.parameter}.csv'}")
     for value, art in zip(artifact.values, artifact.artifacts):
         print(
@@ -330,7 +336,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, default=Path("headfx_out"),
                         help="output directory (default headfx_out)")
     common.add_argument("--seeds", type=int, default=None, help="replication count")
-    common.add_argument("--threads", type=int, default=1, help="parallel workers")
+    common.add_argument("--threads", type=int, default=1,
+                        help="worker processes of simulate, ab-test and sweep (>= 1)")
 
     parser = argparse.ArgumentParser(
         prog="headfx",

@@ -272,12 +272,15 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
 
 def _run_scenarios(specs, out_dir, threads: int) -> list[RunArtifact]:
     """Every seed of every scenario in specs, as one flat task list on one
-    pool of threads workers (in process when threads is 1); one artifact
-    per scenario."""
+    pool of min(threads, task count) workers (in process when that is 1);
+    one artifact per scenario."""
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
     tasks = [(spec.name, dataclasses.replace(spec.sim, seed=s))
              for spec in specs for s in spec.seeds()]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_simulate_seed, tasks))
     else:
         runs = [_simulate_seed(task) for task in tasks]

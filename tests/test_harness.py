@@ -288,6 +288,43 @@ class TestOnePool:
         assert _files(tmp_path / "2") == sequential
 
 
+    @pytest.mark.parametrize(
+        "threads, n_tasks, expected",
+        [(64, 3, [3]), (2, 3, [2]), (8, 1, []), (1, 3, [])],
+        ids=["capped_by_tasks", "capped_by_threads", "one_task", "one_thread"],
+    )
+    def test_pool_size_is_min_of_threads_and_tasks(self, monkeypatch, threads, n_tasks,
+                                                     expected):
+        sizes = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor and runs the tasks in process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=n_tasks, seed_base=0)
+        artifact = run_scenario(spec, threads=threads)
+        assert sizes == expected
+        assert len(artifact.runs) == n_tasks
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1, seed_base=0)
+        with pytest.raises(DomainError, match="threads must be >= 1"):
+            run_scenario(spec, threads=threads)
+
+
 class TestSweep:
     def test_long_format_csv(self, tmp_path):
         base = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
@@ -627,6 +664,22 @@ class TestCli:
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == 3
         assert "equilibrium solve did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate"], ["ab-test"], ["sweep", "--parameter", "n_viewers", "--values", "50"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, argv, threads):
+        cfg = write_config(tmp_path, {"name": "Baseline", "n_seeds": 1,
+                                      "platform": {"n_viewers": 40, "n_rounds": 10}})
+        out = tmp_path / "o"
+        code = main(argv + ["--config", str(cfg), "--threads", threads, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"--threads must be >= 1, got {threads}" in err
         assert not out.exists()
 
     def test_sweep_without_parameters_is_config_error(self):
