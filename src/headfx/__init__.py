@@ -46,7 +46,6 @@ from .abm import (
     apply_policy,
     init_platform,
     run_round,
-    run_simulation,
     simulate,
 )
 from .metrics import (
@@ -62,8 +61,6 @@ from .welfare import (
     AllocationSolution,
     WelfareBreakdown,
     consumer_surplus,
-    head_effect_welfare_comparison,
-    myopic_dynamic_allocation,
     optimize_allocation,
     platform_profit,
     producer_surplus,

@@ -26,7 +26,6 @@ __all__ = [
     "init_platform",
     "apply_policy",
     "run_round",
-    "run_simulation",
     "simulate",
 ]
 
@@ -477,8 +476,3 @@ def simulate(cfg: SimConfig) -> SimRun:
         records=tuple(records),
         q_initial=state.q_initial.copy(),
     )
-
-
-def run_simulation(cfg: SimConfig) -> list[RoundRecord]:
-    """Round history only; see simulate() for the richer result."""
-    return list(simulate(cfg).records)

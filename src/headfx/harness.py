@@ -174,12 +174,25 @@ class RunArtifact:
 
 def make_scenario(name: str, sim: SimConfig | None = None, n_seeds: int = 10,
                   seed_base: int = 0) -> ScenarioSpec:
-    """Expand a scenario name into a spec with its canonical schedule."""
+    """Expand a scenario name into a spec with its canonical schedule.
+
+    Raises ConfigError naming the scenario when sim has fewer rounds than
+    the round its canonical policies start at.
+    """
     base = sim if sim is not None else SimConfig()
     schedule = canonical_policies(name) if name != "custom" else base.policy_schedule
+    try:
+        scenario_sim = dataclasses.replace(base, policy_schedule=schedule)
+    except DomainError as exc:
+        # base has validated its own schedule, so only a canonical one fails here
+        start = max(p.start_round for p in schedule)
+        raise ConfigError(
+            f"scenario {name!r} needs n_rounds >= {start}: its canonical policies "
+            f"start at round {start}, but n_rounds is {base.n_rounds}"
+        ) from exc
     return ScenarioSpec(
         name=name,
-        sim=dataclasses.replace(base, policy_schedule=schedule),
+        sim=scenario_sim,
         n_seeds=n_seeds,
         seed_base=seed_base,
     )

@@ -3,9 +3,8 @@
 Consumer surplus via the logit expected-maximum-utility identity,
 producer surplus and platform profit, the welfare gradient with respect
 to promotion shares, projected gradient ascent over the probability
-simplex with a KKT stopping rule, a brute-force simplex grid oracle for
-verification, a myopic re-optimizing dynamic allocator, and the
-concentrated-vs-dispersed welfare comparison.
+simplex with a KKT stopping rule, and a brute-force simplex grid oracle
+for verification.
 """
 
 from __future__ import annotations
@@ -25,14 +24,8 @@ from .core import (
     choice_probabilities,
     deterministic_utility,
 )
-from .dynamics import IntegratorConfig, Trajectory, integrate
-from .equilibrium import (
-    FixedPointConfig,
-    find_critical_beta,
-    max_share_from_perturbed_start,
-)
+from .equilibrium import FixedPointConfig
 from .errors import (
-    BracketError,
     DomainError,
     NonFiniteError,
     NumericalError,
@@ -44,8 +37,6 @@ from .logit import logit_slope, logsumexp, softmax, utility, viewer_fixed_point
 __all__ = [
     "WelfareBreakdown",
     "AllocationSolution",
-    "MyopicStep",
-    "HeadEffectComparison",
     "consumer_surplus",
     "producer_surplus",
     "platform_profit",
@@ -56,9 +47,6 @@ __all__ = [
     "simplex_project",
     "optimize_allocation",
     "grid_search_allocation",
-    "myopic_dynamic_allocation",
-    "time_averaged_welfare",
-    "head_effect_welfare_comparison",
 ]
 
 
@@ -81,36 +69,50 @@ class WelfareBreakdown:
         return cls(cs, ps, pi, cs + ps + pi)
 
 
+def _platform_take(tau, revenue_per_viewer, m):
+    """Commission take tau R M: the platform's profit in every market state."""
+    return tau * revenue_per_viewer * m
+
+
+def _welfare_parts(market: Market, q, v, p, n):
+    """Consumer surplus, producer surplus and platform profit at utilities v,
+    their choice probabilities p = softmax(v) and audiences n, each of shape
+    (..., N): the formulas of every welfare this module reports except the
+    grid oracle's. p is an argument so that total_welfare can take it from
+    choice_probabilities, which rejects a non-finite v.
+
+    Consumer surplus is M (E[max gross utility] - expected payment): gross
+    benefit is the log-sum-exp over price-free utilities and payments are
+    netted out once, at the probability-weighted price, so a uniform price
+    increase of c lowers it by exactly M c while choices follow the
+    price-inclusive v. Producer surplus is the streamers' commission-net
+    revenue minus their quality costs c q^2.
+    """
+    cs = market.m * (logsumexp(v + market.prices) - p @ market.prices)
+    ps = (1.0 - market.tau) * market.revenue_per_viewer * n.sum(axis=-1) - np.sum(
+        market.c * q * q
+    )
+    return cs, ps, _platform_take(market.tau, market.revenue_per_viewer, market.m)
+
+
 def consumer_surplus(
     platform: PlatformParams,
     streamers,
     state: MarketState,
     theta: TrafficAllocation | None = None,
 ) -> float:
-    """Aggregate viewer surplus M * (E[max gross utility] - expected payment).
-
-    Gross benefit is the logsumexp aggregate over price-free utilities;
-    payments are netted out once, at the choice-probability-weighted
-    price, so a uniform price increase of c lowers surplus by exactly M*c.
-    Choices themselves follow the price-inclusive utilities.
-    """
-    v_net = deterministic_utility(platform, streamers, state, theta)
-    p = choice_probabilities(v_net)
-    v_gross = v_net + platform.prices
-    expected_price = float(p @ platform.prices)
-    return platform.n_viewers * (float(logsumexp(v_gross)) - expected_price)
+    """Aggregate viewer surplus M * (E[max gross utility] - expected payment)."""
+    return total_welfare(platform, streamers, state, theta).consumer_surplus
 
 
 def producer_surplus(platform: PlatformParams, streamers, state: MarketState) -> float:
     """Total streamer profit: commission-net revenue minus quality costs."""
-    c = Market.from_params(platform, streamers).c
-    revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * state.n.sum()
-    return float(revenue - np.sum(c * state.q * state.q))
+    return total_welfare(platform, streamers, state).producer_surplus
 
 
 def platform_profit(platform: PlatformParams) -> float:
     """Commission take tau * R * M; independent of the market state."""
-    return platform.tau * platform.revenue_per_viewer * platform.n_viewers
+    return _platform_take(platform.tau, platform.revenue_per_viewer, platform.n_viewers)
 
 
 def total_welfare(
@@ -120,11 +122,10 @@ def total_welfare(
     theta: TrafficAllocation | None = None,
 ) -> WelfareBreakdown:
     """CS + PS + platform profit at the given state."""
-    return WelfareBreakdown.from_components(
-        consumer_surplus(platform, streamers, state, theta),
-        producer_surplus(platform, streamers, state),
-        platform_profit(platform),
-    )
+    v = deterministic_utility(platform, streamers, state, theta)
+    market = Market.from_params(platform, streamers)
+    cs, ps, pi = _welfare_parts(market, state.q, v, choice_probabilities(v), state.n)
+    return WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
 
 
 def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> FixedPointConfig:
@@ -153,19 +154,9 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     )
     n = n[0]
     v = utility(market.alpha, q, market.prices, market.beta, n, market.phi, theta_vec)
-    w, p = _welfare_of(market, q, v, n)
-    return float(w), n, p, bool(converged[0]), float(residual[0])
-
-
-def _welfare_of(market: Market, q, v, n):
-    """Total welfare and choice probabilities at utilities v and audiences n,
-    each of shape (..., N); the three parts as in consumer_surplus,
-    producer_surplus and platform_profit."""
     p = softmax(v)
-    cs = market.m * (logsumexp(v + market.prices) - p @ market.prices)
-    net = (1.0 - market.tau) * market.revenue_per_viewer
-    ps = net * n.sum(axis=-1) - np.sum(market.c * q * q)
-    return cs + ps + market.tau * market.revenue_per_viewer * market.m, p
+    cs, ps, pi = _welfare_parts(market, q, v, p, n)
+    return float(cs + ps + pi), n, p, bool(converged[0]), float(residual[0])
 
 
 def welfare_at_theta(
@@ -497,13 +488,13 @@ def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
 def _grid_welfare(market: Market, q, v_theta, n) -> np.ndarray:
     """Total welfare at every column of the streamer-major (N, K) grid.
 
-    The formulas of _welfare_of at utilities v_theta + beta n, one column
-    block at a time, in this layout: on the 501,501-point grid that is
-    about five times faster than _welfare_of on transposed blocks. Axis-0
-    sums of a few rows add them left to right, as numpy's sums over a
-    short trailing axis do, and the BLAS product p @ prices is formed on a
+    The formulas of _welfare_parts at utilities v_theta + beta n, one
+    column block at a time, in this layout: on the 501,501-point grid that
+    is about five times faster than _welfare_parts on transposed blocks.
+    Axis-0 sums of a few rows add them left to right, as numpy's sums over
+    a short trailing axis do, and the BLAS product p @ prices is formed on a
     C-ordered (columns, N) p: on a transposed view it rounds differently.
-    So every welfare is bitwise _welfare_of's.
+    So every welfare is bitwise cs + ps + pi of _welfare_parts.
     """
     net = (1.0 - market.tau) * market.revenue_per_viewer
     cost = np.sum(market.c * q * q)
@@ -572,150 +563,3 @@ def grid_search_allocation(
     w = _grid_welfare(market, q, v_theta, n)
     best = int(np.argmax(w))
     return simplex_project(thetas[:, best]), float(w[best])
-
-
-@dataclass(frozen=True)
-class MyopicStep:
-    """One re-optimization instant of the greedy dynamic allocator."""
-
-    t: float
-    theta: TrafficAllocation
-    welfare: WelfareBreakdown
-    segment: Trajectory
-
-
-def myopic_dynamic_allocation(
-    platform: PlatformParams,
-    streamers,
-    state0: MarketState,
-    horizon: float,
-    reopt_every: float,
-    integrator_cfg: IntegratorConfig | None = None,
-    fp_cfg: FixedPointConfig | None = None,
-    opt_tol: float = 1e-8,
-) -> list[MyopicStep]:
-    """Greedy promotion control: re-optimize theta, hold it, integrate.
-
-    This is an explicit approximation: each segment maximizes the static
-    welfare at the segment's starting quality rather than the discounted
-    welfare stream, so it is not the continuous-time optimum.
-    """
-    if horizon <= 0 or reopt_every <= 0:
-        raise DomainError("horizon and reopt_every must be > 0")
-    if integrator_cfg is None:
-        integrator_cfg = IntegratorConfig(dt=0.01, t_end=1.0)
-    steps: list[MyopicStep] = []
-    state = state0
-    t = 0.0
-    theta_prev: TrafficAllocation | None = None
-    while t < horizon - 1e-12:
-        sol = optimize_allocation(
-            platform, streamers, state.q, init_theta=theta_prev, tol=opt_tol,
-            fp_cfg=fp_cfg,
-        )
-        theta_prev = sol.theta
-        span = min(reopt_every, horizon - t)
-        seg_cfg = dataclasses.replace(integrator_cfg, t_end=span)
-        segment = integrate(platform, streamers, state, seg_cfg, theta=sol.theta)
-        steps.append(
-            MyopicStep(
-                t=t,
-                theta=sol.theta,
-                welfare=total_welfare(platform, streamers, state, sol.theta),
-                segment=segment,
-            )
-        )
-        state = MarketState(n=segment.n[-1], q=segment.q[-1])
-        t += span
-    return steps
-
-
-def time_averaged_welfare(platform, streamers, steps: list[MyopicStep]) -> float:
-    """Mean instantaneous welfare over every recorded sample of a run."""
-    totals = [
-        total_welfare(platform, streamers, MarketState(n=n, q=q), step.theta).total
-        for step in steps
-        for n, q in zip(step.segment.n, step.segment.q)
-    ]
-    return float(np.mean(totals))
-
-
-@dataclass(frozen=True)
-class HeadEffectComparison:
-    """Welfare at the concentrated vs the dispersed equilibrium."""
-
-    beta_star: float
-    beta_dispersed: float
-    beta_concentrated: float
-    dispersed: WelfareBreakdown
-    concentrated: WelfareBreakdown
-    dispersed_state: MarketState
-    concentrated_state: MarketState
-    dispersed_max_share: float
-    concentrated_max_share: float
-
-    def component_deltas(self) -> dict[str, float]:
-        """concentrated minus dispersed, per component."""
-        return {
-            "consumer_surplus": self.concentrated.consumer_surplus
-            - self.dispersed.consumer_surplus,
-            "producer_surplus": self.concentrated.producer_surplus
-            - self.dispersed.producer_surplus,
-            "platform_profit": self.concentrated.platform_profit
-            - self.dispersed.platform_profit,
-            "total": self.concentrated.total - self.dispersed.total,
-        }
-
-
-def head_effect_welfare_comparison(
-    platform: PlatformParams,
-    streamers,
-    cfg: FixedPointConfig | None = None,
-    share_threshold: float = 0.95,
-) -> HeadEffectComparison:
-    """Compare welfare across the concentration threshold.
-
-    Locates the critical network-effect strength for this instance, then
-    evaluates the welfare breakdown at the equilibria reached from the
-    perturbed-symmetric start at half and at twice that strength.
-    """
-    if cfg is None:
-        cfg = FixedPointConfig()
-    big_n = platform.n_streamers
-    m = platform.n_viewers
-    beta_lo = 1e-6
-    beta_hi = 4.0 * big_n / m
-    plat_probe = dataclasses.replace(platform, beta=beta_hi)
-    share, _ = max_share_from_perturbed_start(plat_probe, streamers, cfg)
-    doublings = 0
-    while share < share_threshold:
-        beta_hi *= 2.0
-        doublings += 1
-        if doublings > 20:
-            raise BracketError("could not bracket the critical network effect")
-        plat_probe = dataclasses.replace(platform, beta=beta_hi)
-        share, _ = max_share_from_perturbed_start(plat_probe, streamers, cfg)
-    beta_star = find_critical_beta(
-        platform, streamers, beta_lo, beta_hi, share_threshold, cfg
-    )
-
-    results = {}
-    for label, beta in (("dispersed", 0.5 * beta_star), ("concentrated", 2.0 * beta_star)):
-        plat = dataclasses.replace(platform, beta=beta)
-        max_share, res = max_share_from_perturbed_start(plat, streamers, cfg)
-        results[label] = (
-            total_welfare(plat, streamers, res.state),
-            res.state,
-            max_share,
-        )
-    return HeadEffectComparison(
-        beta_star=beta_star,
-        beta_dispersed=0.5 * beta_star,
-        beta_concentrated=2.0 * beta_star,
-        dispersed=results["dispersed"][0],
-        concentrated=results["concentrated"][0],
-        dispersed_state=results["dispersed"][1],
-        concentrated_state=results["concentrated"][1],
-        dispersed_max_share=results["dispersed"][2],
-        concentrated_max_share=results["concentrated"][2],
-    )

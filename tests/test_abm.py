@@ -17,7 +17,6 @@ from headfx.abm import (
     apply_policy,
     init_platform,
     run_round,
-    run_simulation,
     simulate,
 )
 from headfx.errors import DomainError, NonFiniteError
@@ -371,8 +370,8 @@ class TestPolicies:
                                per_round_amount=0.0),
         )
         noop_cfg = dataclasses.replace(base_cfg, policy_schedule=noop)
-        a = run_simulation(base_cfg)
-        b = run_simulation(noop_cfg)
+        a = simulate(base_cfg).records
+        b = simulate(noop_cfg).records
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.viewer_counts, rb.viewer_counts)
             assert np.array_equal(ra.streamer_revenues, rb.streamer_revenues)
@@ -428,16 +427,16 @@ class TestRunSimulation:
         for name in SCENARIO_NAMES:
             sim = make_scenario(name).sim
             for seed in range(10):
-                hash_history(run_simulation(dataclasses.replace(sim, seed=seed)), h)
+                hash_history(simulate(dataclasses.replace(sim, seed=seed)).records, h)
         assert h.hexdigest() == TABLE1_HISTORY_SHA256
 
     def test_zero_rounds(self):
-        assert run_simulation(small_cfg(n_rounds=0)) == []
+        assert simulate(small_cfg(n_rounds=0)).records == ()
 
     def test_seed_determinism_full_history(self):
         cfg = SimConfig(n_rounds=20, seed=13)
-        a = run_simulation(cfg)
-        b = run_simulation(cfg)
+        a = simulate(cfg).records
+        b = simulate(cfg).records
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.viewer_counts, rb.viewer_counts)
             assert np.array_equal(ra.qualities, rb.qualities)
@@ -499,7 +498,7 @@ class TestRunSimulation:
             exit_patience=np.int16(2), n_content_types=np.uint8(2), seed=1,
             policy_schedule=(policy,),
         )
-        assert len(run_simulation(cfg)) == 3
+        assert len(simulate(cfg).records) == 3
 
     @pytest.mark.parametrize("name", abm._INT_FIELDS)
     def test_counts_beyond_intp_rejected(self, name):

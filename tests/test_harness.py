@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfx import cli, equilibrium, harness
-from headfx.abm import POLICY_KINDS, SimConfig, run_simulation
+from headfx.abm import POLICY_KINDS, SimConfig, simulate
 from headfx.cli import main
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import ConfigError, DomainError
@@ -155,10 +155,10 @@ class TestSpecChecks:
 
 
 class TestRunScenario:
-    def test_single_seed_reproduces_run_simulation(self, tmp_path):
+    def test_single_seed_reproduces_simulate(self, tmp_path):
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1, seed_base=5)
         artifact = run_scenario(spec, out_dir=tmp_path)
-        direct = run_simulation(dataclasses.replace(FAST_SIM, seed=5))
+        direct = simulate(dataclasses.replace(FAST_SIM, seed=5)).records
         for ra, rb in zip(artifact.runs[0].records, direct):
             assert np.array_equal(ra.viewer_counts, rb.viewer_counts)
             assert np.array_equal(ra.streamer_revenues, rb.streamer_revenues)
@@ -452,6 +452,27 @@ class TestCli:
         verdict = "stable" if stable == "True" else "unstable"
         assert f"audience equilibrium {verdict}" in capsys.readouterr().out
 
+    def test_optimize_theta_output_is_pinned(self, tmp_path, capsys):
+        # Bytes recorded before the welfare formulas moved into one kernel.
+        # The oracle gap is a difference of two welfares near 167, so a
+        # last-bit change to either formula moves its printed digits.
+        out = tmp_path / "opt"
+        argv = ["optimize-theta", "--instance", INSTANCE_N3, "--out", str(out), "--grid-oracle"]
+        assert main(argv) == 0
+        assert (out / "theta_star.csv").read_bytes() == (
+            b"streamer_id,theta_star\n1,1\n2,0\n3,0\n"
+        )
+        assert (out / "welfare.csv").read_bytes() == (
+            b"quantity,value\nconsumer_surplus,119.439\nproducer_surplus,37.24\n"
+            b"platform_profit,10\ntotal_welfare,166.679\nkkt_residual,0\niterations,3\n"
+            b"converged,True\nactive_set,2;3\nviewer_stable,True\n"
+            b"viewer_max_eigen_real_part,-0.967261\n"
+        )
+        assert (
+            "grid oracle: theta [1.0, 0.0, 0.0] welfare 166.679 "
+            "(optimizer - oracle = +1.17e-12)"
+        ) in capsys.readouterr().out.splitlines()
+
     @pytest.mark.parametrize(
         "bad",
         [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
@@ -516,6 +537,15 @@ class TestCli:
         )
         code = main(["ab-test", "--config", str(cfg), "--scenarios", "Baseline", "Combined"])
         assert code == 2
+
+    def test_ab_test_short_horizon_names_the_scenario(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"name": "Baseline", "platform": {"n_rounds": 5}})
+        code = main(["ab-test", "--config", str(cfg), "--scenarios", "Baseline", "High_Tax",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'High_Tax'" in err
+        assert "canonical policies start at round 10" in err
 
     def test_sweep_cli_flags(self, tmp_path):
         out = tmp_path / "sw"

@@ -87,6 +87,15 @@ def test_logit_is_a_leaf_module():
     assert headfx_imports(tree) <= {"headfx.errors"}
 
 
+def test_welfare_builds_on_the_static_layers_only():
+    # Welfare is evaluated at static logit equilibria; nothing in it runs
+    # the dynamics, the agent-based model or the harness.
+    tree = ast.parse((SRC / "welfare.py").read_text())
+    assert headfx_imports(tree) <= {
+        "headfx.errors", "headfx.logit", "headfx.core", "headfx.equilibrium",
+    }
+
+
 @pytest.mark.parametrize(
     "source, modules",
     [

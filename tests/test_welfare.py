@@ -21,14 +21,11 @@ from headfx.welfare import (
     _simplex_grid,
     consumer_surplus,
     grid_search_allocation,
-    head_effect_welfare_comparison,
-    myopic_dynamic_allocation,
     numeric_welfare_gradient_theta,
     optimize_allocation,
     platform_profit,
     producer_surplus,
     simplex_project,
-    time_averaged_welfare,
     total_welfare,
     welfare_at_theta,
     welfare_gradient_theta,
@@ -591,107 +588,3 @@ class TestDefaultDamping:
         )
         assert np.array_equal(theta.theta, theta_damped.theta)
         assert abs(w - w_damped) <= 1e-9 * abs(w_damped)
-
-
-class TestMyopicDynamicAllocation:
-    def test_degenerates_to_static_when_horizon_within_one_segment(self):
-        plat, streamers, _ = instance([1.1, 0.9], [0.6, 0.5], beta=0.001)
-        state0 = MarketState(n=np.array([25.0, 25.0]), q=np.array([0.6, 0.5]))
-        steps = myopic_dynamic_allocation(
-            plat, streamers, state0, horizon=1.0, reopt_every=5.0
-        )
-        assert len(steps) == 1
-        static = optimize_allocation(plat, streamers, np.array([0.6, 0.5]))
-        assert steps[0].theta.theta == pytest.approx(static.theta.theta, abs=1e-9)
-
-    def test_symmetric_stays_uniform(self):
-        plat, streamers, _ = instance([1.0] * 3, [0.5] * 3, beta=0.001)
-        state0 = MarketState(n=np.full(3, 50 / 3), q=np.full(3, 0.5))
-        steps = myopic_dynamic_allocation(
-            plat, streamers, state0, horizon=3.0, reopt_every=1.0
-        )
-        assert len(steps) == 3
-        for step in steps:
-            assert step.theta.theta == pytest.approx(np.full(3, 1 / 3), abs=1e-8)
-
-    def test_greedy_beats_fixed_uniform_on_asymmetric_instances(self):
-        # quality adjusts slowly relative to audiences here; with fast
-        # quality dynamics full concentration erodes everyone's investment
-        # incentive (P(1-P) -> 0) and the greedy vertex can lose
-        rng = np.random.default_rng(46)
-        wins = 0
-        for _ in range(3):
-            alphas = rng.uniform(0.6, 1.4, 3)
-            q0 = rng.uniform(0.4, 0.8, 3)
-            plat = PlatformParams(n_streamers=3, n_viewers=50, beta=0.002, tau=0.2)
-            streamers = [
-                StreamerParams(alpha=float(a), eta=0.05, cost_coefficient=2.0)
-                for a in alphas
-            ]
-            state0 = MarketState(n=np.full(3, 50 / 3), q=q0)
-            greedy = myopic_dynamic_allocation(
-                plat, streamers, state0, horizon=3.0, reopt_every=1.0
-            )
-            uniform_theta = TrafficAllocation(np.full(3, 1 / 3))
-            from headfx.dynamics import IntegratorConfig, integrate
-            from headfx.welfare import MyopicStep
-
-            traj = integrate(
-                plat, streamers, state0, IntegratorConfig(dt=0.01, t_end=3.0), uniform_theta
-            )
-            uniform_steps = [
-                MyopicStep(t=0.0, theta=uniform_theta,
-                           welfare=total_welfare(plat, streamers, state0, uniform_theta),
-                           segment=traj)
-            ]
-            w_greedy = time_averaged_welfare(plat, streamers, greedy)
-            w_uniform = time_averaged_welfare(plat, streamers, uniform_steps)
-            wins += w_greedy >= w_uniform - 1e-9
-        assert wins == 3
-
-    def test_domain_checks(self):
-        plat, streamers, _ = instance([1.0, 1.0], [0.5, 0.5])
-        state0 = MarketState(n=np.array([25.0, 25.0]), q=np.array([0.5, 0.5]))
-        with pytest.raises(DomainError):
-            myopic_dynamic_allocation(plat, streamers, state0, horizon=0.0, reopt_every=1.0)
-
-
-class TestHeadEffectComparison:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def comparison():
-        plat = PlatformParams(n_streamers=3, n_viewers=100, beta=0.0, tau=0.2)
-        streamers = [StreamerParams(alpha=1.0, eta=1.0, cost_coefficient=2.0)] * 3
-        cfg = FixedPointConfig(tol=1e-11, max_iter=40000)
-        return head_effect_welfare_comparison(plat, streamers, cfg)
-
-    def test_platform_profit_state_independent(self, comparison):
-        assert comparison.concentrated.platform_profit == pytest.approx(
-            comparison.dispersed.platform_profit
-        )
-
-    def test_concentration_classification(self, comparison):
-        assert comparison.dispersed_max_share < 0.95
-        assert comparison.concentrated_max_share >= 0.95
-
-    def test_nondominant_streamers_lose_money_when_producing(self, comparison):
-        # the sign claim concerns the transition moment: audiences already
-        # concentrated while quality still sits at its dispersed level (at
-        # the joint equilibrium the losers disinvest to near-zero quality
-        # and stay marginally profitable)
-        audiences = comparison.concentrated_state.n
-        qualities = comparison.dispersed_state.q
-        dominant = int(np.argmax(audiences))
-        assert np.all(qualities > 0)
-        for i in range(3):
-            if i == dominant:
-                continue
-            profit = 0.8 * 1.0 * audiences[i] - 2.0 * qualities[i] ** 2
-            assert profit < 0.0
-
-    def test_cs_delta_reported_not_asserted(self, comparison):
-        deltas = comparison.component_deltas()
-        assert set(deltas) == {
-            "consumer_surplus", "producer_surplus", "platform_profit", "total",
-        }
-        assert np.isfinite(deltas["consumer_surplus"])
