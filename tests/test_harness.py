@@ -133,6 +133,20 @@ class TestSpecChecks:
         with pytest.raises(DomainError, match=message):
             make_scenario("Baseline", sim=FAST_SIM, **{"n_seeds": 1, **kwargs})
 
+    @pytest.mark.parametrize("name", ["High_Tax", "Boost_Small", "Combined"])
+    def test_canonical_policies_must_fit_the_horizon(self, name):
+        short = dataclasses.replace(FAST_SIM, n_rounds=9)
+        with pytest.raises(ConfigError, match=rf"scenario '{name}' needs n_rounds >= 10"):
+            make_scenario(name, sim=short, n_seeds=1)
+        # the policies start at round 10, so ten rounds are enough
+        spec = make_scenario(name, sim=dataclasses.replace(FAST_SIM, n_rounds=10), n_seeds=1)
+        assert spec.sim.policy_schedule == harness.canonical_policies(name)
+
+    def test_baseline_fits_any_horizon(self):
+        spec = make_scenario("Baseline", sim=dataclasses.replace(FAST_SIM, n_rounds=1),
+                             n_seeds=1)
+        assert spec.sim.policy_schedule == ()
+
     def test_scenario_needs_a_round(self):
         # SimConfig allows zero rounds; a scenario has to summarize a history
         with pytest.raises(DomainError, match="n_rounds must be >= 1"):

@@ -14,8 +14,9 @@ from headfx.equilibrium import FixedPointConfig
 from headfx.errors import DomainError, NonFiniteError, NumericalError
 from headfx.harness import parse_instance
 from headfx import welfare
-from headfx.logit import viewer_fixed_point
+from headfx.logit import softmax, viewer_fixed_point
 from headfx.welfare import (
+    WelfareBreakdown,
     _grid_viewer_fixed_point,
     _grid_welfare,
     _simplex_grid,
@@ -102,6 +103,17 @@ class TestPlatformProfit:
         plat = PlatformParams(n_streamers=2, n_viewers=1000, tau=0.4)
         assert platform_profit(plat) == pytest.approx(400.0)
 
+    def test_independent_of_the_market_state(self):
+        # the commission tau R M is taken whatever the audiences and qualities
+        plat, streamers, _ = instance([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], beta=0.001)
+        states = [
+            MarketState(n=np.full(3, 50 / 3), q=np.full(3, 0.5)),
+            MarketState(n=np.array([50.0, 0.0, 0.0]), q=np.array([1.5, 0.0, 0.0])),
+            MarketState(n=np.array([0.0, 10.0, 40.0]), q=np.array([0.1, 0.9, 0.2])),
+        ]
+        for state in states:
+            assert total_welfare(plat, streamers, state).platform_profit == platform_profit(plat)
+
 
 class TestTotalWelfare:
     def test_components_sum(self):
@@ -113,6 +125,28 @@ class TestTotalWelfare:
             + breakdown.platform_profit
         )
         assert breakdown.total == pytest.approx(parts, abs=1e-9)
+
+    def test_breakdown_rejects_a_total_that_is_not_its_parts(self):
+        with pytest.raises(DomainError, match="does not match its components"):
+            WelfareBreakdown(consumer_surplus=1.0, producer_surplus=2.0,
+                             platform_profit=3.0, total=7.0)
+        assert WelfareBreakdown.from_components(1.0, 2.0, 3.0).total == 6.0
+
+    @pytest.mark.parametrize("alphas, q, prices, shares", [
+        ([1.1, 0.9], [0.6, 0.5], [0.3, 0.05], [0.7, 0.3]),
+        ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], [0.1, 0.4, 0.25], [0.5, 0.2, 0.3]),
+    ])
+    def test_reported_welfare_is_the_optimizers_welfare(self, alphas, q, prices, shares):
+        # welfare_at_theta's breakdown and the welfare the optimizer climbs
+        # are one kernel's formulas at one fixed point, so bitwise equal
+        plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
+        q = np.asarray(q, dtype=float)
+        theta = TrafficAllocation(np.array(shares))
+        cfg = FixedPointConfig(tol=1e-12, max_iter=5000)
+        breakdown, _ = welfare_at_theta(plat, streamers, q, theta, cfg)
+        market = Market.from_params(plat, streamers)
+        raw = welfare._welfare_raw(market, q, theta.theta, cfg, market.symmetric_split())
+        assert breakdown.total == raw[0]
 
     def test_symmetric_audience_at_uniform_theta(self):
         plat, streamers, _ = instance([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], beta=0.001)
@@ -398,6 +432,20 @@ class TestGridOracle:
         _assert_grid_matches_reference(
             plat, streamers, q, FixedPointConfig(tol=1e-10, max_iter=5000)
         )
+
+    @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
+    def test_grid_welfare_is_the_kernel_welfare(self, alphas, q, prices):
+        # the streamer-major copy of the formulas agrees bitwise with
+        # _welfare_parts on the C-ordered (K, N) layout of the same grid
+        plat, streamers, q = _grid_instance(alphas, q, prices)
+        market = Market.from_params(plat, streamers)
+        thetas = _simplex_grid(plat.n_streamers, 100)
+        v_theta = (market.alpha * q - market.prices)[:, np.newaxis] + market.phi * thetas
+        cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
+        n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, cfg)
+        v = np.ascontiguousarray((v_theta + market.beta * n).T)
+        cs, ps, pi = welfare._welfare_parts(market, q, v, softmax(v), np.ascontiguousarray(n.T))
+        assert np.array_equal(_grid_welfare(market, q, v_theta, n), cs + ps + pi)
 
     @pytest.mark.parametrize("damping", [0.5, 1.0])
     @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
