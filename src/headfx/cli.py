@@ -152,8 +152,6 @@ def _cmd_dynamics(args) -> int:
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
-    if round(cfg.t_end / cfg.dt) == 0:
-        raise ConfigError(f"t_end {cfg.t_end:g} / dt {cfg.dt:g} rounds to zero RK4 steps")
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
     if args.kind == "trajectory":

@@ -7,6 +7,12 @@ Fixed-step RK4 integration of the coupled system
 
 plus local stability via the Jacobian, twin-run path-dependence
 experiments, concentration (HHI), and phase-portrait sweeps.
+
+The flow works on a stacked state: a (2, N) array for one start, or
+(2, K, N) for K starts, row 0 holding n and row 1 holding q. Its
+coefficients are stacked the same way, so dn/dt and dq/dt come out of
+the same array operations; multiplying by 1.0 is exact, so every entry
+goes through the operations of the formulas above in their order.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from .errors import (
     NonFiniteError,
     require_integers,
 )
-from .logit import logit_slope, quality_best_response, softmax, utility
+from .logit import quality_best_response, softmax
 
 __all__ = [
     "IntegratorConfig",
@@ -78,8 +84,15 @@ class IntegratorConfig:
             raise DomainError(
                 f"t_end / dt must be at most {sys.maxsize} steps, got {self.t_end / self.dt:g}"
             )
+        if self.n_steps == 0:
+            raise DomainError(f"t_end {self.t_end:g} / dt {self.dt:g} rounds to zero RK4 steps")
         if self.record_every < 1:
             raise DomainError(f"record_every must be >= 1, got {self.record_every}")
+
+    @property
+    def n_steps(self) -> int:
+        """Number of RK4 steps: t_end / dt rounded to the nearest integer."""
+        return int(round(self.t_end / self.dt))
 
 
 @dataclass(frozen=True)
@@ -107,31 +120,44 @@ class StabilityReport:
     stable: bool
 
 
-def _flow(market: Market, theta_vec, rows: int | None = None):
-    """The flow's right-hand side f(n, q) -> (dn/dt, dq/dt).
+def _stack_rows(shape, top, bottom) -> np.ndarray:
+    """An array of the stacked state's shape with top in row 0 and bottom in row 1."""
+    rows = np.empty(shape)
+    rows[0], rows[1] = top, bottom
+    return rows
 
-    The constant vectors of the formulas (the market's, and the cost
-    slope 2 c) are formed once, by the same operations in the same order
-    as inside the whole expressions, so f is bitwise the formulas
-    evaluated in full. For a batch of rows they are tiled to (rows, N):
-    numpy's elementwise loops are much faster on equal shapes than on
-    broadcast ones.
+
+def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
+    """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
+
+    Its coefficients are rows shaped like s, formed once by the formulas'
+    own operations: (beta, alpha) for the utility, (m, revenue) for the
+    rate, (1, 2 c) for the drain and (gamma, eta) for the speed; prices
+    and promotion are tiled to one row. Equal shapes keep numpy's
+    elementwise loops off their slower broadcast path.
     """
-    m, beta, gamma, phi = market.m, market.beta, market.gamma, market.phi
-    alpha, eta, prices, revenue = market.alpha, market.eta, market.prices, market.revenue
-    cost_slope = 2.0 * market.c
-    if rows is not None:
-        alpha, eta, prices, revenue, cost_slope = (
-            np.tile(x, (rows, 1)) for x in (alpha, eta, prices, revenue, cost_slope)
-        )
-        if theta_vec is not None:
-            theta_vec = np.tile(theta_vec, (rows, 1))
+    big_n = market.alpha.size
+    if s.shape[-1] != big_n:
+        raise DimensionMismatchError(f"state has {s.shape[-1]} streamers, expected {big_n}")
+    weights = _stack_rows(s.shape, market.beta, market.alpha)
+    rate = _stack_rows(s.shape, market.m, market.revenue)
+    drain = _stack_rows(s.shape, 1.0, 2.0 * market.c)
+    speed = _stack_rows(s.shape, market.gamma, market.eta)
+    prices = np.broadcast_to(market.prices, s.shape[1:]).copy()
+    promotion = None
+    if theta_vec is not None:
+        promotion = np.broadcast_to(market.phi * theta_vec, s.shape[1:]).copy()
 
-    def f(n, q):
-        p = softmax(utility(alpha, q, prices, beta, n, phi, theta_vec))
-        dn = gamma * (m * p - n)
-        dq = eta * (logit_slope(revenue, p) - cost_slope * q)
-        return dn, dq
+    def f(s):
+        weighted = weights * s
+        v = weighted[1] - prices + weighted[0]
+        if promotion is not None:
+            v = v + promotion
+        p = softmax(v)
+        # (m P, revenue P (1 - P)): the q row is logit_slope(revenue, P)
+        slope = rate * p
+        slope[1] *= 1.0 - p
+        return speed * (slope - drain * s)
 
     return f
 
@@ -145,13 +171,9 @@ def rhs(
     """Time derivative (dn/dt, dq/dt) of length 2N at the given state."""
     if not (np.all(np.isfinite(state.n)) and np.all(np.isfinite(state.q))):
         raise NonFiniteError("state contains non-finite entries")
-    if state.n.shape[0] != platform.n_streamers:
-        raise DimensionMismatchError(
-            f"state has {state.n.shape[0]} streamers, expected {platform.n_streamers}"
-        )
     theta_vec = theta.theta if theta is not None else None
-    dn, dq = _flow(Market.from_params(platform, streamers), theta_vec)(state.n, state.q)
-    return np.concatenate([dn, dq])
+    s = np.stack([state.n, state.q])
+    return _stacked_flow(Market.from_params(platform, streamers), theta_vec, s)(s).reshape(-1)
 
 
 def best_response_quality(platform: PlatformParams, streamers, shares) -> np.ndarray:
@@ -172,79 +194,67 @@ def _divergence(n, q, m: float, t: float) -> DivergenceError | None:
 
 
 def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
-    """Classic RK4 for K starts at once, as (K, N) arrays.
+    """Classic RK4 for K starts at once, on the stacked (2, K, N) state.
 
-    Every row goes through the operations of a single-start run in the
-    same order, so each row's path is bitwise the one it would take
-    alone; a single start is integrated as a plain vector. The
-    divergence checks run on the whole batch; only on a step where one
-    fails are the rows told apart, and each failing row leaves the batch
-    with the error a single-start run would raise there.
+    Each row goes through a single-start run's operations in the same
+    order, so its path is bitwise the one it takes alone; a single start
+    runs as a (2, N) state. One comparison with a stacked bound,
+    min(M (1 + slack), 1e12) for n and 1e12 for q, checks each clamped
+    step; only when it fails are the rows told apart, and each failing
+    row leaves with the error a single-start run would raise there.
 
     Returns (trajectories, failures): a list with one Trajectory per row
     (None for a failed row) and a dict from row index to DivergenceError.
     """
-    m = market.m
     dt = cfg.dt
     half = 0.5 * dt
     sixth = dt / 6.0
-    n_steps = int(round(cfg.t_end / dt))
+    n_steps = cfg.n_steps
     n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every != 0)
 
-    n = np.array(n0, dtype=float)
-    q = np.array(q0, dtype=float)
-    n_rec = np.empty((n_records,) + n.shape)
-    q_rec = np.empty((n_records,) + q.shape)
-    n_rec[0] = n
-    q_rec[0] = q
-    times = [0.0]
-    rows = np.arange(n.shape[0])
-    failures: dict[int, DivergenceError] = {}
+    s = np.stack([np.asarray(n0, dtype=float), np.asarray(q0, dtype=float)])
+    rec = np.empty((2, n_records) + s.shape[1:])
+    rows = np.arange(s.shape[1])
     if rows.size == 1:
-        n, q = n[0], q[0]
-        f = _flow(market, theta_vec)
-    else:
-        f = _flow(market, theta_vec, rows.size)
+        s = s[:, 0]
+    samples = rec.reshape((2, n_records) + s.shape[1:])
+    samples[:, 0] = s
+    times = [0.0]
+    failures: dict[int, DivergenceError] = {}
+    f = _stacked_flow(market, theta_vec, s)
+    n_bound = min(market.m * (1.0 + _N_BOUND_SLACK), _EXPLOSION_BOUND)
+    bound = _stack_rows(s.shape, n_bound, _EXPLOSION_BOUND)
 
     for step in range(1, n_steps + 1):
-        k1n, k1q = f(n, q)
-        k2n, k2q = f(n + half * k1n, q + half * k1q)
-        k3n, k3q = f(n + half * k2n, q + half * k2q)
-        k4n, k4q = f(n + dt * k3n, q + dt * k3q)
-        n = n + sixth * (k1n + 2.0 * k2n + 2.0 * k3n + k4n)
-        q = q + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        q = np.maximum(q, 0.0)
-        n = np.maximum(n, 0.0)
+        k1 = f(s)
+        k2 = f(s + half * k1)
+        k3 = f(s + half * k2)
+        k4 = f(s + dt * k3)
+        s = np.maximum(s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
         t = step * dt
 
-        error = _divergence(n, q, m, t)
-        if error is not None:
-            if n.ndim == 1:
-                failures[int(rows[0])] = error
-                break
-            errors = [_divergence(n[i], q[i], m, t) for i in range(rows.size)]
+        # the clamped state is >= 0 or NaN, so this is every check of _divergence
+        if not (s <= bound).all():
+            errors = [_divergence(n, q, market.m, t) for n, q in zip(*s.reshape(2, rows.size, -1))]
             failed = np.array([e is not None for e in errors])
-            for i in np.flatnonzero(failed):
-                failures[int(rows[i])] = errors[i]
+            failures.update((int(rows[i]), errors[i]) for i in np.flatnonzero(failed))
             if failed.all():
                 break
-            rows, n, q = rows[~failed], n[~failed], q[~failed]
-            f = _flow(market, theta_vec, rows.size)
+            rows, s, bound = rows[~failed], s[:, ~failed], bound[:, ~failed]
+            f = _stacked_flow(market, theta_vec, s)
 
         if step % cfg.record_every == 0 or step == n_steps:
-            if rows.size == n_rec.shape[1]:
-                n_rec[len(times)] = n
-                q_rec[len(times)] = q
+            if rows.size == rec.shape[2]:
+                samples[:, len(times)] = s
             else:
-                n_rec[len(times), rows] = n
-                q_rec[len(times), rows] = q
+                rec[:, len(times), rows] = s
             times.append(t)
 
     return [
         None
         if row in failures
-        else Trajectory(times=np.array(times), n=n_rec[:, row], q=q_rec[:, row])
-        for row in range(n_rec.shape[1])
+        else Trajectory(times=np.array(times), n=rec[0, :, row], q=rec[1, :, row])
+        for row in range(rec.shape[2])
     ], failures
 
 
@@ -283,22 +293,17 @@ def jacobian(
     state x = (n, q).
     """
     theta_vec = theta.theta if theta is not None else None
-    big_n = platform.n_streamers
-    x0 = np.concatenate([state.n, state.q])
-    flow = _flow(Market.from_params(platform, streamers), theta_vec)
-
-    def f(x):
-        return np.concatenate(flow(x[:big_n], x[big_n:]))
-
-    dim = 2 * big_n
+    x0 = np.stack([state.n, state.q])
+    f = _stacked_flow(Market.from_params(platform, streamers), theta_vec, x0)
+    dim = x0.size
     jac = np.empty((dim, dim))
     for i in range(dim):
-        h = _JACOBIAN_STEP * (1.0 + abs(x0[i]))
+        h = _JACOBIAN_STEP * (1.0 + abs(x0.flat[i]))
         xp = x0.copy()
         xm = x0.copy()
-        xp[i] += h
-        xm[i] -= h
-        jac[:, i] = (f(xp) - f(xm)) / (2.0 * h)
+        xp.flat[i] += h
+        xm.flat[i] -= h
+        jac[:, i] = (f(xp) - f(xm)).reshape(-1) / (2.0 * h)
     return jac
 
 
@@ -345,6 +350,8 @@ def stability_at(
 def hhi(n) -> float:
     """Herfindahl-Hirschman index of an audience vector, in [1/N, 1]."""
     n = np.asarray(n, dtype=float)
+    if not np.all(np.isfinite(n)):
+        raise NonFiniteError("audience entries must be finite")
     if np.any(n < 0):
         raise DomainError("audience entries must be >= 0")
     total = n.sum()

@@ -39,18 +39,19 @@ def utility(alpha, q, prices, beta, n, phi, theta=None):
 
 def softmax(v: np.ndarray) -> np.ndarray:
     """Max-shifted logit probabilities exp(V) / sum exp(V)."""
-    # the same values without keepdims: faster in the solvers' vector loops
+    # the same values without keepdims: faster in the solvers' vector loops;
+    # the ufunc reductions skip the Python wrappers of ndarray.max and .sum
     if v.ndim == 1:
-        e = np.exp(v - v.max())
-        return e / e.sum()
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+        e = np.exp(v - np.maximum.reduce(v))
+        return e / np.add.reduce(e)
+    e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def logsumexp(v: np.ndarray):
     """Max-shifted log sum exp(V): a scalar for a vector, shape (...,) for a batch."""
-    m = v.max(axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.exp(v - m).sum(axis=-1))
+    m = np.maximum.reduce(v, axis=-1, keepdims=True)
+    return m[..., 0] + np.log(np.add.reduce(np.exp(v - m), axis=-1))
 
 
 def logit_slope(coef, p):
@@ -108,7 +109,7 @@ def viewer_fixed_point(market, q, n0, cfg, theta):
         target = m * softmax(v)
         gap = np.abs(n - target)
         if n.ndim == 1:
-            res = float(gap.max())
+            res = float(np.maximum.reduce(gap))
             if not math.isfinite(res):
                 raise NumericalError("non-finite residual in viewer fixed-point iteration")
             if res <= tol:
@@ -118,7 +119,7 @@ def viewer_fixed_point(market, q, n0, cfg, theta):
                 residual[rows] = res
                 return n_out, converged, iterations, residual
         else:
-            res = gap.max(axis=1)
+            res = np.maximum.reduce(gap, axis=1)
             if not np.isfinite(res).all():
                 raise NumericalError("non-finite residual in viewer fixed-point iteration")
             done = res <= tol

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx.core import Market, MarketState, PlatformParams, StreamerParams
+from headfx.core import (
+    Market,
+    MarketState,
+    PlatformParams,
+    StreamerParams,
+    TrafficAllocation,
+)
 from headfx.dynamics import (
     IntegratorConfig,
     _integrate_batch,
@@ -54,6 +60,32 @@ class TestRhs:
         object.__setattr__(state, "n", np.array([np.nan, 2.0]))
         with pytest.raises(NonFiniteError):
             rhs(plat, streamers, state)
+
+
+SHORT = IntegratorConfig(dt=0.1, t_end=1.0)
+
+
+class TestStateLength:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda plat, streamers, state: rhs(plat, streamers, state),
+            lambda plat, streamers, state: jacobian(plat, streamers, state),
+            lambda plat, streamers, state: stability_at(plat, streamers, state),
+            lambda plat, streamers, state: integrate(plat, streamers, state, SHORT),
+            lambda plat, streamers, state: path_dependence_experiment(
+                plat, streamers, 1.0, SHORT, state0=state
+            ),
+            lambda plat, streamers, state: phase_portrait(plat, streamers, [state, state], SHORT),
+        ],
+        ids=["rhs", "jacobian", "stability_at", "integrate", "path_dependence", "portrait"],
+    )
+    @pytest.mark.parametrize("length", [2, 4])
+    def test_wrong_length_state_rejected(self, call, length):
+        plat, streamers = symmetric_instance(n=3, beta=0.05)
+        state = MarketState(n=np.full(length, 10.0), q=np.full(length, 0.5))
+        with pytest.raises(DimensionMismatchError, match=f"state has {length} streamers"):
+            call(plat, streamers, state)
 
 
 class TestIntegrate:
@@ -140,9 +172,13 @@ class TestIntegratorConfig:
         with pytest.raises(DomainError, match="t_end / dt must be at most"):
             IntegratorConfig(dt=dt, t_end=t_end)
 
-    def test_horizon_shorter_than_half_a_step_allowed(self):
-        # a myopic control's last segment can be that short
-        assert IntegratorConfig(dt=0.01, t_end=1e-3).t_end == 1e-3
+    @pytest.mark.parametrize("t_end,dt", [(1e-3, 0.01), (0.01, 0.05), (200.0, 500.0)])
+    def test_horizon_shorter_than_half_a_step_rejected(self, t_end, dt):
+        with pytest.raises(DomainError, match="rounds to zero RK4 steps"):
+            IntegratorConfig(dt=dt, t_end=t_end)
+
+    def test_horizon_of_half_a_step_or_more_takes_a_step(self):
+        assert IntegratorConfig(dt=0.01, t_end=0.006).n_steps == 1
 
 
 class TestJacobian:
@@ -280,6 +316,11 @@ class TestHHI:
         with pytest.raises(DomainError):
             hhi(np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonFiniteError, match="finite"):
+            hhi(np.array([bad, 1.0]))
+
 
 class TestPhasePortrait:
     def test_constant_at_equilibrium_grid(self):
@@ -328,27 +369,54 @@ class TestPhasePortrait:
             phase_portrait(plat, streamers, [], IntegratorConfig(dt=0.1, t_end=1.0))
 
 
-# The single-start RK4 integrator as first written, one start per Python
-# loop. Kept as the bitwise reference for the batched (K, N) integrator.
+# The per-vector flow and the single-start RK4 integrator that ran before
+# the state was stacked, one start per Python loop and the logit formulas
+# written out. Kept as the bitwise reference for the stacked integrator,
+# rhs and jacobian.
 
 
-def _reference_integrate(platform, streamers, state0, cfg):
+def _reference_flow(platform, streamers, theta=None):
+    market = Market.from_params(platform, streamers)
+    cost_slope = 2.0 * market.c
+
+    def f(n, q):
+        v = market.alpha * q - market.prices + market.beta * n
+        if theta is not None:
+            v = v + market.phi * theta.theta
+        e = np.exp(v - v.max())
+        p = e / e.sum()
+        dn = market.gamma * (market.m * p - n)
+        dq = market.eta * (market.revenue * p * (1.0 - p) - cost_slope * q)
+        return dn, dq
+
+    return f
+
+
+def _reference_jacobian(platform, streamers, state, theta=None):
+    big_n = platform.n_streamers
+    x0 = np.concatenate([state.n, state.q])
+    flow = _reference_flow(platform, streamers, theta)
+
+    def f(x):
+        return np.concatenate(flow(x[:big_n], x[big_n:]))
+
+    jac = np.empty((2 * big_n, 2 * big_n))
+    for i in range(2 * big_n):
+        h = 1e-6 * (1.0 + abs(x0[i]))
+        xp = x0.copy()
+        xm = x0.copy()
+        xp[i] += h
+        xm[i] -= h
+        jac[:, i] = (f(xp) - f(xm)) / (2.0 * h)
+    return jac
+
+
+def _reference_integrate(platform, streamers, state0, cfg, theta=None):
     """Returns (times, n matrix, q matrix) or raises DivergenceError."""
-    alpha = np.array([s.alpha for s in streamers])
-    eta = np.array([s.eta for s in streamers])
-    c = np.array([s.cost_coefficient for s in streamers])
     m = float(platform.n_viewers)
     dt = cfg.dt
     n_steps = int(round(cfg.t_end / dt))
-
-    def f(n, q):
-        v = alpha * q - platform.prices + platform.beta * n
-        e = np.exp(v - v.max())
-        p = e / e.sum()
-        mm = platform.n_viewers
-        dn = platform.gamma * (mm * p - n)
-        revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * mm * alpha * p * (1.0 - p)
-        return dn, eta * (revenue - 2.0 * c * q)
+    f = _reference_flow(platform, streamers, theta)
 
     n = state0.n.copy()
     q = state0.q.copy()
@@ -376,9 +444,9 @@ def _reference_integrate(platform, streamers, state0, cfg):
     return np.array(times), np.array(ns), np.array(qs)
 
 
-def _reference_outcome(platform, streamers, state0, cfg):
+def _reference_outcome(platform, streamers, state0, cfg, theta=None):
     try:
-        return _reference_integrate(platform, streamers, state0, cfg)
+        return _reference_integrate(platform, streamers, state0, cfg, theta)
     except DivergenceError as exc:
         return exc
 
@@ -511,6 +579,83 @@ class TestBatchMatchesReference:
                 assert traj is None
             else:
                 _assert_same_path(traj, ref)
+
+
+def _family_case(k, n, with_theta, with_prices, dt):
+    """A seeded market with K starts; 37 steps, sampled every 5th and at the end."""
+    rng = np.random.default_rng([k, n, with_theta, with_prices])
+    plat = PlatformParams(
+        n_streamers=n, n_viewers=100.0, beta=float(rng.uniform(0.02, 0.3)),
+        prices=rng.uniform(0.0, 0.3, n) if with_prices else None,
+    )
+    streamers = [
+        StreamerParams(alpha=float(a), eta=float(e), cost_coefficient=float(c))
+        for a, e, c in zip(rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n),
+                           rng.uniform(1.0, 3.0, n))
+    ]
+    theta = TrafficAllocation(rng.dirichlet(np.ones(n))) if with_theta else None
+    starts = [
+        MarketState(n=n0, q=q0)
+        for n0, q0 in zip(rng.dirichlet(np.full(n, 0.3), size=k) * 100.0,
+                          rng.uniform(0.0, 3.0, (k, n)))
+    ]
+    cfg = IntegratorConfig(dt=dt, t_end=37 * dt, record_every=5)
+    return plat, streamers, theta, starts, cfg
+
+
+def _family_run(k, n, with_theta, with_prices, dt):
+    """(batch trajectories, batch failures, reference outcomes) of one family case."""
+    plat, streamers, theta, starts, cfg = _family_case(k, n, with_theta, with_prices, dt)
+    with np.errstate(all="ignore"):
+        trajs, failures = _integrate_batch(
+            Market.from_params(plat, streamers), np.stack([s.n for s in starts]),
+            np.stack([s.q for s in starts]), cfg, None if theta is None else theta.theta,
+        )
+        refs = [_reference_outcome(plat, streamers, s, cfg, theta) for s in starts]
+    return trajs, failures, refs
+
+
+FAMILY = [
+    (k, n, with_theta, with_prices)
+    for k in (1, 2, 5) for n in (1, 2, 3, 6, 15)
+    for with_theta in (False, True) for with_prices in (False, True)
+]
+
+
+class TestStackedFlowMatchesReference:
+    @pytest.mark.parametrize("dt", [0.05, 0.5])
+    @pytest.mark.parametrize("k,n,with_theta,with_prices", FAMILY)
+    def test_integrator(self, k, n, with_theta, with_prices, dt):
+        trajs, failures, refs = _family_run(k, n, with_theta, with_prices, dt)
+        assert {i: (str(e), e.t) for i, e in failures.items()} == {
+            i: (str(r), r.t) for i, r in enumerate(refs) if isinstance(r, DivergenceError)
+        }
+        for traj, ref in zip(trajs, refs):
+            if isinstance(ref, DivergenceError):
+                assert traj is None
+            else:
+                _assert_same_path(traj, ref)
+
+    def test_large_step_diverges_some_rows_mid_run_while_others_finish(self):
+        mixed = []
+        for k, n, with_theta, with_prices in FAMILY:
+            _, failures, _ = _family_run(k, n, with_theta, with_prices, 0.5)
+            if 0 < len(failures) < k and min(e.t for e in failures.values()) > 0.5:
+                mixed.append((k, n, with_theta, with_prices))
+        assert len(mixed) >= 2
+
+    @pytest.mark.parametrize("k,n,with_theta,with_prices", [c for c in FAMILY if c[0] == 2])
+    def test_integrate_rhs_and_jacobian(self, k, n, with_theta, with_prices):
+        plat, streamers, theta, starts, cfg = _family_case(k, n, with_theta, with_prices, 0.05)
+        outcome = _reference_outcome(plat, streamers, starts[0], cfg, theta)
+        _assert_same_path(integrate(plat, streamers, starts[0], cfg, theta), outcome)
+        for state in starts:
+            want = np.concatenate(_reference_flow(plat, streamers, theta)(state.n, state.q))
+            assert np.array_equal(rhs(plat, streamers, state, theta), want)
+            assert np.array_equal(
+                jacobian(plat, streamers, state, theta),
+                _reference_jacobian(plat, streamers, state, theta),
+            )
 
 
 class TestBatchProperties:
