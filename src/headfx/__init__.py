@@ -15,8 +15,6 @@ from .core import (
     choice_probabilities,
     cost,
     deterministic_utility,
-    expected_viewers,
-    marginal_cost,
     streamer_profit,
 )
 from .equilibrium import (
@@ -25,7 +23,6 @@ from .equilibrium import (
     enumerate_equilibria,
     find_critical_beta,
     solve_joint_equilibrium,
-    solve_viewer_fixed_point,
 )
 from .dynamics import (
     IntegratorConfig,
@@ -37,7 +34,6 @@ from .dynamics import (
     jacobian,
     path_dependence_experiment,
     phase_portrait,
-    rhs,
 )
 from .abm import (
     PolicyIntervention,
@@ -50,7 +46,6 @@ from .abm import (
 )
 from .metrics import (
     MetricsSummary,
-    avg_satisfaction,
     gini,
     quality_improvement,
     summarize,
@@ -60,13 +55,9 @@ from .metrics import (
 from .welfare import (
     AllocationSolution,
     WelfareBreakdown,
-    consumer_surplus,
     optimize_allocation,
-    platform_profit,
-    producer_surplus,
     simplex_project,
     total_welfare,
-    welfare_gradient_theta,
 )
 from .harness import (
     ScenarioSpec,

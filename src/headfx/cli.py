@@ -190,6 +190,8 @@ def _cmd_dynamics(args) -> int:
         summary["terminal_share_gap"] = record.terminal_share_gap
         print(f"wrote {path}")
     elif args.kind == "portrait":
+        if args.grid < 1:
+            raise ConfigError(f"--grid must be >= 1, got {args.grid}")
         m = float(platform.n_viewers)
         big_n = platform.n_streamers
         starts = []
@@ -246,6 +248,10 @@ def _cmd_ab_test(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = parse_config(args.config) if args.config else make_scenario("Baseline")
     if isinstance(spec, SweepSpec):
+        if args.parameter is not None or args.values is not None:
+            raise ConfigError(
+                "config already has a [sweep] section; drop --parameter and --values"
+            )
         spec = dataclasses.replace(spec, base=_apply_seed_flags(spec.base, args))
     else:
         if not args.parameter or not args.values:

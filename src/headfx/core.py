@@ -1,9 +1,9 @@
 """Closed-form market primitives.
 
-Viewer utilities, multinomial-logit choice probabilities, expected
-audiences, streamer profits, quadratic quality costs, and the analytic
-audience/quality sensitivity. Everything here is a pure function of its
-inputs; all other modules build on these.
+Viewer utilities, multinomial-logit choice probabilities, streamer
+profits, quadratic quality costs, and the analytic audience/quality
+sensitivity. Everything here is a pure function of its inputs; all other
+modules build on these.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ __all__ = [
     "TrafficAllocation",
     "deterministic_utility",
     "choice_probabilities",
-    "expected_viewers",
     "cost",
-    "marginal_cost",
     "streamer_profit",
     "audience_quality_sensitivity",
 ]
@@ -154,7 +152,6 @@ class MarketState:
 
     n: np.ndarray
     q: np.ndarray
-    t: float = 0.0
 
     def __post_init__(self):
         n = _as_float_vector(self.n, "state.n")
@@ -181,9 +178,6 @@ class TrafficAllocation:
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"theta must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "theta", theta)
-
-    def __len__(self) -> int:
-        return self.theta.shape[0]
 
 
 def deterministic_utility(
@@ -222,16 +216,6 @@ def choice_probabilities(v) -> np.ndarray:
     return softmax(v)
 
 
-def expected_viewers(p, m: float) -> np.ndarray:
-    """Expected audience n_i = M * P_i for a probability vector P."""
-    p = _as_float_vector(p, "P")
-    if m < 0:
-        raise DomainError(f"M must be >= 0, got {m}")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise DomainError("P must lie on the probability simplex")
-    return m * p
-
-
 def cost(q, c):
     """Quadratic content-production cost c * q**2 (strictly convex)."""
     q = np.asarray(q, dtype=float)
@@ -240,17 +224,6 @@ def cost(q, c):
     if np.any(np.asarray(c, dtype=float) <= 0):
         raise DomainError("cost coefficient must be > 0")
     out = c * q * q
-    return float(out) if out.ndim == 0 else out
-
-
-def marginal_cost(q, c):
-    """Marginal cost 2 * c * q of the quadratic cost."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise DomainError("quality must be >= 0")
-    if np.any(np.asarray(c, dtype=float) <= 0):
-        raise DomainError("cost coefficient must be > 0")
-    out = 2.0 * c * q
     return float(out) if out.ndim == 0 else out
 
 

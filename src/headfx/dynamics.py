@@ -46,7 +46,6 @@ __all__ = [
     "StabilityReport",
     "PathDependenceRecord",
     "PortraitResult",
-    "rhs",
     "best_response_quality",
     "integrate",
     "jacobian",
@@ -109,7 +108,7 @@ class Trajectory:
 
     @property
     def terminal(self) -> MarketState:
-        return MarketState(n=self.n[-1], q=self.q[-1], t=float(self.times[-1]))
+        return MarketState(n=self.n[-1], q=self.q[-1])
 
 
 @dataclass(frozen=True)
@@ -127,6 +126,11 @@ def _stack_rows(shape, top, bottom) -> np.ndarray:
     return rows
 
 
+def _check_streamers(length: int, market: Market) -> None:
+    if length != market.alpha.size:
+        raise DimensionMismatchError(f"state has {length} streamers, expected {market.alpha.size}")
+
+
 def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
 
@@ -136,9 +140,7 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     and promotion are tiled to one row. Equal shapes keep numpy's
     elementwise loops off their slower broadcast path.
     """
-    big_n = market.alpha.size
-    if s.shape[-1] != big_n:
-        raise DimensionMismatchError(f"state has {s.shape[-1]} streamers, expected {big_n}")
+    _check_streamers(s.shape[-1], market)
     weights = _stack_rows(s.shape, market.beta, market.alpha)
     rate = _stack_rows(s.shape, market.m, market.revenue)
     drain = _stack_rows(s.shape, 1.0, 2.0 * market.c)
@@ -160,20 +162,6 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
         return speed * (slope - drain * s)
 
     return f
-
-
-def rhs(
-    platform: PlatformParams,
-    streamers,
-    state: MarketState,
-    theta: TrafficAllocation | None = None,
-) -> np.ndarray:
-    """Time derivative (dn/dt, dq/dt) of length 2N at the given state."""
-    if not (np.all(np.isfinite(state.n)) and np.all(np.isfinite(state.q))):
-        raise NonFiniteError("state contains non-finite entries")
-    theta_vec = theta.theta if theta is not None else None
-    s = np.stack([state.n, state.q])
-    return _stacked_flow(Market.from_params(platform, streamers), theta_vec, s)(s).reshape(-1)
 
 
 def best_response_quality(platform: PlatformParams, streamers, shares) -> np.ndarray:
@@ -375,8 +363,6 @@ class PathDependenceRecord:
     gap_minus: np.ndarray
     winner_plus: int
     winner_minus: int
-    dominant_share_plus: float
-    dominant_share_minus: float
     terminal_hhi_plus: float
     terminal_hhi_minus: float
     trajectory_plus: Trajectory
@@ -414,7 +400,7 @@ def path_dependence_experiment(
 
     if state0 is None:
         q_base = quality_best_response(market.revenue, market.c, np.full(big_n, 1.0 / big_n))
-        state0 = MarketState(n=market.symmetric_split(), q=q_base, t=0.0)
+        state0 = MarketState(n=market.symmetric_split(), q=q_base)
 
     n_plus = state0.n.copy()
     n_plus[0] = min(n_plus[0] + delta0 / 2.0, market.m)
@@ -437,8 +423,6 @@ def path_dependence_experiment(
         gap_minus=traj_minus.n[:, 0] - traj_minus.n[:, 1],
         winner_plus=int(np.argmax(term_plus)),
         winner_minus=int(np.argmax(term_minus)),
-        dominant_share_plus=float(term_plus.max() / term_plus.sum()),
-        dominant_share_minus=float(term_minus.max() / term_minus.sum()),
         terminal_hhi_plus=hhi(term_plus),
         terminal_hhi_minus=hhi(term_minus),
         trajectory_plus=traj_plus,
@@ -467,8 +451,11 @@ def phase_portrait(
     initial_states = list(initial_states)
     if not initial_states:
         raise DomainError("phase_portrait needs a non-empty grid of initial states")
+    market = Market.from_params(platform, streamers)
+    for s0 in initial_states:
+        _check_streamers(s0.n.size, market)
     trajectories, failures = _integrate_batch(
-        Market.from_params(platform, streamers), np.stack([s0.n for s0 in initial_states]),
+        market, np.stack([s0.n for s0 in initial_states]),
         np.stack([s0.q for s0 in initial_states]), cfg, None,
     )
     failures = [(idx, str(failures[idx])) for idx in sorted(failures)]

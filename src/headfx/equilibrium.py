@@ -1,8 +1,8 @@
 """Static equilibrium solvers.
 
-Damped fixed-point iteration for the implicit audience system
-n = M * P(n, q), joint (n, q) equilibria via alternation with the
-closed-form quality best response, multi-start enumeration of distinct
+Joint (n, q) equilibria by alternating the damped viewer fixed point
+n = M * P(n, q) of ``logit.viewer_fixed_point`` with the closed-form
+quality best response, multi-start enumeration of distinct
 equilibria, and bisection for the critical network-effect strength at
 which near-symmetric markets collapse into a concentrated outcome.
 """
@@ -22,7 +22,6 @@ from .logit import quality_best_response, softmax, utility, viewer_fixed_point
 __all__ = [
     "FixedPointConfig",
     "EquilibriumResult",
-    "solve_viewer_fixed_point",
     "solve_joint_equilibrium",
     "enumerate_equilibria",
     "find_critical_beta",
@@ -73,32 +72,6 @@ class EquilibriumResult:
 def _check_audiences(n, m: float) -> None:
     if np.any(n < 0) or np.any(n > m):
         raise DomainError("n0 entries must lie in [0, M]")
-
-
-def solve_viewer_fixed_point(
-    platform: PlatformParams,
-    streamers,
-    q,
-    n0,
-    cfg: FixedPointConfig,
-    theta: TrafficAllocation | None = None,
-) -> EquilibriumResult:
-    """Solve n = M * P(n, q) at fixed quality by damped iteration.
-
-    Iterates n <- (1 - damping) n + damping * M * P(n, q) until the
-    max-norm residual drops below cfg.tol. Non-convergence is reported in
-    the result, not raised; iterates stay inside [0, M] by construction.
-    """
-    market = Market.from_params(platform, streamers)
-    n0 = np.asarray(n0, dtype=float)
-    q = np.asarray(q, dtype=float)
-    _check_audiences(n0, market.m)
-    theta_vec = theta.theta if theta is not None else None
-    n, converged, iterations, residual = viewer_fixed_point(
-        market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
-    )
-    (result,) = _results(n, q[np.newaxis], converged, iterations, residual)
-    return result
 
 
 def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
@@ -159,7 +132,7 @@ def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
 def _results(n, q, converged, iterations, residual) -> list[EquilibriumResult]:
     return [
         EquilibriumResult(
-            state=MarketState(n=n[i], q=q[i], t=0.0),
+            state=MarketState(n=n[i], q=q[i]),
             converged=bool(converged[i]),
             iterations=int(iterations[i]),
             residual=float(residual[i]),

@@ -33,6 +33,7 @@ __all__ = [
     "ABComparison",
     "SweepArtifact",
     "canonical_policies",
+    "make_scenario",
     "run_scenario",
     "ab_compare",
     "sensitivity_sweep",
@@ -318,12 +319,6 @@ class ABComparison:
 
     artifacts: tuple[RunArtifact, ...]
     ordering_fractions: dict[tuple[str, str, str], float]
-
-    def artifact(self, name: str) -> RunArtifact:
-        for art in self.artifacts:
-            if art.scenario == name:
-                return art
-        raise KeyError(name)
 
 
 def ab_compare(specs, out_dir=None, threads: int = 1) -> ABComparison:

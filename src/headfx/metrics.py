@@ -21,7 +21,6 @@ __all__ = [
     "gini",
     "top_k_share",
     "viewer_mobility",
-    "avg_satisfaction",
     "quality_improvement",
     "summarize",
 ]
@@ -90,14 +89,6 @@ def viewer_mobility(history) -> float:
         raise DomainError("viewer_mobility needs at least 2 rounds of counts")
     deltas = np.abs(np.diff(counts, axis=0))
     return float(deltas.mean())
-
-
-def avg_satisfaction(final_round_satisfactions) -> float:
-    """Arithmetic mean of final-round realized utilities across viewers."""
-    s = np.asarray(final_round_satisfactions, dtype=float)
-    if s.size == 0:
-        raise DomainError("avg_satisfaction requires a non-empty vector")
-    return float(s.mean())
 
 
 def quality_improvement(q_initial, q_final) -> float:

@@ -37,13 +37,7 @@ from .logit import logit_slope, logsumexp, softmax, utility, viewer_fixed_point
 __all__ = [
     "WelfareBreakdown",
     "AllocationSolution",
-    "consumer_surplus",
-    "producer_surplus",
-    "platform_profit",
     "total_welfare",
-    "welfare_at_theta",
-    "welfare_gradient_theta",
-    "numeric_welfare_gradient_theta",
     "simplex_project",
     "optimize_allocation",
     "grid_search_allocation",
@@ -69,11 +63,6 @@ class WelfareBreakdown:
         return cls(cs, ps, pi, cs + ps + pi)
 
 
-def _platform_take(tau, revenue_per_viewer, m):
-    """Commission take tau R M: the platform's profit in every market state."""
-    return tau * revenue_per_viewer * m
-
-
 def _welfare_parts(market: Market, q, v, p, n):
     """Consumer surplus, producer surplus and platform profit at utilities v,
     their choice probabilities p = softmax(v) and audiences n, each of shape
@@ -86,33 +75,14 @@ def _welfare_parts(market: Market, q, v, p, n):
     netted out once, at the probability-weighted price, so a uniform price
     increase of c lowers it by exactly M c while choices follow the
     price-inclusive v. Producer surplus is the streamers' commission-net
-    revenue minus their quality costs c q^2.
+    revenue minus their quality costs c q^2. Platform profit is the
+    commission take tau R M, whatever the market state.
     """
     cs = market.m * (logsumexp(v + market.prices) - p @ market.prices)
     ps = (1.0 - market.tau) * market.revenue_per_viewer * n.sum(axis=-1) - np.sum(
         market.c * q * q
     )
-    return cs, ps, _platform_take(market.tau, market.revenue_per_viewer, market.m)
-
-
-def consumer_surplus(
-    platform: PlatformParams,
-    streamers,
-    state: MarketState,
-    theta: TrafficAllocation | None = None,
-) -> float:
-    """Aggregate viewer surplus M * (E[max gross utility] - expected payment)."""
-    return total_welfare(platform, streamers, state, theta).consumer_surplus
-
-
-def producer_surplus(platform: PlatformParams, streamers, state: MarketState) -> float:
-    """Total streamer profit: commission-net revenue minus quality costs."""
-    return total_welfare(platform, streamers, state).producer_surplus
-
-
-def platform_profit(platform: PlatformParams) -> float:
-    """Commission take tau * R * M; independent of the market state."""
-    return _platform_take(platform.tau, platform.revenue_per_viewer, platform.n_viewers)
+    return cs, ps, market.tau * market.revenue_per_viewer * market.m
 
 
 def total_welfare(
@@ -146,7 +116,7 @@ def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> Fi
 
 def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     """Welfare at the viewer equilibrium for a raw (possibly off-simplex)
-    promotion vector; used by the optimizer and finite-difference probes.
+    promotion vector; used by the optimizer.
 
     Returns (welfare, n, p, converged, residual) of the fixed point."""
     n, converged, _, residual = viewer_fixed_point(
@@ -159,96 +129,15 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     return float(cs + ps + pi), n, p, bool(converged[0]), float(residual[0])
 
 
-def welfare_at_theta(
-    platform: PlatformParams,
-    streamers,
-    q,
-    theta: TrafficAllocation,
-    cfg: FixedPointConfig | None = None,
-    n0=None,
-) -> tuple[WelfareBreakdown, MarketState]:
-    """Re-solve the viewer equilibrium under theta and evaluate welfare.
-
-    Quality is held fixed: the promotion instrument steers audiences, and
-    the welfare derivatives being reproduced treat q as given. Raises
-    NumericalError naming the residual when the viewer fixed point has
-    not converged within cfg.max_iter iterations. Without cfg the fixed
-    point runs to tol 1e-12 within 5000 sweeps, undamped when beta M < 2
-    (the map is then a max-norm contraction with factor at most beta M / 2)
-    and with damping 0.5 otherwise; a given cfg is used as it is.
-    """
-    q = np.asarray(q, dtype=float)
-    market = Market.from_params(platform, streamers)
-    if cfg is None:
-        cfg = _default_fixed_point(market, tol=1e-12)
-    n0 = market.symmetric_split() if n0 is None else np.asarray(n0, dtype=float)
-    _, n, _, converged, residual = _welfare_raw(market, q, theta.theta, cfg, n0)
-    if not converged:
-        raise NumericalError(
-            f"viewer fixed point under theta did not converge: residual {residual:.3g} > "
-            f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
-        )
-    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
-    return total_welfare(platform, streamers, state, theta), state
-
-
 def _foc_gradient(platform: PlatformParams, p) -> np.ndarray:
-    m, phi = platform.n_viewers, platform.phi
-    return m * p / phi + logit_slope(platform.revenue_per_viewer * m, p) * phi
-
-
-def welfare_gradient_theta(
-    platform: PlatformParams,
-    streamers,
-    state: MarketState,
-    theta: TrafficAllocation,
-) -> np.ndarray:
     """Analytic welfare gradient g_i = M P_i / phi + R M P_i (1 - P_i) phi.
 
-    This is the first-order condition's left side: the consumer-surplus
-    term plus the combined producer/platform audience response. It treats
-    the choice probabilities as locally fixed (no equilibrium feedback);
-    see numeric_welfare_gradient_theta for the full-feedback probe.
+    The first-order condition's left side: the consumer-surplus term plus
+    the combined producer/platform audience response, with the choice
+    probabilities p held fixed (no equilibrium feedback).
     """
-    v = deterministic_utility(platform, streamers, state, theta)
-    p = choice_probabilities(v)
-    return _foc_gradient(platform, p)
-
-
-def numeric_welfare_gradient_theta(
-    platform: PlatformParams,
-    streamers,
-    q,
-    theta: TrafficAllocation,
-    cfg: FixedPointConfig | None = None,
-    h: float = 1e-6,
-) -> np.ndarray:
-    """Central finite differences of welfare through the equilibrium re-solve.
-
-    Diagnostic companion to the analytic gradient; the two are not
-    asserted to agree because the analytic form ignores the audience
-    feedback through the fixed point. Without cfg each re-solve runs to
-    tol 1e-13 within 5000 sweeps, undamped when beta M < 2 (a max-norm
-    contraction with factor at most beta M / 2) and with damping 0.5
-    otherwise; a given cfg is used as it is.
-    """
-    q = np.asarray(q, dtype=float)
-    market = Market.from_params(platform, streamers)
-    if cfg is None:
-        cfg = _default_fixed_point(market, tol=1e-13)
-    n0 = market.symmetric_split()
-    big_n = platform.n_streamers
-    grad = np.empty(big_n)
-    base = np.asarray(theta.theta, dtype=float)
-    for i in range(big_n):
-        up = base.copy()
-        dn = base.copy()
-        up[i] += h
-        dn[i] -= h
-        w_up = _welfare_raw(market, q, up, cfg, n0)[0]
-        w_dn = _welfare_raw(market, q, dn, cfg, n0)[0]
-        grad[i] = (w_up - w_dn) / (2.0 * h)
-    return grad
+    m, phi = platform.n_viewers, platform.phi
+    return m * p / phi + logit_slope(platform.revenue_per_viewer * m, p) * phi
 
 
 def simplex_project(v) -> TrafficAllocation:
@@ -364,7 +253,7 @@ def optimize_allocation(
     residual = _kkt_residual(g, theta)
     allocation = simplex_project(theta)
     _, n, _, fp_converged, _ = _welfare_raw(market, q, allocation.theta, fp_cfg, n_warm)
-    state = MarketState(n=np.maximum(n, 0.0), q=q, t=0.0)
+    state = MarketState(n=np.maximum(n, 0.0), q=q)
     return AllocationSolution(
         theta=allocation,
         state=state,

@@ -15,8 +15,6 @@ from headfx.core import (
     choice_probabilities,
     cost,
     deterministic_utility,
-    expected_viewers,
-    marginal_cost,
     streamer_profit,
 )
 from headfx.errors import DimensionMismatchError, DomainError, NonFiniteError
@@ -106,38 +104,12 @@ class TestChoiceProbabilities:
             )
 
 
-class TestExpectedViewers:
-    def test_even_split(self):
-        assert expected_viewers(np.array([0.5, 0.5]), 100) == pytest.approx([50.0, 50.0])
-
-    def test_scales_softmax_example(self):
-        p = choice_probabilities(np.array([1.0, 0.0]))
-        n = expected_viewers(p, 1000)
-        assert n == pytest.approx([731.0585786300049, 268.9414213699951], abs=1e-9)
-
-    def test_zero_viewers(self):
-        assert np.array_equal(expected_viewers(np.array([0.3, 0.7]), 0), [0.0, 0.0])
-
-    def test_mass_conservation_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            p = rng.dirichlet(np.ones(8))
-            m = float(rng.uniform(1, 1e6))
-            assert expected_viewers(p, m).sum() == pytest.approx(m, abs=1e-9 * m)
-
-    def test_off_simplex_rejected(self):
-        with pytest.raises(DomainError):
-            expected_viewers(np.array([0.5, 0.6]), 10)
-
-
 class TestCost:
     def test_zero_point(self):
         assert cost(0.0, 0.2) == 0.0
-        assert marginal_cost(0.0, 0.2) == 0.0
 
     def test_hand_values(self):
         assert cost(0.5, 0.2) == pytest.approx(0.05)
-        assert marginal_cost(0.5, 0.2) == pytest.approx(0.2)
 
     def test_second_difference_positive(self):
         for c in (0.01, 0.2, 5.0):
@@ -156,8 +128,6 @@ class TestCost:
     def test_negative_quality_rejected(self):
         with pytest.raises(DomainError):
             cost(-0.1, 0.2)
-        with pytest.raises(DomainError):
-            marginal_cost(-0.1, 0.2)
 
 
 class TestStreamerProfit:

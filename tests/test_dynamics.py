@@ -17,6 +17,7 @@ from headfx.core import (
 from headfx.dynamics import (
     IntegratorConfig,
     _integrate_batch,
+    _stacked_flow,
     analytic_viewer_blocks,
     assess_stability,
     hhi,
@@ -24,7 +25,6 @@ from headfx.dynamics import (
     jacobian,
     path_dependence_experiment,
     phase_portrait,
-    rhs,
     stability_at,
 )
 from headfx.equilibrium import FixedPointConfig, solve_joint_equilibrium
@@ -39,27 +39,27 @@ def symmetric_instance(n=2, m=100.0, alpha=1.0, c=2.0, beta=0.0, tau=0.2):
     return plat, streamers
 
 
+def flow_at(plat, streamers, state, theta=None):
+    """(dn/dt, dq/dt) at one state, from the stacked flow that integrate and jacobian use."""
+    s = np.stack([state.n, state.q])
+    theta_vec = None if theta is None else theta.theta
+    return _stacked_flow(Market.from_params(plat, streamers), theta_vec, s)(s).reshape(-1)
+
+
 class TestRhs:
     def test_vanishes_at_equilibrium(self):
         plat, streamers = symmetric_instance(beta=0.01)
         eq = solve_joint_equilibrium(plat, streamers, CFG)
         assert eq.converged
-        deriv = rhs(plat, streamers, eq.state)
+        deriv = flow_at(plat, streamers, eq.state)
         assert np.max(np.abs(deriv)) < 10 * CFG.tol * 100
 
     def test_audience_above_target_decreases(self):
         plat, streamers = symmetric_instance(beta=0.0)
         # symmetric utilities -> M P = (50, 50); start above for streamer 0
         state = MarketState(n=np.array([80.0, 20.0]), q=np.array([0.5, 0.5]))
-        deriv = rhs(plat, streamers, state)
+        deriv = flow_at(plat, streamers, state)
         assert deriv[0] < 0 and deriv[1] > 0
-
-    def test_nonfinite_state_rejected(self):
-        plat, streamers = symmetric_instance()
-        state = MarketState(n=np.array([1.0, 2.0]), q=np.array([0.1, 0.2]))
-        object.__setattr__(state, "n", np.array([np.nan, 2.0]))
-        with pytest.raises(NonFiniteError):
-            rhs(plat, streamers, state)
 
 
 SHORT = IntegratorConfig(dt=0.1, t_end=1.0)
@@ -69,7 +69,7 @@ class TestStateLength:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda plat, streamers, state: rhs(plat, streamers, state),
+            lambda plat, streamers, state: flow_at(plat, streamers, state),
             lambda plat, streamers, state: jacobian(plat, streamers, state),
             lambda plat, streamers, state: stability_at(plat, streamers, state),
             lambda plat, streamers, state: integrate(plat, streamers, state, SHORT),
@@ -77,8 +77,13 @@ class TestStateLength:
                 plat, streamers, 1.0, SHORT, state0=state
             ),
             lambda plat, streamers, state: phase_portrait(plat, streamers, [state, state], SHORT),
+            # a start of the right length first, so the starts differ in length
+            lambda plat, streamers, state: phase_portrait(
+                plat, streamers, [MarketState(n=np.full(3, 10.0), q=np.full(3, 0.5)), state], SHORT
+            ),
         ],
-        ids=["rhs", "jacobian", "stability_at", "integrate", "path_dependence", "portrait"],
+        ids=["rhs", "jacobian", "stability_at", "integrate", "path_dependence", "portrait",
+             "portrait_mixed"],
     )
     @pytest.mark.parametrize("length", [2, 4])
     def test_wrong_length_state_rejected(self, call, length):
@@ -273,8 +278,8 @@ class TestPathDependence:
         )
         assert record.winner_plus == 0
         assert record.winner_minus == 1
-        assert record.dominant_share_plus > 0.95
-        assert record.dominant_share_minus > 0.95
+        for traj in (record.trajectory_plus, record.trajectory_minus):
+            assert traj.terminal.n.max() / traj.terminal.n.sum() > 0.95
 
     def test_swapping_the_advantage_swaps_the_winner(self):
         plat, streamers = symmetric_instance(beta=0.2)
@@ -372,7 +377,7 @@ class TestPhasePortrait:
 # The per-vector flow and the single-start RK4 integrator that ran before
 # the state was stacked, one start per Python loop and the logit formulas
 # written out. Kept as the bitwise reference for the stacked integrator,
-# rhs and jacobian.
+# flow and jacobian.
 
 
 def _reference_flow(platform, streamers, theta=None):
@@ -457,7 +462,6 @@ def _assert_same_path(traj, ref):
     assert np.array_equal(traj.n, ns)
     assert np.array_equal(traj.q, qs)
     terminal = traj.terminal
-    assert terminal.t == times[-1]
     assert np.array_equal(terminal.n, ns[-1]) and np.array_equal(terminal.q, qs[-1])
 
 
@@ -651,7 +655,7 @@ class TestStackedFlowMatchesReference:
         _assert_same_path(integrate(plat, streamers, starts[0], cfg, theta), outcome)
         for state in starts:
             want = np.concatenate(_reference_flow(plat, streamers, theta)(state.n, state.q))
-            assert np.array_equal(rhs(plat, streamers, state, theta), want)
+            assert np.array_equal(flow_at(plat, streamers, state, theta), want)
             assert np.array_equal(
                 jacobian(plat, streamers, state, theta),
                 _reference_jacobian(plat, streamers, state, theta),

@@ -22,7 +22,6 @@ from headfx.equilibrium import (
     find_critical_beta,
     max_share_from_perturbed_start,
     solve_joint_equilibrium,
-    solve_viewer_fixed_point,
 )
 from headfx.errors import BracketError, DomainError, NumericalError
 from headfx.logit import viewer_fixed_point
@@ -36,6 +35,15 @@ def symmetric_instance(n=2, m=100.0, alpha=1.0, c=2.0, beta=0.0, tau=0.2):
     return plat, streamers
 
 
+def fixed_point(plat, streamers, q, n0, cfg, theta=None):
+    """logit.viewer_fixed_point from one start: (n, converged, iterations, residual)."""
+    n, converged, iterations, residual = viewer_fixed_point(
+        Market.from_params(plat, streamers), np.asarray(q, dtype=float)[np.newaxis],
+        np.asarray(n0, dtype=float)[np.newaxis], cfg, theta,
+    )
+    return n[0], bool(converged[0]), int(iterations[0]), float(residual[0])
+
+
 class TestViewerFixedPoint:
     def test_beta_zero_matches_closed_form(self):
         plat = PlatformParams(
@@ -47,63 +55,56 @@ class TestViewerFixedPoint:
             np.array([1.0 * 0.5 - 0.1, 0.8 * 0.7, 1.2 * 0.4 - 0.2])
         )
         # undamped iteration lands in one effective step
-        one_step = solve_viewer_fixed_point(
+        n, _, iterations, _ = fixed_point(
             plat, streamers, q, np.full(3, 100 / 3), dataclasses.replace(CFG, damping=1.0)
         )
-        assert one_step.iterations <= 2
-        assert one_step.state.n == pytest.approx(closed, abs=1e-9 * 100)
+        assert iterations <= 2
+        assert n == pytest.approx(closed, abs=1e-9 * 100)
         # damping does not move the fixed point
-        damped = solve_viewer_fixed_point(plat, streamers, q, np.full(3, 100 / 3), CFG)
-        assert damped.state.n == pytest.approx(closed, abs=1e-9 * 100)
-        assert damped.converged
+        n, converged, _, _ = fixed_point(plat, streamers, q, np.full(3, 100 / 3), CFG)
+        assert n == pytest.approx(closed, abs=1e-9 * 100)
+        assert converged
 
     def test_symmetric_two_streamers_small_beta(self):
         plat, streamers = symmetric_instance(beta=0.001)
-        res = solve_viewer_fixed_point(
+        n, converged, _, _ = fixed_point(
             plat, streamers, np.array([0.5, 0.5]), np.array([50.0, 50.0]), CFG
         )
-        assert res.converged
-        assert res.state.n == pytest.approx([50.0, 50.0], abs=1e-8)
+        assert converged
+        assert n == pytest.approx([50.0, 50.0], abs=1e-8)
 
     def test_strong_beta_concentrates_and_satisfies_logit_identity(self):
         plat, streamers = symmetric_instance(beta=0.2)  # beta*M = 20 >> ln 2
-        res = solve_viewer_fixed_point(
-            plat, streamers, np.array([0.5, 0.5]), np.array([60.0, 40.0]), CFG
-        )
-        assert res.converged
-        n_star = res.state.n
+        q = np.array([0.5, 0.5])
+        n_star, converged, _, _ = fixed_point(plat, streamers, q, np.array([60.0, 40.0]), CFG)
+        assert converged
         assert n_star.max() / 100.0 > 0.95
         # direct damped-map oracle, independently iterated
         n = np.array([60.0, 40.0])
         for _ in range(20000):
-            v = 1.0 * res.state.q - 0.0 + 0.2 * n
+            v = 1.0 * q - 0.0 + 0.2 * n
             e = np.exp(v - v.max())
             n = 0.5 * n + 0.5 * 100 * e / e.sum()
         assert n == pytest.approx(n_star, abs=1e-7)
         # logit ratio identity at the fixed point (log form): the tiny
         # loser audience carries the solver residual, so compare logs
         top, other = np.argmax(n_star), np.argmin(n_star)
-        dq = res.state.q[top] - res.state.q[other]
+        dq = q[top] - q[other]
         assert np.log(n_star[top] / n_star[other]) == pytest.approx(
             1.0 * dq + 0.2 * (n_star[top] - n_star[other]), abs=1e-4
         )
 
     def test_residual_reported_on_non_convergence(self):
         plat, streamers = symmetric_instance(beta=0.2)
-        res = solve_viewer_fixed_point(
+        _, converged, _, residual = fixed_point(
             plat,
             streamers,
             np.array([0.5, 0.5]),
             np.array([60.0, 40.0]),
             FixedPointConfig(tol=1e-14, max_iter=3),
         )
-        assert not res.converged
-        assert res.residual > 1e-14
-
-    def test_start_outside_box_rejected(self):
-        plat, streamers = symmetric_instance()
-        with pytest.raises(DomainError):
-            solve_viewer_fixed_point(plat, streamers, np.zeros(2), np.array([150.0, 0.0]), CFG)
+        assert not converged
+        assert residual > 1e-14
 
     def test_iterates_stay_within_bounds(self):
         rng = np.random.default_rng(21)
@@ -113,11 +114,11 @@ class TestViewerFixedPoint:
                 n_streamers=n, n_viewers=100, beta=float(rng.uniform(0, 0.3))
             )
             streamers = [StreamerParams(alpha=float(a)) for a in rng.uniform(0.5, 1.5, n)]
-            res = solve_viewer_fixed_point(
+            n_star, _, _, _ = fixed_point(
                 plat, streamers, rng.uniform(0, 1, n), 100 * rng.dirichlet(np.ones(n)), CFG
             )
-            assert np.all(res.state.n >= 0) and np.all(res.state.n <= 100)
-            assert res.state.n.sum() == pytest.approx(100, abs=1e-7)
+            assert np.all(n_star >= 0) and np.all(n_star <= 100)
+            assert n_star.sum() == pytest.approx(100, abs=1e-7)
 
 
 class TestJointEquilibrium:
@@ -128,6 +129,11 @@ class TestJointEquilibrium:
         assert res.converged
         assert res.state.q == pytest.approx(np.zeros(3), abs=1e-12)
         assert res.state.n == pytest.approx(np.full(3, 30.0), abs=1e-8)
+
+    def test_start_outside_box_rejected(self):
+        plat, streamers = symmetric_instance()
+        with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
+            solve_joint_equilibrium(plat, streamers, CFG, n0=np.array([150.0, 0.0]))
 
     def test_symmetric_quality_closed_form(self):
         plat, streamers = symmetric_instance(beta=0.001, c=2.0)
@@ -459,11 +465,12 @@ class TestBatchMatchesReference:
         n0 = np.array([10.0, 30.0, 60.0])
         for cfg in (CFG, FixedPointConfig(tol=1e-14, max_iter=7)):
             for th in (None, theta):
-                res = solve_viewer_fixed_point(plat, streamers, q, n0, cfg, th)
-                ref = _reference_viewer_fixed_point(
-                    plat, alpha, q, n0, cfg, None if th is None else th.theta
+                theta_vec = None if th is None else th.theta
+                n, converged, iterations, residual = fixed_point(
+                    plat, streamers, q, n0, cfg, theta_vec
                 )
-                _assert_bitwise(_as_tuple(res), (ref[0], q) + ref[1:])
+                ref = _reference_viewer_fixed_point(plat, alpha, q, n0, cfg, theta_vec)
+                _assert_bitwise((n, q, converged, iterations, residual), (ref[0], q) + ref[1:])
             q0 = np.array([1.0, 0.1, 2.0])
             _assert_bitwise(
                 _as_tuple(solve_joint_equilibrium(plat, streamers, cfg, n0=n0, q0=q0)),

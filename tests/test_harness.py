@@ -729,6 +729,31 @@ class TestCli:
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--parameter", "n_viewers", "--values", "500,1000"], ["--parameter", "n_viewers"],
+         ["--values", "500,1000"]],
+        ids=["both", "parameter", "values"],
+    )
+    def test_sweep_flags_beside_a_sweep_config_exit_2(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path, {
+            "name": "Baseline", "n_seeds": 1, "platform": {"n_viewers": 40, "n_rounds": 10},
+            "sweep": {"parameter": "network_effect_beta", "values": [0.05]},
+        })
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(config), *flags, "--out", str(out)]) == 2
+        assert "config already has a [sweep] section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["-1", "0"])
+    def test_portrait_grid_below_one_exit_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "o"
+        code = main(["dynamics", "--kind", "portrait", "--grid", grid, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"--grid must be >= 1, got {grid}" in err
+        assert not out.exists()
+
     def test_trajectory_starts_where_the_equilibrium_probe_starts(self, tmp_path, monkeypatch):
         seen = {}
         integrate, solve_joint = cli.integrate, equilibrium.solve_joint_equilibrium

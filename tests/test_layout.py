@@ -245,3 +245,66 @@ def test_only_harness_writes_files(path):
 )
 def test_file_writer_checker(source, flagged):
     assert bool(file_writers(ast.parse(source))) == flagged
+
+
+def listed_names(tree: ast.Module) -> list[str]:
+    """The names of a module's top-level __all__ list, or [] without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and variables a module defines at top level."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+    return found
+
+
+def _parse_module(name: str) -> ast.Module:
+    path = SRC / f"{name}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_lists_only_names_the_module_defines(path):
+    # The benchmark's spans wrap what __all__ lists, so a stale entry
+    # would silently drop a layer from its traces.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(set(listed_names(tree)) - defined_names(tree)) == []
+
+
+def test_package_exports_are_listed_by_their_modules():
+    exports = [
+        (node.module, alias.name)
+        for node in _parse_module("__init__").body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert exports
+    unlisted = [f"{module}.{name}" for module, name in exports
+                if name not in listed_names(_parse_module(module))]
+    assert unlisted == []
+
+
+@pytest.mark.parametrize(
+    "source, stale",
+    [
+        ("__all__ = ['f', 'C', 'X', 'Y']\ndef f(): ...\nclass C: ...\nX = 1\nY: int = 2", []),
+        ("__all__ = ['gone']\ndef kept(): ...", ["gone"]),
+        ("from .core import cost\n__all__ = ['cost']", ["cost"]),
+        ("def f(): ...", []),
+    ],
+)
+def test_stale_all_entry_checker(source, stale):
+    tree = ast.parse(source)
+    assert sorted(set(listed_names(tree)) - defined_names(tree)) == stale

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from headfx.abm import RoundRecord
 from headfx.errors import DimensionMismatchError, DomainError
 from headfx.metrics import (
-    avg_satisfaction,
     gini,
     quality_improvement,
     summarize,
@@ -118,23 +117,6 @@ class TestViewerMobility:
     def test_single_round_rejected(self):
         with pytest.raises(DomainError):
             viewer_mobility([[1, 2, 3]])
-
-
-class TestAvgSatisfaction:
-    def test_constant(self):
-        assert avg_satisfaction(np.full(7, 1.3)) == pytest.approx(1.3)
-
-    def test_hand_mean(self):
-        assert avg_satisfaction([1.0, 3.0]) == pytest.approx(2.0)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(15)
-        s = rng.normal(size=50)
-        assert avg_satisfaction(s) == pytest.approx(avg_satisfaction(rng.permutation(s)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            avg_satisfaction([])
 
 
 class TestQualityImprovement:

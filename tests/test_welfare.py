@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx.core import Market, MarketState, PlatformParams, StreamerParams, TrafficAllocation
+from headfx.core import (
+    Market,
+    MarketState,
+    PlatformParams,
+    StreamerParams,
+    TrafficAllocation,
+    choice_probabilities,
+    deterministic_utility,
+)
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import DomainError, NonFiniteError, NumericalError
 from headfx.harness import parse_instance
@@ -17,19 +25,14 @@ from headfx import welfare
 from headfx.logit import softmax, viewer_fixed_point
 from headfx.welfare import (
     WelfareBreakdown,
+    _foc_gradient,
     _grid_viewer_fixed_point,
     _grid_welfare,
     _simplex_grid,
-    consumer_surplus,
     grid_search_allocation,
-    numeric_welfare_gradient_theta,
     optimize_allocation,
-    platform_profit,
-    producer_surplus,
     simplex_project,
     total_welfare,
-    welfare_at_theta,
-    welfare_gradient_theta,
 )
 
 
@@ -48,15 +51,15 @@ class TestConsumerSurplus:
     def test_single_streamer(self):
         plat, streamers, state = instance([1.0], [0.8], m=100, prices=[0.3])
         # one option: CS = M (alpha q - p)
-        assert consumer_surplus(plat, streamers, state) == pytest.approx(
+        assert total_welfare(plat, streamers, state).consumer_surplus == pytest.approx(
             100 * (0.8 - 0.3), abs=1e-9
         )
 
     def test_uniform_price_increase_translates(self):
         plat, streamers, state = instance([1.0, 0.8], [0.6, 0.5], prices=[0.1, 0.2])
-        base = consumer_surplus(plat, streamers, state)
+        base = total_welfare(plat, streamers, state).consumer_surplus
         shifted_plat = dataclasses.replace(plat, prices=plat.prices + 0.25)
-        shifted = consumer_surplus(shifted_plat, streamers, state)
+        shifted = total_welfare(shifted_plat, streamers, state).consumer_surplus
         assert base - shifted == pytest.approx(50 * 0.25, abs=1e-9)
 
     def test_head_effect_approximation(self):
@@ -67,7 +70,7 @@ class TestConsumerSurplus:
         )
         streamers = [StreamerParams(alpha=1.0, cost_coefficient=2.0)] * 2
         state = MarketState(n=np.array([m - 1e-4, 1e-4]), q=np.array([1.5, 0.0]))
-        cs = consumer_surplus(plat, streamers, state)
+        cs = total_welfare(plat, streamers, state).consumer_surplus
         approx = m * (1.0 * 1.5 - 0.2 + 0.3 * m)
         assert abs(cs - approx) / abs(approx) < 0.01
 
@@ -76,32 +79,31 @@ class TestProducerSurplus:
     def test_zero_state(self):
         plat, streamers, _ = instance([1.0, 1.0], [0.0, 0.0])
         state = MarketState(n=np.zeros(2), q=np.zeros(2))
-        assert producer_surplus(plat, streamers, state) == 0.0
+        assert total_welfare(plat, streamers, state).producer_surplus == 0.0
 
     def test_one_hot_matches_head_effect_form(self):
         plat, streamers, _ = instance([1.0, 1.0], [0.0, 0.0], m=100, tau=0.2, c=2.0)
         state = MarketState(n=np.array([100.0, 0.0]), q=np.array([1.2, 0.0]))
         expected = 0.8 * 1.0 * 100 - 2.0 * 1.2**2
-        assert producer_surplus(plat, streamers, state) == pytest.approx(expected, abs=1e-6)
+        assert total_welfare(plat, streamers, state).producer_surplus == pytest.approx(
+            expected, abs=1e-6
+        )
 
     def test_linear_in_revenue_rate(self):
         plat, streamers, state = instance([1.0, 0.9], [0.5, 0.4], m=80)
-        base = producer_surplus(plat, streamers, state)
-        doubled = producer_surplus(
+        base = total_welfare(plat, streamers, state).producer_surplus
+        doubled = total_welfare(
             dataclasses.replace(plat, revenue_per_viewer=2.0), streamers, state
-        )
+        ).producer_surplus
         cost_part = 2.0 * (0.5**2 + 0.4**2)
         assert doubled + cost_part == pytest.approx(2 * (base + cost_part), rel=1e-12)
 
 
 class TestPlatformProfit:
     def test_values(self):
-        plat = PlatformParams(n_streamers=2, n_viewers=1000, tau=0.0)
-        assert platform_profit(plat) == 0.0
-        plat = PlatformParams(n_streamers=2, n_viewers=1000, tau=0.2)
-        assert platform_profit(plat) == pytest.approx(200.0)
-        plat = PlatformParams(n_streamers=2, n_viewers=1000, tau=0.4)
-        assert platform_profit(plat) == pytest.approx(400.0)
+        for tau, want in ((0.0, 0.0), (0.2, 200.0), (0.4, 400.0)):
+            plat, streamers, state = instance([1.0, 1.0], [0.5, 0.5], m=1000, tau=tau)
+            assert total_welfare(plat, streamers, state).platform_profit == pytest.approx(want)
 
     def test_independent_of_the_market_state(self):
         # the commission tau R M is taken whatever the audiences and qualities
@@ -111,8 +113,8 @@ class TestPlatformProfit:
             MarketState(n=np.array([50.0, 0.0, 0.0]), q=np.array([1.5, 0.0, 0.0])),
             MarketState(n=np.array([0.0, 10.0, 40.0]), q=np.array([0.1, 0.9, 0.2])),
         ]
-        for state in states:
-            assert total_welfare(plat, streamers, state).platform_profit == platform_profit(plat)
+        profits = {total_welfare(plat, streamers, state).platform_profit for state in states}
+        assert profits == {0.2 * 1.0 * 50}
 
 
 class TestTotalWelfare:
@@ -137,52 +139,43 @@ class TestTotalWelfare:
         ([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], [0.1, 0.4, 0.25], [0.5, 0.2, 0.3]),
     ])
     def test_reported_welfare_is_the_optimizers_welfare(self, alphas, q, prices, shares):
-        # welfare_at_theta's breakdown and the welfare the optimizer climbs
-        # are one kernel's formulas at one fixed point, so bitwise equal
+        # total_welfare at the fixed point and the welfare the optimizer
+        # climbs are one kernel's formulas at one state, so bitwise equal
         plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
         q = np.asarray(q, dtype=float)
         theta = TrafficAllocation(np.array(shares))
         cfg = FixedPointConfig(tol=1e-12, max_iter=5000)
-        breakdown, _ = welfare_at_theta(plat, streamers, q, theta, cfg)
         market = Market.from_params(plat, streamers)
         raw = welfare._welfare_raw(market, q, theta.theta, cfg, market.symmetric_split())
-        assert breakdown.total == raw[0]
+        state = MarketState(n=np.maximum(raw[1], 0.0), q=q)
+        assert total_welfare(plat, streamers, state, theta).total == raw[0]
 
     def test_symmetric_audience_at_uniform_theta(self):
         plat, streamers, _ = instance([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], beta=0.001)
-        theta = TrafficAllocation(np.full(3, 1 / 3))
-        _, state = welfare_at_theta(plat, streamers, np.full(3, 0.5), theta)
-        assert state.n == pytest.approx(np.full(3, 50 / 3), abs=1e-8)
+        sol = optimize_allocation(plat, streamers, np.full(3, 0.5))
+        assert sol.theta.theta == pytest.approx(np.full(3, 1 / 3), abs=1e-8)
+        assert sol.state.n == pytest.approx(np.full(3, 50 / 3), abs=1e-8)
 
     def test_permutation_equivariance(self):
-        rng = np.random.default_rng(41)
         alphas = [1.2, 0.8, 1.0]
         q = np.array([0.7, 0.5, 0.6])
-        plat, streamers, _ = instance(alphas, q, beta=0.002)
+        plat, streamers, _ = instance(alphas, q, beta=0.002, prices=[0.1, 0.3, 0.2])
+        state = MarketState(n=np.array([20.0, 10.0, 20.0]), q=q)
         theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
-        w, _ = welfare_at_theta(plat, streamers, q, theta)
+        w = total_welfare(plat, streamers, state, theta)
         perm = [2, 0, 1]
+        plat_p = dataclasses.replace(plat, prices=plat.prices[perm])
         streamers_p = [streamers[i] for i in perm]
-        theta_p = TrafficAllocation(theta.theta[perm])
-        w_p, _ = welfare_at_theta(plat, streamers_p, q[perm], theta_p)
-        assert w_p.total == pytest.approx(w.total, rel=1e-10)
-
-    def test_unconverged_fixed_point_raises_naming_the_residual(self):
-        plat, streamers, _ = instance([1.2, 0.8, 1.0], [0.7, 0.5, 0.6], beta=0.002)
-        theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
-        q = np.array([0.7, 0.5, 0.6])
-        with pytest.raises(NumericalError, match=r"residual \d.*\(max_iter=1\)"):
-            welfare_at_theta(plat, streamers, q, theta, FixedPointConfig(max_iter=1))
-        # enough iterations: the same call returns
-        welfare_at_theta(plat, streamers, q, theta, FixedPointConfig(tol=1e-12))
+        state_p = MarketState(n=state.n[perm], q=q[perm])
+        w_p = total_welfare(plat_p, streamers_p, state_p, TrafficAllocation(theta.theta[perm]))
+        for field in ("consumer_surplus", "producer_surplus", "platform_profit", "total"):
+            assert getattr(w_p, field) == pytest.approx(getattr(w, field), rel=1e-12)
 
 
 class TestWelfareGradient:
     def test_symmetric_gradient_equal(self):
-        plat, streamers, _ = instance([1.0] * 3, [0.5] * 3, beta=0.001)
-        theta = TrafficAllocation(np.full(3, 1 / 3))
-        _, state = welfare_at_theta(plat, streamers, np.full(3, 0.5), theta)
-        g = welfare_gradient_theta(plat, streamers, state, theta)
+        plat, _, _ = instance([1.0] * 3, [0.5] * 3, beta=0.001)
+        g = _foc_gradient(plat, np.full(3, 1 / 3))
         assert np.max(g) - np.min(g) < 1e-9
 
     def test_dominant_share_limit(self):
@@ -190,17 +183,9 @@ class TestWelfareGradient:
         streamers = [StreamerParams(alpha=1.0, cost_coefficient=2.0)] * 2
         state = MarketState(n=np.array([100.0, 0.0]), q=np.array([60.0, 0.0]))
         theta = TrafficAllocation(np.array([1.0, 0.0]))
-        g = welfare_gradient_theta(plat, streamers, state, theta)
+        p = choice_probabilities(deterministic_utility(plat, streamers, state, theta))
+        g = _foc_gradient(plat, p)
         assert g[0] == pytest.approx(100.0 / plat.phi, rel=1e-9)
-
-    def test_numeric_companion_runs_and_is_finite(self):
-        # agreement with the analytic form is deliberately NOT asserted:
-        # the analytic gradient ignores the equilibrium feedback
-        plat, streamers, _ = instance([1.1, 0.9, 1.0], [0.6, 0.5, 0.4], beta=0.004)
-        theta = TrafficAllocation(np.array([0.4, 0.3, 0.3]))
-        g = numeric_welfare_gradient_theta(plat, streamers, [0.6, 0.5, 0.4], theta)
-        assert g.shape == (3,)
-        assert np.all(np.isfinite(g))
 
 
 class TestSimplexProject:
@@ -376,7 +361,7 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
     ps = (1.0 - platform.tau) * platform.revenue_per_viewer * n.sum(axis=1) - np.sum(
         c * q * q
     )
-    w = cs + ps + platform_profit(platform)
+    w = cs + ps + platform.tau * platform.revenue_per_viewer * m
     best = int(np.argmax(w))
     return SimpleNamespace(
         theta=simplex_project(thetas[best]), w_best=float(w[best]), thetas=thetas,
@@ -532,24 +517,15 @@ class TestGridOracle:
 _DEFAULT_CONTROLS = {
     "grid": (1e-10, 5000),
     "optimize": (1e-13, 20000),
-    "welfare": (1e-12, 5000),
-    "gradient": (1e-13, 5000),
 }
 
 
 def _entry_point_outputs(site, plat, streamers, q, cfg):
-    theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
     if site == "grid":
         best, w = grid_search_allocation(plat, streamers, q, resolution=0.02, fp_cfg=cfg)
         return best.theta, w
-    if site == "optimize":
-        sol = optimize_allocation(plat, streamers, q, fp_cfg=cfg)
-        return (sol.theta.theta, sol.welfare, sol.kkt_residual, sol.iterations,
-                sol.converged)
-    if site == "welfare":
-        breakdown, state = welfare_at_theta(plat, streamers, q, theta, cfg)
-        return breakdown.total, breakdown.consumer_surplus, state.n
-    return (numeric_welfare_gradient_theta(plat, streamers, q, theta, cfg),)
+    sol = optimize_allocation(plat, streamers, q, fp_cfg=cfg)
+    return sol.theta.theta, sol.welfare, sol.kkt_residual, sol.iterations, sol.converged
 
 
 def _random_instance(seed):
