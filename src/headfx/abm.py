@@ -169,10 +169,18 @@ class SimConfig:
         if not self.n_content_types >= 1:
             raise DomainError("n_content_types must be >= 1")
         object.__setattr__(self, "policy_schedule", tuple(self.policy_schedule))
+        n = self.n_streamers
         for pol in self.policy_schedule:
             if pol.start_round > max(self.n_rounds, 1):
                 raise DomainError(
                     f"policy start_round {pol.start_round} exceeds n_rounds {self.n_rounds}"
+                )
+            # the ranks apply_policy takes, checked before any round runs
+            if pol.kind == "high_tax" and pol.top_k > n:
+                raise DomainError(f"{pol.kind} top_k {pol.top_k} exceeds n_streamers {n}")
+            if pol.kind != "high_tax" and math.floor(n * pol.bottom_fraction) < 1:
+                raise DomainError(
+                    f"{pol.kind} bottom_fraction {pol.bottom_fraction} selects no streamer of {n}"
                 )
 
 

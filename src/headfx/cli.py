@@ -287,6 +287,8 @@ def _cmd_optimize_theta(args) -> int:
     platform, streamers, q = parse_instance(args.instance)
     if args.phi is not None:
         platform = dataclasses.replace(platform, phi=args.phi)
+    if args.grid_oracle and platform.n_streamers not in (2, 3):
+        raise ConfigError("grid oracle supports 2 or 3 streamers")
     solution = optimize_allocation(platform, streamers, q, tol=args.tol)
     breakdown = solution.breakdown
     # The welfare layer holds q fixed, so the verdict is the audience

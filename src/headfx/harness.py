@@ -178,7 +178,8 @@ def make_scenario(name: str, sim: SimConfig | None = None, n_seeds: int = 10,
     """Expand a scenario name into a spec with its canonical schedule.
 
     Raises ConfigError naming the scenario when sim has fewer rounds than
-    the round its canonical policies start at.
+    the round its canonical policies start at, or too few streamers for
+    their ranks.
     """
     base = sim if sim is not None else SimConfig()
     schedule = canonical_policies(name) if name != "custom" else base.policy_schedule
@@ -187,6 +188,8 @@ def make_scenario(name: str, sim: SimConfig | None = None, n_seeds: int = 10,
     except DomainError as exc:
         # base has validated its own schedule, so only a canonical one fails here
         start = max(p.start_round for p in schedule)
+        if start <= base.n_rounds:
+            raise ConfigError(f"scenario {name!r}: {exc}") from exc
         raise ConfigError(
             f"scenario {name!r} needs n_rounds >= {start}: its canonical policies "
             f"start at round {start}, but n_rounds is {base.n_rounds}"

@@ -276,13 +276,6 @@ def _column_blocks(big_n: int, k: int) -> list[slice]:
     return [slice(a, min(a + width, k)) for a in range(0, k, width)]
 
 
-def _grid_failure(residual: float, cfg: FixedPointConfig) -> NumericalError:
-    return NumericalError(
-        f"grid oracle fixed point did not converge: residual {residual:.3g} > "
-        f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
-    )
-
-
 def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
     """Viewer fixed point, damped by cfg.damping, for every grid column at once.
 
@@ -291,20 +284,13 @@ def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
     Reductions over the short streamer axis are far faster along the
     leading axis than along the trailing axis of a (K, N) array.
 
-    The columns are iterated one cache-sized block at a time, with the
-    result of one global iteration that stops on the first sweep where
-    every column's residual is at most cfg.tol. Each block first sweeps
-    until its own residual is at most tol. The blocks that stopped early
-    are then advanced to the latest block's sweep count; if any block is
-    above tol there, all blocks step together, one sweep at a time. Every
-    element sees the same operations, in the same order, as in the global
-    iteration, so every returned audience is bitwise the same.
-
-    Raises NumericalError when a residual turns non-finite on any sweep up
-    to that stopping sweep, or when a block is still above tol after
-    cfg.max_iter sweeps. The message names the residual of the first
-    block found above tol then, or the grid's largest when the blocks
-    were stepping together, without running the other blocks on.
+    The columns are iterated one cache-sized block at a time, and each
+    block stops on the first sweep where its own largest residual is at
+    most cfg.tol: every column ends within tol of its image, and a block
+    returns bitwise what the same iteration run on its columns alone
+    returns. Raises NumericalError, naming the block's residual, when the
+    residual turns non-finite or the block is still above tol after
+    cfg.max_iter sweeps; later blocks are not run.
     """
     big_n, k = v_theta.shape
     blocks = _column_blocks(big_n, k)
@@ -313,65 +299,37 @@ def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
     v = np.empty((big_n, width))
     target = np.empty_like(v)
     row = np.empty(width)
-
-    def sweep(cols):
-        """Fill target with the block's T(n) and return its residual."""
+    for cols in blocks:
         w = cols.stop - cols.start
         nb, vb, tb, rb = n[:, cols], v[:, :w], target[:, :w], row[:w]
-        np.multiply(beta, nb, out=vb)
-        np.add(v_theta[:, cols], vb, out=vb)
-        np.max(vb, axis=0, out=rb)
-        np.subtract(vb, rb, out=vb)
-        np.exp(vb, out=vb)
-        np.sum(vb, axis=0, out=rb)
-        np.multiply(m, vb, out=tb)
-        np.divide(tb, rb, out=tb)
-        np.subtract(nb, tb, out=vb)
-        np.abs(vb, out=vb)
-        residual = float(vb.max())
-        if not math.isfinite(residual):
-            raise _grid_failure(residual, cfg)
-        return residual
-
-    def step(cols):
-        """Move the block's audiences to the target of the last sweep."""
-        nb, tb = n[:, cols], target[:, : cols.stop - cols.start]
-        if cfg.damping == 1.0:
-            # 0 n + 1 target is target for the finite n, target >= 0 of a sweep
-            np.copyto(nb, tb)
-            return
-        np.multiply(1.0 - cfg.damping, nb, out=nb)
-        np.multiply(cfg.damping, tb, out=tb)
-        np.add(nb, tb, out=nb)
-
-    sweeps = []
-    residuals = []
-    for cols in blocks:
-        done, residual = 0, sweep(cols)
-        while residual > cfg.tol:
-            if done == cfg.max_iter - 1:
-                raise _grid_failure(residual, cfg)
-            step(cols)
-            done, residual = done + 1, sweep(cols)
-        sweeps.append(done)
-        residuals.append(residual)
-
-    stop = max(sweeps)
-    while True:
-        for b, cols in enumerate(blocks):
-            if sweeps[b] < stop:
-                # the target buffer holds another block's: sweep this one again
-                sweep(cols)
-                while sweeps[b] < stop:
-                    step(cols)
-                    sweeps[b] += 1
-                    residuals[b] = sweep(cols)
-        worst = max(residuals)
-        if worst <= cfg.tol:
-            return n
-        if stop == cfg.max_iter - 1:
-            raise _grid_failure(worst, cfg)
-        stop += 1
+        for _ in range(cfg.max_iter):
+            # tb = T(nb) = m softmax(v_theta + beta nb), vb = |nb - tb|
+            np.multiply(beta, nb, out=vb)
+            np.add(v_theta[:, cols], vb, out=vb)
+            np.max(vb, axis=0, out=rb)
+            np.subtract(vb, rb, out=vb)
+            np.exp(vb, out=vb)
+            np.sum(vb, axis=0, out=rb)
+            np.multiply(m, vb, out=tb)
+            np.divide(tb, rb, out=tb)
+            np.subtract(nb, tb, out=vb)
+            np.abs(vb, out=vb)
+            residual = float(vb.max())
+            if not cfg.tol < residual < math.inf:
+                break
+            if cfg.damping == 1.0:
+                # 0 n + 1 target is target for the finite n, target >= 0 of a sweep
+                np.copyto(nb, tb)
+            else:
+                np.multiply(1.0 - cfg.damping, nb, out=nb)
+                np.multiply(cfg.damping, tb, out=tb)
+                np.add(nb, tb, out=nb)
+        if not residual <= cfg.tol:
+            raise NumericalError(
+                f"grid oracle fixed point did not converge: residual {residual:.3g} > "
+                f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
+            )
+    return n
 
 
 def _grid_welfare(market: Market, q, v_theta, n) -> np.ndarray:
@@ -426,16 +384,17 @@ def grid_search_allocation(
 ) -> tuple[TrafficAllocation, float]:
     """Brute-force welfare maximization over a simplex grid (N = 2 or 3).
 
-    Solves the viewer fixed point for every grid allocation in one
-    vectorized, block-wise iteration; independent oracle for the
-    optimizer. The grid is held streamer-major, one column per allocation
-    in the order of a row-major (i, j) meshgrid filtered to i + j <= k,
-    and ties in welfare go to the first column. Without fp_cfg the fixed
-    point runs to tol 1e-10 within 5000 sweeps, undamped when beta M < 2
-    (a max-norm contraction with factor at most beta M / 2) and with
-    damping 0.5 otherwise; a given fp_cfg is used as it is. Raises
-    NumericalError if a block of the grid has not converged after
-    fp_cfg.max_iter sweeps or a residual turns non-finite.
+    Solves the viewer fixed point for every grid allocation, vectorized
+    over cache-sized column blocks that each iterate until their own
+    residual is at most the tol; independent oracle for the optimizer.
+    The grid is held streamer-major, one column per allocation in the
+    order of a row-major (i, j) meshgrid filtered to i + j <= k, and ties
+    in welfare go to the first column. Without fp_cfg the fixed point runs
+    to tol 1e-10 within 5000 sweeps, undamped when beta M < 2 (a max-norm
+    contraction with factor at most beta M / 2) and with damping 0.5
+    otherwise; a given fp_cfg is used as it is. Raises NumericalError if a
+    block of the grid has not converged after fp_cfg.max_iter sweeps or a
+    residual turns non-finite.
     """
     big_n = platform.n_streamers
     if big_n not in (2, 3):

@@ -421,6 +421,24 @@ class TestPolicies:
             )
 
 
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (PolicyIntervention("high_tax", top_k=3), "high_tax top_k 3 exceeds n_streamers 2"),
+            (PolicyIntervention("boost_small", bottom_fraction=0.4),
+             "boost_small bottom_fraction 0.4 selects no streamer of 2"),
+            (PolicyIntervention("subsidy", bottom_fraction=0.4),
+             "subsidy bottom_fraction 0.4 selects no streamer of 2"),
+        ],
+    )
+    def test_schedule_must_rank_the_streamers(self, policy, message):
+        with pytest.raises(DomainError, match=message):
+            SimConfig(n_streamers=2, policy_schedule=(policy,))
+        # the same policy fits one streamer more, or a fraction that selects one
+        fits = dataclasses.replace(policy, top_k=2, bottom_fraction=0.5)
+        assert SimConfig(n_streamers=2, policy_schedule=(fits,)).policy_schedule == (fits,)
+
+
 class TestRunSimulation:
     def test_table1_histories_are_pinned(self):
         h = hashlib.sha256()

@@ -485,6 +485,15 @@ class TestBatchMatchesReference:
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
             viewer_fixed_point(market, q, np.full((3, 2), 50.0), cfg, None)
 
+    def test_non_finite_residual_raises_from_a_single_row(self):
+        # one start runs as a plain vector, with its own check
+        plat = PlatformParams(n_streamers=2, n_viewers=100, beta=0.01)
+        cfg = FixedPointConfig(tol=1e-11, max_iter=100)
+        market = Market.from_params(plat, [StreamerParams(alpha=1.0)] * 2)
+        q = np.array([[np.inf, 0.5]])
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            viewer_fixed_point(market, q, np.full((1, 2), 50.0), cfg, None)
+
 
 def _batch_case(draw_seed, k, n):
     rng = np.random.default_rng(draw_seed)

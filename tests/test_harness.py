@@ -487,6 +487,16 @@ class TestCli:
             "(optimizer - oracle = +1.17e-12)"
         ) in capsys.readouterr().out.splitlines()
 
+    def test_grid_oracle_size_checked_before_solving(self, tmp_path, capsys):
+        inst = write_config(tmp_path, {"alpha": [1.2, 1.0, 0.4, 0.9], "q": [0.8, 0.7, 0.5, 0.6]})
+        out = tmp_path / "opt"
+        code = main(["optimize-theta", "--instance", str(inst), "--out", str(out), "--grid-oracle"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: grid oracle supports 2 or 3 streamers" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "bad",
         [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
@@ -700,6 +710,33 @@ class TestCli:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "name, n_streamers, argv, message",
+        [
+            ("Combined", 2, ["simulate"],
+             "scenario 'Combined': high_tax top_k 3 exceeds n_streamers 2"),
+            ("Boost_Small", 1, ["simulate"],
+             "scenario 'Boost_Small': boost_small bottom_fraction 0.5 selects no streamer of 1"),
+            ("Baseline", 2, ["ab-test", "--scenarios", "Baseline", "High_Tax"],
+             "scenario 'High_Tax': high_tax top_k 3 exceeds n_streamers 2"),
+            ("Combined", 15, ["sweep", "--parameter", "n_streamers", "--values", "15,2"],
+             "sweep value 2 invalid for n_streamers: high_tax top_k 3 exceeds n_streamers 2"),
+        ],
+        ids=["simulate-top_k", "simulate-bottom_fraction", "ab-test", "sweep"],
+    )
+    def test_unrankable_policies_rejected_before_any_seed_runs(
+        self, tmp_path, capsys, name, n_streamers, argv, message
+    ):
+        cfg = write_config(tmp_path, {
+            "name": name, "n_seeds": 1,
+            "platform": {"n_streamers": n_streamers, "n_viewers": 40, "n_rounds": 10},
+        })
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv", [["equilibrium"], ["dynamics", "--kind", "stability"]], ids=lambda a: a[0]
     )
     def test_unconverged_equilibrium_exits_3(self, tmp_path, capsys, monkeypatch, argv):
@@ -800,6 +837,33 @@ class TestCli:
         assert "terminal_hhi" in summary and "stable" in summary
         header = (out / "trajectory.csv").read_text().splitlines()[0]
         assert header == "t,n_1,n_2,n_3,q_1,q_2,q_3"
+
+    @pytest.mark.parametrize(
+        "kind, table, header, keys",
+        [
+            ("stability", None, None,
+             ["equilibrium_max_share", "terminal_hhi", "stable", "eigen_real_parts"]),
+            ("path-dependence", "path_dependence.csv", "t,gap_plus,gap_minus",
+             ["winner_plus", "winner_minus", "terminal_hhi", "terminal_share_gap"]),
+            ("portrait", "phase_portrait.csv", "trajectory,t,streamer,n,q",
+             ["n_trajectories", "n_failures", "terminal_hhi"]),
+        ],
+    )
+    def test_dynamics_kinds_write_their_outputs(self, tmp_path, kind, table, header, keys):
+        cfg = write_config(tmp_path, {"name": "Baseline", "platform": {"n_streamers": 3,
+                                                                      "n_viewers": 60}})
+        out = tmp_path / "dyn"
+        code = main(["dynamics", "--config", str(cfg), "--out", str(out), "--kind", kind,
+                     "--beta", "0.005", "--dt", "0.05", "--t-end", "1", "--grid", "2"])
+        assert code == 0
+        summary = json.loads((out / "dynamics_summary.json").read_text())
+        assert sorted(summary) == sorted(["kind", "beta", *keys])
+        assert summary["kind"] == kind
+        written = {"dynamics_summary.json"} | ({table} if table else set())
+        assert {p.name for p in out.iterdir()} == written
+        if table:
+            lines = (out / table).read_text().splitlines()
+            assert lines[0] == header and len(lines) > 1
 
 
 # Values no documented key accepts everywhere: NaN, infinities, negatives,

@@ -308,3 +308,41 @@ def test_package_exports_are_listed_by_their_modules():
 def test_stale_all_entry_checker(source, stale):
     tree = ast.parse(source)
     assert sorted(set(listed_names(tree)) - defined_names(tree)) == stale
+
+
+def unread_private_names(tree: ast.Module) -> list[str]:
+    """The `_`-prefixed functions, classes and constants a module defines at
+    top level (dunders aside) that no other top-level statement reads."""
+    unread = []
+    for name in sorted(defined_names(tree)):
+        if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+            continue
+        reads = (node for top in tree.body if getattr(top, "name", None) != name
+                 for node in ast.walk(top))
+        if not any(isinstance(node, ast.Name) and node.id == name
+                   and isinstance(node.ctx, ast.Load) for node in reads):
+            unread.append(name)
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_names_are_read_in_their_module(path):
+    # No other module may read them, so one its own module does not read
+    # is a helper left behind.
+    assert unread_private_names(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, unread",
+    [
+        ("def _f(): ...\ndef g(): return _f()", []),
+        ("_X = 1\nclass _C: ...\ndef _f(): ...", ["_C", "_X", "_f"]),
+        ("_A: int = 1\n_B = [_A]", ["_B"]),
+        ("def _f(n): return _f(n - 1)", ["_f"]),
+        ("_X = 1\n_X = 2", ["_X"]),
+        ("__all__ = []\n__version__ = '1'", []),
+        ("def f(): ...\nX = f", []),
+    ],
+)
+def test_unread_private_name_checker(source, unread):
+    assert unread_private_names(ast.parse(source)) == unread

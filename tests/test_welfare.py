@@ -231,6 +231,19 @@ class TestSimplexProject:
             simplex_project(np.array([np.nan, 0.0]))
 
 
+def _record_welfare_raw(monkeypatch):
+    """The (arguments, result) of every optimizer call to _welfare_raw, in order."""
+    calls = []
+    raw = welfare._welfare_raw
+
+    def record(*args):
+        calls.append((args, raw(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(welfare, "_welfare_raw", record)
+    return calls
+
+
 class TestOptimizeAllocation:
     def test_symmetric_instance_uniform_from_uniform_start(self):
         plat, streamers, _ = instance([1.0] * 3, [0.5] * 3, beta=0.002)
@@ -283,6 +296,38 @@ class TestOptimizeAllocation:
         assert starved.kkt_residual <= 1e6
         assert not starved.converged
 
+    def test_line_search_halves_steps_that_lower_welfare(self, monkeypatch):
+        # _foc_gradient leaves the prices out, so on this instance it points
+        # at the expensive streamer, along which welfare falls: trial steps
+        # are halved, none that loses more than float noise is taken, and
+        # the stalled search is not reported converged.
+        plat, streamers, _ = instance([4.0, 1.0], [0.8, 0.0], prices=[3.0, 0.0])
+        calls = _record_welfare_raw(monkeypatch)
+        sol = optimize_allocation(plat, streamers, np.array([0.8, 0.0]), max_iter=20)
+        assert len(calls) > 1 + 20 + 1  # the start, an accepted step per iteration, the end
+        start = calls[0][1][0]
+        assert sol.welfare >= start - 20 * 1e-12 * (1.0 + abs(start))
+        assert not sol.converged and sol.kkt_residual > 1e-8
+
+    def test_stops_when_no_halved_step_keeps_the_welfare(self, monkeypatch):
+        # With a one-sweep fixed point even the shortest trial step lands on
+        # a lower welfare here: 60 halvings, then the search gives up at the
+        # start.
+        plat, streamers, _ = instance([4.0, 1.0], [0.8, 0.0], beta=0.001, prices=[3.0, 0.0])
+        calls = _record_welfare_raw(monkeypatch)
+        sol = optimize_allocation(
+            plat, streamers, np.array([0.8, 0.0]), fp_cfg=FixedPointConfig(max_iter=1)
+        )
+        assert len(calls) == 1 + 60 + 1
+        # once off the vertex, each trial moves half as far as the one before
+        moves = [abs(args[2][0] - 0.5) for args, _ in calls[1:-1]]
+        inside = [d for d in moves if 1e-9 < d < 0.5]
+        assert len(inside) > 10
+        assert inside[1:] == pytest.approx([d / 2 for d in inside[:-1]], rel=1e-6)
+        assert sol.iterations == 1
+        assert np.array_equal(sol.theta.theta, [0.5, 0.5])
+        assert not sol.converged and sol.kkt_residual > 1e-8
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -327,13 +372,14 @@ def _row_major_fixed_point(v_theta, m, beta, fp_cfg):
     return n, None, residual
 
 
-def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
+def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg, block=None):
     """The grid oracle as first written: one (K, N) row per grid point.
 
     Kept as the bitwise reference for the streamer-major, block-wise
-    oracle. Returns the best theta and welfare and, at every grid point,
-    the grid, v_theta, the audiences and the welfare, with the sweep and
-    residual the fixed point stopped on.
+    oracle: the fixed point iterates each run of block rows on its own (all
+    rows together when block is None). Returns the best theta and welfare
+    and, at every grid point, the grid, v_theta, the audiences and the
+    welfare, with the sweep and residual each block's fixed point stopped on.
     """
     big_n = platform.n_streamers
     alpha = np.array([s.alpha for s in streamers])
@@ -348,7 +394,12 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
         mask = i + j <= k
         thetas = np.stack([i[mask], j[mask], k - i[mask] - j[mask]], axis=1) / k
     v_theta = (alpha * q - platform.prices)[None, :] + platform.phi * thetas
-    n, sweep, residual = _row_major_fixed_point(v_theta, m, platform.beta, fp_cfg)
+    rows = block or len(v_theta)
+    n, sweeps, residuals = zip(*(
+        _row_major_fixed_point(v_theta[a:a + rows], m, platform.beta, fp_cfg)
+        for a in range(0, len(v_theta), rows)
+    ))
+    n = np.concatenate(n)
 
     v = v_theta + platform.beta * n
     shift = v.max(axis=1, keepdims=True)
@@ -365,7 +416,7 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg):
     best = int(np.argmax(w))
     return SimpleNamespace(
         theta=simplex_project(thetas[best]), w_best=float(w[best]), thetas=thetas,
-        v_theta=v_theta, n=n, w=w, sweep=sweep, residual=residual,
+        v_theta=v_theta, n=n, w=w, sweeps=sweeps, residuals=residuals,
     )
 
 
@@ -383,9 +434,10 @@ def _grid_instance(alphas, q, prices):
     return plat, streamers, np.asarray(q, dtype=float)
 
 
-def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01):
-    """theta, welfare and audiences bitwise the row-major oracle's, at every grid point."""
-    ref = _row_major_grid_oracle(plat, streamers, q, resolution, cfg)
+def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01, block=None):
+    """theta, welfare and audiences bitwise the row-major oracle's, at every
+    grid point, with the reference's fixed point run on blocks of block rows."""
+    ref = _row_major_grid_oracle(plat, streamers, q, resolution, cfg, block)
     theta, w = grid_search_allocation(plat, streamers, q, resolution=resolution, fp_cfg=cfg)
     assert np.array_equal(theta.theta, ref.theta.theta)
     assert w == ref.w_best
@@ -399,13 +451,15 @@ def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01):
     assert np.array_equal(_grid_welfare(market, q, v_theta, n), ref.w)
 
 
+# A column-block width that divides neither grid at resolution 0.01
+# (K = 101 at N = 2, 5151 at N = 3), so blocks stop at different sweeps.
+_BLOCK = 97
+
+
 @pytest.fixture
 def blocks_of_97_columns(monkeypatch):
-    """Column blocks of 97, which divides neither grid at resolution 0.01
-    (K = 101 at N = 2, 5151 at N = 3), so blocks stop at different sweeps."""
-
     def use(big_n):
-        monkeypatch.setattr(welfare, "_BLOCK_CELLS", 97 * big_n)
+        monkeypatch.setattr(welfare, "_BLOCK_CELLS", _BLOCK * big_n)
 
     return use
 
@@ -440,48 +494,35 @@ class TestGridOracle:
         plat, streamers, q = _grid_instance(alphas, q, prices)
         blocks_of_97_columns(plat.n_streamers)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000, damping=damping)
-        _assert_grid_matches_reference(plat, streamers, q, cfg)
-
-    def test_blocks_step_together_after_a_residual_rises(self, blocks_of_97_columns):
-        # At a tol this close to rounding noise, a block's residual can rise
-        # back above tol after the block stopped, so every block must keep
-        # stepping past the latest block's first stop (seen on this instance).
-        plat, streamers, _ = instance(
-            [1.0004918412431627, 0.9464941843258796, 0.8754066529469071],
-            [0.3038337249018921, 0.6301754355448759, 0.8810030593882772],
-            beta=0.0015922387856054025,
-        )
-        q = np.array([0.3038337249018921, 0.6301754355448759, 0.8810030593882772])
-        blocks_of_97_columns(3)
-        _assert_grid_matches_reference(
-            plat, streamers, q, FixedPointConfig(tol=1e-14, max_iter=5000)
-        )
+        _assert_grid_matches_reference(plat, streamers, q, cfg, block=_BLOCK)
 
     @pytest.mark.parametrize("damping", [0.5, 1.0])
-    def test_max_iter_counts_the_sweeps_of_the_whole_grid(self, blocks_of_97_columns, damping):
+    def test_max_iter_counts_the_sweeps_of_each_block(self, blocks_of_97_columns, damping):
         plat, streamers, q = _grid_instance(*_GRID_CASES[3])
         blocks_of_97_columns(3)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000, damping=damping)
-        sweep = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg).sweep
-        with pytest.raises(NumericalError, match=rf"residual \d.*\(max_iter={sweep}\)"):
-            grid_search_allocation(
-                plat, streamers, q, resolution=0.01,
-                fp_cfg=dataclasses.replace(cfg, max_iter=sweep),
-            )
+        sweep = max(_row_major_grid_oracle(plat, streamers, q, 0.01, cfg, _BLOCK).sweeps)
+        # the first block that needs more sweeps raises, naming its own residual
+        short = dataclasses.replace(cfg, max_iter=sweep)
+        ref = _row_major_grid_oracle(plat, streamers, q, 0.01, short, _BLOCK)
+        residual = ref.residuals[ref.sweeps.index(None)]
+        message = rf"residual {residual:.3g} > .*\(max_iter={sweep}\)"
+        with pytest.raises(NumericalError, match=message):
+            grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=short)
         _assert_grid_matches_reference(
-            plat, streamers, q, dataclasses.replace(cfg, max_iter=sweep + 1)
+            plat, streamers, q, dataclasses.replace(cfg, max_iter=sweep + 1), block=_BLOCK
         )
 
-    def test_max_iter_reached_while_stepping_together(self, blocks_of_97_columns):
-        # Undamped at tol 1e-14 every block of this instance stops by sweep
-        # 14, but the residual of the whole grid bounces above tol: the
-        # blocks step together until max_iter and name the grid's residual.
+    def test_max_iter_reached_in_a_later_block(self, blocks_of_97_columns):
+        # Undamped at tol 1e-14 the first 24 blocks of this instance stop by
+        # sweep 14, but block 24's residual bounces in rounding noise above
+        # tol: it raises at max_iter and names its own residual.
         plat, streamers, q = _grid_instance(*_GRID_CASES[2])
         blocks_of_97_columns(3)
         cfg = FixedPointConfig(tol=1e-14, max_iter=40, damping=1.0)
-        ref = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg)
-        assert ref.sweep is None
-        message = rf"residual {ref.residual:.3g} > .*\(max_iter=40\)"
+        ref = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg, _BLOCK)
+        assert ref.sweeps.index(None) == 24
+        message = rf"residual {ref.residuals[24]:.3g} > .*\(max_iter=40\)"
         with pytest.raises(NumericalError, match=message):
             grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
 
