@@ -13,6 +13,11 @@ The flow works on a stacked state: a (2, N) array for one start, or
 coefficients are stacked the same way, so dn/dt and dq/dt come out of
 the same array operations; multiplying by 1.0 is exact, so every entry
 goes through the operations of the formulas above in their order.
+
+The flow is autonomous and each RK4 step deterministic, so once a step
+returns the state bytewise unchanged every later step would too: the
+integration loop stops there and fills the remaining records with that
+state.
 """
 
 from __future__ import annotations
@@ -191,6 +196,12 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
     step; only when it fails are the rows told apart, and each failing
     row leaves with the error a single-start run would raise there.
 
+    The loop ends on the step that returns the whole (compacted) state
+    with the same bytes it started from (so -0.0 and 0.0 differ): every
+    later step would return it again, so the remaining records take it
+    and the remaining record times their own step times dt. A buffer of
+    records numpy cannot allocate raises DomainError.
+
     Returns (trajectories, failures): a list with one Trajectory per row
     (None for a failed row) and a dict from row index to DivergenceError.
     """
@@ -198,10 +209,17 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
     half = 0.5 * dt
     sixth = dt / 6.0
     n_steps = cfg.n_steps
-    n_records = 1 + n_steps // cfg.record_every + (n_steps % cfg.record_every != 0)
+    every = cfg.record_every
+    n_records = 1 + n_steps // every + (n_steps % every != 0)
 
     s = np.stack([np.asarray(n0, dtype=float), np.asarray(q0, dtype=float)])
-    rec = np.empty((2, n_records) + s.shape[1:])
+    try:
+        rec = np.empty((2, n_records) + s.shape[1:])
+    except (ValueError, MemoryError):
+        raise DomainError(
+            f"{n_records} trajectory records of {s.shape[1]} start(s) do not fit in memory; "
+            f"raise record_every (--record-every), now {every}"
+        ) from None
     rows = np.arange(s.shape[1])
     if rows.size == 1:
         s = s[:, 0]
@@ -214,11 +232,13 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
     bound = _stack_rows(s.shape, n_bound, _EXPLOSION_BOUND)
 
     for step in range(1, n_steps + 1):
+        start = s
         k1 = f(s)
         k2 = f(s + half * k1)
         k3 = f(s + half * k2)
         k4 = f(s + dt * k3)
         s = np.maximum(s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
+        settled = s.tobytes() == start.tobytes()
         t = step * dt
 
         # the clamped state is >= 0 or NaN, so this is every check of _divergence
@@ -231,12 +251,19 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
             rows, s, bound = rows[~failed], s[:, ~failed], bound[:, ~failed]
             f = _stacked_flow(market, theta_vec, s)
 
-        if step % cfg.record_every == 0 or step == n_steps:
-            if rows.size == rec.shape[2]:
-                samples[:, len(times)] = s
-            else:
-                rec[:, len(times), rows] = s
+        first = len(times)
+        if step % every == 0 or step == n_steps:
             times.append(t)
+        if settled and step < n_steps:
+            times.extend(k * dt for k in range((step // every + 1) * every, n_steps, every))
+            times.append(n_steps * dt)
+        if len(times) > first:
+            if rows.size == rec.shape[2]:
+                samples[:, first:len(times)] = s[:, np.newaxis]
+            else:
+                rec[:, first:len(times), rows] = s[:, np.newaxis]
+        if settled:
+            break
 
     return [
         None
@@ -258,6 +285,8 @@ def integrate(
     The quality drift can transiently push q below zero near q = 0, so
     each accepted step clamps q (and shaves float-noise negatives off n).
     Blow-ups and audiences escaping [0, M] raise DivergenceError naming t.
+    Once a step returns the state bytewise unchanged, the loop stops and
+    the remaining samples repeat that state, as every later step would.
     """
     theta_vec = theta.theta if theta is not None else None
     (trajectory,), failures = _integrate_batch(

@@ -1,12 +1,14 @@
 """Tests for the continuous-time dynamics."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headfx import cli, dynamics
 from headfx.core import (
     Market,
     MarketState,
@@ -27,7 +29,7 @@ from headfx.dynamics import (
     phase_portrait,
     stability_at,
 )
-from headfx.equilibrium import FixedPointConfig, solve_joint_equilibrium
+from headfx.equilibrium import FixedPointConfig, find_critical_beta, solve_joint_equilibrium
 from headfx.errors import DimensionMismatchError, DivergenceError, DomainError, NonFiniteError
 
 CFG = FixedPointConfig(tol=1e-12, max_iter=60000)
@@ -456,13 +458,19 @@ def _reference_outcome(platform, streamers, state0, cfg, theta=None):
         return exc
 
 
+def _assert_same_bytes(got, want):
+    # np.array_equal counts -0.0 equal to 0.0; the integrator's exit rests on byte identity
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _assert_same_path(traj, ref):
     times, ns, qs = ref
-    assert np.array_equal(traj.times, times)
-    assert np.array_equal(traj.n, ns)
-    assert np.array_equal(traj.q, qs)
+    _assert_same_bytes(traj.times, times)
+    _assert_same_bytes(traj.n, ns)
+    _assert_same_bytes(traj.q, qs)
     terminal = traj.terminal
-    assert np.array_equal(terminal.n, ns[-1]) and np.array_equal(terminal.q, qs[-1])
+    _assert_same_bytes(terminal.n, ns[-1])
+    _assert_same_bytes(terminal.q, qs[-1])
 
 
 def _twin_starts(state0, delta0, m):
@@ -583,6 +591,84 @@ class TestBatchMatchesReference:
                 assert traj is None
             else:
                 _assert_same_path(traj, ref)
+
+
+@pytest.fixture
+def flow_calls(monkeypatch):
+    """Counts the calls of every flow _stacked_flow builds, across rebuilds."""
+    calls = []
+    build = dynamics._stacked_flow
+
+    def counting_build(market, theta_vec, s):
+        f = build(market, theta_vec, s)
+
+        def counted(x):
+            calls.append(None)
+            return f(x)
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_stacked_flow", counting_build)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def criterion7():
+    """Criterion 7's seed-0 pair at half its beta*, from (51, 49) at 1.05 x equilibrium q.
+
+    The integrate call of the solver_loops benchmark; with dt 0.05 its
+    RK4 step returns the state bytewise from step 1,223 of 4,000 on.
+    """
+    rng = np.random.default_rng(0)
+    alpha, eta, cost = rng.uniform(0.9, 1.1, 2), rng.uniform(0.8, 1.2, 2), rng.uniform(2.5, 3.5, 2)
+    streamers = [StreamerParams(alpha=float(a), eta=float(e), cost_coefficient=float(c))
+                 for a, e, c in zip(alpha, eta, cost)]
+    plat = PlatformParams(n_streamers=2, n_viewers=100, beta=0.0, tau=0.2)
+    fp = FixedPointConfig(tol=1e-11, max_iter=60000)
+    plat = dataclasses.replace(
+        plat, beta=0.5 * find_critical_beta(plat, streamers, 1e-4, 1.0, 0.95, fp)
+    )
+    eq = solve_joint_equilibrium(plat, streamers, fp)
+    return plat, streamers, MarketState(n=np.array([51.0, 49.0]), q=eq.state.q * 1.05)
+
+
+class TestSettledExit:
+    """The loop ends once a step returns the state bytewise; the reference never exits."""
+
+    @pytest.mark.parametrize("record_every", [4000, 7, 5000])
+    def test_criterion7_matches_reference(self, criterion7, flow_calls, record_every):
+        # 7 does not divide 4,000 steps; 5,000 leaves no record before the exit
+        plat, streamers, state0 = criterion7
+        cfg = IntegratorConfig(dt=0.05, t_end=200.0, record_every=record_every)
+        traj = integrate(plat, streamers, state0, cfg)
+        assert len(flow_calls) < 4 * 1300
+        _assert_same_path(traj, _reference_integrate(plat, streamers, state0, cfg))
+        if record_every == 5000:
+            assert traj.times.tolist() == [0.0, 200.0]
+
+    def test_phase_portrait_exits_on_a_compacted_batch(self, criterion7, flow_calls):
+        plat, streamers, state0 = criterion7
+        grid = [
+            state0,
+            MarketState(n=np.array([500.0, 500.0]), q=state0.q),  # leaves [0, M] at step 1
+            MarketState(n=np.array([60.0, 40.0]), q=state0.q),
+            MarketState(n=np.array([45.0, 55.0]), q=state0.q * 0.9),
+        ]
+        cfg = IntegratorConfig(dt=0.05, t_end=200.0, record_every=300)
+        result = phase_portrait(plat, streamers, grid, cfg)
+        assert len(flow_calls) < 4 * cfg.n_steps
+        refs = [_reference_outcome(plat, streamers, s, cfg) for s in grid]
+        assert result.failures == ((1, str(refs[1])),)
+        assert refs[1].t == cfg.dt and result.trajectories[1] is None
+        for i in (0, 2, 3):
+            _assert_same_path(result.trajectories[i], refs[i])
+
+    def test_twins_that_never_settle_take_every_step(self, tmp_path, flow_calls):
+        baseline = Path(__file__).resolve().parents[1] / "configs" / "baseline.json"
+        code = cli.main(["dynamics", "--kind", "path-dependence", "--config", str(baseline),
+                         "--dt", "0.05", "--out", str(tmp_path)])
+        assert code == 0
+        assert len(flow_calls) == 4 * IntegratorConfig(dt=0.05, t_end=200.0).n_steps
 
 
 def _family_case(k, n, with_theta, with_prices, dt):

@@ -791,6 +791,17 @@ class TestCli:
         assert "config error" in err and f"--grid must be >= 1, got {grid}" in err
         assert not out.exists()
 
+    def test_trajectory_buffer_numpy_cannot_allocate_exit_2(self, tmp_path, capsys):
+        # 1e18 records: numpy refuses the shape before touching any memory
+        out = tmp_path / "o"
+        code = main(["dynamics", "--kind", "trajectory", "--dt", "1e-17", "--t-end", "10",
+                     "--record-every", "1", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "999999999999999873 trajectory records" in err and "--record-every" in err
+        assert not out.exists()
+
     def test_trajectory_starts_where_the_equilibrium_probe_starts(self, tmp_path, monkeypatch):
         seen = {}
         integrate, solve_joint = cli.integrate, equilibrium.solve_joint_equilibrium
