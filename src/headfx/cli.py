@@ -8,8 +8,9 @@ failure, which includes an equilibrium solve that did not converge in
 `equilibrium` and `dynamics --kind stability`. Every output file is
 written by harness.write_table or harness.write_json: CSV tables with a
 header row and the dynamics JSON sidecar, all UTF-8 with LF line ends.
-optimize-theta's welfare.csv ends with the stability verdict of the
-audience equilibrium under the optimal promotion shares.
+Each subcommand parses only the flags it reads. optimize-theta's
+welfare.csv ends with the stability verdict of the audience equilibrium
+under the optimal promotion shares, from dynamics.jacobian's audience block.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .abm import SimConfig
 from .core import Market, MarketState, PlatformParams, StreamerParams, streamer_profit
 from .dynamics import (
     IntegratorConfig,
-    analytic_viewer_blocks,
     assess_stability,
     best_response_quality,
     hhi,
     integrate,
+    jacobian,
     path_dependence_experiment,
     phase_portrait,
     stability_at,
@@ -101,7 +102,7 @@ def _load_scenario(args) -> ScenarioSpec:
 def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed_base=args.seed)
-    if args.seeds is not None:
+    if getattr(args, "seeds", None) is not None:
         spec = dataclasses.replace(spec, n_seeds=args.seeds)
     return spec
 
@@ -293,8 +294,9 @@ def _cmd_optimize_theta(args) -> int:
     breakdown = solution.breakdown
     # The welfare layer holds q fixed, so the verdict is the audience
     # block's: the joint (n, q) flow is not at rest at this state.
+    big_n = platform.n_streamers
     report = assess_stability(
-        analytic_viewer_blocks(platform, streamers, solution.state, solution.theta)[0]
+        jacobian(platform, streamers, solution.state, solution.theta)[:big_n, :big_n]
     )
     max_real = float(report.eigen_real_parts[0])
     theta_path = write_table(args.out / "theta_star.csv", ["streamer_id", "theta_star"],
@@ -332,18 +334,19 @@ def _cmd_optimize_theta(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, default=None, help="scenario config file")
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, default=Path("headfx_out"),
+                        help="output directory (default headfx_out)")
+    scenario = argparse.ArgumentParser(add_help=False, parents=[output])
+    scenario.add_argument("--config", type=str, default=None, help="scenario config file")
+    scenario.add_argument(
         "--seed", type=int, default=None,
         help="base seed of the ABM replications (simulate, ab-test, sweep); "
         "equilibrium and dynamics build their analytic instance from seed 0 and ignore it",
     )
-    common.add_argument("--out", type=Path, default=Path("headfx_out"),
-                        help="output directory (default headfx_out)")
-    common.add_argument("--seeds", type=int, default=None, help="replication count")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes of simulate, ab-test and sweep (>= 1)")
+    runs = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    runs.add_argument("--seeds", type=int, default=None, help="replication count")
+    runs.add_argument("--threads", type=int, default=1, help="worker processes (>= 1)")
 
     parser = argparse.ArgumentParser(
         prog="headfx",
@@ -351,12 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eq = sub.add_parser("equilibrium", parents=[common], help="solve the static equilibrium")
+    p_eq = sub.add_parser("equilibrium", parents=[scenario], help="solve the static equilibrium")
     p_eq.add_argument("--beta", type=float, default=None, help="network-effect override")
     p_eq.add_argument("--tol", type=float, default=1e-10)
     p_eq.set_defaults(func=_cmd_equilibrium)
 
-    p_dyn = sub.add_parser("dynamics", parents=[common], help="integrate the dynamic system")
+    p_dyn = sub.add_parser("dynamics", parents=[scenario], help="integrate the dynamic system")
     p_dyn.add_argument("--dt", type=float, default=0.01)
     p_dyn.add_argument("--t-end", type=float, default=200.0)
     p_dyn.add_argument("--beta", type=float, default=None)
@@ -372,19 +375,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--tol", type=float, default=1e-10)
     p_dyn.set_defaults(func=_cmd_dynamics)
 
-    p_sim = sub.add_parser("simulate", parents=[common], help="run one scenario batch")
+    p_sim = sub.add_parser("simulate", parents=[runs], help="run one scenario batch")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_ab = sub.add_parser("ab-test", parents=[common], help="paired-seed scenario comparison")
+    p_ab = sub.add_parser("ab-test", parents=[runs], help="paired-seed scenario comparison")
     p_ab.add_argument("--scenarios", nargs="+", default=list(SCENARIO_NAMES))
     p_ab.set_defaults(func=_cmd_ab_test)
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="one-parameter sensitivity sweep")
+    p_sweep = sub.add_parser("sweep", parents=[runs], help="one-parameter sensitivity sweep")
     p_sweep.add_argument("--parameter", type=str, default=None)
     p_sweep.add_argument("--values", type=str, default=None, help="comma-separated grid values")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_opt = sub.add_parser("optimize-theta", parents=[common],
+    p_opt = sub.add_parser("optimize-theta", parents=[output],
                            help="optimize promotion shares for an instance file")
     p_opt.add_argument("--instance", type=str, required=True)
     p_opt.add_argument("--phi", type=float, default=None)

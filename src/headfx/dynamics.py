@@ -5,8 +5,9 @@ Fixed-step RK4 integration of the coupled system
     dn_i/dt = gamma (M P_i - n_i)
     dq_i/dt = eta_i ((1 - tau) R M alpha_i P_i (1 - P_i) - 2 c_i q_i)
 
-plus local stability via the Jacobian, twin-run path-dependence
-experiments, concentration (HHI), and phase-portrait sweeps.
+plus local stability via the flow's closed-form Jacobian, twin-run
+path-dependence experiments, concentration (HHI), and phase-portrait
+sweeps.
 
 The flow works on a stacked state: a (2, N) array for one start, or
 (2, K, N) for K starts, row 0 holding n and row 1 holding q. Its
@@ -28,14 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Market,
-    MarketState,
-    PlatformParams,
-    TrafficAllocation,
-    choice_probabilities,
-    deterministic_utility,
-)
+from .core import Market, MarketState, PlatformParams, TrafficAllocation
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
@@ -43,7 +37,7 @@ from .errors import (
     NonFiniteError,
     require_integers,
 )
-from .logit import quality_best_response, softmax
+from .logit import choice_jacobian, quality_best_response, softmax, utility
 
 __all__ = [
     "IntegratorConfig",
@@ -54,7 +48,6 @@ __all__ = [
     "best_response_quality",
     "integrate",
     "jacobian",
-    "analytic_viewer_blocks",
     "assess_stability",
     "stability_at",
     "path_dependence_experiment",
@@ -64,8 +57,6 @@ __all__ = [
 
 # Integration aborts when any state magnitude passes this bound.
 _EXPLOSION_BOUND = 1e12
-# The finite-difference Jacobian steps coordinate i by this times (1 + |x_i|).
-_JACOBIAN_STEP = 1e-6
 # Slack on the runtime check that audiences stay inside [0, M].
 _N_BOUND_SLACK = 1e-3
 
@@ -304,43 +295,27 @@ def jacobian(
     state: MarketState,
     theta: TrafficAllocation | None = None,
 ) -> np.ndarray:
-    """Central finite-difference Jacobian of the flow, 2N x 2N.
+    """Closed-form Jacobian of the flow, 2N x 2N, rows and columns ordered (n, q).
 
-    Per-coordinate step h_i = _JACOBIAN_STEP * (1 + |x_i|) on the stacked
-    state x = (n, q).
-    """
-    theta_vec = theta.theta if theta is not None else None
-    x0 = np.stack([state.n, state.q])
-    f = _stacked_flow(Market.from_params(platform, streamers), theta_vec, x0)
-    dim = x0.size
-    jac = np.empty((dim, dim))
-    for i in range(dim):
-        h = _JACOBIAN_STEP * (1.0 + abs(x0.flat[i]))
-        xp = x0.copy()
-        xm = x0.copy()
-        xp.flat[i] += h
-        xm.flat[i] -= h
-        jac[:, i] = (f(xp) - f(xm)).reshape(-1) / (2.0 * h)
-    return jac
+    With J = dP/dV = diag P - P P^T (logit.choice_jacobian), dV/dn = beta,
+    dV/dq = diag alpha, and S = diag(eta rev (1 - 2P)) J, rev being the
+    marginal-revenue coefficient (1 - tau) R M alpha:
 
-
-def analytic_viewer_blocks(
-    platform: PlatformParams,
-    streamers,
-    state: MarketState,
-    theta: TrafficAllocation | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form audience-row Jacobian blocks (d ndot/dn, d ndot/dq).
-
-    Uses dP_i/dV_j = P_i (delta_ij - P_j) with dV_j/dn_j = beta and
-    dV_j/dq_j = alpha_j; exposed to cross-validate the numeric Jacobian.
+        [[gamma (beta M J - I),  gamma M J diag alpha        ],
+         [S beta,                S diag alpha - diag(2 c eta)]]
     """
     market = Market.from_params(platform, streamers)
-    p = choice_probabilities(deterministic_utility(platform, streamers, state, theta))
-    dp_dv = np.diag(p) - np.outer(p, p)
-    dndot_dn = market.gamma * (market.m * market.beta * dp_dv - np.eye(platform.n_streamers))
-    dndot_dq = market.gamma * market.m * dp_dv * market.alpha[np.newaxis, :]
-    return dndot_dn, dndot_dq
+    _check_streamers(state.n.size, market)
+    theta_vec = theta.theta if theta is not None else None
+    p = softmax(utility(market.alpha, state.q, market.prices, market.beta, state.n, market.phi,
+                        theta_vec))
+    dp_dv = choice_jacobian(p)
+    s = (market.eta * market.revenue * (1.0 - 2.0 * p))[:, np.newaxis] * dp_dv
+    return np.block([
+        [market.gamma * (market.m * market.beta * dp_dv - np.eye(p.size)),
+         market.gamma * market.m * dp_dv * market.alpha],
+        [s * market.beta, s * market.alpha - np.diag(2.0 * market.c * market.eta)],
+    ])
 
 
 def assess_stability(jac: np.ndarray) -> StabilityReport:

@@ -333,6 +333,9 @@ def ab_compare(specs, out_dir=None, threads: int = 1) -> ABComparison:
     specs = list(specs)
     if len(specs) < 2:
         raise ConfigError("ab_compare needs at least 2 scenarios")
+    names = [s.name for s in specs]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"scenario names repeat in {names}: outputs are keyed by name")
     plans = {(s.n_seeds, s.seed_base) for s in specs}
     if len(plans) != 1:
         raise ConfigError("scenario seed plans differ; pairing would be broken")

@@ -2,15 +2,15 @@
 
 The formulas every model layer shares: the systematic utility, the
 max-shifted softmax and log-sum-exp, the logit slope coef P (1 - P), the
-closed-form quality best response, and the damped viewer fixed point
-n = M P(n) (logit identities as in Train, *Discrete Choice Methods with
-Simulation*, ch. 3). The formulas take raw arrays of shape (..., N),
-work over the last axis and take a 1-D input as one vector; a row of a
-batch gets bitwise the result of the 1-D call on that row. The fixed
-point reads its coefficients from a ``core.Market`` by attribute, so
-this module imports nothing from ``core``. Nothing here validates its
-inputs: the public entry points in ``core`` do, and the solvers call
-these kernels inside their iterations.
+choice Jacobian dP/dV = diag P - P P^T, the closed-form quality best
+response, and the damped viewer fixed point n = M P(n) (logit identities
+as in Train, *Discrete Choice Methods with Simulation*, ch. 3). The
+formulas take raw arrays of shape (..., N), work over the last axis and
+take a 1-D input as one vector; a row of a batch gets bitwise the result
+of the 1-D call on that row. The fixed point reads its coefficients from
+a ``core.Market`` by attribute, so this module imports nothing from
+``core``. Nothing here validates its inputs: the public entry points in
+``core`` do, and the solvers call these kernels inside their iterations.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["Q_MAX", "utility", "softmax", "logsumexp", "logit_slope", "quality_best_response",
-           "viewer_fixed_point"]
+__all__ = ["Q_MAX", "utility", "softmax", "logsumexp", "logit_slope", "choice_jacobian",
+           "quality_best_response", "viewer_fixed_point"]
 
 # Quality best responses are clamped to [0, Q_MAX] to guard divergence in
 # early iterations; keep interior optima below this in test instances.
@@ -57,6 +57,13 @@ def logsumexp(v: np.ndarray):
 def logit_slope(coef, p):
     """coef * P (1 - P): coef times the own-utility derivative of P."""
     return coef * p * (1.0 - p)
+
+
+def choice_jacobian(p):
+    """dP/dV = diag P - P P^T, of shape (..., N, N) for P of shape (..., N);
+    for a 1-D p, bitwise np.diag(p) - np.outer(p, p)."""
+    outer = p[..., :, np.newaxis] * p[..., np.newaxis, :]
+    return p[..., np.newaxis] * np.eye(p.shape[-1]) - outer
 
 
 def quality_best_response(revenue, c, p):

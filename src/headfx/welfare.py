@@ -1,8 +1,8 @@
 """Welfare accounting and promotion-share optimization.
 
 Consumer surplus via the logit expected-maximum-utility identity,
-producer surplus and platform profit, the welfare gradient with respect
-to promotion shares, projected gradient ascent over the probability
+producer surplus and platform profit, the equilibrium welfare's gradient
+in the promotion shares, projected gradient ascent over the probability
 simplex with a KKT stopping rule, and a brute-force simplex grid oracle
 for verification.
 """
@@ -32,7 +32,7 @@ from .errors import (
     require_integers,
     require_numbers,
 )
-from .logit import logit_slope, logsumexp, softmax, utility, viewer_fixed_point
+from .logit import choice_jacobian, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
     "WelfareBreakdown",
@@ -115,10 +115,15 @@ def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> Fi
 
 
 def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
-    """Welfare at the viewer equilibrium for a raw (possibly off-simplex)
-    promotion vector; used by the optimizer.
+    """Welfare and its gradient g at the viewer equilibrium for a raw
+    (possibly off-simplex) promotion vector; used by the optimizer.
 
-    Returns (welfare, n, p, converged, residual) of the fixed point."""
+    The audiences sum to M, so only consumer surplus moves with theta. By
+    the implicit function theorem, with the symmetric J = dP/dV,
+    g = M phi solve(I - beta M J, softmax(v + prices) - J prices). Where an
+    eigenvalue of I - beta M J is <= 0 the equilibrium is unstable and g
+    follows that unstable branch; a singular I - beta M J raises
+    NumericalError. Returns (welfare, n, g, converged, residual)."""
     n, converged, _, residual = viewer_fixed_point(
         market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
     )
@@ -126,18 +131,14 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     v = utility(market.alpha, q, market.prices, market.beta, n, market.phi, theta_vec)
     p = softmax(v)
     cs, ps, pi = _welfare_parts(market, q, v, p, n)
-    return float(cs + ps + pi), n, p, bool(converged[0]), float(residual[0])
-
-
-def _foc_gradient(platform: PlatformParams, p) -> np.ndarray:
-    """Analytic welfare gradient g_i = M P_i / phi + R M P_i (1 - P_i) phi.
-
-    The first-order condition's left side: the consumer-surplus term plus
-    the combined producer/platform audience response, with the choice
-    probabilities p held fixed (no equilibrium feedback).
-    """
-    m, phi = platform.n_viewers, platform.phi
-    return m * p / phi + logit_slope(platform.revenue_per_viewer * m, p) * phi
+    jac = choice_jacobian(p)
+    try:
+        dv = np.linalg.solve(np.eye(p.size) - market.beta * market.m * jac,
+                             softmax(v + market.prices) - jac @ market.prices)
+    except np.linalg.LinAlgError:
+        raise NumericalError("welfare gradient: I - beta M dP/dV is singular") from None
+    g = market.m * market.phi * dv
+    return float(cs + ps + pi), n, g, bool(converged[0]), float(residual[0])
 
 
 def simplex_project(v) -> TrafficAllocation:
@@ -197,14 +198,15 @@ def optimize_allocation(
     """Projected gradient ascent on the promotion simplex.
 
     Each iteration re-solves the viewer equilibrium at the current theta,
-    evaluates the analytic first-order-condition gradient, and moves
+    takes the gradient of the welfare there (see _welfare_raw), and moves
     theta <- project(theta + s g) with a backtracking line search that
     never accepts a welfare decrease (beyond float noise). Terminates on
     the complementary-slackness KKT residual, tol, within max_iter steps;
     step is the largest step tried. Without fp_cfg the viewer fixed point
     runs to tol 1e-13 within 20000 sweeps, undamped when beta M < 2 (a
     max-norm contraction with factor at most beta M / 2) and with damping
-    0.5 otherwise; a given fp_cfg is used as it is.
+    0.5 otherwise; a given fp_cfg is used as it is. Raises NumericalError
+    where I - beta M dP/dV is singular at a visited equilibrium.
     """
     controls = SimpleNamespace(step=step, tol=tol, max_iter=max_iter)
     require_integers(controls, ("max_iter",))
@@ -225,13 +227,12 @@ def optimize_allocation(
         if init_theta is None
         else np.asarray(init_theta.theta, dtype=float).copy()
     )
-    w_cur, n_warm, p, _, _ = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
+    w_cur, n_warm, g, _, _ = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
 
     s_prev = step
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        g = _foc_gradient(platform, p)
         residual = _kkt_residual(g, theta)
         if residual <= tol:
             break
@@ -239,9 +240,9 @@ def optimize_allocation(
         accepted = False
         for _ in range(60):
             trial = simplex_project(theta + s * g).theta
-            w_trial, n_trial, p_trial, _, _ = _welfare_raw(market, q, trial, fp_cfg, n_warm)
+            w_trial, n_trial, g_trial, _, _ = _welfare_raw(market, q, trial, fp_cfg, n_warm)
             if w_trial >= w_cur - 1e-12 * (1.0 + abs(w_cur)):
-                theta, w_cur, n_warm, p = trial, w_trial, n_trial, p_trial
+                theta, w_cur, n_warm, g = trial, w_trial, n_trial, g_trial
                 s_prev = s
                 accepted = True
                 break
@@ -249,7 +250,6 @@ def optimize_allocation(
         if not accepted:
             break
 
-    g = _foc_gradient(platform, p)
     residual = _kkt_residual(g, theta)
     allocation = simplex_project(theta)
     _, n, _, fp_converged, _ = _welfare_raw(market, q, allocation.theta, fp_cfg, n_warm)

@@ -15,12 +15,13 @@ from headfx.core import (
     PlatformParams,
     StreamerParams,
     TrafficAllocation,
+    choice_probabilities,
+    deterministic_utility,
 )
 from headfx.dynamics import (
     IntegratorConfig,
     _integrate_batch,
     _stacked_flow,
-    analytic_viewer_blocks,
     assess_stability,
     hhi,
     integrate,
@@ -197,34 +198,27 @@ class TestJacobian:
         # P is constant, so d ndot / dn = -gamma exactly
         assert jac[0, 0] == pytest.approx(-1.7, abs=1e-6)
 
-    def test_numeric_matches_analytic_blocks(self):
-        rng = np.random.default_rng(30)
-        for _ in range(5):
-            n = int(rng.integers(2, 5))
-            plat = PlatformParams(
-                n_streamers=n,
-                n_viewers=100,
-                beta=float(rng.uniform(0, 0.02)),
-                gamma=float(rng.uniform(0.5, 2.0)),
-            )
-            streamers = [
-                StreamerParams(alpha=float(a), cost_coefficient=2.0)
-                for a in rng.uniform(0.6, 1.4, n)
-            ]
-            state = MarketState(
-                n=100 * rng.dirichlet(np.ones(n)), q=rng.uniform(0.2, 1.0, n)
-            )
-            jac = jacobian(plat, streamers, state)
-            dndn, dndq = analytic_viewer_blocks(plat, streamers, state)
-            assert np.max(np.abs(jac[:n, :n] - dndn)) <= 1e-5 * (1 + np.abs(dndn).max())
-            assert np.max(np.abs(jac[:n, n:] - dndq)) <= 1e-5 * (1 + np.abs(dndq).max())
+    def test_audience_block_is_the_logit_identity(self):
+        # d ndot / dn = gamma (beta M J - I) and d ndot / dq = gamma M J diag alpha,
+        # J = diag P - P P^T, formed by these operations bitwise
+        plat = PlatformParams(n_streamers=3, n_viewers=90, beta=0.01, gamma=1.3, phi=0.7,
+                              prices=np.array([0.2, 0.0, 0.5]))
+        streamers = [StreamerParams(alpha=a, cost_coefficient=2.0) for a in (1.0, 0.8, 1.2)]
+        state = MarketState(n=np.array([40.0, 30.0, 20.0]), q=np.array([0.5, 0.6, 0.4]))
+        theta = TrafficAllocation(np.array([0.5, 0.2, 0.3]))
+        p = choice_probabilities(deterministic_utility(plat, streamers, state, theta))
+        dp_dv = np.diag(p) - np.outer(p, p)
+        alpha = np.array([1.0, 0.8, 1.2])
+        jac = jacobian(plat, streamers, state, theta)
+        assert jac[:3, :3].tobytes() == (1.3 * (90.0 * 0.01 * dp_dv - np.eye(3))).tobytes()
+        assert jac[:3, 3:].tobytes() == (1.3 * 90.0 * dp_dv * alpha).tobytes()
 
     def test_diagonal_analytic_entry_is_gamma_times_sensitivity(self):
         from headfx.core import audience_quality_sensitivity
 
         plat, streamers = symmetric_instance(beta=0.01)
         state = MarketState(n=np.array([55.0, 45.0]), q=np.array([0.6, 0.4]))
-        _, dndq = analytic_viewer_blocks(plat, streamers, state)
+        dndq = jacobian(plat, streamers, state)[:2, 2:]
         sens = audience_quality_sensitivity(plat, streamers, state)
         assert np.diag(dndq) == pytest.approx(plat.gamma * sens, rel=1e-12)
 
@@ -378,8 +372,8 @@ class TestPhasePortrait:
 
 # The per-vector flow and the single-start RK4 integrator that ran before
 # the state was stacked, one start per Python loop and the logit formulas
-# written out. Kept as the bitwise reference for the stacked integrator,
-# flow and jacobian.
+# written out. Kept as the bitwise reference for the stacked integrator
+# and flow; their central differences check the closed-form jacobian.
 
 
 def _reference_flow(platform, streamers, theta=None):
@@ -734,6 +728,14 @@ class TestStackedFlowMatchesReference:
                 mixed.append((k, n, with_theta, with_prices))
         assert len(mixed) >= 2
 
+    @pytest.mark.parametrize("k,n,with_theta,with_prices", FAMILY)
+    def test_jacobian_matches_central_differences(self, k, n, with_theta, with_prices):
+        plat, streamers, theta, starts, _ = _family_case(k, n, with_theta, with_prices, 0.05)
+        for state in starts:
+            jac = jacobian(plat, streamers, state, theta)
+            ref = _reference_jacobian(plat, streamers, state, theta)
+            assert np.max(np.abs(jac - ref)) <= 1e-7 * (1 + np.abs(jac).max())
+
     @pytest.mark.parametrize("k,n,with_theta,with_prices", [c for c in FAMILY if c[0] == 2])
     def test_integrate_rhs_and_jacobian(self, k, n, with_theta, with_prices):
         plat, streamers, theta, starts, cfg = _family_case(k, n, with_theta, with_prices, 0.05)
@@ -742,10 +744,9 @@ class TestStackedFlowMatchesReference:
         for state in starts:
             want = np.concatenate(_reference_flow(plat, streamers, theta)(state.n, state.q))
             assert np.array_equal(flow_at(plat, streamers, state, theta), want)
-            assert np.array_equal(
-                jacobian(plat, streamers, state, theta),
-                _reference_jacobian(plat, streamers, state, theta),
-            )
+            jac = jacobian(plat, streamers, state, theta)
+            ref = _reference_jacobian(plat, streamers, state, theta)
+            assert np.max(np.abs(jac - ref)) <= 1e-7 * (1 + np.abs(jac).max())
 
 
 class TestBatchProperties:

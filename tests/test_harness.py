@@ -235,6 +235,18 @@ class TestABCompare:
         with pytest.raises(ConfigError, match="pairing"):
             ab_compare([a, b])
 
+    def test_repeated_scenario_names_rejected_before_any_run(self, tmp_path, capsys):
+        # outputs and orderings are keyed by name, so a repeat would overwrite
+        a = ScenarioSpec(name="A", sim=FAST_SIM, n_seeds=2, seed_base=0)
+        b = ScenarioSpec(name="B", sim=FAST_SIM, n_seeds=2, seed_base=0)
+        out = tmp_path / "ab"
+        with pytest.raises(ConfigError, match=r"scenario names repeat in \['A', 'B', 'A'\]"):
+            ab_compare([a, b, a], out_dir=out)
+        assert not out.exists()
+        assert main(["ab-test", "--scenarios", "Baseline", "Baseline", "--out", str(out)]) == 2
+        assert "scenario names repeat in ['Baseline', 'Baseline']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_comparison_csv_written(self, tmp_path):
         specs = [
             make_scenario(name, sim=FAST_SIM, n_seeds=2, seed_base=0)
@@ -495,6 +507,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert "config error: grid oracle supports 2 or 3 streamers" in captured.err
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_optimize_theta_singular_feedback_exits_3(self, tmp_path, capsys):
+        # beta M = 2 at the symmetric split: the welfare gradient's
+        # I - beta M dP/dV is singular
+        inst = write_config(tmp_path, {"alpha": [1, 1], "q": [0.5, 0.5], "beta": 0.04,
+                                       "n_viewers": 50})
+        out = tmp_path / "opt"
+        assert main(["optimize-theta", "--instance", str(inst), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+        assert "singular" in captured.err and "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize-theta", "--instance", INSTANCE_N3, "--config", "/nonexistent.json"],
+            ["optimize-theta", "--instance", INSTANCE_N3, "--seed", "5"],
+            ["optimize-theta", "--instance", INSTANCE_N3, "--seeds", "7"],
+            ["optimize-theta", "--instance", INSTANCE_N3, "--threads", "9"],
+            ["equilibrium", "--seeds", "7"],
+            ["equilibrium", "--threads", "9"],
+            ["dynamics", "--seeds", "7"],
+            ["dynamics", "--threads", "9"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_flags_a_subcommand_does_not_read_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -346,3 +346,43 @@ def test_private_names_are_read_in_their_module(path):
 )
 def test_unread_private_name_checker(source, unread):
     assert unread_private_names(ast.parse(source)) == unread
+
+
+_OUTER_PRODUCTS = {f"{mod}.{name}" for mod in ("np", "numpy")
+                   for name in ("outer", "multiply.outer")}
+
+
+def outer_products(tree: ast.Module) -> list[str]:
+    """Every numpy outer product a module forms: np.outer and np.multiply.outer
+    calls, and imports of outer from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in _OUTER_PRODUCTS:
+            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: imports outer" for a in node.names if a.name == "outer"]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "logit.py"], ids=lambda p: p.name
+)
+def test_only_logit_forms_outer_products(path):
+    # The choice Jacobian diag P - P P^T has one home, logit.choice_jacobian.
+    assert outer_products(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("np.diag(p) - np.outer(p, p)", True),
+        ("import numpy\nnumpy.outer(p, p)", True),
+        ("np.multiply.outer(p, p)", True),
+        ("from numpy import outer", True),
+        ("choice_jacobian(p)", False),
+        ("np.diag(p)", False),
+        ("from numpy import diag", False),
+    ],
+)
+def test_outer_product_checker(source, flagged):
+    assert bool(outer_products(ast.parse(source))) == flagged

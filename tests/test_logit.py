@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from headfx.logit import (
     Q_MAX,
+    choice_jacobian,
     logit_slope,
     logsumexp,
     quality_best_response,
@@ -151,3 +152,29 @@ class TestElementwiseKernels:
         assert logit_slope(4.0, np.array([0.5, 0.25])).tolist() == [1.0, 0.75]
         q = quality_best_response(np.array([4.0, 1e6]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         assert q.tolist() == [1.0, Q_MAX]
+
+
+class TestChoiceJacobian:
+    @settings(max_examples=60, deadline=None)
+    @CASES
+    def test_is_diag_p_minus_outer_bitwise(self, seed, k, n, scale):
+        p = softmax(utilities(seed, k, n, scale))
+        batch = choice_jacobian(p)
+        assert batch.shape == (k, n, n)
+        for i in range(k):
+            want = np.diag(p[i]) - np.outer(p[i], p[i])
+            assert choice_jacobian(p[i]).tobytes() == want.tobytes()
+            assert batch[i].tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @CASES
+    def test_is_the_derivative_of_softmax(self, seed, k, n, scale):
+        # symmetric, rows summing to 0 (a common shift leaves P alone), and
+        # equal to central differences of softmax
+        v = utilities(seed, 1, n, min(scale, 5.0))[0]
+        jac = choice_jacobian(softmax(v))
+        assert np.array_equal(jac, jac.T)
+        assert np.abs(jac.sum(axis=1)).max() <= 1e-14
+        h = 1e-6
+        central = np.stack([(softmax(v + e) - softmax(v - e)) / (2 * h) for e in h * np.eye(n)])
+        assert np.abs(jac - central).max() <= 1e-8

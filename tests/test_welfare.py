@@ -25,7 +25,6 @@ from headfx import welfare
 from headfx.logit import softmax, viewer_fixed_point
 from headfx.welfare import (
     WelfareBreakdown,
-    _foc_gradient,
     _grid_viewer_fixed_point,
     _grid_welfare,
     _simplex_grid,
@@ -172,20 +171,64 @@ class TestTotalWelfare:
             assert getattr(w_p, field) == pytest.approx(getattr(w, field), rel=1e-12)
 
 
+def _gradient(plat, streamers, q, theta):
+    """(welfare, gradient, audiences) of welfare._welfare_raw at a raw theta,
+    the viewer fixed point solved to 1e-13."""
+    market = Market.from_params(plat, streamers)
+    cfg = welfare._default_fixed_point(market, tol=1e-13, max_iter=20000)
+    w, n, g, converged, _ = welfare._welfare_raw(
+        market, np.asarray(q, dtype=float), np.asarray(theta, dtype=float), cfg,
+        market.symmetric_split(),
+    )
+    assert converged
+    return w, g, n
+
+
 class TestWelfareGradient:
     def test_symmetric_gradient_equal(self):
-        plat, _, _ = instance([1.0] * 3, [0.5] * 3, beta=0.001)
-        g = _foc_gradient(plat, np.full(3, 1 / 3))
+        plat, streamers, _ = instance([1.0] * 3, [0.5] * 3, beta=0.001)
+        _, g, _ = _gradient(plat, streamers, [0.5] * 3, np.full(3, 1 / 3))
         assert np.max(g) - np.min(g) < 1e-9
 
-    def test_dominant_share_limit(self):
-        plat = PlatformParams(n_streamers=2, n_viewers=100, beta=0.0, phi=1.0)
-        streamers = [StreamerParams(alpha=1.0, cost_coefficient=2.0)] * 2
-        state = MarketState(n=np.array([100.0, 0.0]), q=np.array([60.0, 0.0]))
-        theta = TrafficAllocation(np.array([1.0, 0.0]))
-        p = choice_probabilities(deterministic_utility(plat, streamers, state, theta))
-        g = _foc_gradient(plat, p)
-        assert g[0] == pytest.approx(100.0 / plat.phi, rel=1e-9)
+    def test_without_network_effect_or_prices_it_is_m_phi_p(self):
+        # beta = 0 leaves no equilibrium feedback and zero prices no payments,
+        # so g = M phi softmax(v) = M phi P
+        plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5])
+        plat = dataclasses.replace(plat, phi=1.7)
+        theta = np.array([0.6, 0.3, 0.1])
+        _, g, n = _gradient(plat, streamers, [0.8, 0.7, 0.5], theta)
+        state = MarketState(n=n, q=np.array([0.8, 0.7, 0.5]))
+        p = choice_probabilities(
+            deterministic_utility(plat, streamers, state, TrafficAllocation(theta))
+        )
+        assert g == pytest.approx(50.0 * 1.7 * p, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_central_differences(self, seed):
+        # prices, an interior theta and beta M < 2, where the fixed point is unique
+        rng = np.random.default_rng(seed)
+        big_n = int(rng.integers(2, 6))
+        plat = PlatformParams(
+            n_streamers=big_n, n_viewers=50, beta=float(rng.uniform(0.0, 1.9)) / 50,
+            phi=float(rng.uniform(0.3, 2.0)), prices=rng.uniform(0.0, 2.0, big_n),
+        )
+        streamers = [StreamerParams(alpha=float(a), cost_coefficient=2.0)
+                     for a in rng.uniform(0.5, 2.0, big_n)]
+        q, theta = rng.uniform(0.0, 1.0, big_n), rng.dirichlet(np.ones(big_n))
+        _, g, _ = _gradient(plat, streamers, q, theta)
+        h = 1e-5
+        central = [
+            (_gradient(plat, streamers, q, theta + step)[0]
+             - _gradient(plat, streamers, q, theta - step)[0]) / (2 * h)
+            for step in h * np.eye(big_n)
+        ]
+        assert np.max(np.abs(g - central)) <= 1e-7 * (1 + np.abs(g).max())
+
+    def test_singular_feedback_raises(self):
+        # beta M = 2 at the symmetric split: I - beta M (diag P - P P^T) is singular
+        plat, streamers, _ = instance([1.0, 1.0], [0.5, 0.5], beta=0.04)
+        with pytest.raises(NumericalError, match="singular"):
+            optimize_allocation(plat, streamers, np.array([0.5, 0.5]))
 
 
 class TestSimplexProject:
@@ -229,6 +272,13 @@ class TestSimplexProject:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteError):
             simplex_project(np.array([np.nan, 0.0]))
+
+
+def _interior_optimum_instance():
+    """A priced 2-streamer instance whose welfare peaks inside the simplex,
+    near theta = (0.694, 0.306): welfare falls towards either vertex."""
+    plat, streamers, _ = instance([4.0, 2.0], [0.6, 0.2], beta=0.01, prices=[5.0, 1.0])
+    return dataclasses.replace(plat, phi=0.5), streamers, np.array([0.6, 0.2])
 
 
 def _record_welfare_raw(monkeypatch):
@@ -296,16 +346,39 @@ class TestOptimizeAllocation:
         assert starved.kkt_residual <= 1e6
         assert not starved.converged
 
-    def test_line_search_halves_steps_that_lower_welfare(self, monkeypatch):
-        # _foc_gradient leaves the prices out, so on this instance it points
-        # at the expensive streamer, along which welfare falls: trial steps
-        # are halved, none that loses more than float noise is taken, and
-        # the stalled search is not reported converged.
+    def test_priced_instance_reaches_the_oracle_vertex(self):
+        # The instance a gradient without the prices stalled on: it pointed
+        # at the expensive streamer while welfare falls that way.
         plat, streamers, _ = instance([4.0, 1.0], [0.8, 0.0], prices=[3.0, 0.0])
+        q = np.array([0.8, 0.0])
+        sol = optimize_allocation(plat, streamers, q)
+        theta_grid, w_grid = grid_search_allocation(plat, streamers, q)
+        assert sol.converged and sol.kkt_residual <= 1e-8
+        assert np.array_equal(sol.theta.theta, [0.0, 1.0])
+        assert np.array_equal(theta_grid.theta, [0.0, 1.0])
+        assert sol.welfare == pytest.approx(167.4703381575767, rel=1e-12)
+        assert sol.welfare >= w_grid - 1e-9 * abs(w_grid)
+
+    def test_priced_instance_reaches_an_interior_optimum(self):
+        plat, streamers, q = _interior_optimum_instance()
+        sol = optimize_allocation(plat, streamers, q)
+        theta_grid, w_grid = grid_search_allocation(plat, streamers, q)
+        assert sol.converged and sol.kkt_residual <= 1e-8
+        assert 0.0 < theta_grid.theta[0] < 1.0
+        assert np.max(np.abs(sol.theta.theta - theta_grid.theta)) <= 1e-3
+        assert sol.welfare >= w_grid - 1e-9 * abs(w_grid)
+
+    def test_line_search_halves_steps_that_lower_welfare(self, monkeypatch):
+        # A step far above 1 / |g| projects onto the vertex of the largest
+        # gradient entry, where welfare is below the start's: trial steps are
+        # halved, none that loses more than float noise is taken, and a
+        # search cut at max_iter is not reported converged.
+        plat, streamers, q = _interior_optimum_instance()
         calls = _record_welfare_raw(monkeypatch)
-        sol = optimize_allocation(plat, streamers, np.array([0.8, 0.0]), max_iter=20)
+        sol = optimize_allocation(plat, streamers, q, step=100.0, max_iter=20)
         assert len(calls) > 1 + 20 + 1  # the start, an accepted step per iteration, the end
         start = calls[0][1][0]
+        assert np.array_equal(calls[1][0][2], [1.0, 0.0]) and calls[1][1][0] < start
         assert sol.welfare >= start - 20 * 1e-12 * (1.0 + abs(start))
         assert not sol.converged and sol.kkt_residual > 1e-8
 
@@ -313,13 +386,12 @@ class TestOptimizeAllocation:
         # With a one-sweep fixed point even the shortest trial step lands on
         # a lower welfare here: 60 halvings, then the search gives up at the
         # start.
-        plat, streamers, _ = instance([4.0, 1.0], [0.8, 0.0], beta=0.001, prices=[3.0, 0.0])
+        plat, streamers, q = _interior_optimum_instance()
         calls = _record_welfare_raw(monkeypatch)
-        sol = optimize_allocation(
-            plat, streamers, np.array([0.8, 0.0]), fp_cfg=FixedPointConfig(max_iter=1)
-        )
+        sol = optimize_allocation(plat, streamers, q, fp_cfg=FixedPointConfig(max_iter=1))
         assert len(calls) == 1 + 60 + 1
-        # once off the vertex, each trial moves half as far as the one before
+        # each trial moves half as far as the one before, until the move is
+        # below float resolution
         moves = [abs(args[2][0] - 0.5) for args, _ in calls[1:-1]]
         inside = [d for d in moves if 1e-9 < d < 0.5]
         assert len(inside) > 10
