@@ -198,7 +198,8 @@ class RoundRecord:
 
 @dataclass
 class SimState:
-    """Runtime state: the whole population as per-streamer and per-viewer arrays."""
+    """Runtime state: the whole population as per-streamer and per-viewer
+    arrays, and the round kernel's work buffers."""
 
     cfg: SimConfig
     rng: np.random.Generator
@@ -224,6 +225,10 @@ class SimState:
     prev_counts: np.ndarray
     mean_quality_sens: float
     prices: np.ndarray
+    # the round kernel's (rows, N) block buffers, reused every round
+    u_buf: np.ndarray
+    term_buf: np.ndarray
+    match_buf: np.ndarray
 
 
 def init_platform(cfg: SimConfig) -> SimState:
@@ -233,6 +238,8 @@ def init_platform(cfg: SimConfig) -> SimState:
     cost coefficients are uniform on [0.1, 0.3]; viewer sensitivities use
     their stated uniform ranges. Identical seeds give identical
     populations, and the generator is left where round 1 draws from it.
+    The round kernel's block buffers are allocated here, zeroed, once per
+    run: one block of min(M, _BLOCK_CELLS // N) viewers (at least one).
     """
     rng = np.random.default_rng(cfg.seed)
     n, m = cfg.n_streamers, cfg.n_viewers
@@ -249,6 +256,7 @@ def init_platform(cfg: SimConfig) -> SimState:
     loyalty = rng.uniform(0.3, 0.7, size=m)
 
     prices = np.asarray(cfg.prices, dtype=float) if cfg.prices is not None else np.zeros(n)
+    block = (min(max(1, _BLOCK_CELLS // n), m), n)
     return SimState(
         cfg=cfg,
         rng=rng,
@@ -271,6 +279,9 @@ def init_platform(cfg: SimConfig) -> SimState:
         prev_counts=np.zeros(n, dtype=np.int64),
         mean_quality_sens=float(quality_sens.mean()),
         prices=prices,
+        u_buf=np.zeros(block),
+        term_buf=np.zeros(block),
+        match_buf=np.zeros(block, dtype=bool),
     )
 
 
@@ -334,7 +345,7 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     exposure boost acts as a multiplicative logit weight.
 
     The viewers are walked in row blocks of about _BLOCK_CELLS cells, built
-    in preallocated buffers. Each cell goes through the same operations
+    in the state's block buffers. Each cell goes through the same operations
     in the same order as a whole-matrix build, and drawing the noise block
     by block in row order consumes the generator exactly as one (M, N)
     draw does, so the result does not depend on the block size.
@@ -353,8 +364,8 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     best two totals lie that close; no test or benchmark run has shown one.
     """
     cfg = state.cfg
-    m, n = cfg.n_viewers, cfg.n_streamers
-    rows = max(1, _BLOCK_CELLS // n)
+    m = cfg.n_viewers
+    rows = len(state.u_buf)
     lognet = np.log1p(state.prev_counts.astype(float))
     network = cfg.network_effect_beta * state.network_sens
     interaction = (
@@ -366,13 +377,10 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 
     choices = np.empty(m, dtype=np.intp)
     realized = np.empty(m)
-    u_buf = np.empty((min(rows, m), n))
-    term_buf = np.empty_like(u_buf)
-    match_buf = np.empty(u_buf.shape, dtype=bool)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = block.stop - start
-        u, term, match = u_buf[:k], term_buf[:k], match_buf[:k]
+        u, term, match = state.u_buf[:k], state.term_buf[:k], state.match_buf[:k]
         np.multiply(state.quality_sens[block, None], state.quality, out=u)
         u += np.multiply(network[block, None], lognet, out=term)
         if cfg.prices is not None:  # ps * 0.0 is +0.0, and u - 0.0 == u

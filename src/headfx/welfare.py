@@ -265,114 +265,167 @@ def optimize_allocation(
     )
 
 
-# The grid oracle walks its (N, K) arrays in column blocks of about this
-# many cells, so that a block's audiences, utilities and work buffers stay
-# in cache while it iterates (16,384 columns at N = 3).
+# The grid oracle streams its grid in column blocks of about this many
+# cells, so that a block's allocations, audiences, utilities and work
+# buffers stay in cache while it iterates (16,384 columns at N = 3).
 _BLOCK_CELLS = 3 << 14
 
 
-def _column_blocks(big_n: int, k: int) -> list[slice]:
-    width = max(1, _BLOCK_CELLS // big_n)
-    return [slice(a, min(a + width, k)) for a in range(0, k, width)]
+def _simplex_columns(big_n: int, k: int, cols: slice, out: np.ndarray) -> None:
+    """Write the columns cols of the simplex grid with coordinates in
+    multiples of 1/k (N = 2 or 3) into the (N, width) out.
 
-
-def _grid_viewer_fixed_point(v_theta, m, beta, cfg):
-    """Viewer fixed point, damped by cfg.damping, for every grid column at once.
-
-    v_theta is the streamer-major (N, K) array of utilities without the
-    network term, one column per grid point; returns the (N, K) audiences.
-    Reductions over the short streamer axis are far faster along the
-    leading axis than along the trailing axis of a (K, N) array.
-
-    The columns are iterated one cache-sized block at a time, and each
-    block stops on the first sweep where its own largest residual is at
-    most cfg.tol: every column ends within tol of its image, and a block
-    returns bitwise what the same iteration run on its columns alone
-    returns. Raises NumericalError, naming the block's residual, when the
-    residual turns non-finite or the block is still above tol after
-    cfg.max_iter sweeps; later blocks are not run.
+    Column c is (c, k - c) / k at N = 2. At N = 3 the columns come in the
+    order of the rows of meshgrid(i, j, indexing="ij") masked to
+    i + j <= k, on which the argmax tie-break depends: i outer, j = 0..k-i
+    inner, so run i starts at column i (k + 1) - i (i - 1) / 2. The
+    coordinates are integers divided by k, so a column has the same bits
+    whichever block it falls in.
     """
-    big_n, k = v_theta.shape
-    blocks = _column_blocks(big_n, k)
-    n = np.full((big_n, k), m / big_n)
-    width = blocks[0].stop
-    v = np.empty((big_n, width))
-    target = np.empty_like(v)
-    row = np.empty(width)
-    for cols in blocks:
-        w = cols.stop - cols.start
-        nb, vb, tb, rb = n[:, cols], v[:, :w], target[:, :w], row[:w]
-        for _ in range(cfg.max_iter):
-            # tb = T(nb) = m softmax(v_theta + beta nb), vb = |nb - tb|
-            np.multiply(beta, nb, out=vb)
-            np.add(v_theta[:, cols], vb, out=vb)
-            np.max(vb, axis=0, out=rb)
-            np.subtract(vb, rb, out=vb)
-            np.exp(vb, out=vb)
-            np.sum(vb, axis=0, out=rb)
-            np.multiply(m, vb, out=tb)
-            np.divide(tb, rb, out=tb)
-            np.subtract(nb, tb, out=vb)
-            np.abs(vb, out=vb)
-            residual = float(vb.max())
-            if not cfg.tol < residual < math.inf:
-                break
-            if cfg.damping == 1.0:
-                # 0 n + 1 target is target for the finite n, target >= 0 of a sweep
-                np.copyto(nb, tb)
-            else:
-                np.multiply(1.0 - cfg.damping, nb, out=nb)
-                np.multiply(cfg.damping, tb, out=tb)
-                np.add(nb, tb, out=nb)
-        if not residual <= cfg.tol:
-            raise NumericalError(
-                f"grid oracle fixed point did not converge: residual {residual:.3g} > "
-                f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
-            )
-    return n
+    c = np.arange(cols.start, cols.stop)
+    if big_n == 2:
+        np.divide(c, k, out=out[0])
+        np.divide(k - c, k, out=out[1])
+        return
+    i = np.arange(k + 1)
+    starts = i * (k + 1) - i * (i - 1) // 2
+    first = np.searchsorted(starts, c, side="right") - 1
+    second = c - starts[first]
+    np.divide(first, k, out=out[0])
+    np.divide(second, k, out=out[1])
+    np.divide(k - first - second, k, out=out[2])
 
 
-def _grid_welfare(market: Market, q, v_theta, n) -> np.ndarray:
-    """Total welfare at every column of the streamer-major (N, K) grid.
+def _block_fixed_point(v_theta, n, m, beta, cfg, v, target, row) -> None:
+    """Viewer fixed point, damped by cfg.damping, for one column block.
 
-    The formulas of _welfare_parts at utilities v_theta + beta n, one
-    column block at a time, in this layout: on the 501,501-point grid that
-    is about five times faster than _welfare_parts on transposed blocks.
-    Axis-0 sums of a few rows add them left to right, as numpy's sums over
-    a short trailing axis do, and the BLAS product p @ prices is formed on a
-    C-ordered (columns, N) p: on a transposed view it rounds differently.
-    So every welfare is bitwise cs + ps + pi of _welfare_parts.
+    v_theta is the block's streamer-major (N, width) utilities without the
+    network term, n its audiences, iterated in place from their start;
+    v, target and row are work buffers of the same width. Reductions over
+    the short streamer axis are far faster along the leading axis than
+    along the trailing axis of a (width, N) array.
+
+    The block stops on the first sweep where its largest residual is at
+    most cfg.tol, so every column ends within tol of its image and the
+    block gets bitwise what the same iteration run on its columns alone
+    gets. Raises NumericalError, naming the block's residual, when the
+    residual turns non-finite or is still above tol after cfg.max_iter
+    sweeps.
     """
+    for _ in range(cfg.max_iter):
+        # target = T(n) = m softmax(v_theta + beta n), v = |n - target|
+        np.multiply(beta, n, out=v)
+        np.add(v_theta, v, out=v)
+        np.max(v, axis=0, out=row)
+        np.subtract(v, row, out=v)
+        np.exp(v, out=v)
+        np.sum(v, axis=0, out=row)
+        np.multiply(m, v, out=target)
+        np.divide(target, row, out=target)
+        np.subtract(n, target, out=v)
+        np.abs(v, out=v)
+        residual = float(v.max())
+        if not cfg.tol < residual < math.inf:
+            break
+        if cfg.damping == 1.0:
+            # 0 n + 1 target is target for the finite n, target >= 0 of a sweep
+            np.copyto(n, target)
+        else:
+            np.multiply(1.0 - cfg.damping, n, out=n)
+            np.multiply(cfg.damping, target, out=target)
+            np.add(n, target, out=n)
+    if not residual <= cfg.tol:
+        raise NumericalError(
+            f"grid oracle fixed point did not converge: residual {residual:.3g} > "
+            f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
+        )
+
+
+def _grid_blocks(market: Market, q, k: int, cfg: FixedPointConfig):
+    """Yield (thetas, n, w) for each column block of the simplex grid at
+    step 1/k, in column order: the block's (N, width) allocations, their
+    viewer-equilibrium audiences and their (width,) total welfare.
+
+    Every block is built, solved and valued in one set of buffers,
+    allocated once at the first block's width and sliced for a narrower
+    last block, so the yielded arrays are views that the next block
+    overwrites. The welfare is the formulas of _welfare_parts at utilities
+    v_theta + beta n, in this layout: axis-0 sums of a few rows add them
+    left to right, as numpy's sums over a short trailing axis do, and the
+    BLAS product p @ prices is formed on a C-ordered (width, N) copy of p,
+    since on a transposed view it rounds differently. So every welfare is
+    bitwise cs + ps + pi of _welfare_parts. A block whose fixed point
+    fails raises NumericalError (see _block_fixed_point); later blocks are
+    not run.
+    """
+    big_n = market.alpha.shape[0]
+    size = k + 1 if big_n == 2 else (k + 1) * (k + 2) // 2
+    width = min(max(1, _BLOCK_CELLS // big_n), size)
+    # thetas, v_theta, n and two work arrays; four rows; p as (width, N) rows
+    columns = np.empty((5, big_n, width))
+    rows = np.empty((4, width))
+    p_rows = np.empty((width, big_n))
+    base = (market.alpha * q - market.prices)[:, np.newaxis]
+    prices = market.prices[:, np.newaxis]
     net = (1.0 - market.tau) * market.revenue_per_viewer
     cost = np.sum(market.c * q * q)
     platform = market.tau * market.revenue_per_viewer * market.m
-    prices = market.prices[:, np.newaxis]
-    w = np.empty(n.shape[1])
-    for cols in _column_blocks(*n.shape):
-        nb = n[:, cols]
-        v = v_theta[:, cols] + market.beta * nb
-        e = np.exp(v - v.max(axis=0))
-        p = e / e.sum(axis=0)
-        gross = v + prices
-        top = gross.max(axis=0)
-        lse = top + np.log(np.exp(gross - top).sum(axis=0))
-        cs = market.m * (lse - np.ascontiguousarray(p.T) @ market.prices)
-        w[cols] = cs + (net * nb.sum(axis=0) - cost) + platform
-    return w
+    for start in range(0, size, width):
+        cols = slice(start, min(start + width, size))
+        b = cols.stop - start
+        tb, vtb, nb, vb, eb = columns[:, :, :b]
+        rb, top, dot, wb = rows[:, :b]
+        _simplex_columns(big_n, k, cols, tb)
+        np.multiply(market.phi, tb, out=vtb)
+        np.add(base, vtb, out=vtb)
+        nb.fill(market.m / big_n)
+        _block_fixed_point(vtb, nb, market.m, market.beta, cfg, vb, eb, rb)
+        # p = softmax(v), v = v_theta + beta n
+        np.multiply(market.beta, nb, out=vb)
+        np.add(vtb, vb, out=vb)
+        np.max(vb, axis=0, out=rb)
+        np.subtract(vb, rb, out=eb)
+        np.exp(eb, out=eb)
+        np.sum(eb, axis=0, out=rb)
+        np.divide(eb, rb, out=eb)
+        # lse = top + log(sum(exp(gross - top))), gross = v + prices
+        np.add(vb, prices, out=vb)
+        np.max(vb, axis=0, out=top)
+        np.subtract(vb, top, out=vb)
+        np.exp(vb, out=vb)
+        np.sum(vb, axis=0, out=rb)
+        np.log(rb, out=rb)
+        np.add(top, rb, out=rb)
+        # w = cs + ps + pi, cs = m (lse - p @ prices), ps = net sum(n) - cost
+        np.copyto(p_rows[:b], eb.T)
+        np.matmul(p_rows[:b], market.prices, out=dot)
+        np.subtract(rb, dot, out=rb)
+        np.multiply(market.m, rb, out=rb)
+        np.sum(nb, axis=0, out=wb)
+        np.multiply(net, wb, out=wb)
+        np.subtract(wb, cost, out=wb)
+        np.add(rb, wb, out=wb)
+        np.add(wb, platform, out=wb)
+        yield tb, nb, wb
 
 
-def _simplex_grid(big_n: int, k: int) -> np.ndarray:
-    """The points of the simplex with coordinates in multiples of 1/k, as
-    the columns of an (N, K) array (N = 2 or 3). For N = 3 the columns come
-    in the order of the rows of meshgrid(i, j, indexing="ij") masked to
-    i + j <= k: i outer, j = 0..k-i inner."""
-    i = np.arange(k + 1)
-    if big_n == 2:
-        return np.stack([i, k - i]) / k
-    counts = k + 1 - i
-    first = np.repeat(i, counts)
-    second = np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.stack([first, second, k - first - second]) / k
+def _first_max(blocks) -> tuple[np.ndarray, float]:
+    """The column and value of the first maximum over (columns, values)
+    blocks: columns (N, width), values (width,), taken in order.
+
+    Keeps np.argmax's rules on the values concatenated: the first index of
+    the maximum, or the first NaN when there is one. A block's argmax
+    finds its own first maximum or first NaN, and the argmax over the
+    block maxima picks the first block that holds the overall one. Each
+    block's best column is copied, so the blocks may reuse their buffers.
+    """
+    maxima, best_columns = [], []
+    for columns, values in blocks:
+        best = int(np.argmax(values))
+        maxima.append(values[best])
+        best_columns.append(columns[:, best].copy())
+    best = int(np.argmax(maxima))
+    return best_columns[best], float(maxima[best])
 
 
 def grid_search_allocation(
@@ -384,30 +437,36 @@ def grid_search_allocation(
 ) -> tuple[TrafficAllocation, float]:
     """Brute-force welfare maximization over a simplex grid (N = 2 or 3).
 
-    Solves the viewer fixed point for every grid allocation, vectorized
-    over cache-sized column blocks that each iterate until their own
-    residual is at most the tol; independent oracle for the optimizer.
-    The grid is held streamer-major, one column per allocation in the
-    order of a row-major (i, j) meshgrid filtered to i + j <= k, and ties
-    in welfare go to the first column. Without fp_cfg the fixed point runs
-    to tol 1e-10 within 5000 sweeps, undamped when beta M < 2 (a max-norm
-    contraction with factor at most beta M / 2) and with damping 0.5
-    otherwise; a given fp_cfg is used as it is. Raises NumericalError if a
-    block of the grid has not converged after fp_cfg.max_iter sweeps or a
-    residual turns non-finite.
+    Solves the viewer fixed point for every grid allocation; independent
+    oracle for the optimizer. The grid is streamed one cache-sized column
+    block at a time through buffers reused from block to block: each
+    block builds its allocations, iterates until its own residual is at
+    most the tol, and values them, and only its best column is kept. The
+    columns come in the order of a row-major (i, j) meshgrid filtered to
+    i + j <= k, k = round(1 / resolution), and ties in welfare go to the
+    first column. Without fp_cfg the fixed point runs to tol 1e-10 within
+    5000 sweeps, undamped when beta M < 2 (a max-norm contraction with
+    factor at most beta M / 2) and with damping 0.5 otherwise; a given
+    fp_cfg is used as it is. Raises DomainError unless resolution is a
+    finite number > 0 with k >= 1, and NumericalError if a block of the
+    grid has not converged after fp_cfg.max_iter sweeps or a residual
+    turns non-finite.
     """
     big_n = platform.n_streamers
     if big_n not in (2, 3):
         raise DomainError("grid oracle supports 2 or 3 streamers")
+    require_numbers(SimpleNamespace(resolution=resolution), ("resolution",))
+    steps = 1.0 / resolution if 0.0 < resolution < math.inf else math.nan
+    if not (math.isfinite(steps) and round(steps) >= 1):
+        raise DomainError(
+            f"resolution must be finite and > 0 with round(1 / resolution) >= 1, "
+            f"got {resolution}"
+        )
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
     if fp_cfg is None:
         fp_cfg = _default_fixed_point(market, tol=1e-10)
 
-    thetas = _simplex_grid(big_n, int(round(1.0 / resolution)))
-    base = market.alpha * q - market.prices
-    v_theta = base[:, np.newaxis] + market.phi * thetas
-    n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, fp_cfg)
-    w = _grid_welfare(market, q, v_theta, n)
-    best = int(np.argmax(w))
-    return simplex_project(thetas[:, best]), float(w[best])
+    blocks = _grid_blocks(market, q, round(steps), fp_cfg)
+    theta, welfare = _first_max((thetas, w) for thetas, _, w in blocks)
+    return simplex_project(theta), welfare

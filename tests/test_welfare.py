@@ -1,6 +1,8 @@
 """Tests for welfare accounting and promotion-share optimization."""
 
 import dataclasses
+import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,9 +27,6 @@ from headfx import welfare
 from headfx.logit import softmax, viewer_fixed_point
 from headfx.welfare import (
     WelfareBreakdown,
-    _grid_viewer_fixed_point,
-    _grid_welfare,
-    _simplex_grid,
     grid_search_allocation,
     optimize_allocation,
     simplex_project,
@@ -506,6 +505,13 @@ def _grid_instance(alphas, q, prices):
     return plat, streamers, np.asarray(q, dtype=float)
 
 
+def _grid_columns(market, q, k, cfg):
+    """The allocations, audiences and welfare of every column the streamed
+    grid yields, each block copied before the next overwrites it."""
+    blocks = [tuple(a.copy() for a in block) for block in welfare._grid_blocks(market, q, k, cfg)]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+
+
 def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01, block=None):
     """theta, welfare and audiences bitwise the row-major oracle's, at every
     grid point, with the reference's fixed point run on blocks of block rows."""
@@ -514,13 +520,11 @@ def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01, blo
     assert np.array_equal(theta.theta, ref.theta.theta)
     assert w == ref.w_best
     # the argmax breaks ties by column order, so the columns keep the rows' order
-    big_n = plat.n_streamers
-    assert np.array_equal(_simplex_grid(big_n, int(round(1.0 / resolution))), ref.thetas.T)
     market = Market.from_params(plat, streamers)
-    v_theta = np.ascontiguousarray(ref.v_theta.T)
-    n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, cfg)
+    thetas, n, w = _grid_columns(market, q, int(round(1.0 / resolution)), cfg)
+    assert np.array_equal(thetas, ref.thetas.T)
     assert np.array_equal(n, ref.n.T)
-    assert np.array_equal(_grid_welfare(market, q, v_theta, n), ref.w)
+    assert np.array_equal(w, ref.w)
 
 
 # A column-block width that divides neither grid at resolution 0.01
@@ -550,13 +554,12 @@ class TestGridOracle:
         # _welfare_parts on the C-ordered (K, N) layout of the same grid
         plat, streamers, q = _grid_instance(alphas, q, prices)
         market = Market.from_params(plat, streamers)
-        thetas = _simplex_grid(plat.n_streamers, 100)
-        v_theta = (market.alpha * q - market.prices)[:, np.newaxis] + market.phi * thetas
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
-        n = _grid_viewer_fixed_point(v_theta, market.m, market.beta, cfg)
+        thetas, n, w = _grid_columns(market, q, 100, cfg)
+        v_theta = (market.alpha * q - market.prices)[:, np.newaxis] + market.phi * thetas
         v = np.ascontiguousarray((v_theta + market.beta * n).T)
         cs, ps, pi = welfare._welfare_parts(market, q, v, softmax(v), np.ascontiguousarray(n.T))
-        assert np.array_equal(_grid_welfare(market, q, v_theta, n), cs + ps + pi)
+        assert np.array_equal(w, cs + ps + pi)
 
     @pytest.mark.parametrize("damping", [0.5, 1.0])
     @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
@@ -598,17 +601,27 @@ class TestGridOracle:
         with pytest.raises(NumericalError, match=message):
             grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
 
-    def test_nan_in_one_later_block_raises(self, blocks_of_97_columns):
+    def test_nan_in_one_later_block_raises(self, monkeypatch, blocks_of_97_columns):
         plat, streamers, q = _grid_instance(*_GRID_CASES[2])
         blocks_of_97_columns(3)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
-        v_theta = np.ascontiguousarray(
-            _row_major_grid_oracle(plat, streamers, q, 0.01, cfg).v_theta.T
-        )
-        # the last column, in the last block: every earlier block has converged
-        v_theta[1, -1] = np.nan
+        columns = welfare._simplex_columns
+        size = 101 * 102 // 2
+
+        def nan_in_last_column(big_n, k, cols, out):
+            columns(big_n, k, cols, out)
+            if cols.stop == size:
+                out[1, -1] = np.nan
+
+        # the last column, in the last block, gets a NaN theta and so a NaN v_theta
+        monkeypatch.setattr(welfare, "_simplex_columns", nan_in_last_column)
+        blocks = welfare._grid_blocks(Market.from_params(plat, streamers), q, 100, cfg)
+        solved = []
         with pytest.raises(NumericalError, match="residual nan"):
-            _grid_viewer_fixed_point(v_theta, float(plat.n_viewers), plat.beta, cfg)
+            for block in blocks:
+                solved.append(block)
+        # every earlier block has converged and been yielded
+        assert len(solved) == -(-size // _BLOCK) - 1
 
     def test_non_convergence_raises(self):
         plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
@@ -624,6 +637,54 @@ class TestGridOracle:
             grid_search_allocation(
                 plat, streamers, np.array([np.inf, 0.7, 0.5]), resolution=0.01
             )
+
+    @pytest.mark.parametrize(
+        "resolution", [0.0, 2.0, -0.01, math.nan, math.inf, 5e-324, "0.01", True]
+    )
+    def test_bad_resolution_rejected_before_any_work(self, monkeypatch, resolution):
+        plat, streamers, q = _grid_instance(*_GRID_CASES[2])
+
+        def no_work(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(welfare, "_grid_blocks", no_work)
+        with pytest.raises(DomainError, match="resolution"):
+            grid_search_allocation(plat, streamers, q, resolution=resolution)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0, 2.0, -np.inf, np.nan]), min_size=1,
+                        max_size=30),
+        width=st.integers(1, 7),
+    )
+    def test_first_max_is_argmax_over_all_blocks(self, values, width):
+        # ties and NaN straddling blocks, fed from one reused pair of buffers
+        w = np.array(values)
+
+        def blocks():
+            cols, vals = np.empty((1, width)), np.empty(width)
+            for a in range(0, w.size, width):
+                b = min(width, w.size - a)
+                cols[0, :b] = np.arange(a, a + b)
+                vals[:b] = w[a:a + b]
+                yield cols[:, :b], vals[:b]
+
+        column, value = welfare._first_max(blocks())
+        best = int(np.argmax(w))
+        assert column.tolist() == [best]
+        assert np.array_equal(value, w[best], equal_nan=True)
+
+    def test_traced_peak_is_a_few_blocks(self):
+        # numpy reports its data buffers to tracemalloc; the whole-grid
+        # (3, 501501) arrays took about 41 MB
+        plat, streamers, q = _ORACLE_INSTANCES["instance_n3"]()
+        tracemalloc.start()
+        try:
+            grid_search_allocation(plat, streamers, q, resolution=0.001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 # Each entry point's own (tol, max_iter) when it is called without a config.
