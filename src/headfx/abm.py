@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, require_integers, require_numbers
+from .logit import logit_slope
 
 __all__ = [
     "PolicyIntervention",
@@ -411,8 +412,12 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     satisfaction, qualities take one myopic
     profit-gradient step against decay, clamped to [0, 1], and streamers
     whose revenue stayed below the viability floor for exit_patience
-    consecutive rounds leave the platform for good.
+    consecutive rounds leave the platform for good. cfg must be state.cfg,
+    which the choice and policy steps read; another config raises
+    DomainError rather than mixing two.
     """
+    if cfg is not state.cfg:
+        raise DomainError("run_round takes the config its state was built from")
     n, m = cfg.n_streamers, cfg.n_viewers
 
     state.revenue_share[:] = cfg.base_revenue_share
@@ -434,9 +439,7 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     # Myopic investment responds to expected share gains at a fixed
     # reference audience, so incentives do not escalate with raw M.
     p_hat = counts / m
-    marginal_audience = (
-        cfg.investment_audience_scale * state.mean_quality_sens * p_hat * (1.0 - p_hat)
-    )
+    marginal_audience = logit_slope(cfg.investment_audience_scale * state.mean_quality_sens, p_hat)
     if cfg.boost_investment:
         marginal_audience = marginal_audience * state.exposure_boost
     step = cfg.quality_responsiveness * (

@@ -286,10 +286,8 @@ def _parse_values(parameter: str, text: str) -> list:
 
 def _cmd_optimize_theta(args) -> int:
     platform, streamers, q = parse_instance(args.instance)
-    if args.phi is not None:
-        platform = dataclasses.replace(platform, phi=args.phi)
-    if args.grid_oracle and platform.n_streamers not in (2, 3):
-        raise ConfigError("grid oracle supports 2 or 3 streamers")
+    if args.grid_oracle:
+        theta_grid, w_grid = grid_search_allocation(platform, streamers, q)
     solution = optimize_allocation(platform, streamers, q, tol=args.tol)
     breakdown = solution.breakdown
     # The welfare layer holds q fixed, so the verdict is the audience
@@ -324,7 +322,6 @@ def _cmd_optimize_theta(args) -> int:
     print(f"audience equilibrium {'stable' if report.stable else 'unstable'} "
           f"(max eigenvalue real part {max_real:.3g})")
     if args.grid_oracle:
-        theta_grid, w_grid = grid_search_allocation(platform, streamers, q)
         print(
             f"grid oracle: theta {np.round(theta_grid.theta, 6).tolist()} "
             f"welfare {w_grid:.6g} (optimizer - oracle = {solution.welfare - w_grid:+.3g})"
@@ -390,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize-theta", parents=[output],
                            help="optimize promotion shares for an instance file")
     p_opt.add_argument("--instance", type=str, required=True)
-    p_opt.add_argument("--phi", type=float, default=None)
     p_opt.add_argument("--tol", type=float, default=1e-8)
     p_opt.add_argument("--grid-oracle", action="store_true")
     p_opt.set_defaults(func=_cmd_optimize_theta)

@@ -61,8 +61,8 @@ class PlatformParams:
     def __post_init__(self):
         if not self.n_streamers >= 1:
             raise DomainError(f"n_streamers must be >= 1, got {self.n_streamers}")
-        if not self.n_viewers >= 0:
-            raise DomainError(f"n_viewers must be >= 0, got {self.n_viewers}")
+        if not 0 < self.n_viewers < math.inf:
+            raise DomainError(f"n_viewers must be finite and > 0, got {self.n_viewers}")
         if not 0.0 <= self.tau < 1.0:
             raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
         # Every check is written so that NaN fails it.

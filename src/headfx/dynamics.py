@@ -211,12 +211,11 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
             f"{n_records} trajectory records of {s.shape[1]} start(s) do not fit in memory; "
             f"raise record_every (--record-every), now {every}"
         ) from None
+    rec[:, 0] = s
+    record = 1
     rows = np.arange(s.shape[1])
     if rows.size == 1:
         s = s[:, 0]
-    samples = rec.reshape((2, n_records) + s.shape[1:])
-    samples[:, 0] = s
-    times = [0.0]
     failures: dict[int, DivergenceError] = {}
     f = _stacked_flow(market, theta_vec, s)
     n_bound = min(market.m * (1.0 + _N_BOUND_SLACK), _EXPLOSION_BOUND)
@@ -230,10 +229,10 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
         k4 = f(s + dt * k3)
         s = np.maximum(s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), 0.0)
         settled = s.tobytes() == start.tobytes()
-        t = step * dt
 
         # the clamped state is >= 0 or NaN, so this is every check of _divergence
         if not (s <= bound).all():
+            t = step * dt
             errors = [_divergence(n, q, market.m, t) for n, q in zip(*s.reshape(2, rows.size, -1))]
             failed = np.array([e is not None for e in errors])
             failures.update((int(rows[i]), errors[i]) for i in np.flatnonzero(failed))
@@ -242,24 +241,18 @@ def _integrate_batch(market: Market, n0, q0, cfg, theta_vec):
             rows, s, bound = rows[~failed], s[:, ~failed], bound[:, ~failed]
             f = _stacked_flow(market, theta_vec, s)
 
-        first = len(times)
-        if step % every == 0 or step == n_steps:
-            times.append(t)
-        if settled and step < n_steps:
-            times.extend(k * dt for k in range((step // every + 1) * every, n_steps, every))
-            times.append(n_steps * dt)
-        if len(times) > first:
-            if rows.size == rec.shape[2]:
-                samples[:, first:len(times)] = s[:, np.newaxis]
-            else:
-                rec[:, first:len(times), rows] = s[:, np.newaxis]
+        if settled or step % every == 0 or step == n_steps:
+            stop = n_records if settled else record + 1
+            rec[:, record:stop, rows] = s.reshape(2, 1, rows.size, -1)
+            record = stop
         if settled:
             break
 
+    times = np.append(np.arange(0, n_steps, every), n_steps) * dt
     return [
         None
         if row in failures
-        else Trajectory(times=np.array(times), n=rec[0, :, row], q=rec[1, :, row])
+        else Trajectory(times=times.copy(), n=rec[0, :, row], q=rec[1, :, row])
         for row in range(rec.shape[2])
     ], failures
 

@@ -101,7 +101,7 @@ def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
     for outer in range(1, cfg.max_iter + 1):
         _check_audiences(n, m)
         n_new, inner_converged, _, _ = viewer_fixed_point(market, q, n, cfg, theta_vec)
-        p = n_new / m if m > 0 else softmax(utility(alpha, q, prices, beta, n_new, phi, theta_vec))
+        p = n_new / m
         q_target = quality_best_response(revenue, c, p)
         q_new = (1.0 - cfg.damping) * q + cfg.damping * q_target
         change_n = np.max(np.abs(n_new - n), axis=1)

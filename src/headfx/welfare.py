@@ -115,18 +115,17 @@ def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> Fi
 
 
 def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
-    """Welfare and its gradient g at the viewer equilibrium for a raw
-    (possibly off-simplex) promotion vector; used by the optimizer.
+    """Welfare breakdown and its gradient g at the viewer equilibrium for a
+    promotion vector; the optimizer's one evaluation of a point.
 
     The audiences sum to M, so only consumer surplus moves with theta. By
     the implicit function theorem, with the symmetric J = dP/dV,
     g = M phi solve(I - beta M J, softmax(v + prices) - J prices). Where an
     eigenvalue of I - beta M J is <= 0 the equilibrium is unstable and g
     follows that unstable branch; a singular I - beta M J raises
-    NumericalError. Returns (welfare, n, g, converged, residual)."""
-    n, converged, _, residual = viewer_fixed_point(
-        market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec
-    )
+    NumericalError. Returns (breakdown, n, g, converged): the breakdown is
+    total_welfare's at (n, q) and theta_vec, converged the fixed point's."""
+    n, converged, _, _ = viewer_fixed_point(market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec)
     n = n[0]
     v = utility(market.alpha, q, market.prices, market.beta, n, market.phi, theta_vec)
     p = softmax(v)
@@ -138,7 +137,8 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     except np.linalg.LinAlgError:
         raise NumericalError("welfare gradient: I - beta M dP/dV is singular") from None
     g = market.m * market.phi * dv
-    return float(cs + ps + pi), n, g, bool(converged[0]), float(residual[0])
+    breakdown = WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
+    return breakdown, n, g, bool(converged[0])
 
 
 def simplex_project(v) -> TrafficAllocation:
@@ -205,8 +205,10 @@ def optimize_allocation(
     step is the largest step tried. Without fp_cfg the viewer fixed point
     runs to tol 1e-13 within 20000 sweeps, undamped when beta M < 2 (a
     max-norm contraction with factor at most beta M / 2) and with damping
-    0.5 otherwise; a given fp_cfg is used as it is. Raises NumericalError
-    where I - beta M dP/dV is singular at a visited equilibrium.
+    0.5 otherwise; a given fp_cfg is used as it is. The result is the last
+    accepted evaluation, converged only if its KKT residual is at most tol
+    and its fixed point converged. Raises NumericalError where
+    I - beta M dP/dV is singular at a visited equilibrium.
     """
     controls = SimpleNamespace(step=step, tol=tol, max_iter=max_iter)
     require_integers(controls, ("max_iter",))
@@ -227,41 +229,34 @@ def optimize_allocation(
         if init_theta is None
         else np.asarray(init_theta.theta, dtype=float).copy()
     )
-    w_cur, n_warm, g, _, _ = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
+    breakdown, n, g, converged = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
 
     s_prev = step
-    residual = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         residual = _kkt_residual(g, theta)
         if residual <= tol:
             break
         s = min(step, 2.0 * s_prev)
-        accepted = False
         for _ in range(60):
             trial = simplex_project(theta + s * g).theta
-            w_trial, n_trial, g_trial, _, _ = _welfare_raw(market, q, trial, fp_cfg, n_warm)
-            if w_trial >= w_cur - 1e-12 * (1.0 + abs(w_cur)):
-                theta, w_cur, n_warm, g = trial, w_trial, n_trial, g_trial
-                s_prev = s
-                accepted = True
+            evaluation = _welfare_raw(market, q, trial, fp_cfg, n)
+            if evaluation[0].total >= breakdown.total - 1e-12 * (1.0 + abs(breakdown.total)):
                 break
             s *= 0.5
-        if not accepted:
+        else:
             break
+        theta, s_prev = trial, s
+        breakdown, n, g, converged = evaluation
 
     residual = _kkt_residual(g, theta)
-    allocation = simplex_project(theta)
-    _, n, _, fp_converged, _ = _welfare_raw(market, q, allocation.theta, fp_cfg, n_warm)
-    state = MarketState(n=np.maximum(n, 0.0), q=q)
     return AllocationSolution(
-        theta=allocation,
-        state=state,
-        breakdown=total_welfare(platform, streamers, state, allocation),
+        theta=TrafficAllocation(theta),
+        state=MarketState(n=n, q=q),
+        breakdown=breakdown,
         kkt_residual=residual,
-        active_set=tuple(int(i) for i in np.flatnonzero(allocation.theta == 0.0)),
+        active_set=tuple(int(i) for i in np.flatnonzero(theta == 0.0)),
         iterations=iterations,
-        converged=residual <= tol and fp_converged,
+        converged=residual <= tol and converged,
     )
 
 

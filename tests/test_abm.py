@@ -358,6 +358,14 @@ class TestRunRound:
         # exits are permanent
         assert all(rec.viewer_counts[2] == 0 for rec in records[4:])
 
+    def test_a_config_other_than_the_states_is_rejected(self):
+        cfg = small_cfg()
+        state = init_platform(cfg)
+        before = state.quality.copy()
+        with pytest.raises(DomainError, match="the config its state was built from"):
+            run_round(state, dataclasses.replace(cfg, revenue_per_viewer=2.0), 1)
+        assert np.array_equal(state.quality, before)
+
 
 class TestPolicies:
     def test_noop_parameterizations_reproduce_baseline_bitwise(self):

@@ -261,6 +261,11 @@ class TestDomainGuards:
         with pytest.raises(DomainError):
             make_platform(**kwargs)
 
+    @pytest.mark.parametrize("m", [0, -1, np.nan, np.inf])
+    def test_a_market_has_viewers(self, m):
+        with pytest.raises(DomainError, match="n_viewers must be finite and > 0"):
+            make_platform(m=m)
+
     @pytest.mark.parametrize("field", ["alpha", "eta", "cost_coefficient"])
     def test_streamer_nan_rejected(self, field):
         with pytest.raises(DomainError):
@@ -286,7 +291,7 @@ class TestMarket:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 6),
-        m=st.one_of(st.integers(0, 10**7), st.floats(0.0, 1e7)),
+        m=st.one_of(st.integers(1, 10**7), st.floats(0.0, 1e7, exclude_min=True)),
         tau=st.floats(0.0, 0.99),
         r=st.floats(0.0, 10.0),
         with_prices=st.booleans(),

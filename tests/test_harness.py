@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx import cli, equilibrium, harness
+from headfx import cli, equilibrium, harness, welfare
 from headfx.abm import POLICY_KINDS, SimConfig, simulate
 from headfx.cli import main
 from headfx.equilibrium import FixedPointConfig
@@ -509,6 +509,20 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_grid_oracle_failure_exits_3_before_writing(self, tmp_path, capsys, monkeypatch):
+        # one sweep per fixed point: the oracle's first block cannot converge
+        monkeypatch.setattr(
+            welfare, "_default_fixed_point",
+            lambda market, tol, max_iter=5000: FixedPointConfig(tol=tol, max_iter=1),
+        )
+        out = tmp_path / "opt"
+        code = main(["optimize-theta", "--instance", INSTANCE_N3, "--out", str(out), "--grid-oracle"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: grid oracle fixed point did not converge")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_optimize_theta_singular_feedback_exits_3(self, tmp_path, capsys):
         # beta M = 2 at the symmetric split: the welfare gradient's
         # I - beta M dP/dV is singular
@@ -528,6 +542,7 @@ class TestCli:
             ["optimize-theta", "--instance", INSTANCE_N3, "--seed", "5"],
             ["optimize-theta", "--instance", INSTANCE_N3, "--seeds", "7"],
             ["optimize-theta", "--instance", INSTANCE_N3, "--threads", "9"],
+            ["optimize-theta", "--instance", INSTANCE_N3, "--phi", "2"],
             ["equilibrium", "--seeds", "7"],
             ["equilibrium", "--threads", "9"],
             ["dynamics", "--seeds", "7"],
@@ -548,6 +563,7 @@ class TestCli:
         [{"alpha": [float("nan"), 1.0, 0.4]}, {"q": [0.8, float("nan"), 0.5]},
          {"q": [0.8, -0.7, 0.5]}, {"prices": [0.0, float("nan"), 0.0]},
          {"n_viewers": float("inf")}, {"n_viewers": 50.7}, {"n_viewers": 10**400},
+         {"n_viewers": 0},
          {"alpha": 5}, {"alpha": ["x"]}, {"q": "ab"}, {"beta": [1]}, {"tau": None},
          {"cost": [float("inf"), 1.0, 1.0]}, {"alpha": [1.2, float("inf"), 0.4]}],
     )

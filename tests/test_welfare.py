@@ -34,6 +34,9 @@ from headfx.welfare import (
 )
 
 
+_INSTANCE_N3 = Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json"
+
+
 def instance(alphas, q, m=50.0, beta=0.0, tau=0.2, prices=None, c=2.0):
     n = len(alphas)
     plat = PlatformParams(
@@ -146,7 +149,7 @@ class TestTotalWelfare:
         market = Market.from_params(plat, streamers)
         raw = welfare._welfare_raw(market, q, theta.theta, cfg, market.symmetric_split())
         state = MarketState(n=np.maximum(raw[1], 0.0), q=q)
-        assert total_welfare(plat, streamers, state, theta).total == raw[0]
+        assert total_welfare(plat, streamers, state, theta).total == raw[0].total
 
     def test_symmetric_audience_at_uniform_theta(self):
         plat, streamers, _ = instance([1.0, 1.0, 1.0], [0.5, 0.5, 0.5], beta=0.001)
@@ -175,12 +178,12 @@ def _gradient(plat, streamers, q, theta):
     the viewer fixed point solved to 1e-13."""
     market = Market.from_params(plat, streamers)
     cfg = welfare._default_fixed_point(market, tol=1e-13, max_iter=20000)
-    w, n, g, converged, _ = welfare._welfare_raw(
+    breakdown, n, g, converged = welfare._welfare_raw(
         market, np.asarray(q, dtype=float), np.asarray(theta, dtype=float), cfg,
         market.symmetric_split(),
     )
     assert converged
-    return w, g, n
+    return breakdown.total, g, n
 
 
 class TestWelfareGradient:
@@ -375,9 +378,9 @@ class TestOptimizeAllocation:
         plat, streamers, q = _interior_optimum_instance()
         calls = _record_welfare_raw(monkeypatch)
         sol = optimize_allocation(plat, streamers, q, step=100.0, max_iter=20)
-        assert len(calls) > 1 + 20 + 1  # the start, an accepted step per iteration, the end
-        start = calls[0][1][0]
-        assert np.array_equal(calls[1][0][2], [1.0, 0.0]) and calls[1][1][0] < start
+        assert len(calls) > 1 + 20  # the start and an accepted step per iteration
+        start = calls[0][1][0].total
+        assert np.array_equal(calls[1][0][2], [1.0, 0.0]) and calls[1][1][0].total < start
         assert sol.welfare >= start - 20 * 1e-12 * (1.0 + abs(start))
         assert not sol.converged and sol.kkt_residual > 1e-8
 
@@ -388,16 +391,51 @@ class TestOptimizeAllocation:
         plat, streamers, q = _interior_optimum_instance()
         calls = _record_welfare_raw(monkeypatch)
         sol = optimize_allocation(plat, streamers, q, fp_cfg=FixedPointConfig(max_iter=1))
-        assert len(calls) == 1 + 60 + 1
+        assert len(calls) == 1 + 60
         # each trial moves half as far as the one before, until the move is
         # below float resolution
-        moves = [abs(args[2][0] - 0.5) for args, _ in calls[1:-1]]
+        moves = [abs(args[2][0] - 0.5) for args, _ in calls[1:]]
         inside = [d for d in moves if 1e-9 < d < 0.5]
         assert len(inside) > 10
         assert inside[1:] == pytest.approx([d / 2 for d in inside[:-1]], rel=1e-6)
         assert sol.iterations == 1
         assert np.array_equal(sol.theta.theta, [0.5, 0.5])
         assert not sol.converged and sol.kkt_residual > 1e-8
+
+    def test_solution_is_the_accepted_evaluation(self, monkeypatch):
+        # theta, audiences, breakdown and KKT residual are one evaluation's;
+        # re-projecting this theta would turn its zero share into 7.4e-17
+        # and take it out of the active set.
+        q = [0.6, 0.2, 0.4]
+        plat, streamers, _ = instance(
+            [4.505307378137692, 1.8755254062342854, 2.4538058108285026], q,
+            beta=0.006907130081516795,
+            prices=[5.143194514067462, 0.858498170689439, 3.2625256522505657],
+        )
+        plat = dataclasses.replace(plat, phi=0.6199067729262099)
+        calls = _record_welfare_raw(monkeypatch)
+        sol = optimize_allocation(plat, streamers, np.array(q))
+        assert sol.converged and 0.0 < sol.theta.theta[0] < 1.0
+        assert sol.theta.theta[2] == 0.0 and sol.active_set == (2,)
+        breakdown, n, g, _ = [r for a, r in calls if np.array_equal(a[2], sol.theta.theta)][-1]
+        assert sol.breakdown == breakdown and np.array_equal(sol.state.n, n)
+        assert sol.kkt_residual == welfare._kkt_residual(g, sol.theta.theta)
+
+    @pytest.mark.parametrize("max_iter, damping", [(8, 1.0), (40, 0.5)])
+    def test_unconverged_line_search_is_not_reported_converged(
+        self, monkeypatch, max_iter, damping
+    ):
+        # The KKT test passes, but every fixed point the search solved
+        # stopped at max_iter, the accepted one among them.
+        plat, streamers, q = parse_instance(_INSTANCE_N3)
+        calls = _record_welfare_raw(monkeypatch)
+        sol = optimize_allocation(
+            plat, streamers, q,
+            fp_cfg=FixedPointConfig(tol=1e-13, max_iter=max_iter, damping=damping),
+        )
+        assert not any(result[3] for _, result in calls)
+        assert sol.kkt_residual <= 1e-8
+        assert sol.converged is False
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -503,6 +541,17 @@ _GRID_CASES = [
 def _grid_instance(alphas, q, prices):
     plat, streamers, _ = instance(alphas, q, beta=0.003, prices=prices)
     return plat, streamers, np.asarray(q, dtype=float)
+
+
+@pytest.mark.parametrize("alphas, q, prices", [c for c in _GRID_CASES if c[2] is not None])
+def test_solution_breakdown_is_total_welfare_at_its_state(alphas, q, prices):
+    # the optimizer keeps the breakdown of the evaluation it accepted
+    # instead of revaluing its state; the two agree bitwise
+    plat, streamers, q = _grid_instance(alphas, q, prices)
+    sol = optimize_allocation(plat, streamers, q)
+    want = total_welfare(plat, streamers, sol.state, sol.theta)
+    for field in dataclasses.fields(WelfareBreakdown):
+        assert getattr(sol.breakdown, field.name) == getattr(want, field.name)
 
 
 def _grid_columns(market, q, k, cfg):
@@ -718,9 +767,7 @@ def _random_instance(seed):
 _ORACLE_INSTANCES = {
     **{f"criterion10_seed{seed}": lambda seed=seed: _random_instance(seed)
        for seed in range(200, 210)},
-    "instance_n3": lambda: parse_instance(
-        Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json"
-    ),
+    "instance_n3": lambda: parse_instance(_INSTANCE_N3),
     "generated_seed0": lambda: _random_instance(0),
 }
 
