@@ -4,13 +4,15 @@
 
 Subcommands: equilibrium, dynamics, simulate, ab-test, sweep,
 optimize-theta. Exit codes: 0 success, 2 config error, 3 numerical
-failure, which includes an equilibrium solve that did not converge in
-`equilibrium` and `dynamics --kind stability`. Every output file is
-written by harness.write_table or harness.write_json: CSV tables with a
-header row and the dynamics JSON sidecar, all UTF-8 with LF line ends.
-Each subcommand parses only the flags it reads. optimize-theta's
-welfare.csv ends with the stability verdict of the audience equilibrium
-under the optimal promotion shares, from dynamics.jacobian's audience block.
+failure, which includes an equilibrium solve that did not converge
+(`equilibrium` then writes no file). Every output file is written by
+harness.write_table or harness.write_json: CSV tables with a header row
+and JSON sidecars, all UTF-8 with LF line ends. Each subcommand parses
+only the flags it reads, but equilibrium and dynamics accept --seed
+unread. equilibrium states the stability verdict of the joint
+equilibrium it solved (dynamics.stability_at), optimize-theta that of
+the audience equilibrium under theta* (dynamics.jacobian's audience
+block); an unstable point still exits 0.
 """
 
 from __future__ import annotations
@@ -113,27 +115,20 @@ def _threads(args) -> int:
     return args.threads
 
 
-def _converged_equilibrium(platform, streamers, tol: float):
-    """The equilibrium probe's (max share, solve); NumericalError if the
-    solve did not converge."""
-    share, result = max_share_from_perturbed_start(
-        platform, streamers, FixedPointConfig(tol=tol)
-    )
-    if not result.converged:
-        raise NumericalError(
-            f"equilibrium solve did not converge (residual {result.residual:.3g})"
-        )
-    return share, result
-
-
 def _cmd_equilibrium(args) -> int:
     spec = _load_scenario(args)
     platform, streamers = analytic_instance(spec.sim)
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
-    share, result = _converged_equilibrium(platform, streamers, args.tol)
-    n = result.state.n
-    q = result.state.q
+    share, result = max_share_from_perturbed_start(
+        platform, streamers, FixedPointConfig(tol=args.tol)
+    )
+    if not result.converged:
+        raise NumericalError(
+            f"equilibrium solve did not converge (residual {result.residual:.3g})"
+        )
+    report = stability_at(platform, streamers, result.state)
+    n, q = result.state.n, result.state.q
     path = write_table(
         args.out / "equilibrium.csv",
         ["streamer_id", "n_star", "q_star", "share", "profit"],
@@ -143,7 +138,15 @@ def _cmd_equilibrium(args) -> int:
             for i, s in enumerate(streamers)
         ),
     )
-    print(f"wrote {path} (max share {share:.4f}, residual {result.residual:.3g})")
+    sidecar = write_json(args.out / "equilibrium_summary.json", {
+        "beta": platform.beta, "max_share": share, "residual": result.residual,
+        "hhi": hhi(n), "stable": report.stable,
+        "eigen_real_parts": [float(x) for x in report.eigen_real_parts],
+    })
+    print(f"wrote {path} (max share {share:.4f}, residual {result.residual:.3g}, "
+          f"{'stable' if report.stable else 'unstable'}: max eigenvalue real part "
+          f"{report.eigen_real_parts[0]:.3g})")
+    print(f"wrote {sidecar}")
     return 0
 
 
@@ -171,13 +174,6 @@ def _cmd_dynamics(args) -> int:
         summary["stable"] = report.stable
         summary["max_eigen_real_part"] = float(report.eigen_real_parts[0])
         print(f"wrote {path}")
-    elif args.kind == "stability":
-        share, result = _converged_equilibrium(platform, streamers, args.tol)
-        report = stability_at(platform, streamers, result.state)
-        summary["equilibrium_max_share"] = share
-        summary["terminal_hhi"] = hhi(result.state.n)
-        summary["stable"] = report.stable
-        summary["eigen_real_parts"] = [float(x) for x in report.eigen_real_parts]
     elif args.kind == "path-dependence":
         record = path_dependence_experiment(
             platform, streamers, delta0=args.delta0 * platform.n_viewers, cfg=cfg
@@ -362,14 +358,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dyn.add_argument("--beta", type=float, default=None)
     p_dyn.add_argument(
         "--kind",
-        choices=["trajectory", "stability", "path-dependence", "portrait"],
+        choices=["trajectory", "path-dependence", "portrait"],
         default="trajectory",
     )
     p_dyn.add_argument("--delta0", type=float, default=1e-3,
                        help="initial perturbation as a fraction of M")
     p_dyn.add_argument("--record-every", type=int, default=100)
     p_dyn.add_argument("--grid", type=int, default=5, help="portrait grid size")
-    p_dyn.add_argument("--tol", type=float, default=1e-10)
     p_dyn.set_defaults(func=_cmd_dynamics)
 
     p_sim = sub.add_parser("simulate", parents=[runs], help="run one scenario batch")

@@ -22,12 +22,17 @@ __all__ = [
     "Market",
     "MarketState",
     "TrafficAllocation",
+    "PERTURBATION",
     "deterministic_utility",
     "choice_probabilities",
     "cost",
     "streamer_profit",
     "audience_quality_sensitivity",
 ]
+
+# The perturbed symmetric start nudges streamer 0 up by this fraction of M,
+# which fixes which streamer dominates whenever concentration occurs.
+PERTURBATION = 1e-3
 
 
 def _as_float_vector(x, name: str, n: int | None = None) -> np.ndarray:
@@ -139,7 +144,7 @@ class Market:
         """The audience split m / N for every streamer."""
         return np.full(self.alpha.shape[0], self.m / self.alpha.shape[0])
 
-    def perturbed_start(self, perturbation: float = 1e-3) -> np.ndarray:
+    def perturbed_start(self, perturbation: float = PERTURBATION) -> np.ndarray:
         """The symmetric split with streamer 0 nudged up by perturbation * m."""
         n0 = self.symmetric_split()
         n0[0] = min(n0[0] + perturbation * self.m, self.m)

@@ -202,15 +202,13 @@ def max_share_from_perturbed_start(
     platform: PlatformParams,
     streamers,
     cfg: FixedPointConfig,
-    perturbation: float = 1e-3,
 ) -> tuple[float, EquilibriumResult]:
     """Deterministic concentration probe used by the critical-beta search.
 
-    Starts the joint solver from the symmetric audience split with
-    coordinate 0 nudged up by perturbation * M, which fixes which
-    streamer dominates whenever concentration occurs.
+    Starts the joint solver from Market.perturbed_start: the symmetric
+    audience split with coordinate 0 nudged up by core.PERTURBATION * M.
     """
-    n0 = Market.from_params(platform, streamers).perturbed_start(perturbation)
+    n0 = Market.from_params(platform, streamers).perturbed_start()
     res = solve_joint_equilibrium(platform, streamers, cfg, n0=n0)
     return res.max_share(), res
 

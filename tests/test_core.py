@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfx.core import (
+    PERTURBATION,
     Market,
     MarketState,
     PlatformParams,
@@ -328,8 +329,8 @@ class TestMarket:
 
         big_n = platform.n_streamers
         assert np.array_equal(market.symmetric_split(), np.full(big_n, m_float / big_n))
-        for step in (perturbation, 1e-3):
+        for step in (perturbation, PERTURBATION):
             n0 = np.full(big_n, m_float / big_n)
             n0[0] = min(n0[0] + step * m_float, m_float)
             assert np.array_equal(market.perturbed_start(step), n0)
-        assert np.array_equal(market.perturbed_start(), market.perturbed_start(1e-3))
+        assert np.array_equal(market.perturbed_start(), market.perturbed_start(PERTURBATION))

@@ -34,7 +34,9 @@ from headfx.harness import (
 from headfx.metrics import MetricsSummary
 
 FAST_SIM = SimConfig(n_streamers=6, n_viewers=80, n_rounds=10)
-INSTANCE_N3 = str(Path(__file__).resolve().parents[1] / "configs" / "instance_n3.json")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+INSTANCE_N3 = str(CONFIGS / "instance_n3.json")
+BASELINE = str(CONFIGS / "baseline.json")
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -547,6 +549,7 @@ class TestCli:
             ["equilibrium", "--threads", "9"],
             ["dynamics", "--seeds", "7"],
             ["dynamics", "--threads", "9"],
+            ["dynamics", "--tol", "1e-10"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
@@ -734,7 +737,6 @@ class TestCli:
             (["dynamics", "--t-end", "inf"], "t_end must be finite and > 0"),
             (["equilibrium", "--tol", "nan"], "tol must be finite and > 0"),
             (["equilibrium", "--tol", "inf"], "tol must be finite and > 0"),
-            (["dynamics", "--kind", "stability", "--tol", "nan"], "tol must be finite and > 0"),
             (["dynamics", "--t-end", "1e300", "--dt", "1e-10"], "t_end / dt must be at most"),
             (["dynamics", "--dt", "5e-324"], "t_end / dt must be at most"),
             (["dynamics", "--t-end", "1e300", "--dt", "1e-5"], "t_end / dt must be at most"),
@@ -747,7 +749,7 @@ class TestCli:
              "tol must be finite and > 0"),
         ],
         ids=["dt_nan", "dt_inf", "t_end_nan", "t_end_inf", "eq_tol_nan", "eq_tol_inf",
-             "stability_tol_nan", "steps_inf", "dt_subnormal", "steps_beyond_intp",
+             "steps_inf", "dt_subnormal", "steps_beyond_intp",
              "zero_steps", "eq_beta_inf", "dyn_beta_inf", "opt_tol_nan", "opt_tol_negative"],
     )
     def test_analytic_commands_reject_non_finite_controls(self, tmp_path, capsys, argv,
@@ -798,16 +800,36 @@ class TestCli:
         assert "config error" in err and message in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv", [["equilibrium"], ["dynamics", "--kind", "stability"]], ids=lambda a: a[0]
-    )
-    def test_unconverged_equilibrium_exits_3(self, tmp_path, capsys, monkeypatch, argv):
+    def test_unconverged_equilibrium_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "FixedPointConfig",
                             functools.partial(FixedPointConfig, max_iter=1))
         out = tmp_path / "o"
-        assert main(argv + ["--out", str(out)]) == 3
+        assert main(["equilibrium", "--out", str(out)]) == 3
         assert "equilibrium solve did not converge" in capsys.readouterr().err
+        assert not (out / "equilibrium_summary.json").exists()
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "beta, verdict, max_real",
+        [(["--beta", "0"], "unstable", 16.44), ([], "stable", -0.201)],
+        ids=["beta_0", "config_beta"],
+    )
+    def test_equilibrium_states_its_stability(self, tmp_path, capsys, beta, verdict,
+                                              max_real):
+        # At beta 0 the Q_MAX clamp binds on every streamer of baseline.json,
+        # so the dispersed point the probe returns is not a stable rest point.
+        out = tmp_path / "eq"
+        assert main(["equilibrium", "--config", BASELINE, "--out", str(out), *beta]) == 0
+        assert f", {verdict}: max eigenvalue real part" in capsys.readouterr().out
+        summary = json.loads((out / "equilibrium_summary.json").read_text())
+        assert sorted(summary) == sorted(
+            ["beta", "max_share", "residual", "hhi", "stable", "eigen_real_parts"])
+        assert summary["beta"] == (0.0 if beta else 0.15)
+        assert summary["stable"] is (verdict == "stable")
+        assert len(summary["eigen_real_parts"]) == 2 * 15
+        assert summary["eigen_real_parts"][0] == pytest.approx(max_real, rel=1e-3)
+        assert {p.name for p in out.iterdir()} == {"equilibrium.csv",
+                                                   "equilibrium_summary.json"}
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(
@@ -851,6 +873,15 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err and f"--grid must be >= 1, got {grid}" in err
+        assert not out.exists()
+
+    def test_stability_kind_is_an_invalid_choice(self, tmp_path, capsys):
+        # equilibrium states the stability of the point it solves
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamics", "--kind", "stability", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'stability'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_trajectory_buffer_numpy_cannot_allocate_exit_2(self, tmp_path, capsys):
@@ -914,8 +945,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "kind, table, header, keys",
         [
-            ("stability", None, None,
-             ["equilibrium_max_share", "terminal_hhi", "stable", "eigen_real_parts"]),
             ("path-dependence", "path_dependence.csv", "t,gap_plus,gap_minus",
              ["winner_plus", "winner_minus", "terminal_hhi", "terminal_share_gap"]),
             ("portrait", "phase_portrait.csv", "trajectory,t,streamer,n,q",
@@ -932,11 +961,9 @@ class TestCli:
         summary = json.loads((out / "dynamics_summary.json").read_text())
         assert sorted(summary) == sorted(["kind", "beta", *keys])
         assert summary["kind"] == kind
-        written = {"dynamics_summary.json"} | ({table} if table else set())
-        assert {p.name for p in out.iterdir()} == written
-        if table:
-            lines = (out / table).read_text().splitlines()
-            assert lines[0] == header and len(lines) > 1
+        assert {p.name for p in out.iterdir()} == {"dynamics_summary.json", table}
+        lines = (out / table).read_text().splitlines()
+        assert lines[0] == header and len(lines) > 1
 
 
 # Values no documented key accepts everywhere: NaN, infinities, negatives,

@@ -1,11 +1,17 @@
-"""Module-boundary rules of the headfx package, checked on its source."""
+"""Module-boundary rules of the headfx package, checked on its source,
+and the README's CLI reference, checked against the parser."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "headfx"
+from headfx import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "headfx"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -386,3 +392,26 @@ def test_only_logit_forms_outer_products(path):
 )
 def test_outer_product_checker(source, flagged):
     assert bool(outer_products(ast.parse(source))) == flagged
+
+
+def documented_cli(readme: str) -> tuple[set[str], set[str]]:
+    """The subcommands of a README's `headfx <subcommand>` bullets, and the
+    members of its one `--kind {...}` set."""
+    commands = set(re.findall(r"^- `headfx ([a-z-]+)", readme, re.MULTILINE))
+    (kinds,) = re.findall(r"--kind \{([^}]*)\}", readme)
+    return commands, set(kinds.split(","))
+
+
+def test_readme_documents_the_cli_the_parser_builds():
+    # A deleted subcommand or dynamics kind cannot stay documented.
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    (kind,) = [action for action in subparsers.choices["dynamics"]._actions
+               if "--kind" in action.option_strings]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert documented_cli(readme) == (set(subparsers.choices), set(kind.choices))
+
+
+def test_documented_cli_reader():
+    readme = "- `headfx run [--x]` — a\n  `headfx walk` inline\n- `headfx dyn --kind {a,b-c}`\n"
+    assert documented_cli(readme) == ({"run", "dyn"}, {"a", "b-c"})
