@@ -200,7 +200,14 @@ class RoundRecord:
 @dataclass
 class SimState:
     """Runtime state: the whole population as per-streamer and per-viewer
-    arrays, and the round kernel's work buffers."""
+    arrays, and the round kernel's work buffers.
+
+    A run keeps only the viewer columns its rounds read: `interaction` is
+    None unless cfg.interaction_weight != 0, and `price_sens` (with the
+    streamers' `prices`) None unless cfg.prices is set. `preferred` and `last_choice` (-1 before a viewer's
+    first round) are held in the smallest signed integer dtype that holds
+    their values. The round kernel writes `last_choice` and `realized` in
+    place."""
 
     cfg: SimConfig
     rng: np.random.Generator
@@ -215,8 +222,8 @@ class SimState:
     active: np.ndarray
     lean_rounds: np.ndarray
     # viewer columns
-    interaction: np.ndarray
-    price_sens: np.ndarray
+    interaction: np.ndarray | None
+    price_sens: np.ndarray | None
     quality_sens: np.ndarray
     network_sens: np.ndarray
     preferred: np.ndarray
@@ -225,11 +232,20 @@ class SimState:
     # round bookkeeping
     prev_counts: np.ndarray
     mean_quality_sens: float
-    prices: np.ndarray
-    # the round kernel's (rows, N) block buffers, reused every round
+    prices: np.ndarray | None
+    # the round kernel's buffers, reused every round: (rows, N) blocks,
+    # one block's picks, and every viewer's realized utility
     u_buf: np.ndarray
     term_buf: np.ndarray
     match_buf: np.ndarray
+    pick_buf: np.ndarray
+    realized: np.ndarray
+
+
+def _index_dtype(top: int) -> np.dtype:
+    """The smallest signed integer dtype that holds -1 .. top."""
+    return np.dtype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                         if top <= np.iinfo(t).max))
 
 
 def init_platform(cfg: SimConfig) -> SimState:
@@ -239,8 +255,11 @@ def init_platform(cfg: SimConfig) -> SimState:
     cost coefficients are uniform on [0.1, 0.3]; viewer sensitivities use
     their stated uniform ranges. Identical seeds give identical
     populations, and the generator is left where round 1 draws from it.
-    The round kernel's block buffers are allocated here, zeroed, once per
-    run: one block of min(M, _BLOCK_CELLS // N) viewers (at least one).
+    Every column is drawn, in a fixed order, whether the run keeps it or
+    not, so the stream and the kept columns do not depend on the config's
+    interaction_weight or prices. The round kernel's buffers are allocated
+    here, zeroed, once per run: blocks of min(M, _BLOCK_CELLS // N) viewers
+    (at least one), and the (M,) realized utilities.
     """
     rng = np.random.default_rng(cfg.seed)
     n, m = cfg.n_streamers, cfg.n_viewers
@@ -249,14 +268,21 @@ def init_platform(cfg: SimConfig) -> SimState:
     cost_coef = rng.uniform(0.1, 0.3, size=n)
     content_type = rng.integers(0, cfg.n_content_types, size=n)
 
+    # a column the rounds never read is dropped as soon as it is drawn
     interaction = rng.uniform(0.2, 0.8, size=m)
+    if cfg.interaction_weight == 0.0:
+        interaction = None
     price_sens = rng.uniform(0.3, 0.7, size=m)
+    if cfg.prices is None:
+        price_sens = None
     quality_sens = rng.uniform(0.4, 0.8, size=m)
     network_sens = rng.uniform(0.1, 0.4, size=m)
-    preferred = rng.integers(0, cfg.n_content_types, size=m)
+    # drawn as int64, the dtype that fixes how integers read the stream
+    preferred = rng.integers(0, cfg.n_content_types, size=m).astype(
+        _index_dtype(cfg.n_content_types - 1))
     loyalty = rng.uniform(0.3, 0.7, size=m)
 
-    prices = np.asarray(cfg.prices, dtype=float) if cfg.prices is not None else np.zeros(n)
+    prices = np.asarray(cfg.prices, dtype=float) if cfg.prices is not None else None
     block = (min(max(1, _BLOCK_CELLS // n), m), n)
     return SimState(
         cfg=cfg,
@@ -276,13 +302,15 @@ def init_platform(cfg: SimConfig) -> SimState:
         network_sens=network_sens,
         preferred=preferred,
         loyalty=loyalty,
-        last_choice=np.full(m, -1, dtype=np.int64),
+        last_choice=np.full(m, -1, dtype=_index_dtype(n - 1)),
         prev_counts=np.zeros(n, dtype=np.int64),
         mean_quality_sens=float(quality_sens.mean()),
         prices=prices,
         u_buf=np.zeros(block),
         term_buf=np.zeros(block),
         match_buf=np.zeros(block, dtype=bool),
+        pick_buf=np.zeros(block[0], dtype=np.intp),
+        realized=np.zeros(m),
     )
 
 
@@ -336,7 +364,8 @@ def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> np
 
 
 def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """Each viewer's argmax of utility plus Gumbel noise, and its value there.
+    """Every viewer picks the argmax of utility plus Gumbel noise; returns the
+    round's (N,) audience counts and state.realized, the values there.
 
     Viewer j's systematic utility for streamer i is
         qs_j q_i + beta ns_j log1p(n_i) - ps_j p_i + match_bonus [pref_j == type_i]
@@ -349,7 +378,11 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     in the state's block buffers. Each cell goes through the same operations
     in the same order as a whole-matrix build, and drawing the noise block
     by block in row order consumes the generator exactly as one (M, N)
-    draw does, so the result does not depend on the block size.
+    draw does, so the result does not depend on the block size. A block's
+    picks go to state.pick_buf, its audience counts are added to the
+    round's, and the picks overwrite state.last_choice[block] once the
+    block's loyalty term has read it; the values go to state.realized[block].
+    A round allocates no (M,) array.
 
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),
     run op by op over a block of uniform doubles d from rng.random, so it
@@ -365,41 +398,41 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     best two totals lie that close; no test or benchmark run has shown one.
     """
     cfg = state.cfg
-    m = cfg.n_viewers
+    n, m = cfg.n_streamers, cfg.n_viewers
     rows = len(state.u_buf)
     lognet = np.log1p(state.prev_counts.astype(float))
-    network = cfg.network_effect_beta * state.network_sens
-    interaction = (
-        cfg.interaction_weight * state.interaction if cfg.interaction_weight != 0.0 else None
-    )
     log_boost = np.log(state.exposure_boost)
     exited = np.flatnonzero(~state.active)
     scale = cfg.random_effect_scale
+    row_index = np.arange(rows)
 
-    choices = np.empty(m, dtype=np.intp)
-    realized = np.empty(m)
+    counts = np.zeros(n, dtype=np.int64)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = block.stop - start
         u, term, match = state.u_buf[:k], state.term_buf[:k], state.match_buf[:k]
         np.multiply(state.quality_sens[block, None], state.quality, out=u)
-        u += np.multiply(network[block, None], lognet, out=term)
-        if cfg.prices is not None:  # ps * 0.0 is +0.0, and u - 0.0 == u
+        network = cfg.network_effect_beta * state.network_sens[block, None]
+        u += np.multiply(network, lognet, out=term)
+        if state.price_sens is not None:
             u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
         np.equal(state.preferred[block, None], state.content_type, out=match)
         u += np.multiply(cfg.match_bonus, match, out=term)
         u += log_boost
-        if interaction is not None:
-            u += np.multiply(interaction[block, None], lognet, out=term)
+        if state.interaction is not None:
+            interaction = cfg.interaction_weight * state.interaction[block, None]
+            u += np.multiply(interaction, lognet, out=term)
         last = state.last_choice[block]
         loyal = np.flatnonzero(last >= 0)
         u[loyal, last[loyal]] += state.loyalty[block][loyal]
         u[:, exited] = -np.inf
         if scale > 0:
             u += _gumbel_block(state.rng, scale, term)
-        picked = np.argmax(u, axis=1, out=choices[block])
-        realized[block] = u[np.arange(k), picked]
-    return choices, realized
+        picked = np.argmax(u, axis=1, out=state.pick_buf[:k])
+        counts += np.bincount(picked, minlength=n)
+        last[:] = picked
+        state.realized[block] = u[row_index[:k], picked]
+    return counts, state.realized
 
 
 def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
@@ -418,7 +451,7 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     """
     if cfg is not state.cfg:
         raise DomainError("run_round takes the config its state was built from")
-    n, m = cfg.n_streamers, cfg.n_viewers
+    m = cfg.n_viewers
 
     state.revenue_share[:] = cfg.base_revenue_share
     state.exposure_boost[:] = 1.0
@@ -427,8 +460,7 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
         if round_idx >= policy.start_round:
             apply_policy(policy, state, round_idx)
 
-    choices, realized = _choose_streamers(state)
-    counts = np.bincount(choices, minlength=n)
+    counts, realized = _choose_streamers(state)
 
     r = cfg.revenue_per_viewer
     streamer_rev = (1.0 - state.revenue_share) * r * counts + state.subsidy
@@ -466,7 +498,6 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
         if newly_exited.any() and bool((state.active & ~newly_exited).any()):
             state.active &= ~newly_exited
 
-    state.last_choice = choices
     state.prev_counts = counts
 
     return RoundRecord(

@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -297,6 +296,9 @@ def _run_scenarios(specs, out_dir, threads: int) -> list[RunArtifact]:
              for spec in specs for s in spec.seeds()]
     workers = min(threads, len(tasks))
     if workers > 1:
+        # imported here, so runs in process never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_simulate_seed, tasks))
     else:

@@ -60,7 +60,8 @@ def reference_round_utilities(state):
     lognet = np.log1p(state.prev_counts.astype(float))
     u = state.quality_sens[:, None] * state.quality[None, :]
     u = u + cfg.network_effect_beta * state.network_sens[:, None] * lognet[None, :]
-    u = u - state.price_sens[:, None] * state.prices[None, :]
+    if cfg.prices is not None:
+        u = u - state.price_sens[:, None] * state.prices[None, :]
     u = u + cfg.match_bonus * (state.preferred[:, None] == state.content_type[None, :])
     u = u + np.log(state.exposure_boost)[None, :]
     if cfg.interaction_weight != 0.0:
@@ -72,7 +73,9 @@ def reference_round_utilities(state):
 
 
 def reference_choose_streamers(state):
-    """One whole-matrix utility build and one (M, N) Gumbel draw."""
+    """One whole-matrix utility build and one (M, N) Gumbel draw; like the
+    kernel, it writes the picks to state.last_choice and returns the round's
+    (counts, realized)."""
     cfg = state.cfg
     m, n = cfg.n_viewers, cfg.n_streamers
     utilities = reference_round_utilities(state)
@@ -82,7 +85,17 @@ def reference_choose_streamers(state):
         noise = np.zeros((m, n))
     total = utilities + noise
     choices = np.argmax(total, axis=1)
-    return choices, total[np.arange(m), choices]
+    state.last_choice[:] = choices
+    return np.bincount(choices, minlength=n), total[np.arange(m), choices]
+
+
+def twin_of(state):
+    """A state sharing nothing the round kernels write with state: its own
+    generator, last choices and realized-utility buffer."""
+    return dataclasses.replace(
+        state, rng=copy.deepcopy(state.rng), last_choice=state.last_choice.copy(),
+        realized=state.realized.copy(),
+    )
 
 
 def assert_same_history(a, b):
@@ -116,7 +129,9 @@ class TestInitPlatform:
         assert c.min() >= 0.1 and c.max() <= 0.3
 
     def test_viewer_fields_within_bounds(self):
-        cfg = SimConfig(n_streamers=2, n_viewers=100000, n_rounds=0, seed=12)
+        # a config whose rounds read the interaction and price columns
+        cfg = SimConfig(n_streamers=2, n_viewers=100000, n_rounds=0, seed=12,
+                        interaction_weight=0.3, prices=(0.1, 0.2))
         state = init_platform(cfg)
         fields = {
             "interaction": (0.2, 0.8),
@@ -131,6 +146,46 @@ class TestInitPlatform:
             assert vals.min() >= lo and vals.max() <= hi
         assert set(state.preferred) == {0, 1, 2}
         assert np.all(state.last_choice == -1)
+
+    @pytest.mark.parametrize("interaction_weight", [0.0, 0.3])
+    @pytest.mark.parametrize("prices", [None, (0.1, 0.4, 0.2)])
+    def test_kept_columns_do_not_change_the_stream(self, interaction_weight, prices):
+        cfg = SimConfig(n_streamers=3, n_viewers=500, n_rounds=0, seed=17,
+                        interaction_weight=interaction_weight, prices=prices)
+        state = init_platform(cfg)
+        # every column drawn in init_platform's order, all kept
+        rng = np.random.default_rng(cfg.seed)
+        rng.normal(0.5, 0.2, size=3)
+        rng.uniform(0.1, 0.3, size=3)
+        rng.integers(0, cfg.n_content_types, size=3)
+        drawn = {"interaction": rng.uniform(0.2, 0.8, size=500),
+                 "price_sens": rng.uniform(0.3, 0.7, size=500),
+                 "quality_sens": rng.uniform(0.4, 0.8, size=500),
+                 "network_sens": rng.uniform(0.1, 0.4, size=500),
+                 "preferred": rng.integers(0, cfg.n_content_types, size=500),
+                 "loyalty": rng.uniform(0.3, 0.7, size=500)}
+        assert state.rng.bit_generator.state == rng.bit_generator.state
+        for name in ("quality_sens", "network_sens", "loyalty", "preferred"):
+            assert np.array_equal(getattr(state, name), drawn[name])
+        assert state.preferred.dtype == np.int8 and state.last_choice.dtype == np.int8
+        for name, kept in (("interaction", interaction_weight != 0.0),
+                           ("price_sens", prices is not None)):
+            if kept:
+                assert np.array_equal(getattr(state, name), drawn[name])
+            else:
+                assert getattr(state, name) is None
+
+    @pytest.mark.parametrize(
+        "n_streamers, n_content_types, dtypes",
+        [(128, 3, (np.int8, np.int8)), (129, 128, (np.int16, np.int8)),
+         (200, 129, (np.int16, np.int16))],
+    )
+    def test_index_columns_take_the_smallest_dtype(self, n_streamers, n_content_types, dtypes):
+        cfg = SimConfig(n_streamers=n_streamers, n_viewers=10, n_rounds=0,
+                        n_content_types=n_content_types)
+        state = init_platform(cfg)
+        assert (state.last_choice.dtype, state.preferred.dtype) == dtypes
+        assert state.preferred.max() < n_content_types
 
 
 class ZeroDrawGenerator:
@@ -156,7 +211,7 @@ class ZeroDrawGenerator:
 def noisy_round_states(draw):
     """A mid-run state whose viewer count sits near a block boundary, with
     any scale and any set of exited streamers short of all of them."""
-    n = draw(st.sampled_from([1, 2, 15, 40, 50]))
+    n = draw(st.sampled_from([1, 2, 15, 40, 50, 200]))
     rows = abm._BLOCK_CELLS // n
     m = draw(st.sampled_from([1, 37, rows - 1, rows, rows + 1, 2 * rows + 3]).filter(
         lambda m: 1 <= m <= 5000))
@@ -167,7 +222,7 @@ def noisy_round_states(draw):
     )
     state = init_platform(cfg)
     fill = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    state.last_choice = fill.integers(-1, n, size=m)
+    state.last_choice[:] = fill.integers(-1, n, size=m)
     state.prev_counts = fill.integers(0, 3 * m // n + 1, size=n)
     state.quality = fill.uniform(0.0, 1.0, size=n)
     keep = draw(st.integers(0, n - 1))
@@ -199,7 +254,7 @@ class TestChooseStreamers:
         )
         state = init_platform(cfg)
         draw = np.random.default_rng(5)
-        state.last_choice = draw.integers(-1, BLOCK_N, size=m)
+        state.last_choice[:] = draw.integers(-1, BLOCK_N, size=m)
         state.prev_counts = draw.integers(0, 3 * m // BLOCK_N, size=BLOCK_N)
         state.quality = draw.uniform(0.0, 1.0, size=BLOCK_N)
         state.exposure_boost[::3] = 1.2
@@ -210,23 +265,27 @@ class TestChooseStreamers:
     @pytest.mark.parametrize("scale", [0.2, 0.0])
     def test_one_round_matches_whole_matrix(self, m, scale):
         state = self.mid_run_state(m, random_effect_scale=scale)
-        twin = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
-        choices, realized = abm._choose_streamers(state)
-        ref_choices, ref_realized = reference_choose_streamers(twin)
-        assert np.array_equal(choices, ref_choices)
+        twin = twin_of(state)
+        counts, realized = abm._choose_streamers(state)
+        ref_counts, ref_realized = reference_choose_streamers(twin)
+        assert np.array_equal(state.last_choice, twin.last_choice)
+        assert np.array_equal(counts, ref_counts)
+        assert realized is state.realized
         # the noise goes through numpy's SIMD log, the reference's through libm
         np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
-        assert not np.isin(choices, [4, 17]).any()
+        assert not np.isin(state.last_choice, [4, 17]).any()
 
     @settings(max_examples=100, deadline=None)
     @given(state=noisy_round_states())
     def test_noise_kernel_matches_gumbel_reference(self, state):
-        twin = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
+        twin = twin_of(state)
         utility = reference_round_utilities(state)
-        choices, realized = abm._choose_streamers(state)
-        ref_choices, ref_realized = reference_choose_streamers(twin)
-        assert np.array_equal(choices, ref_choices)
+        counts, realized = abm._choose_streamers(state)
+        ref_counts, ref_realized = reference_choose_streamers(twin)
+        choices = state.last_choice
+        assert np.array_equal(choices, twin.last_choice)
+        assert np.array_equal(counts, ref_counts)
         assert state.active[choices].all()
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
         # Each log may round 1 ulp apart, which moves the noise by at most
@@ -260,19 +319,20 @@ class TestChooseStreamers:
     def test_zero_draw_redoes_block_with_gumbel(self):
         m = int(2.5 * BLOCK_ROWS)
         state = self.mid_run_state(m, random_effect_scale=0.2)
-        twin = dataclasses.replace(state, rng=copy.deepcopy(state.rng))
+        twin = twin_of(state)
         state.rng = ZeroDrawGenerator(state.rng, block=1, cell=(5, 7))
-        choices, realized = abm._choose_streamers(state)
-        ref_choices, ref_realized = reference_choose_streamers(twin)
+        counts, realized = abm._choose_streamers(state)
+        ref_counts, ref_realized = reference_choose_streamers(twin)
         assert state.rng.blocks == 3
-        assert np.array_equal(choices, ref_choices)
+        assert np.array_equal(state.last_choice, twin.last_choice)
+        assert np.array_equal(counts, ref_counts)
         redone = slice(BLOCK_ROWS, 2 * BLOCK_ROWS)
         assert np.array_equal(realized[redone], ref_realized[redone])
         np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
 
     def test_zero_sensitivities_give_zero_utility(self):
-        cfg = small_cfg(random_effect_scale=0.0, match_bonus=0.0)
+        cfg = small_cfg(random_effect_scale=0.0, match_bonus=0.0, prices=(0.5,) * 5)
         state = init_platform(cfg)
         for name in ("price_sens", "quality_sens", "network_sens", "loyalty"):
             getattr(state, name)[:] = 0.0
@@ -284,7 +344,8 @@ class TestChooseStreamers:
         cfg = SimConfig(n_streamers=1, n_viewers=50, random_effect_scale=0.0)
         state = init_platform(cfg)
         state.prev_counts[:] = 3
-        _, base = abm._choose_streamers(state)
+        base = abm._choose_streamers(state)[1].copy()  # the next call overwrites it
+        state.last_choice[:] = -1  # and would add each viewer's loyalty
         state.exposure_boost[:] = 2.0
         _, boosted = abm._choose_streamers(state)
         assert boosted - base == pytest.approx(np.full(50, np.log(2.0)), abs=1e-12)
@@ -295,8 +356,9 @@ class TestChooseStreamers:
         state.quality[:] = 0.0
         state.quality[0] = 1.0  # the favourite of every viewer, but gone
         state.active[0] = False
-        choices, realized = abm._choose_streamers(state)
-        assert not np.any(choices == 0)
+        counts, realized = abm._choose_streamers(state)
+        assert counts[0] == 0 and counts.sum() == cfg.n_viewers
+        assert not np.any(state.last_choice == 0)
         assert np.all(np.isfinite(realized))
 
 

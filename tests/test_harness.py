@@ -1,5 +1,6 @@
 """Tests for the scenario runner, config parsing, and exports."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -340,7 +341,7 @@ class TestOnePool:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=n_tasks, seed_base=0)
         artifact = run_scenario(spec, threads=threads)
         assert sizes == expected

@@ -1,9 +1,14 @@
 """Module-boundary rules of the headfx package, checked on its source,
-and the README's CLI reference, checked against the parser."""
+the README's CLI reference, checked against the parser, and the modules
+a run in process loads."""
 
 import argparse
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -415,3 +420,27 @@ def test_readme_documents_the_cli_the_parser_builds():
 def test_documented_cli_reader():
     readme = "- `headfx run [--x]` — a\n  `headfx walk` inline\n- `headfx dyn --kind {a,b-c}`\n"
     assert documented_cli(readme) == ({"run", "dyn"}, {"a", "b-c"})
+
+
+_POOL_MODULES = ("multiprocessing", "concurrent.futures")
+
+_IN_PROCESS_RUN = f"""
+import json, sys
+import headfx.cli
+loaded = [sorted(set({_POOL_MODULES!r}) & set(sys.modules))]
+code = headfx.cli.main(["simulate", "--config", "configs/combined.json", "--seeds", "1",
+                        "--threads", "1", "--out", sys.argv[1]])
+loaded.append(sorted(set({_POOL_MODULES!r}) & set(sys.modules)))
+print(json.dumps([code, loaded]))
+"""
+
+
+def test_runs_in_process_never_load_the_process_pool(tmp_path):
+    # The pool module is imported only by a command that starts a pool.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", _IN_PROCESS_RUN, str(tmp_path)], cwd=ROOT,
+                            env=env, capture_output=True, text=True, check=True)
+    code, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == [[], []]

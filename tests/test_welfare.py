@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headfx.abm import SimConfig, simulate
 from headfx.core import (
     Market,
     MarketState,
@@ -734,6 +735,20 @@ class TestGridOracle:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_abm_traced_peak_is_a_few_bytes_per_viewer(self):
+        # The ABM at M = 100,000, N = 50: three float64 viewer columns, two
+        # int8 ones and the (M,) realized utilities make 3.4 MB, the block
+        # buffers 1.1 MB. Every column kept as float64 or int64, with three
+        # fresh (M,) arrays a round, peaks above 9 MB.
+        simulate(SimConfig(n_streamers=2, n_viewers=10, n_rounds=1))  # lazy imports
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(n_streamers=50, n_viewers=100_000, n_rounds=3, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
 
 
 # Each entry point's own (tol, max_iter) when it is called without a config.
