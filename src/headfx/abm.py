@@ -143,8 +143,11 @@ class SimConfig:
                 raise DomainError(
                     f"prices has length {len(self.prices)}, expected {self.n_streamers}"
                 )
-            if not np.all(np.isfinite(np.asarray(self.prices, dtype=float))):
+            prices = np.asarray(self.prices, dtype=float)
+            if not np.all(np.isfinite(prices)):
                 raise NonFiniteError(f"prices must be finite, got {list(self.prices)}")
+            if np.any(prices < 0):
+                raise DomainError(f"prices must be >= 0, got {list(self.prices)}")
         if not (self.n_streamers >= 1 and self.n_viewers >= 1):
             raise DomainError("population counts must be >= 1")
         if not self.n_rounds >= 0:
@@ -480,23 +483,19 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     )
     # Per-round production capacity bound on organic investment.
     step = np.minimum(step, cfg.investment_step_cap)
-    if cfg.investment_min_revenue > 0.0:
-        cannot_afford = streamer_rev < cfg.investment_min_revenue
-        step = np.where(cannot_afford & (step > 0), 0.0, step)
+    cannot_afford = streamer_rev < cfg.investment_min_revenue
+    step = np.where(cannot_afford & (step > 0), 0.0, step)
     # Earmarked support converts directly into production capacity.
     step = step + cfg.subsidy_quality_efficiency * state.subsidy
     state.quality = np.clip(
         state.quality * (1.0 - cfg.quality_decay_rate) + step, 0.0, 1.0
     )
 
-    if cfg.exit_revenue_floor > 0.0:
-        lean = streamer_rev < cfg.exit_revenue_floor
-        state.lean_rounds = np.where(
-            state.active & lean, state.lean_rounds + 1, 0
-        )
-        newly_exited = state.active & (state.lean_rounds >= cfg.exit_patience)
-        if newly_exited.any() and bool((state.active & ~newly_exited).any()):
-            state.active &= ~newly_exited
+    lean = streamer_rev < cfg.exit_revenue_floor
+    state.lean_rounds = np.where(state.active & lean, state.lean_rounds + 1, 0)
+    newly_exited = state.active & (state.lean_rounds >= cfg.exit_patience)
+    if newly_exited.any() and bool((state.active & ~newly_exited).any()):
+        state.active &= ~newly_exited
 
     state.prev_counts = counts
 

@@ -9,7 +9,10 @@ failure, which includes an equilibrium solve that did not converge
 harness.write_table or harness.write_json: CSV tables with a header row
 and JSON sidecars, all UTF-8 with LF line ends. Each subcommand parses
 only the flags it reads, but equilibrium and dynamics accept --seed
-unread. equilibrium states the stability verdict of the joint
+unread. The solvers run at their library defaults: equilibrium at
+FixedPointConfig(), optimize-theta at optimize_allocation's tol, and
+the path-dependence twins of dynamics start core.PERTURBATION * M
+apart. equilibrium states the stability verdict of the joint
 equilibrium it solved (dynamics.stability_at), optimize-theta that of
 the audience equilibrium under theta* (dynamics.jacobian's audience
 block); an unstable point still exits 0.
@@ -25,11 +28,17 @@ from pathlib import Path
 import numpy as np
 
 from .abm import SimConfig
-from .core import Market, MarketState, PlatformParams, StreamerParams, streamer_profit
+from .core import (
+    PERTURBATION,
+    Market,
+    MarketState,
+    PlatformParams,
+    StreamerParams,
+    streamer_profit,
+)
 from .dynamics import (
     IntegratorConfig,
     assess_stability,
-    best_response_quality,
     hhi,
     integrate,
     jacobian,
@@ -60,6 +69,7 @@ from .harness import (
     write_json,
     write_table,
 )
+from .logit import quality_best_response
 from .metrics import METRIC_COLUMNS
 from .welfare import grid_search_allocation, optimize_allocation
 
@@ -109,20 +119,12 @@ def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     return spec
 
 
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
-
-
 def _cmd_equilibrium(args) -> int:
     spec = _load_scenario(args)
     platform, streamers = analytic_instance(spec.sim)
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
-    share, result = max_share_from_perturbed_start(
-        platform, streamers, FixedPointConfig(tol=args.tol)
-    )
+    share, result = max_share_from_perturbed_start(platform, streamers, FixedPointConfig())
     if not result.converged:
         raise NumericalError(
             f"equilibrium solve did not converge (residual {result.residual:.3g})"
@@ -156,12 +158,13 @@ def _cmd_dynamics(args) -> int:
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
+    market = Market.from_params(platform, streamers)
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
     if args.kind == "trajectory":
         # from the equilibrium probe's start, at the best response to even shares
-        n0 = Market.from_params(platform, streamers).perturbed_start()
-        q0 = best_response_quality(platform, streamers, np.full(n0.size, 1.0 / n0.size))
+        n0 = market.perturbed_start()
+        q0 = quality_best_response(market.revenue, market.c, np.full(n0.size, 1.0 / n0.size))
         traj = integrate(platform, streamers, MarketState(n=n0, q=q0), cfg)
         labels = range(1, n0.size + 1)
         path = write_table(
@@ -176,7 +179,7 @@ def _cmd_dynamics(args) -> int:
         print(f"wrote {path}")
     elif args.kind == "path-dependence":
         record = path_dependence_experiment(
-            platform, streamers, delta0=args.delta0 * platform.n_viewers, cfg=cfg
+            platform, streamers, delta0=PERTURBATION * market.m, cfg=cfg
         )
         rows = zip(record.times, record.gap_plus, record.gap_minus)
         path = write_table(args.out / "path_dependence.csv", ["t", "gap_plus", "gap_minus"],
@@ -186,17 +189,17 @@ def _cmd_dynamics(args) -> int:
         summary["terminal_hhi"] = record.terminal_hhi_plus
         summary["terminal_share_gap"] = record.terminal_share_gap
         print(f"wrote {path}")
-    elif args.kind == "portrait":
+    else:  # portrait
         if args.grid < 1:
             raise ConfigError(f"--grid must be >= 1, got {args.grid}")
-        m = float(platform.n_viewers)
+        m = market.m
         big_n = platform.n_streamers
         starts = []
         for share0 in np.linspace(0.05, 0.95, args.grid):
             n0 = np.full(big_n, (1.0 - share0) * m / max(big_n - 1, 1))
             n0[0] = share0 * m
             starts.append(
-                MarketState(n=n0, q=best_response_quality(platform, streamers, n0 / m))
+                MarketState(n=n0, q=quality_best_response(market.revenue, market.c, n0 / m))
             )
         portrait = phase_portrait(platform, streamers, starts, cfg)
         path = export_phase_csv(portrait, args.out / "phase_portrait.csv")
@@ -205,8 +208,6 @@ def _cmd_dynamics(args) -> int:
         terminal_hhis = [hhi(t.terminal.n) for t in portrait.completed()]
         summary["terminal_hhi"] = terminal_hhis
         print(f"wrote {path}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown dynamics kind {args.kind!r}")
 
     sidecar = write_json(args.out / "dynamics_summary.json", summary)
     print(f"wrote {sidecar}")
@@ -215,7 +216,7 @@ def _cmd_dynamics(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load_scenario(args)
-    artifact = run_scenario(spec, out_dir=args.out, threads=_threads(args))
+    artifact = run_scenario(spec, out_dir=args.out, threads=args.threads)
     for kind in ("viewers", "revenues", "quality", "satisfaction"):
         export_plot_data(artifact, kind, args.out / "plots")
     print(f"{spec.name}: {spec.n_seeds} seeds -> {args.out / spec.name}")
@@ -230,7 +231,7 @@ def _cmd_ab_test(args) -> int:
         make_scenario(name, sim=base.sim, n_seeds=base.n_seeds, seed_base=base.seed_base)
         for name in args.scenarios
     ]
-    comparison = ab_compare(specs, out_dir=args.out, threads=_threads(args))
+    comparison = ab_compare(specs, out_dir=args.out, threads=args.threads)
     header = "scenario      " + "  ".join(f"{c:>18s}" for c in METRIC_COLUMNS)
     print(header)
     for art in comparison.artifacts:
@@ -262,7 +263,7 @@ def _cmd_sweep(args) -> int:
             values=tuple(_parse_values(args.parameter, args.values)),
             base=_apply_seed_flags(spec, args),
         )
-    artifact = sensitivity_sweep(spec, out_dir=args.out, threads=_threads(args))
+    artifact = sensitivity_sweep(spec, out_dir=args.out, threads=args.threads)
     print(f"wrote {args.out / f'sweep_{spec.parameter}.csv'}")
     for value, art in zip(artifact.values, artifact.artifacts):
         print(
@@ -284,7 +285,7 @@ def _cmd_optimize_theta(args) -> int:
     platform, streamers, q = parse_instance(args.instance)
     if args.grid_oracle:
         theta_grid, w_grid = grid_search_allocation(platform, streamers, q)
-    solution = optimize_allocation(platform, streamers, q, tol=args.tol)
+    solution = optimize_allocation(platform, streamers, q)
     breakdown = solution.breakdown
     # The welfare layer holds q fixed, so the verdict is the audience
     # block's: the joint (n, q) flow is not at rest at this state.
@@ -349,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", parents=[scenario], help="solve the static equilibrium")
     p_eq.add_argument("--beta", type=float, default=None, help="network-effect override")
-    p_eq.add_argument("--tol", type=float, default=1e-10)
     p_eq.set_defaults(func=_cmd_equilibrium)
 
     p_dyn = sub.add_parser("dynamics", parents=[scenario], help="integrate the dynamic system")
@@ -361,8 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["trajectory", "path-dependence", "portrait"],
         default="trajectory",
     )
-    p_dyn.add_argument("--delta0", type=float, default=1e-3,
-                       help="initial perturbation as a fraction of M")
     p_dyn.add_argument("--record-every", type=int, default=100)
     p_dyn.add_argument("--grid", type=int, default=5, help="portrait grid size")
     p_dyn.set_defaults(func=_cmd_dynamics)
@@ -382,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize-theta", parents=[output],
                            help="optimize promotion shares for an instance file")
     p_opt.add_argument("--instance", type=str, required=True)
-    p_opt.add_argument("--tol", type=float, default=1e-8)
     p_opt.add_argument("--grid-oracle", action="store_true")
     p_opt.set_defaults(func=_cmd_optimize_theta)
     return parser

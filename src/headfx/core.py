@@ -144,10 +144,10 @@ class Market:
         """The audience split m / N for every streamer."""
         return np.full(self.alpha.shape[0], self.m / self.alpha.shape[0])
 
-    def perturbed_start(self, perturbation: float = PERTURBATION) -> np.ndarray:
-        """The symmetric split with streamer 0 nudged up by perturbation * m."""
+    def perturbed_start(self) -> np.ndarray:
+        """The symmetric split with streamer 0 nudged up by PERTURBATION * m."""
         n0 = self.symmetric_split()
-        n0[0] = min(n0[0] + perturbation * self.m, self.m)
+        n0[0] = min(n0[0] + PERTURBATION * self.m, self.m)
         return n0
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "StabilityReport",
     "PathDependenceRecord",
     "PortraitResult",
-    "best_response_quality",
     "integrate",
     "jacobian",
     "assess_stability",
@@ -158,12 +157,6 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
         return speed * (slope - drain * s)
 
     return f
-
-
-def best_response_quality(platform: PlatformParams, streamers, shares) -> np.ndarray:
-    """Myopic best-response quality with the choice probabilities held at shares."""
-    market = Market.from_params(platform, streamers)
-    return quality_best_response(market.revenue, market.c, np.asarray(shares, dtype=float))
 
 
 def _divergence(n, q, m: float, t: float) -> DivergenceError | None:

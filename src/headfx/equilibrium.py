@@ -69,11 +69,6 @@ class EquilibriumResult:
         return float(self.shares().max()) if self.state.n.sum() > 0 else 0.0
 
 
-def _check_audiences(n, m: float) -> None:
-    if np.any(n < 0) or np.any(n > m):
-        raise DomainError("n0 entries must lie in [0, M]")
-
-
 def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
     """Alternate viewer fixed points and quality best responses for K starts.
 
@@ -99,7 +94,6 @@ def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
     rounds = np.full(n.shape[0], cfg.max_iter)
     rows = np.arange(n.shape[0])
     for outer in range(1, cfg.max_iter + 1):
-        _check_audiences(n, m)
         n_new, inner_converged, _, _ = viewer_fixed_point(market, q, n, cfg, theta_vec)
         p = n_new / m
         q_target = quality_best_response(revenue, c, p)
@@ -124,7 +118,6 @@ def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
         n_out[rows] = n
         q_out[rows] = q
 
-    _check_audiences(n_out, m)
     n_polished, polished, _, residual = viewer_fixed_point(market, q_out, n_out, cfg, theta_vec)
     return n_polished, q_out, settled & polished, rounds, residual
 
@@ -157,7 +150,12 @@ def solve_joint_equilibrium(
     """
     market = Market.from_params(platform, streamers)
     theta_vec = theta.theta if theta is not None else None
-    n = market.symmetric_split() if n0 is None else np.asarray(n0, dtype=float)
+    if n0 is None:
+        n = market.symmetric_split()
+    else:
+        n = np.asarray(n0, dtype=float)
+        if np.any(n < 0) or np.any(n > market.m):
+            raise DomainError("n0 entries must lie in [0, M]")
     q = None if q0 is None else np.asarray(q0, dtype=float)[np.newaxis]
     (result,) = _results(*_joint_equilibrium_batch(market, n[np.newaxis], q, cfg, theta_vec))
     return result

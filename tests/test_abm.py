@@ -567,6 +567,11 @@ class TestRunSimulation:
         with pytest.raises(DomainError):
             PolicyIntervention("subsidy", per_round_amount=nan)
 
+    def test_negative_prices_rejected(self):
+        # the domain PlatformParams accepts, so the analytic commands take every config
+        with pytest.raises(DomainError, match=r"prices must be >= 0, got \[-1.0, 0.0, 2.0\]"):
+            SimConfig(n_streamers=3, prices=(-1.0, 0.0, 2.0))
+
     @pytest.mark.parametrize("name", abm._INT_FIELDS)
     @pytest.mark.parametrize("value", [100.5, 2.0, True, "3"])
     def test_integer_fields_reject_non_integers(self, name, value):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headfx import equilibrium
 from headfx.core import (
     Market,
     MarketState,
@@ -134,6 +135,16 @@ class TestJointEquilibrium:
         plat, streamers = symmetric_instance()
         with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
             solve_joint_equilibrium(plat, streamers, CFG, n0=np.array([150.0, 0.0]))
+
+    @pytest.mark.parametrize("n0", [[150.0, 0.0], [-1.0, 50.0], [50.0, 100.0 + 1e-9]])
+    def test_start_outside_box_rejected_before_any_sweep(self, monkeypatch, n0):
+        def sweep(*args):
+            raise AssertionError("a viewer sweep ran from a rejected start")
+
+        monkeypatch.setattr(equilibrium, "viewer_fixed_point", sweep)
+        plat, streamers = symmetric_instance()
+        with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
+            solve_joint_equilibrium(plat, streamers, CFG, n0=np.array(n0))
 
     def test_symmetric_quality_closed_form(self):
         plat, streamers = symmetric_instance(beta=0.001, c=2.0)

@@ -1,6 +1,6 @@
 """Module-boundary rules of the headfx package, checked on its source,
-the README's CLI reference, checked against the parser, and the modules
-a run in process loads."""
+the README's CLI reference (subcommands, dynamics kinds and flags),
+checked against the parser, and the modules a run in process loads."""
 
 import argparse
 import ast
@@ -420,6 +420,37 @@ def test_readme_documents_the_cli_the_parser_builds():
 def test_documented_cli_reader():
     readme = "- `headfx run [--x]` — a\n  `headfx walk` inline\n- `headfx dyn --kind {a,b-c}`\n"
     assert documented_cli(readme) == ({"run", "dyn"}, {"a", "b-c"})
+
+
+def documented_flags(readme: str) -> set[str]:
+    """Every `--flag` a README names in its `## CLI` section."""
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+
+
+def parser_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """The long option strings of a parser and its subparsers, except --help."""
+    flags = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+        else:
+            flags.update(o for o in action.option_strings if o.startswith("--"))
+    return flags - {"--help"}
+
+
+def test_readme_documents_every_flag_the_parser_builds():
+    # A flag no document names cannot hide in the parser, and a deleted
+    # one cannot stay documented.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert documented_flags(readme) == parser_flags(cli._build_parser())
+
+
+def test_documented_flags_reader():
+    readme = ("## Install\n`pip --no-deps`\n## CLI\n`headfx run [--x-y N]`, `--z` and a--b\n"
+              "## Config\n`--w`\n")
+    assert documented_flags(readme) == {"--x-y", "--z"}
 
 
 _POOL_MODULES = ("multiprocessing", "concurrent.futures")
