@@ -240,7 +240,6 @@ class SimState:
     # one block's picks, and every viewer's realized utility
     u_buf: np.ndarray
     term_buf: np.ndarray
-    match_buf: np.ndarray
     pick_buf: np.ndarray
     realized: np.ndarray
 
@@ -311,7 +310,6 @@ def init_platform(cfg: SimConfig) -> SimState:
         prices=prices,
         u_buf=np.zeros(block),
         term_buf=np.zeros(block),
-        match_buf=np.zeros(block, dtype=bool),
         pick_buf=np.zeros(block[0], dtype=np.intp),
         realized=np.zeros(m),
     )
@@ -408,19 +406,20 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     exited = np.flatnonzero(~state.active)
     scale = cfg.random_effect_scale
     row_index = np.arange(rows)
+    bonus = cfg.match_bonus * (np.arange(cfg.n_content_types)[:, None] == state.content_type)
 
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = block.stop - start
-        u, term, match = state.u_buf[:k], state.term_buf[:k], state.match_buf[:k]
+        u, term = state.u_buf[:k], state.term_buf[:k]
         np.multiply(state.quality_sens[block, None], state.quality, out=u)
         network = cfg.network_effect_beta * state.network_sens[block, None]
         u += np.multiply(network, lognet, out=term)
         if state.price_sens is not None:
             u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
-        np.equal(state.preferred[block, None], state.content_type, out=match)
-        u += np.multiply(cfg.match_bonus, match, out=term)
+        # preferred is in range; mode "raise" would copy through a temporary block
+        u += np.take(bonus, state.preferred[block], axis=0, out=term, mode="clip")
         u += log_boost
         if state.interaction is not None:
             interaction = cfg.interaction_weight * state.interaction[block, None]

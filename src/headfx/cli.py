@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abm import SimConfig
+from .abm import SimConfig, init_platform
 from .core import (
     PERTURBATION,
     Market,
@@ -79,24 +79,25 @@ __all__ = ["main"]
 def analytic_instance(sim: SimConfig) -> tuple[PlatformParams, list[StreamerParams]]:
     """Map a scenario config onto the closed-form model.
 
-    Streamer attractiveness is the mean viewer quality sensitivity (0.6),
-    cost coefficients are drawn from the same uniform range as the agent
-    population (seeded), and prices default to zero.
+    The market is the population of the ABM run with seed sim.seed, from
+    abm.init_platform: its streamers' cost coefficients, and alpha the
+    viewers' mean quality sensitivity on the analytic logit's unit scale
+    (the ABM's logit divides utilities by random_effect_scale, and its
+    network term is beta ns_j log1p(n_i), not beta n_i). N, M, beta, tau,
+    revenue per viewer and prices (zero if unset) come from the config.
     """
-    rng = np.random.default_rng(sim.seed)
-    cost = rng.uniform(0.1, 0.3, size=sim.n_streamers)
+    population = init_platform(sim)
     platform = PlatformParams(
         n_streamers=sim.n_streamers,
         n_viewers=sim.n_viewers,
         beta=sim.network_effect_beta,
         tau=sim.base_revenue_share,
         revenue_per_viewer=sim.revenue_per_viewer,
-        gamma=1.0,
-        phi=1.0,
-        prices=np.asarray(sim.prices, dtype=float) if sim.prices is not None else None,
+        prices=sim.prices,
     )
     streamers = [
-        StreamerParams(alpha=0.6, eta=1.0, cost_coefficient=float(c)) for c in cost
+        StreamerParams(alpha=population.mean_quality_sens, cost_coefficient=float(c))
+        for c in population.cost_coef
     ]
     return platform, streamers
 

@@ -201,13 +201,14 @@ def optimize_allocation(
     takes the gradient of the welfare there (see _welfare_raw), and moves
     theta <- project(theta + s g) with a backtracking line search that
     never accepts a welfare decrease (beyond float noise). Terminates on
-    the complementary-slackness KKT residual, tol, within max_iter steps;
-    step is the largest step tried. Without fp_cfg the viewer fixed point
-    runs to tol 1e-13 within 20000 sweeps, undamped when beta M < 2 (a
-    max-norm contraction with factor at most beta M / 2) and with damping
-    0.5 otherwise; a given fp_cfg is used as it is. The result is the last
-    accepted evaluation, converged only if its KKT residual is at most tol
-    and its fixed point converged. Raises NumericalError where
+    the complementary-slackness KKT residual, tol, within max_iter steps.
+    step is the first step tried; each search starts from the last
+    accepted step and only halves it. Without fp_cfg the viewer fixed
+    point runs to tol 1e-13 within 20000 sweeps, undamped when beta M < 2
+    (a max-norm contraction with factor at most beta M / 2) and with
+    damping 0.5 otherwise; a given fp_cfg is used as it is. The result is
+    the last accepted evaluation, converged only if its KKT residual is at
+    most tol and its fixed point converged. Raises NumericalError where
     I - beta M dP/dV is singular at a visited equilibrium.
     """
     controls = SimpleNamespace(step=step, tol=tol, max_iter=max_iter)
@@ -231,12 +232,11 @@ def optimize_allocation(
     )
     breakdown, n, g, converged = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
 
-    s_prev = step
+    s = step
     for iterations in range(1, max_iter + 1):
         residual = _kkt_residual(g, theta)
         if residual <= tol:
             break
-        s = min(step, 2.0 * s_prev)
         for _ in range(60):
             trial = simplex_project(theta + s * g).theta
             evaluation = _welfare_raw(market, q, trial, fp_cfg, n)
@@ -245,7 +245,7 @@ def optimize_allocation(
             s *= 0.5
         else:
             break
-        theta, s_prev = trial, s
+        theta = trial
         breakdown, n, g, converged = evaluation
 
     residual = _kkt_residual(g, theta)

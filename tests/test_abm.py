@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headfx import abm
+from headfx import abm, logit
 from headfx.abm import (
     PolicyIntervention,
     SimConfig,
@@ -360,6 +360,32 @@ class TestChooseStreamers:
         assert counts[0] == 0 and counts.sum() == cfg.n_viewers
         assert not np.any(state.last_choice == 0)
         assert np.all(np.isfinite(realized))
+
+
+# The 0.999 quantile of the chi-square distribution with 14 degrees of freedom.
+CHI2_14_Q999 = 36.123
+
+
+class TestChoiceIsLogit:
+    def test_counts_follow_the_logit_probabilities(self):
+        # The argmax of u + Gumbel(0, s) is the logit softmax(u / s)
+        # (McFadden 1974; Train, Discrete Choice Methods, ch. 3). With no
+        # last choice there is no loyalty term, so every round draws from
+        # the same per-viewer probabilities. Seeds and round count were
+        # fixed before the statistic was computed.
+        rounds = 100
+        cfg = SimConfig(n_streamers=15, n_viewers=2000, seed=11)
+        state = init_platform(cfg)
+        state.prev_counts = np.random.default_rng(12).integers(0, 300, size=15)
+        expected = rounds * logit.softmax(
+            reference_round_utilities(state) / cfg.random_effect_scale).sum(axis=0)
+        observed = np.zeros(15, dtype=np.int64)
+        for _ in range(rounds):
+            state.last_choice[:] = -1
+            counts, _ = abm._choose_streamers(state)
+            observed += counts
+        assert observed.sum() == rounds * cfg.n_viewers
+        assert np.sum((observed - expected) ** 2 / expected) < CHI2_14_Q999
 
 
 class TestRunRound:

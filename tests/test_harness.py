@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfx import cli, equilibrium, harness, welfare
-from headfx.abm import POLICY_KINDS, SimConfig, simulate
+from headfx.abm import POLICY_KINDS, SimConfig, init_platform, simulate
 from headfx.cli import main
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import ConfigError, DomainError
@@ -808,7 +808,7 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "beta, verdict, max_real",
-        [(["--beta", "0"], "unstable", 16.44), ([], "stable", -0.201)],
+        [(["--beta", "0"], "unstable", 16.31), ([], "stable", -0.2113)],
         ids=["beta_0", "config_beta"],
     )
     def test_equilibrium_states_its_stability(self, tmp_path, capsys, beta, verdict,
@@ -827,6 +827,19 @@ class TestCli:
         assert summary["eigen_real_parts"][0] == pytest.approx(max_real, rel=1e-3)
         assert {p.name for p in out.iterdir()} == {"equilibrium.csv",
                                                    "equilibrium_summary.json"}
+
+    @pytest.mark.parametrize("config", [BASELINE, str(CONFIGS / "combined.json")],
+                             ids=["baseline", "combined"])
+    def test_analytic_instance_is_the_abm_population(self, config):
+        # equilibrium and dynamics solve the market the seed's ABM run simulates
+        sim = parse_config(config).sim
+        population = init_platform(sim)
+        platform, streamers = cli.analytic_instance(sim)
+        assert platform.n_streamers == len(streamers) == sim.n_streamers
+        assert platform.n_viewers == sim.n_viewers
+        costs = np.array([s.cost_coefficient for s in streamers])
+        assert costs.tobytes() == population.cost_coef.tobytes()
+        assert {s.alpha for s in streamers} == {population.mean_quality_sens}
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -399,6 +399,45 @@ def test_outer_product_checker(source, flagged):
     assert bool(outer_products(ast.parse(source))) == flagged
 
 
+def generator_builds(tree: ast.Module) -> list[str]:
+    """Every numpy generator a module builds: default_rng calls and imports."""
+    found = []
+    for node in ast.walk(tree):
+        name = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if name is not None and name.split(".")[-1] == "default_rng":
+            found.append(f"line {node.lineno}: calls {name}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [f"line {node.lineno}: imports default_rng" for a in node.names
+                      if a.name == "default_rng"]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("abm.py", "equilibrium.py")],
+    ids=lambda p: p.name,
+)
+def test_only_abm_and_equilibrium_build_generators(path):
+    # The population is drawn once, by abm.init_platform; equilibrium draws
+    # only its enumeration starts. A second draw of the market cannot return.
+    assert generator_builds(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("rng = np.random.default_rng(seed)", True),
+        ("import numpy\nnumpy.random.default_rng(0)", True),
+        ("from numpy.random import default_rng\ndefault_rng(1)", True),
+        ("from numpy.random import default_rng", True),
+        ("state = init_platform(sim)", False),
+        ("rng.uniform(0.1, 0.3, size=n)", False),
+        ("from numpy.random import Generator", False),
+    ],
+)
+def test_generator_build_checker(source, flagged):
+    assert bool(generator_builds(ast.parse(source))) == flagged
+
+
 def documented_cli(readme: str) -> tuple[set[str], set[str]]:
     """The subcommands of a README's `headfx <subcommand>` bullets, and the
     members of its one `--kind {...}` set."""

@@ -373,17 +373,30 @@ class TestOptimizeAllocation:
 
     def test_line_search_halves_steps_that_lower_welfare(self, monkeypatch):
         # A step far above 1 / |g| projects onto the vertex of the largest
-        # gradient entry, where welfare is below the start's: trial steps are
-        # halved, none that loses more than float noise is taken, and a
-        # search cut at max_iter is not reported converged.
+        # gradient entry, where welfare is below the start's: that trial is
+        # halved, not taken, no step that loses more than float noise is
+        # taken, and a search cut at max_iter is not reported converged.
         plat, streamers, q = _interior_optimum_instance()
         calls = _record_welfare_raw(monkeypatch)
-        sol = optimize_allocation(plat, streamers, q, step=100.0, max_iter=20)
-        assert len(calls) > 1 + 20  # the start and an accepted step per iteration
+        sol = optimize_allocation(plat, streamers, q, step=100.0, max_iter=2)
+        assert sol.iterations == 2
+        assert len(calls) > 1 + 2  # the start and an accepted step per iteration
         start = calls[0][1][0].total
         assert np.array_equal(calls[1][0][2], [1.0, 0.0]) and calls[1][1][0].total < start
-        assert sol.welfare >= start - 20 * 1e-12 * (1.0 + abs(start))
+        assert 0.0 < sol.theta.theta[0] < 1.0
+        assert sol.welfare >= start - 2 * 1e-12 * (1.0 + abs(start))
         assert not sol.converged and sol.kkt_residual > 1e-8
+
+    @pytest.mark.parametrize("m", [500, 5_000, 50_000])
+    def test_interior_optimum_converges_at_large_m(self, m):
+        # beta M held at 0.5: the gradient grows with M, and a line search
+        # that re-grew its step zig-zagged for all 500 iterations.
+        plat, streamers, q = _interior_optimum_instance()
+        small = optimize_allocation(plat, streamers, q)
+        scaled = dataclasses.replace(plat, n_viewers=m, beta=plat.beta * plat.n_viewers / m)
+        sol = optimize_allocation(scaled, streamers, q)
+        assert small.converged and sol.converged and sol.kkt_residual <= 1e-8
+        assert np.max(np.abs(sol.theta.theta - small.theta.theta)) <= 1e-6
 
     def test_stops_when_no_halved_step_keeps_the_welfare(self, monkeypatch):
         # With a one-sweep fixed point even the shortest trial step lands on
