@@ -406,7 +406,8 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     exited = np.flatnonzero(~state.active)
     scale = cfg.random_effect_scale
     row_index = np.arange(rows)
-    bonus = cfg.match_bonus * (np.arange(cfg.n_content_types)[:, None] == state.content_type)
+    match = np.arange(cfg.n_content_types)[:, None] == state.content_type
+    bonus = float(cfg.match_bonus) * match  # float64 for np.take's out=, an int bonus too
 
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, m, rows):

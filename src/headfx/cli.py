@@ -79,12 +79,11 @@ __all__ = ["main"]
 def analytic_instance(sim: SimConfig) -> tuple[PlatformParams, list[StreamerParams]]:
     """Map a scenario config onto the closed-form model.
 
-    The market is the population of the ABM run with seed sim.seed, from
-    abm.init_platform: its streamers' cost coefficients, and alpha the
-    viewers' mean quality sensitivity on the analytic logit's unit scale
-    (the ABM's logit divides utilities by random_effect_scale, and its
-    network term is beta ns_j log1p(n_i), not beta n_i). N, M, beta, tau,
-    revenue per viewer and prices (zero if unset) come from the config.
+    The market is abm.init_platform(sim), and from the CLI sim.seed is always
+    0 (a config's seed key moves only the ABM runs' seeds): its streamers'
+    cost coefficients, and alpha the viewers' mean quality sensitivity on the
+    analytic logit's unit scale (the ABM's divides by random_effect_scale; its
+    network term is beta ns_j log1p(n_i), not beta n_i). The rest is the config's.
     """
     population = init_platform(sim)
     platform = PlatformParams(

@@ -276,6 +276,20 @@ class TestChooseStreamers:
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
         assert not np.isin(state.last_choice, [4, 17]).any()
 
+    @pytest.mark.parametrize("bonus", [0, 1])
+    def test_integer_bonus_runs_as_its_float(self, bonus):
+        m = int(1.5 * BLOCK_ROWS)
+        state = self.mid_run_state(m, match_bonus=bonus)
+        twin = twin_of(state)
+        as_float = twin_of(self.mid_run_state(m, match_bonus=float(bonus)))
+        counts, realized = abm._choose_streamers(state)
+        ref_counts, ref_realized = reference_choose_streamers(twin)
+        float_counts, float_realized = abm._choose_streamers(as_float)
+        assert np.array_equal(counts, ref_counts)
+        np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
+        assert np.array_equal(counts, float_counts)
+        assert np.array_equal(realized, float_realized)
+
     @settings(max_examples=100, deadline=None)
     @given(state=noisy_round_states())
     def test_noise_kernel_matches_gumbel_reference(self, state):

@@ -581,6 +581,19 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_integer_override_runs_as_its_float(self, tmp_path):
+        # JSON integers reach SimConfig as ints; the round kernel's float buffers take them
+        outputs = []
+        for bonus in (0, 0.0):
+            cfg = write_config(tmp_path, {
+                "name": "Baseline", "n_seeds": 2, "overrides": {"match_bonus": bonus},
+                "platform": {"n_streamers": 6, "n_viewers": 80, "n_rounds": 10},
+            })
+            out = tmp_path / type(bonus).__name__
+            assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(_files(out))
+        assert outputs[0] == outputs[1]
+
     def test_equilibrium_csv_columns(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
