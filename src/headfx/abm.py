@@ -84,7 +84,8 @@ class PolicyIntervention:
             )
 
 
-_INT_FIELDS = ("n_streamers", "n_viewers", "n_rounds", "exit_patience", "n_content_types")
+_INT_FIELDS = ("n_streamers", "n_viewers", "n_rounds", "seed", "exit_patience",
+               "n_content_types")
 _FLOAT_FIELDS = (
     "base_revenue_share",
     "network_effect_beta",
@@ -152,6 +153,13 @@ class SimConfig:
             raise DomainError("population counts must be >= 1")
         if not self.n_rounds >= 0:
             raise DomainError(f"n_rounds must be >= 0, got {self.n_rounds}")
+        if not self.seed >= 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        # a JSON "false" is a string, and any string is truthy
+        if not isinstance(self.boost_investment, (bool, np.bool_)):
+            raise DomainError(
+                f"boost_investment must be true or false, got {self.boost_investment!r}"
+            )
         if not 0.0 <= self.base_revenue_share < 1.0:
             raise DomainError(f"base_revenue_share must lie in [0, 1), got {self.base_revenue_share}")
         if not 0.0 <= self.quality_decay_rate < 1.0:
@@ -203,14 +211,14 @@ class RoundRecord:
 @dataclass
 class SimState:
     """Runtime state: the whole population as per-streamer and per-viewer
-    arrays, and the round kernel's work buffers.
+    arrays, and what the next round reads of the last one.
 
     A run keeps only the viewer columns its rounds read: `interaction` is
     None unless cfg.interaction_weight != 0, and `price_sens` (with the
-    streamers' `prices`) None unless cfg.prices is set. `preferred` and `last_choice` (-1 before a viewer's
-    first round) are held in the smallest signed integer dtype that holds
-    their values. The round kernel writes `last_choice` and `realized` in
-    place."""
+    streamers' `prices`) None unless cfg.prices is set. `preferred` and
+    `last_choice` (-1 before a viewer's first round) are held in the
+    smallest signed integer dtype that holds their values. The round
+    kernel writes `last_choice` in place; its work buffers are its own."""
 
     cfg: SimConfig
     rng: np.random.Generator
@@ -236,12 +244,6 @@ class SimState:
     prev_counts: np.ndarray
     mean_quality_sens: float
     prices: np.ndarray | None
-    # the round kernel's buffers, reused every round: (rows, N) blocks,
-    # one block's picks, and every viewer's realized utility
-    u_buf: np.ndarray
-    term_buf: np.ndarray
-    pick_buf: np.ndarray
-    realized: np.ndarray
 
 
 def _index_dtype(top: int) -> np.dtype:
@@ -259,9 +261,8 @@ def init_platform(cfg: SimConfig) -> SimState:
     populations, and the generator is left where round 1 draws from it.
     Every column is drawn, in a fixed order, whether the run keeps it or
     not, so the stream and the kept columns do not depend on the config's
-    interaction_weight or prices. The round kernel's buffers are allocated
-    here, zeroed, once per run: blocks of min(M, _BLOCK_CELLS // N) viewers
-    (at least one), and the (M,) realized utilities.
+    interaction_weight or prices. Nothing else is allocated: the round
+    kernel's buffers live for one round.
     """
     rng = np.random.default_rng(cfg.seed)
     n, m = cfg.n_streamers, cfg.n_viewers
@@ -285,7 +286,6 @@ def init_platform(cfg: SimConfig) -> SimState:
     loyalty = rng.uniform(0.3, 0.7, size=m)
 
     prices = np.asarray(cfg.prices, dtype=float) if cfg.prices is not None else None
-    block = (min(max(1, _BLOCK_CELLS // n), m), n)
     return SimState(
         cfg=cfg,
         rng=rng,
@@ -308,10 +308,6 @@ def init_platform(cfg: SimConfig) -> SimState:
         prev_counts=np.zeros(n, dtype=np.int64),
         mean_quality_sens=float(quality_sens.mean()),
         prices=prices,
-        u_buf=np.zeros(block),
-        term_buf=np.zeros(block),
-        pick_buf=np.zeros(block[0], dtype=np.intp),
-        realized=np.zeros(m),
     )
 
 
@@ -364,26 +360,58 @@ def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> np
     return np.subtract(0.0, out, out=out)
 
 
-def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """Every viewer picks the argmax of utility plus Gumbel noise; returns the
-    round's (N,) audience counts and state.realized, the values there.
+def _systematic_utility(state: SimState, block: slice, u: np.ndarray,
+                        term: np.ndarray) -> np.ndarray:
+    """Fill u, of shape (rows of block, N), with the block's viewers'
+    systematic utilities, and return it; term is scratch of u's shape.
 
     Viewer j's systematic utility for streamer i is
         qs_j q_i + beta ns_j log1p(n_i) - ps_j p_i + match_bonus [pref_j == type_i]
         + log(boost_i) + w inter_j log1p(n_i) + loyalty_j [last_j == i],
-    with -inf for streamers that exited, where n_i is last round's audience.
-    The network term damps the raw count at large viewer pools, and the
-    exposure boost acts as a multiplicative logit weight.
+    with -inf for streamers that exited, where n_i = state.prev_counts[i] is
+    last round's audience (integer or float). The network term damps the
+    raw count at large viewer pools, and the exposure boost acts as a
+    multiplicative logit weight. This is the one place the ABM's utility is
+    written: the round kernel adds Gumbel noise to it.
+    """
+    cfg = state.cfg
+    lognet = np.log1p(state.prev_counts.astype(float))
+    match = np.arange(cfg.n_content_types)[:, None] == state.content_type
+    bonus = float(cfg.match_bonus) * match  # float64 for np.take's out=, an int bonus too
+    np.multiply(state.quality_sens[block, None], state.quality, out=u)
+    network = cfg.network_effect_beta * state.network_sens[block, None]
+    u += np.multiply(network, lognet, out=term)
+    if state.price_sens is not None:
+        u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
+    # preferred is in range; mode "raise" would copy through a temporary block
+    u += np.take(bonus, state.preferred[block], axis=0, out=term, mode="clip")
+    u += np.log(state.exposure_boost)
+    if state.interaction is not None:
+        interaction = cfg.interaction_weight * state.interaction[block, None]
+        u += np.multiply(interaction, lognet, out=term)
+    last = state.last_choice[block]
+    loyal = np.flatnonzero(last >= 0)
+    u[loyal, last[loyal]] += state.loyalty[block][loyal]
+    u[:, ~state.active] = -np.inf
+    return u
 
-    The viewers are walked in row blocks of about _BLOCK_CELLS cells, built
-    in the state's block buffers. Each cell goes through the same operations
-    in the same order as a whole-matrix build, and drawing the noise block
-    by block in row order consumes the generator exactly as one (M, N)
-    draw does, so the result does not depend on the block size. A block's
-    picks go to state.pick_buf, its audience counts are added to the
-    round's, and the picks overwrite state.last_choice[block] once the
-    block's loyalty term has read it; the values go to state.realized[block].
-    A round allocates no (M,) array.
+
+def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
+    """Every viewer picks the argmax of _systematic_utility plus Gumbel
+    noise; returns the round's (N,) audience counts and the (M,) realized
+    utilities, the values there.
+
+    The viewers are walked in row blocks of about _BLOCK_CELLS cells
+    (min(M, _BLOCK_CELLS // N) rows, at least one), built in two (rows, N)
+    buffers that this call allocates and drops. They are one allocation:
+    at M = 100,000 and N = 50, two separate ones made glibc give the heap
+    back at the end of each round and fault about 385 pages in again on
+    the next. Each cell goes through the same operations in the same order
+    as a whole-matrix build, and drawing the noise block by block in row
+    order consumes the generator exactly as one (M, N) draw does, so the
+    result does not depend on the block size. A block's audience counts are
+    added to the round's, and its picks overwrite state.last_choice[block]
+    once its loyalty term has read it.
 
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),
     run op by op over a block of uniform doubles d from rng.random, so it
@@ -400,42 +428,25 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     """
     cfg = state.cfg
     n, m = cfg.n_streamers, cfg.n_viewers
-    rows = len(state.u_buf)
-    lognet = np.log1p(state.prev_counts.astype(float))
-    log_boost = np.log(state.exposure_boost)
-    exited = np.flatnonzero(~state.active)
+    rows = min(max(1, _BLOCK_CELLS // n), m)
+    utility, scratch = np.empty((2, rows, n))
+    picks = np.empty(rows, dtype=np.intp)
+    realized = np.empty(m)
     scale = cfg.random_effect_scale
     row_index = np.arange(rows)
-    match = np.arange(cfg.n_content_types)[:, None] == state.content_type
-    bonus = float(cfg.match_bonus) * match  # float64 for np.take's out=, an int bonus too
 
     counts = np.zeros(n, dtype=np.int64)
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = block.stop - start
-        u, term = state.u_buf[:k], state.term_buf[:k]
-        np.multiply(state.quality_sens[block, None], state.quality, out=u)
-        network = cfg.network_effect_beta * state.network_sens[block, None]
-        u += np.multiply(network, lognet, out=term)
-        if state.price_sens is not None:
-            u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
-        # preferred is in range; mode "raise" would copy through a temporary block
-        u += np.take(bonus, state.preferred[block], axis=0, out=term, mode="clip")
-        u += log_boost
-        if state.interaction is not None:
-            interaction = cfg.interaction_weight * state.interaction[block, None]
-            u += np.multiply(interaction, lognet, out=term)
-        last = state.last_choice[block]
-        loyal = np.flatnonzero(last >= 0)
-        u[loyal, last[loyal]] += state.loyalty[block][loyal]
-        u[:, exited] = -np.inf
+        u = _systematic_utility(state, block, utility[:k], scratch[:k])
         if scale > 0:
-            u += _gumbel_block(state.rng, scale, term)
-        picked = np.argmax(u, axis=1, out=state.pick_buf[:k])
+            u += _gumbel_block(state.rng, scale, scratch[:k])
+        picked = np.argmax(u, axis=1, out=picks[:k])
         counts += np.bincount(picked, minlength=n)
-        last[:] = picked
-        state.realized[block] = u[row_index[:k], picked]
-    return counts, state.realized
+        state.last_choice[block] = picked
+        realized[block] = u[row_index[:k], picked]
+    return counts, realized
 
 
 def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:

@@ -91,10 +91,9 @@ def reference_choose_streamers(state):
 
 def twin_of(state):
     """A state sharing nothing the round kernels write with state: its own
-    generator, last choices and realized-utility buffer."""
+    generator and last choices."""
     return dataclasses.replace(
         state, rng=copy.deepcopy(state.rng), last_choice=state.last_choice.copy(),
-        realized=state.realized.copy(),
     )
 
 
@@ -270,7 +269,6 @@ class TestChooseStreamers:
         ref_counts, ref_realized = reference_choose_streamers(twin)
         assert np.array_equal(state.last_choice, twin.last_choice)
         assert np.array_equal(counts, ref_counts)
-        assert realized is state.realized
         # the noise goes through numpy's SIMD log, the reference's through libm
         np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
@@ -400,6 +398,62 @@ class TestChoiceIsLogit:
             observed += counts
         assert observed.sum() == rounds * cfg.n_viewers
         assert np.sum((observed - expected) ** 2 / expected) < CHI2_14_Q999
+
+
+# Mean-field allowance of the skeleton test, in viewers. The skeleton feeds
+# the network term log1p of the expected counts; the ABM feeds it the
+# realized ones, and viewers' choices are correlated through them, so the
+# mean field is exact only as M grows (Brock & Durlauf 2001). At M 1,000 and
+# N 15 a streamer's count scatters by about sqrt(M / N), 8 viewers a round;
+# the allowance is 1 % of M, 10 viewers, of that order.
+SKELETON_ALLOWANCE = 10.0
+# Batch means of the ABM's late rounds: 10 batches of 10 rounds, compared
+# within this many standard errors plus the allowance.
+SKELETON_BATCHES, SKELETON_Z = 10, 4.0
+
+
+def skeleton_counts(state, tol=1e-6, max_rounds=2000):
+    """The ABM's deterministic skeleton: each viewer's expected choice
+    distribution, iterated from state's first round until the expected
+    (N,) counts move less than tol in a round; returns those counts.
+
+    The network term reads the expected counts through state.prev_counts,
+    and the loyalty term by setting every last_choice to each streamer in
+    turn, so every utility comes from abm._systematic_utility. Investment,
+    decay and exits must be off: the qualities and the market stay fixed.
+    """
+    cfg = state.cfg
+    m, n = cfg.n_viewers, cfg.n_streamers
+    u, term = np.empty((m, n)), np.empty((m, n))
+
+    def choice_given(last):
+        state.last_choice[:] = last
+        utility = abm._systematic_utility(state, slice(0, m), u, term)
+        return logit.softmax(utility / cfg.random_effect_scale)
+
+    p = choice_given(-1)  # round 1: nobody has a last choice, prev_counts is 0
+    for _ in range(max_rounds):
+        counts = p.sum(axis=0)
+        state.prev_counts = counts
+        p = sum(p[:, [last]] * choice_given(last) for last in range(n))
+        if np.abs(p.sum(axis=0) - counts).max() < tol:
+            return p.sum(axis=0)
+    raise AssertionError(f"the skeleton did not settle in {max_rounds} rounds")
+
+
+class TestDeterministicSkeleton:
+    @pytest.mark.parametrize("beta", [0.15, 0.5, 1.0, 2.0])
+    def test_abm_follows_its_skeleton(self, beta):
+        # Seed, rounds, batches and bound were fixed before the first run.
+        cfg = SimConfig(n_streamers=15, n_viewers=1000, n_rounds=200, seed=0,
+                        network_effect_beta=beta, quality_responsiveness=0.0,
+                        quality_decay_rate=0.0, exit_revenue_floor=0.0)
+        expected = skeleton_counts(init_platform(cfg))
+        late = np.array([rec.viewer_counts for rec in simulate(cfg).records[100:]])
+        batches = late.reshape(SKELETON_BATCHES, -1, cfg.n_streamers).mean(axis=1)
+        se = batches.std(axis=0, ddof=1) / np.sqrt(SKELETON_BATCHES)
+        gap = np.abs(late.mean(axis=0) - expected)
+        assert np.all(gap <= SKELETON_Z * se + SKELETON_ALLOWANCE), (gap, se)
 
 
 class TestRunRound:
@@ -644,6 +698,18 @@ class TestRunSimulation:
     def test_float_fields_reject_non_numbers(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be a number"):
             SimConfig(**{name: value})
+
+    def test_negative_seed_rejected(self):
+        # numpy's generator would raise its own ValueError in simulate; a
+        # fractional seed fails test_integer_fields_reject_non_integers
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            SimConfig(seed=-1)
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_boost_investment_must_be_a_bool(self, value):
+        with pytest.raises(DomainError, match="boost_investment must be true or false"):
+            SimConfig(boost_investment=value)
+        assert not SimConfig(boost_investment=np.bool_(False)).boost_investment
 
     def test_policy_amounts_reject_non_numbers(self):
         with pytest.raises(DomainError, match="per_round_amount must be a number"):

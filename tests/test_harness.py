@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -702,13 +703,14 @@ class TestCli:
              [], "per_round_amount"),
             ({"sweep": {"parameter": "n_viewers", "values": 5}}, [], "sweep values"),
             ({"seed": -1}, [], "seed_base"),
+            ({"overrides": {"boost_investment": "false"}}, [], "boost_investment"),
             ({"platform": {"n_viewers": 10**48}}, [], "n_viewers"),
             ({}, ["--seeds", "0"], "n_seeds"),
             ({}, ["--seeds", "-1"], "n_seeds"),
         ],
         ids=["beta_nan", "beta_inf", "match_bonus_nan", "interaction_weight_inf", "prices_nan",
              "missing_file", "prices_string", "prices_number", "policies_number",
-             "policy_amount_string", "sweep_values_number", "seed_negative",
+             "policy_amount_string", "sweep_values_number", "seed_negative", "boost_string",
              "n_viewers_beyond_intp", "seeds_flag_zero", "seeds_flag_negative"],
     )
     def test_simulate_rejects_non_finite_config(self, tmp_path, capsys, payload, flags, key):
@@ -853,6 +855,19 @@ class TestCli:
         costs = np.array([s.cost_coefficient for s in streamers])
         assert costs.tobytes() == population.cost_coef.tobytes()
         assert {s.alpha for s in streamers} == {population.mean_quality_sens}
+
+    def test_analytic_instance_allocates_only_the_population(self):
+        # At M = 100,000 and N = 50 the kept viewer columns (three float64,
+        # two int8) make 2.6 MB. The bound sits below the 4.47 MB of a draw
+        # that also allocates the round kernel's buffers.
+        cli.analytic_instance(SimConfig(n_streamers=2, n_viewers=10))  # lazy imports
+        tracemalloc.start()
+        try:
+            cli.analytic_instance(SimConfig(n_streamers=50, n_viewers=100_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0e6
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize(

@@ -438,6 +438,51 @@ def test_generator_build_checker(source, flagged):
     assert bool(generator_builds(ast.parse(source))) == flagged
 
 
+# the viewer columns the ABM's systematic utility weighs, and its one home
+_UTILITY_COLUMNS = ("quality_sens", "network_sens", "price_sens", "preferred", "interaction",
+                    "loyalty")
+_UTILITY_HOME = "_systematic_utility"
+
+
+def utility_column_reads(tree: ast.Module) -> list[str]:
+    """Every read of a utility column (`state.loyalty`, ...) outside the
+    module's top-level function _systematic_utility."""
+    found = []
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef) and top.name == _UTILITY_HOME:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in _UTILITY_COLUMNS:
+                found.append(f"line {node.lineno}: reads {_dotted(node) or node.attr}")
+    return found
+
+
+def test_abm_utility_has_one_home():
+    # The round kernel adds its noise to abm._systematic_utility, and the
+    # deterministic skeleton's test calls it too: no second formula exists.
+    tree = ast.parse((SRC / "abm.py").read_text(), filename="abm.py")
+    assert any(isinstance(top, ast.FunctionDef) and top.name == _UTILITY_HOME
+               for top in tree.body)
+    assert utility_column_reads(tree) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("def _systematic_utility(state, block):\n    return state.loyalty[block]", False),
+        ("def _choose_streamers(state):\n    return state.loyalty[block]", True),
+        ("u = state.quality_sens[:, None] * q", True),
+        ("state.preferred[:] = 0", True),
+        ("class C:\n    def f(self, s):\n        return s.network_sens", True),
+        ("def _systematic_utility(s): ...\ndef g(s):\n    return s.price_sens", True),
+        ("alpha = state.mean_quality_sens", False),
+        ("w = cfg.interaction_weight", False),
+    ],
+)
+def test_utility_column_read_checker(source, flagged):
+    assert bool(utility_column_reads(ast.parse(source))) == flagged
+
+
 def documented_cli(readme: str) -> tuple[set[str], set[str]]:
     """The subcommands of a README's `headfx <subcommand>` bullets, and the
     members of its one `--kind {...}` set."""
