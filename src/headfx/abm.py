@@ -11,6 +11,7 @@ small ones).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,11 +70,8 @@ class PolicyIntervention:
                 raise DomainError(f"top_k must be >= 1, got {self.top_k}")
             if not 0.0 <= self.raised_share < 1.0:
                 raise DomainError(f"raised_share must lie in [0, 1), got {self.raised_share}")
-        if self.kind in ("boost_small", "subsidy"):
-            if not 0.0 < self.bottom_fraction <= 1.0:
-                raise DomainError(
-                    f"bottom_fraction must lie in (0, 1], got {self.bottom_fraction}"
-                )
+        if self.kind != "high_tax" and not 0.0 < self.bottom_fraction <= 1.0:
+            raise DomainError(f"bottom_fraction must lie in (0, 1], got {self.bottom_fraction}")
         if self.kind == "boost_small" and not 0.0 < self.boost_multiplier < math.inf:
             raise DomainError(
                 f"boost_multiplier must be finite and > 0, got {self.boost_multiplier}"
@@ -84,8 +82,23 @@ class PolicyIntervention:
             )
 
 
+def _sequence(value, name: str, what: str, accept) -> tuple:
+    """value as a tuple, if it is an iterable whose every item accept takes."""
+    try:
+        items = tuple(value)
+    except TypeError:
+        items = None
+    if items is None or not all(accept(x) for x in items):
+        raise DomainError(f"{name} must be a sequence of {what}, got {value!r}")
+    return items
+
+
 _INT_FIELDS = ("n_streamers", "n_viewers", "n_rounds", "seed", "exit_patience",
                "n_content_types")
+# the least value of each field bounded only from below
+_AT_LEAST = {"n_streamers": 1, "n_viewers": 1, "n_rounds": 0, "seed": 0, "exit_patience": 1,
+             "n_content_types": 1, "random_effect_scale": 0, "revenue_per_viewer": 0,
+             "quality_responsiveness": 0, "exit_revenue_floor": 0}
 _FLOAT_FIELDS = (
     "base_revenue_share",
     "network_effect_beta",
@@ -139,48 +152,35 @@ class SimConfig:
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.prices is not None:
-            if len(self.prices) != self.n_streamers:
-                raise DomainError(
-                    f"prices has length {len(self.prices)}, expected {self.n_streamers}"
-                )
-            prices = np.asarray(self.prices, dtype=float)
-            if not np.all(np.isfinite(prices)):
-                raise NonFiniteError(f"prices must be finite, got {list(self.prices)}")
-            if np.any(prices < 0):
-                raise DomainError(f"prices must be >= 0, got {list(self.prices)}")
-        if not (self.n_streamers >= 1 and self.n_viewers >= 1):
-            raise DomainError("population counts must be >= 1")
-        if not self.n_rounds >= 0:
-            raise DomainError(f"n_rounds must be >= 0, got {self.n_rounds}")
-        if not self.seed >= 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+        for name, least in _AT_LEAST.items():
+            if not getattr(self, name) >= least:
+                raise DomainError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("investment_audience_scale", "investment_step_cap"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("base_revenue_share", "quality_decay_rate"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise DomainError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         # a JSON "false" is a string, and any string is truthy
         if not isinstance(self.boost_investment, (bool, np.bool_)):
             raise DomainError(
                 f"boost_investment must be true or false, got {self.boost_investment!r}"
             )
-        if not 0.0 <= self.base_revenue_share < 1.0:
-            raise DomainError(f"base_revenue_share must lie in [0, 1), got {self.base_revenue_share}")
-        if not 0.0 <= self.quality_decay_rate < 1.0:
-            raise DomainError(f"quality_decay_rate must lie in [0, 1), got {self.quality_decay_rate}")
-        if not self.random_effect_scale >= 0:
-            raise DomainError(f"random_effect_scale must be >= 0, got {self.random_effect_scale}")
-        if not self.revenue_per_viewer >= 0:
-            raise DomainError(f"revenue_per_viewer must be >= 0, got {self.revenue_per_viewer}")
-        if not self.quality_responsiveness >= 0:
-            raise DomainError("quality_responsiveness must be >= 0")
-        if not self.investment_audience_scale > 0:
-            raise DomainError("investment_audience_scale must be > 0")
-        if not self.investment_step_cap > 0:
-            raise DomainError("investment_step_cap must be > 0")
-        if not self.exit_revenue_floor >= 0:
-            raise DomainError("exit_revenue_floor must be >= 0")
-        if not self.exit_patience >= 1:
-            raise DomainError("exit_patience must be >= 1")
-        if not self.n_content_types >= 1:
-            raise DomainError("n_content_types must be >= 1")
-        object.__setattr__(self, "policy_schedule", tuple(self.policy_schedule))
+        if self.prices is not None:
+            # as require_numbers: bool is a Real too, but a price of True is a mistake
+            prices = tuple(map(float, _sequence(
+                self.prices, "prices", "numbers",
+                lambda p: isinstance(p, numbers.Real) and not isinstance(p, bool))))
+            object.__setattr__(self, "prices", prices)
+            if len(prices) != self.n_streamers:
+                raise DomainError(f"prices has length {len(prices)}, expected {self.n_streamers}")
+            if not all(math.isfinite(p) for p in prices):
+                raise NonFiniteError(f"prices must be finite, got {list(prices)}")
+            if not all(p >= 0 for p in prices):
+                raise DomainError(f"prices must be >= 0, got {list(prices)}")
+        object.__setattr__(self, "policy_schedule", _sequence(
+            self.policy_schedule, "policy_schedule", "PolicyIntervention",
+            lambda p: isinstance(p, PolicyIntervention)))
         n = self.n_streamers
         for pol in self.policy_schedule:
             if pol.start_round > max(self.n_rounds, 1):
@@ -213,6 +213,9 @@ class SimState:
     """Runtime state: the whole population as per-streamer and per-viewer
     arrays, and what the next round reads of the last one.
 
+    A round writes only `quality`, `active`, `lean_rounds`, `prev_counts`,
+    `last_choice` and the generator `rng`; the policy levers (commission,
+    exposure boost, subsidy) are values of one round and live in run_round.
     A run keeps only the viewer columns its rounds read: `interaction` is
     None unless cfg.interaction_weight != 0, and `price_sens` (with the
     streamers' `prices`) None unless cfg.prices is set. `preferred` and
@@ -224,11 +227,7 @@ class SimState:
     rng: np.random.Generator
     # streamer columns
     quality: np.ndarray
-    q_initial: np.ndarray
     cost_coef: np.ndarray
-    revenue_share: np.ndarray
-    exposure_boost: np.ndarray
-    subsidy: np.ndarray
     content_type: np.ndarray
     active: np.ndarray
     lean_rounds: np.ndarray
@@ -261,13 +260,13 @@ def init_platform(cfg: SimConfig) -> SimState:
     populations, and the generator is left where round 1 draws from it.
     Every column is drawn, in a fixed order, whether the run keeps it or
     not, so the stream and the kept columns do not depend on the config's
-    interaction_weight or prices. Nothing else is allocated: the round
-    kernel's buffers live for one round.
+    interaction_weight or prices. Nothing else is allocated: the policy
+    levers and the round kernel's buffers live for one round.
     """
     rng = np.random.default_rng(cfg.seed)
     n, m = cfg.n_streamers, cfg.n_viewers
 
-    q0 = np.clip(rng.normal(0.5, 0.2, size=n), 0.1, 0.9)
+    quality = np.clip(rng.normal(0.5, 0.2, size=n), 0.1, 0.9)
     cost_coef = rng.uniform(0.1, 0.3, size=n)
     content_type = rng.integers(0, cfg.n_content_types, size=n)
 
@@ -289,12 +288,8 @@ def init_platform(cfg: SimConfig) -> SimState:
     return SimState(
         cfg=cfg,
         rng=rng,
-        quality=q0.copy(),
-        q_initial=q0,
+        quality=quality,
         cost_coef=cost_coef,
-        revenue_share=np.full(n, cfg.base_revenue_share),
-        exposure_boost=np.ones(n),
-        subsidy=np.zeros(n),
         content_type=content_type,
         active=np.ones(n, dtype=bool),
         lean_rounds=np.zeros(n, dtype=np.int64),
@@ -311,36 +306,25 @@ def init_platform(cfg: SimConfig) -> SimState:
     )
 
 
-def apply_policy(policy: PolicyIntervention, state: SimState, round_idx: int) -> None:
-    """Apply one intervention for this round, ranking by last-round counts.
-
-    Rankings are re-evaluated every round among streamers still on the
-    platform; ties break by streamer index (stable sort) so runs are
-    reproducible.
+def apply_policy(policy: PolicyIntervention, state: SimState, share: np.ndarray,
+                 boost: np.ndarray, subsidy: np.ndarray) -> None:
+    """Write one policy in force into the round's (N,) levers share, boost
+    or subsidy, ranking the streamers still on the platform by last-round
+    counts; ties break by streamer index (stable sort), so runs are
+    reproducible. SimConfig has checked that the policy ranks a streamer.
     """
-    if round_idx < policy.start_round:
-        raise DomainError(
-            f"policy starting at round {policy.start_round} applied at round {round_idx}"
-        )
-    n = state.cfg.n_streamers
     alive = np.flatnonzero(state.active)
     if policy.kind == "high_tax":
-        if policy.top_k > n:
-            raise DomainError(f"top_k {policy.top_k} exceeds streamer count {n}")
         order_desc = alive[np.argsort(-state.prev_counts[alive], kind="stable")]
-        state.revenue_share[order_desc[: policy.top_k]] = policy.raised_share
+        share[order_desc[: policy.top_k]] = policy.raised_share
         return
-    k = int(np.floor(n * policy.bottom_fraction))
-    if k < 1:
-        raise DomainError(
-            f"bottom_fraction {policy.bottom_fraction} selects no streamer of {n}"
-        )
+    k = int(np.floor(state.cfg.n_streamers * policy.bottom_fraction))
     order_asc = alive[np.argsort(state.prev_counts[alive], kind="stable")]
     targets = order_asc[:k]
     if policy.kind == "boost_small":
-        state.exposure_boost[targets] = policy.boost_multiplier
+        boost[targets] = policy.boost_multiplier
     else:
-        state.subsidy[targets] += policy.per_round_amount
+        subsidy[targets] += policy.per_round_amount
 
 
 def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
@@ -360,19 +344,21 @@ def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> np
     return np.subtract(0.0, out, out=out)
 
 
-def _systematic_utility(state: SimState, block: slice, u: np.ndarray,
+def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.ndarray,
                         term: np.ndarray) -> np.ndarray:
     """Fill u, of shape (rows of block, N), with the block's viewers'
-    systematic utilities, and return it; term is scratch of u's shape.
+    systematic utilities under the round's (N,) exposure boost, and return
+    it; term is scratch of u's shape.
 
     Viewer j's systematic utility for streamer i is
         qs_j q_i + beta ns_j log1p(n_i) - ps_j p_i + match_bonus [pref_j == type_i]
         + log(boost_i) + w inter_j log1p(n_i) + loyalty_j [last_j == i],
     with -inf for streamers that exited, where n_i = state.prev_counts[i] is
-    last round's audience (integer or float). The network term damps the
-    raw count at large viewer pools, and the exposure boost acts as a
-    multiplicative logit weight. This is the one place the ABM's utility is
-    written: the round kernel adds Gumbel noise to it.
+    last round's audience (integer or float) and boost_i = boost[i]. The
+    network term damps the raw count at large viewer pools, and the
+    exposure boost acts as a multiplicative logit weight. This is the one
+    place the ABM's utility is written: the round kernel adds Gumbel noise
+    to it.
     """
     cfg = state.cfg
     lognet = np.log1p(state.prev_counts.astype(float))
@@ -385,7 +371,7 @@ def _systematic_utility(state: SimState, block: slice, u: np.ndarray,
         u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
     # preferred is in range; mode "raise" would copy through a temporary block
     u += np.take(bonus, state.preferred[block], axis=0, out=term, mode="clip")
-    u += np.log(state.exposure_boost)
+    u += np.log(boost)
     if state.interaction is not None:
         interaction = cfg.interaction_weight * state.interaction[block, None]
         u += np.multiply(interaction, lognet, out=term)
@@ -396,10 +382,10 @@ def _systematic_utility(state: SimState, block: slice, u: np.ndarray,
     return u
 
 
-def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
-    """Every viewer picks the argmax of _systematic_utility plus Gumbel
-    noise; returns the round's (N,) audience counts and the (M,) realized
-    utilities, the values there.
+def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every viewer picks the argmax of _systematic_utility, under the
+    round's (N,) exposure boost, plus Gumbel noise; returns the round's (N,)
+    audience counts and the (M,) realized utilities, the values there.
 
     The viewers are walked in row blocks of about _BLOCK_CELLS cells
     (min(M, _BLOCK_CELLS // N) rows, at least one), built in two (rows, N)
@@ -439,7 +425,7 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, m, rows):
         block = slice(start, min(start + rows, m))
         k = block.stop - start
-        u = _systematic_utility(state, block, utility[:k], scratch[:k])
+        u = _systematic_utility(state, boost, block, utility[:k], scratch[:k])
         if scale > 0:
             u += _gumbel_block(state.rng, scale, scratch[:k])
         picked = np.argmax(u, axis=1, out=picks[:k])
@@ -452,32 +438,32 @@ def _choose_streamers(state: SimState) -> tuple[np.ndarray, np.ndarray]:
 def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     """Advance the platform by one round.
 
-    Order of events: policies are re-applied from a clean slate, every
-    viewer picks the argmax of utility plus Gumbel noise, money is split
-    (platform keeps the exact remainder, so revenue conservation is an
-    identity), the mean realized utility is recorded as the round's
-    satisfaction, qualities take one myopic
-    profit-gradient step against decay, clamped to [0, 1], and streamers
-    whose revenue stayed below the viability floor for exit_patience
-    consecutive rounds leave the platform for good. cfg must be state.cfg,
-    which the choice and policy steps read; another config raises
-    DomainError rather than mixing two.
+    Order of events: the round's own levers start at the base commission,
+    a boost of 1 and no subsidy, and each policy in force writes its lever;
+    every viewer picks the argmax of utility plus Gumbel noise; money is
+    split (the platform keeps the exact remainder, so revenue conservation
+    is an identity); the mean realized utility is the round's satisfaction;
+    qualities take one myopic profit-gradient step against decay, clamped
+    to [0, 1]; streamers whose revenue stayed below the viability floor for
+    exit_patience consecutive rounds leave the platform for good. cfg must
+    be state.cfg, which the choice and policy steps read; another config
+    raises DomainError rather than mixing two.
     """
     if cfg is not state.cfg:
         raise DomainError("run_round takes the config its state was built from")
-    m = cfg.n_viewers
+    n, m = cfg.n_streamers, cfg.n_viewers
 
-    state.revenue_share[:] = cfg.base_revenue_share
-    state.exposure_boost[:] = 1.0
-    state.subsidy[:] = 0.0
+    share = np.full(n, cfg.base_revenue_share)
+    boost = np.ones(n)
+    subsidy = np.zeros(n)
     for policy in cfg.policy_schedule:
         if round_idx >= policy.start_round:
-            apply_policy(policy, state, round_idx)
+            apply_policy(policy, state, share, boost, subsidy)
 
-    counts, realized = _choose_streamers(state)
+    counts, realized = _choose_streamers(state, boost)
 
     r = cfg.revenue_per_viewer
-    streamer_rev = (1.0 - state.revenue_share) * r * counts + state.subsidy
+    streamer_rev = (1.0 - share) * r * counts + subsidy
     platform_rev = r * m - float(streamer_rev.sum())
 
     mean_satisfaction = float(realized.mean())
@@ -487,9 +473,9 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     p_hat = counts / m
     marginal_audience = logit_slope(cfg.investment_audience_scale * state.mean_quality_sens, p_hat)
     if cfg.boost_investment:
-        marginal_audience = marginal_audience * state.exposure_boost
+        marginal_audience = marginal_audience * boost
     step = cfg.quality_responsiveness * (
-        (1.0 - state.revenue_share) * r * marginal_audience
+        (1.0 - share) * r * marginal_audience
         - 2.0 * state.cost_coef * state.quality
     )
     # Per-round production capacity bound on organic investment.
@@ -497,7 +483,7 @@ def run_round(state: SimState, cfg: SimConfig, round_idx: int) -> RoundRecord:
     cannot_afford = streamer_rev < cfg.investment_min_revenue
     step = np.where(cannot_afford & (step > 0), 0.0, step)
     # Earmarked support converts directly into production capacity.
-    step = step + cfg.subsidy_quality_efficiency * state.subsidy
+    step = step + cfg.subsidy_quality_efficiency * subsidy
     state.quality = np.clip(
         state.quality * (1.0 - cfg.quality_decay_rate) + step, 0.0, 1.0
     )
@@ -531,8 +517,6 @@ class SimRun:
 def simulate(cfg: SimConfig) -> SimRun:
     """Draw the population and run all rounds; deterministic per seed."""
     state = init_platform(cfg)
+    q_initial = state.quality.copy()
     records = [run_round(state, cfg, idx) for idx in range(1, cfg.n_rounds + 1)]
-    return SimRun(
-        records=tuple(records),
-        q_initial=state.q_initial.copy(),
-    )
+    return SimRun(records=tuple(records), q_initial=q_initial)

@@ -108,7 +108,8 @@ class Market:
 
     alpha, eta, c (cost coefficients), prices and revenue, the marginal
     revenue coefficient (1 - tau) R M alpha, are (N,) arrays; m is M as a
-    float. Built by from_params from inputs their classes validated.
+    float. Built by from_params from inputs their classes validated, with
+    DimensionMismatchError unless there is one StreamerParams a streamer.
     """
 
     alpha: np.ndarray
@@ -125,6 +126,9 @@ class Market:
 
     @classmethod
     def from_params(cls, platform: PlatformParams, streamers) -> "Market":
+        if len(streamers) != platform.n_streamers:
+            raise DimensionMismatchError(f"streamers has length {len(streamers)}, expected "
+                                         f"n_streamers {platform.n_streamers}")
         alpha = np.array([s.alpha for s in streamers], dtype=float)
         return cls(
             alpha=alpha,
@@ -161,9 +165,10 @@ class MarketState:
     def __post_init__(self):
         n = _as_float_vector(self.n, "state.n")
         q = _as_float_vector(self.q, "state.q", n.shape[0])
-        if np.any(n < 0):
+        # NaN fails both checks; an infinite quality passes
+        if not np.all(n >= 0):
             raise DomainError("state.n must be >= 0")
-        if np.any(q < 0):
+        if not np.all(q >= 0):
             raise DomainError("state.q must be >= 0")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "q", q)
@@ -177,10 +182,10 @@ class TrafficAllocation:
 
     def __post_init__(self):
         theta = _as_float_vector(self.theta, "theta")
-        if np.any(theta < 0):
+        if not np.all(theta >= 0):
             raise DomainError("theta entries must be >= 0")
         total = float(theta.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise DomainError(f"theta must sum to 1 within 1e-12, got {total!r}")
         object.__setattr__(self, "theta", theta)
 
@@ -197,8 +202,6 @@ def deterministic_utility(
     explicit noise draws) and is deliberately excluded here.
     """
     N = platform.n_streamers
-    if len(streamers) != N:
-        raise DimensionMismatchError(f"streamers has length {len(streamers)}, expected {N}")
     _as_float_vector(state.n, "state.n", N)
     _as_float_vector(state.q, "state.q", N)
     alpha = Market.from_params(platform, streamers).alpha

@@ -154,7 +154,7 @@ def solve_joint_equilibrium(
         n = market.symmetric_split()
     else:
         n = np.asarray(n0, dtype=float)
-        if np.any(n < 0) or np.any(n > market.m):
+        if not np.all((n >= 0) & (n <= market.m)):
             raise DomainError("n0 entries must lie in [0, M]")
     q = None if q0 is None else np.asarray(q0, dtype=float)[np.newaxis]
     (result,) = _results(*_joint_equilibrium_batch(market, n[np.newaxis], q, cfg, theta_vec))

@@ -48,14 +48,14 @@ def small_cfg(**kw):
 def identical_streamers(state, q=0.5, c=0.2, content_type=0):
     """Give every streamer of a fresh state the same quality, cost and type."""
     state.quality[:] = q
-    state.q_initial[:] = q
     state.cost_coef[:] = c
     state.content_type[:] = content_type
     return state
 
 
-def reference_round_utilities(state):
-    """The whole (M, N) utility matrix, built the way rounds used to build it."""
+def reference_round_utilities(state, boost):
+    """The whole (M, N) utility matrix under the round's (N,) exposure boost,
+    built the way rounds used to build it."""
     cfg = state.cfg
     lognet = np.log1p(state.prev_counts.astype(float))
     u = state.quality_sens[:, None] * state.quality[None, :]
@@ -63,7 +63,7 @@ def reference_round_utilities(state):
     if cfg.prices is not None:
         u = u - state.price_sens[:, None] * state.prices[None, :]
     u = u + cfg.match_bonus * (state.preferred[:, None] == state.content_type[None, :])
-    u = u + np.log(state.exposure_boost)[None, :]
+    u = u + np.log(boost)[None, :]
     if cfg.interaction_weight != 0.0:
         u = u + cfg.interaction_weight * state.interaction[:, None] * lognet[None, :]
     rows = np.flatnonzero(state.last_choice >= 0)
@@ -72,13 +72,13 @@ def reference_round_utilities(state):
     return u
 
 
-def reference_choose_streamers(state):
+def reference_choose_streamers(state, boost):
     """One whole-matrix utility build and one (M, N) Gumbel draw; like the
     kernel, it writes the picks to state.last_choice and returns the round's
     (counts, realized)."""
     cfg = state.cfg
     m, n = cfg.n_viewers, cfg.n_streamers
-    utilities = reference_round_utilities(state)
+    utilities = reference_round_utilities(state, boost)
     if cfg.random_effect_scale > 0:
         noise = state.rng.gumbel(0.0, cfg.random_effect_scale, size=(m, n))
     else:
@@ -120,10 +120,10 @@ class TestInitPlatform:
     def test_clipped_normal_quality_mean(self):
         cfg = SimConfig(n_streamers=10000, n_viewers=1, n_rounds=0, seed=11)
         state = init_platform(cfg)
-        q0 = state.q_initial
+        q0 = state.quality
         assert abs(q0.mean() - 0.5) < 0.02
         assert q0.min() >= 0.1 and q0.max() <= 0.9
-        assert np.array_equal(state.quality, q0)
+        assert np.array_equal(simulate(cfg).q_initial, q0)
         c = state.cost_coef
         assert c.min() >= 0.1 and c.max() <= 0.3
 
@@ -245,8 +245,9 @@ class TestChooseStreamers:
 
     @staticmethod
     def mid_run_state(m, **kw):
-        # mixed loyalty (some viewers have no last choice), uneven audiences,
-        # two exited streamers, live policies and nonzero prices
+        """A state and a round's boost: mixed loyalty (some viewers have no
+        last choice), uneven audiences, two exited streamers, a live boost
+        and nonzero prices."""
         cfg = SimConfig(
             n_streamers=BLOCK_N, n_viewers=m, seed=21, interaction_weight=0.3,
             prices=tuple(np.linspace(0.0, 0.6, BLOCK_N)), **kw,
@@ -256,17 +257,18 @@ class TestChooseStreamers:
         state.last_choice[:] = draw.integers(-1, BLOCK_N, size=m)
         state.prev_counts = draw.integers(0, 3 * m // BLOCK_N, size=BLOCK_N)
         state.quality = draw.uniform(0.0, 1.0, size=BLOCK_N)
-        state.exposure_boost[::3] = 1.2
+        boost = np.ones(BLOCK_N)
+        boost[::3] = 1.2
         state.active[[4, 17]] = False
-        return state
+        return state, boost
 
     @pytest.mark.parametrize("m", BLOCK_SIZES)
     @pytest.mark.parametrize("scale", [0.2, 0.0])
     def test_one_round_matches_whole_matrix(self, m, scale):
-        state = self.mid_run_state(m, random_effect_scale=scale)
+        state, boost = self.mid_run_state(m, random_effect_scale=scale)
         twin = twin_of(state)
-        counts, realized = abm._choose_streamers(state)
-        ref_counts, ref_realized = reference_choose_streamers(twin)
+        counts, realized = abm._choose_streamers(state, boost)
+        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
         assert np.array_equal(state.last_choice, twin.last_choice)
         assert np.array_equal(counts, ref_counts)
         # the noise goes through numpy's SIMD log, the reference's through libm
@@ -277,12 +279,12 @@ class TestChooseStreamers:
     @pytest.mark.parametrize("bonus", [0, 1])
     def test_integer_bonus_runs_as_its_float(self, bonus):
         m = int(1.5 * BLOCK_ROWS)
-        state = self.mid_run_state(m, match_bonus=bonus)
+        state, boost = self.mid_run_state(m, match_bonus=bonus)
         twin = twin_of(state)
-        as_float = twin_of(self.mid_run_state(m, match_bonus=float(bonus)))
-        counts, realized = abm._choose_streamers(state)
-        ref_counts, ref_realized = reference_choose_streamers(twin)
-        float_counts, float_realized = abm._choose_streamers(as_float)
+        as_float = twin_of(self.mid_run_state(m, match_bonus=float(bonus))[0])
+        counts, realized = abm._choose_streamers(state, boost)
+        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
+        float_counts, float_realized = abm._choose_streamers(as_float, boost)
         assert np.array_equal(counts, ref_counts)
         np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
         assert np.array_equal(counts, float_counts)
@@ -292,9 +294,10 @@ class TestChooseStreamers:
     @given(state=noisy_round_states())
     def test_noise_kernel_matches_gumbel_reference(self, state):
         twin = twin_of(state)
-        utility = reference_round_utilities(state)
-        counts, realized = abm._choose_streamers(state)
-        ref_counts, ref_realized = reference_choose_streamers(twin)
+        boost = np.ones(state.cfg.n_streamers)
+        utility = reference_round_utilities(state, boost)
+        counts, realized = abm._choose_streamers(state, boost)
+        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
         choices = state.last_choice
         assert np.array_equal(choices, twin.last_choice)
         assert np.array_equal(counts, ref_counts)
@@ -330,11 +333,11 @@ class TestChooseStreamers:
 
     def test_zero_draw_redoes_block_with_gumbel(self):
         m = int(2.5 * BLOCK_ROWS)
-        state = self.mid_run_state(m, random_effect_scale=0.2)
+        state, boost = self.mid_run_state(m, random_effect_scale=0.2)
         twin = twin_of(state)
         state.rng = ZeroDrawGenerator(state.rng, block=1, cell=(5, 7))
-        counts, realized = abm._choose_streamers(state)
-        ref_counts, ref_realized = reference_choose_streamers(twin)
+        counts, realized = abm._choose_streamers(state, boost)
+        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
         assert state.rng.blocks == 3
         assert np.array_equal(state.last_choice, twin.last_choice)
         assert np.array_equal(counts, ref_counts)
@@ -349,17 +352,16 @@ class TestChooseStreamers:
         for name in ("price_sens", "quality_sens", "network_sens", "loyalty"):
             getattr(state, name)[:] = 0.0
         state.prev_counts[:] = 7
-        _, realized = abm._choose_streamers(state)
+        _, realized = abm._choose_streamers(state, np.ones(5))
         assert np.all(realized == 0.0)
 
     def test_boost_enters_as_log_weight(self):
         cfg = SimConfig(n_streamers=1, n_viewers=50, random_effect_scale=0.0)
         state = init_platform(cfg)
         state.prev_counts[:] = 3
-        base = abm._choose_streamers(state)[1].copy()  # the next call overwrites it
-        state.last_choice[:] = -1  # and would add each viewer's loyalty
-        state.exposure_boost[:] = 2.0
-        _, boosted = abm._choose_streamers(state)
+        _, base = abm._choose_streamers(state, np.ones(1))
+        state.last_choice[:] = -1  # the next call would add each viewer's loyalty
+        _, boosted = abm._choose_streamers(state, np.full(1, 2.0))
         assert boosted - base == pytest.approx(np.full(50, np.log(2.0)), abs=1e-12)
 
     def test_exited_streamer_never_chosen(self):
@@ -368,7 +370,7 @@ class TestChooseStreamers:
         state.quality[:] = 0.0
         state.quality[0] = 1.0  # the favourite of every viewer, but gone
         state.active[0] = False
-        counts, realized = abm._choose_streamers(state)
+        counts, realized = abm._choose_streamers(state, np.ones(cfg.n_streamers))
         assert counts[0] == 0 and counts.sum() == cfg.n_viewers
         assert not np.any(state.last_choice == 0)
         assert np.all(np.isfinite(realized))
@@ -389,12 +391,13 @@ class TestChoiceIsLogit:
         cfg = SimConfig(n_streamers=15, n_viewers=2000, seed=11)
         state = init_platform(cfg)
         state.prev_counts = np.random.default_rng(12).integers(0, 300, size=15)
+        boost = np.ones(15)
         expected = rounds * logit.softmax(
-            reference_round_utilities(state) / cfg.random_effect_scale).sum(axis=0)
+            reference_round_utilities(state, boost) / cfg.random_effect_scale).sum(axis=0)
         observed = np.zeros(15, dtype=np.int64)
         for _ in range(rounds):
             state.last_choice[:] = -1
-            counts, _ = abm._choose_streamers(state)
+            counts, _ = abm._choose_streamers(state, boost)
             observed += counts
         assert observed.sum() == rounds * cfg.n_viewers
         assert np.sum((observed - expected) ** 2 / expected) < CHI2_14_Q999
@@ -412,10 +415,11 @@ SKELETON_ALLOWANCE = 10.0
 SKELETON_BATCHES, SKELETON_Z = 10, 4.0
 
 
-def skeleton_counts(state, tol=1e-6, max_rounds=2000):
-    """The ABM's deterministic skeleton: each viewer's expected choice
-    distribution, iterated from state's first round until the expected
-    (N,) counts move less than tol in a round; returns those counts.
+def skeleton_counts(state, boost, tol=1e-6, max_rounds=2000):
+    """The ABM's deterministic skeleton under a fixed (N,) exposure boost:
+    each viewer's expected choice distribution, iterated from state's first
+    round until the expected (N,) counts move less than tol in a round;
+    returns those counts.
 
     The network term reads the expected counts through state.prev_counts,
     and the loyalty term by setting every last_choice to each streamer in
@@ -428,7 +432,7 @@ def skeleton_counts(state, tol=1e-6, max_rounds=2000):
 
     def choice_given(last):
         state.last_choice[:] = last
-        utility = abm._systematic_utility(state, slice(0, m), u, term)
+        utility = abm._systematic_utility(state, boost, slice(0, m), u, term)
         return logit.softmax(utility / cfg.random_effect_scale)
 
     p = choice_given(-1)  # round 1: nobody has a last choice, prev_counts is 0
@@ -448,7 +452,7 @@ class TestDeterministicSkeleton:
         cfg = SimConfig(n_streamers=15, n_viewers=1000, n_rounds=200, seed=0,
                         network_effect_beta=beta, quality_responsiveness=0.0,
                         quality_decay_rate=0.0, exit_revenue_floor=0.0)
-        expected = skeleton_counts(init_platform(cfg))
+        expected = skeleton_counts(init_platform(cfg), np.ones(cfg.n_streamers))
         late = np.array([rec.viewer_counts for rec in simulate(cfg).records[100:]])
         batches = late.reshape(SKELETON_BATCHES, -1, cfg.n_streamers).mean(axis=1)
         se = batches.std(axis=0, ddof=1) / np.sqrt(SKELETON_BATCHES)
@@ -507,12 +511,27 @@ class TestRunRound:
         state = identical_streamers(init_platform(cfg), q=0.9)
         # one hopeless streamer: bottom quality, never chosen much
         state.quality[2] = 0.0
-        state.q_initial[2] = 0.0
         records = [run_round(state, cfg, idx) for idx in range(1, 11)]
         assert not state.active[2]
         assert records[-1].viewer_counts[2] == 0
         # exits are permanent
         assert all(rec.viewer_counts[2] == 0 for rec in records[4:])
+
+    def test_a_round_writes_only_the_round_to_round_state(self):
+        cfg = small_cfg(n_rounds=12, policy_schedule=canonical_policies("Combined"))
+        state = init_platform(cfg)
+        state.prev_counts = np.arange(cfg.n_streamers) * 3  # ranks for the policies
+        before = copy.deepcopy(state)
+        run_round(state, cfg, 10)  # every Combined policy is in force
+        carried = ("quality", "active", "lean_rounds", "prev_counts", "last_choice", "rng")
+        for field in dataclasses.fields(SimState):
+            if field.name in carried:
+                continue
+            old, new = getattr(before, field.name), getattr(state, field.name)
+            if isinstance(old, np.ndarray):
+                assert old.dtype == new.dtype and old.tobytes() == new.tobytes(), field.name
+            else:
+                assert old == new, field.name
 
     def test_a_config_other_than_the_states_is_rejected(self):
         cfg = small_cfg()
@@ -574,16 +593,27 @@ class TestPolicies:
             PolicyIntervention("subsidy", per_round_amount=-1.0)
         with pytest.raises(DomainError):
             PolicyIntervention("nonsense")
-        state = init_platform(small_cfg())
-        with pytest.raises(DomainError):
-            apply_policy(
-                PolicyIntervention("high_tax", start_round=1, top_k=99), state, 1
-            )
-        with pytest.raises(DomainError):
-            apply_policy(
-                PolicyIntervention("high_tax", start_round=5, top_k=1), state, 2
-            )
 
+    @pytest.mark.parametrize(
+        "policy, lever, written",
+        [
+            (PolicyIntervention("high_tax", top_k=2, raised_share=0.7), "share", 0.7),
+            (PolicyIntervention("boost_small", bottom_fraction=0.5, boost_multiplier=1.2),
+             "boost", 1.2),
+            (PolicyIntervention("subsidy", bottom_fraction=0.5, per_round_amount=12.0),
+             "subsidy", 12.0),
+        ],
+    )
+    def test_each_policy_writes_its_own_lever(self, policy, lever, written):
+        state = init_platform(small_cfg())
+        state.prev_counts = np.array([5, 40, 0, 12, 30])
+        state.active[2] = False  # the smallest audience, but gone
+        levers = {"share": np.full(5, 0.2), "boost": np.ones(5), "subsidy": np.zeros(5)}
+        expected = {name: v.copy() for name, v in levers.items()}
+        expected[lever][[1, 4] if policy.kind == "high_tax" else [0, 3]] = written
+        apply_policy(policy, state, **levers)
+        for name, values in levers.items():
+            assert np.array_equal(values, expected[name]), name
 
     @pytest.mark.parametrize(
         "policy, message",
@@ -665,6 +695,22 @@ class TestRunSimulation:
         # the domain PlatformParams accepts, so the analytic commands take every config
         with pytest.raises(DomainError, match=r"prices must be >= 0, got \[-1.0, 0.0, 2.0\]"):
             SimConfig(n_streamers=3, prices=(-1.0, 0.0, 2.0))
+
+    @pytest.mark.parametrize("prices", [("x",), 5, "0", (True,), (np.bool_(False),), (None,)])
+    def test_prices_must_be_numbers(self, prices):
+        with pytest.raises(DomainError, match="prices must be a sequence of numbers"):
+            SimConfig(n_streamers=1, prices=prices)
+
+    def test_prices_are_kept_as_a_tuple_of_floats(self):
+        cfg = SimConfig(n_streamers=3, prices=[0, np.float32(0.5), 1])
+        assert cfg.prices == (0.0, 0.5, 1.0)
+        assert all(type(p) is float for p in cfg.prices)
+
+    @pytest.mark.parametrize("schedule", [("high_tax",), 5, ({"kind": "high_tax"},)])
+    def test_policy_schedule_must_hold_policies(self, schedule):
+        with pytest.raises(DomainError,
+                           match="policy_schedule must be a sequence of PolicyIntervention"):
+            SimConfig(policy_schedule=schedule)
 
     @pytest.mark.parametrize("name", abm._INT_FIELDS)
     @pytest.mark.parametrize("value", [100.5, 2.0, True, "3"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headfx import dynamics, equilibrium, welfare
 from headfx.core import (
     PERTURBATION,
     Market,
@@ -283,6 +284,50 @@ class TestDomainGuards:
             TrafficAllocation(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             TrafficAllocation(np.array([-0.1, 1.1]))
+        for theta in ([np.nan, np.nan], [np.nan, 1.0]):
+            with pytest.raises(DomainError):
+                TrafficAllocation(np.array(theta))
+
+    @pytest.mark.parametrize("n, q", [([np.nan, 1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.nan])])
+    def test_nan_market_state_rejected(self, n, q):
+        # NaN only: an infinite quality is a start phase_portrait takes on purpose
+        with pytest.raises(DomainError):
+            MarketState(n=np.array(n), q=np.array(q))
+
+
+_SHORT_RUN = dynamics.IntegratorConfig(dt=0.1, t_end=1.0)
+# every public analytic entry point, called as f(platform, streamers, state)
+_ANALYTIC_ENTRY_POINTS = {
+    "deterministic_utility": deterministic_utility,
+    "audience_quality_sensitivity": audience_quality_sensitivity,
+    "solve_joint_equilibrium":
+        lambda p, s, x: equilibrium.solve_joint_equilibrium(p, s, equilibrium.FixedPointConfig()),
+    "enumerate_equilibria":
+        lambda p, s, x: equilibrium.enumerate_equilibria(p, s, equilibrium.FixedPointConfig(), 0),
+    "max_share_from_perturbed_start": lambda p, s, x:
+        equilibrium.max_share_from_perturbed_start(p, s, equilibrium.FixedPointConfig()),
+    "find_critical_beta": lambda p, s, x: equilibrium.find_critical_beta(p, s, 0.0, 1.0),
+    "integrate": lambda p, s, x: dynamics.integrate(p, s, x, _SHORT_RUN),
+    "jacobian": dynamics.jacobian,
+    "stability_at": dynamics.stability_at,
+    "path_dependence_experiment":
+        lambda p, s, x: dynamics.path_dependence_experiment(p, s, 1.0, _SHORT_RUN),
+    "phase_portrait": lambda p, s, x: dynamics.phase_portrait(p, s, [x], _SHORT_RUN),
+    "total_welfare": welfare.total_welfare,
+    "optimize_allocation": lambda p, s, x: welfare.optimize_allocation(p, s, x.q),
+    "grid_search_allocation":
+        lambda p, s, x: welfare.grid_search_allocation(p, s, x.q, resolution=0.1),
+}
+
+
+@pytest.mark.parametrize("entry", _ANALYTIC_ENTRY_POINTS.values(), ids=_ANALYTIC_ENTRY_POINTS)
+def test_streamer_count_is_checked_by_every_entry_point(entry):
+    # two streamers for a three-streamer platform
+    platform = make_platform(n=3)
+    state = MarketState(n=np.full(3, 100.0 / 3), q=np.full(3, 0.5))
+    with pytest.raises(DimensionMismatchError,
+                       match="streamers has length 2, expected n_streamers 3"):
+        entry(platform, make_streamers([1.0, 1.0]), state)
 
 
 class TestMarket:

@@ -136,7 +136,9 @@ class TestJointEquilibrium:
         with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
             solve_joint_equilibrium(plat, streamers, CFG, n0=np.array([150.0, 0.0]))
 
-    @pytest.mark.parametrize("n0", [[150.0, 0.0], [-1.0, 50.0], [50.0, 100.0 + 1e-9]])
+    @pytest.mark.parametrize(
+        "n0", [[150.0, 0.0], [-1.0, 50.0], [50.0, 100.0 + 1e-9], [np.nan, 50.0]]
+    )
     def test_start_outside_box_rejected_before_any_sweep(self, monkeypatch, n0):
         def sweep(*args):
             raise AssertionError("a viewer sweep ran from a rejected start")
