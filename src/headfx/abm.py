@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, require_integers, require_numbers
+from .errors import Domain, DomainError, require, require_fields
 from .logit import logit_slope
 
 __all__ = [
@@ -31,7 +31,18 @@ __all__ = [
     "simulate",
 ]
 
-POLICY_KINDS = ("high_tax", "boost_small", "subsidy")
+# The domain of each field a policy kind reads; no kind reads the others.
+_START_ROUND = Domain(1, integer=True)
+_BOTTOM_FRACTION = Domain(0, 1, "(]")
+_POLICY_DOMAINS = {
+    "high_tax": {"start_round": _START_ROUND, "top_k": Domain(1, integer=True),
+                 "raised_share": Domain(0, 1, "[)")},
+    "boost_small": {"start_round": _START_ROUND, "bottom_fraction": _BOTTOM_FRACTION,
+                    "boost_multiplier": Domain(0, ends="()")},
+    "subsidy": {"start_round": _START_ROUND, "bottom_fraction": _BOTTOM_FRACTION,
+                "per_round_amount": Domain(0)},
+}
+POLICY_KINDS = tuple(_POLICY_DOMAINS)
 
 # The round kernel walks the viewers in blocks of about this many utility
 # cells (512 KB of float64), so a block and its noise stay in cache.
@@ -59,27 +70,7 @@ class PolicyIntervention:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise DomainError(f"unknown policy kind {self.kind!r}, expected one of {POLICY_KINDS}")
-        require_integers(self, ("start_round", "top_k"))
-        require_numbers(
-            self, ("raised_share", "bottom_fraction", "boost_multiplier", "per_round_amount")
-        )
-        if self.start_round < 1:
-            raise DomainError(f"start_round must be >= 1, got {self.start_round}")
-        if self.kind == "high_tax":
-            if self.top_k < 1:
-                raise DomainError(f"top_k must be >= 1, got {self.top_k}")
-            if not 0.0 <= self.raised_share < 1.0:
-                raise DomainError(f"raised_share must lie in [0, 1), got {self.raised_share}")
-        if self.kind != "high_tax" and not 0.0 < self.bottom_fraction <= 1.0:
-            raise DomainError(f"bottom_fraction must lie in (0, 1], got {self.bottom_fraction}")
-        if self.kind == "boost_small" and not 0.0 < self.boost_multiplier < math.inf:
-            raise DomainError(
-                f"boost_multiplier must be finite and > 0, got {self.boost_multiplier}"
-            )
-        if self.kind == "subsidy" and not 0.0 <= self.per_round_amount < math.inf:
-            raise DomainError(
-                f"per_round_amount must be finite and >= 0, got {self.per_round_amount}"
-            )
+        require_fields(self, _POLICY_DOMAINS[self.kind])
 
 
 def _sequence(value, name: str, what: str, accept) -> tuple:
@@ -93,27 +84,27 @@ def _sequence(value, name: str, what: str, accept) -> tuple:
     return items
 
 
-_INT_FIELDS = ("n_streamers", "n_viewers", "n_rounds", "seed", "exit_patience",
-               "n_content_types")
-# the least value of each field bounded only from below
-_AT_LEAST = {"n_streamers": 1, "n_viewers": 1, "n_rounds": 0, "seed": 0, "exit_patience": 1,
-             "n_content_types": 1, "random_effect_scale": 0, "revenue_per_viewer": 0,
-             "quality_responsiveness": 0, "exit_revenue_floor": 0}
-_FLOAT_FIELDS = (
-    "base_revenue_share",
-    "network_effect_beta",
-    "quality_decay_rate",
-    "random_effect_scale",
-    "revenue_per_viewer",
-    "match_bonus",
-    "quality_responsiveness",
-    "investment_audience_scale",
-    "investment_min_revenue",
-    "investment_step_cap",
-    "subsidy_quality_efficiency",
-    "exit_revenue_floor",
-    "interaction_weight",
-)
+_SIM_DOMAINS = {
+    "n_streamers": Domain(1, integer=True),
+    "n_viewers": Domain(1, integer=True),
+    "n_rounds": Domain(0, integer=True),
+    "base_revenue_share": Domain(0, 1, "[)"),
+    "network_effect_beta": Domain(),
+    "quality_decay_rate": Domain(0, 1, "[)"),
+    "random_effect_scale": Domain(0),
+    "seed": Domain(0, integer=True),
+    "revenue_per_viewer": Domain(0),
+    "match_bonus": Domain(),
+    "quality_responsiveness": Domain(0),
+    "investment_audience_scale": Domain(0, ends="()"),
+    "investment_min_revenue": Domain(),
+    "investment_step_cap": Domain(0, ends="()"),
+    "subsidy_quality_efficiency": Domain(),
+    "exit_revenue_floor": Domain(0),
+    "exit_patience": Domain(1, integer=True),
+    "interaction_weight": Domain(),
+    "n_content_types": Domain(1, integer=True),
+}
 
 
 @dataclass(frozen=True)
@@ -146,36 +137,22 @@ class SimConfig:
     n_content_types: int = 3
 
     def __post_init__(self):
-        require_integers(self, _INT_FIELDS)
-        require_numbers(self, _FLOAT_FIELDS)
-        # Every check is written so that NaN fails it.
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise NonFiniteError(f"{name} must be finite, got {getattr(self, name)}")
-        for name, least in _AT_LEAST.items():
-            if not getattr(self, name) >= least:
-                raise DomainError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("investment_audience_scale", "investment_step_cap"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name in ("base_revenue_share", "quality_decay_rate"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise DomainError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        require_fields(self, _SIM_DOMAINS)
         # a JSON "false" is a string, and any string is truthy
         if not isinstance(self.boost_investment, (bool, np.bool_)):
             raise DomainError(
                 f"boost_investment must be true or false, got {self.boost_investment!r}"
             )
         if self.prices is not None:
-            # as require_numbers: bool is a Real too, but a price of True is a mistake
-            prices = tuple(map(float, _sequence(
-                self.prices, "prices", "numbers",
-                lambda p: isinstance(p, numbers.Real) and not isinstance(p, bool))))
+            # an item require refuses by type (bool is a Real too) fails the sequence
+            prices = _sequence(self.prices, "prices", "numbers",
+                               lambda p: isinstance(p, numbers.Real) and not isinstance(p, bool))
+            for p in prices:
+                require("prices", p)
+            prices = tuple(map(float, prices))
             object.__setattr__(self, "prices", prices)
             if len(prices) != self.n_streamers:
                 raise DomainError(f"prices has length {len(prices)}, expected {self.n_streamers}")
-            if not all(math.isfinite(p) for p in prices):
-                raise NonFiniteError(f"prices must be finite, got {list(prices)}")
             if not all(p >= 0 for p in prices):
                 raise DomainError(f"prices must be >= 0, got {list(prices)}")
         object.__setattr__(self, "policy_schedule", _sequence(

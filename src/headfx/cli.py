@@ -47,13 +47,7 @@ from .dynamics import (
     stability_at,
 )
 from .equilibrium import FixedPointConfig, max_share_from_perturbed_start
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    DomainError,
-    NonFiniteError,
-    NumericalError,
-)
+from .errors import ConfigError, DimensionMismatchError, DomainError, NumericalError
 from .harness import (
     SCENARIO_NAMES,
     ScenarioSpec,
@@ -192,10 +186,14 @@ def _cmd_dynamics(args) -> int:
     else:  # portrait
         if args.grid < 1:
             raise ConfigError(f"--grid must be >= 1, got {args.grid}")
+        try:
+            shares = np.linspace(0.05, 0.95, args.grid)
+        except (ValueError, MemoryError):
+            raise ConfigError(f"--grid {args.grid} starts do not fit in memory") from None
         m = market.m
         big_n = platform.n_streamers
         starts = []
-        for share0 in np.linspace(0.05, 0.95, args.grid):
+        for share0 in shares:
             n0 = np.full(big_n, (1.0 - share0) * m / max(big_n - 1, 1))
             n0[0] = share0 * m
             starts.append(
@@ -390,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, DimensionMismatchError, NonFiniteError) as exc:
+    except (ConfigError, DomainError, DimensionMismatchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

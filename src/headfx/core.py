@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, NonFiniteError
+from .errors import DimensionMismatchError, Domain, DomainError, NonFiniteError, require_fields
 from .logit import logit_slope, softmax, utility
 
 __all__ = [
@@ -44,6 +44,23 @@ def _as_float_vector(x, name: str, n: int | None = None) -> np.ndarray:
     return v
 
 
+_PLATFORM_DOMAINS = {
+    "n_streamers": Domain(1, integer=True),
+    # a real: a market of 100.0 viewers is a market of 100
+    "n_viewers": Domain(0, ends="()"),
+    "beta": Domain(0),
+    "tau": Domain(0, 1, "[)"),
+    "revenue_per_viewer": Domain(0),
+    "gamma": Domain(0, ends="()"),
+    "phi": Domain(0, ends="()"),
+}
+_STREAMER_DOMAINS = {
+    "alpha": Domain(0),
+    "eta": Domain(0, ends="()"),
+    "cost_coefficient": Domain(0, ends="()"),
+}
+
+
 @dataclass(frozen=True)
 class PlatformParams:
     """Global market constants shared by every streamer and viewer.
@@ -64,19 +81,7 @@ class PlatformParams:
     prices: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not self.n_streamers >= 1:
-            raise DomainError(f"n_streamers must be >= 1, got {self.n_streamers}")
-        if not 0 < self.n_viewers < math.inf:
-            raise DomainError(f"n_viewers must be finite and > 0, got {self.n_viewers}")
-        if not 0.0 <= self.tau < 1.0:
-            raise DomainError(f"tau must lie in [0, 1), got {self.tau}")
-        # Every check is written so that NaN fails it.
-        for name in ("beta", "revenue_per_viewer"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-        for name in ("gamma", "phi"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        require_fields(self, _PLATFORM_DOMAINS)
         prices = self.prices
         if prices is None:
             prices = np.zeros(self.n_streamers)
@@ -95,11 +100,7 @@ class StreamerParams:
     cost_coefficient: float = 0.2
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
-        for name in ("eta", "cost_coefficient"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise DomainError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        require_fields(self, _STREAMER_DOMAINS)
 
 
 @dataclass(frozen=True)

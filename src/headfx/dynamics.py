@@ -23,7 +23,6 @@ state.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
@@ -33,9 +32,11 @@ from .core import Market, MarketState, PlatformParams, TrafficAllocation
 from .errors import (
     DimensionMismatchError,
     DivergenceError,
+    Domain,
     DomainError,
     NonFiniteError,
-    require_integers,
+    require,
+    require_fields,
 )
 from .logit import choice_jacobian, quality_best_response, softmax, utility
 
@@ -60,6 +61,13 @@ _EXPLOSION_BOUND = 1e12
 _N_BOUND_SLACK = 1e-3
 
 
+_INTEGRATOR_DOMAINS = {
+    "dt": Domain(0, ends="()"),
+    "t_end": Domain(0, ends="()"),
+    "record_every": Domain(1, integer=True),
+}
+
+
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Step, horizon and sampling stride of the fixed-step classic RK4 integrator."""
@@ -69,19 +77,13 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        require_integers(self, ("record_every",))
-        if not 0.0 < self.dt < math.inf:
-            raise DomainError(f"dt must be finite and > 0, got {self.dt}")
-        if not 0.0 < self.t_end < math.inf:
-            raise DomainError(f"t_end must be finite and > 0, got {self.t_end}")
+        require_fields(self, _INTEGRATOR_DOMAINS)
         if not self.t_end / self.dt <= sys.maxsize:
             raise DomainError(
                 f"t_end / dt must be at most {sys.maxsize} steps, got {self.t_end / self.dt:g}"
             )
         if self.n_steps == 0:
             raise DomainError(f"t_end {self.t_end:g} / dt {self.dt:g} rounds to zero RK4 steps")
-        if self.record_every < 1:
-            raise DomainError(f"record_every must be >= 1, got {self.record_every}")
 
     @property
     def n_steps(self) -> int:
@@ -385,8 +387,7 @@ def path_dependence_experiment(
     big_n = platform.n_streamers
     if big_n < 2:
         raise DomainError("path dependence needs at least 2 streamers")
-    if not 0.0 < delta0 < market.m:
-        raise DomainError(f"delta0 must lie in (0, M), got {delta0}")
+    require("delta0", delta0, 0, market.m, "()")
 
     if state0 is None:
         q_base = quality_best_response(market.revenue, market.c, np.full(big_n, 1.0 / big_n))

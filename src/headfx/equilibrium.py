@@ -10,13 +10,12 @@ which near-symmetric markets collapse into a concentrated outcome.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation
-from .errors import BracketError, DomainError, require_integers
+from .errors import BracketError, Domain, DomainError, require, require_fields
 from .logit import quality_best_response, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -28,6 +27,14 @@ __all__ = [
     "max_share_from_perturbed_start",
 ]
 
+_FIXED_POINT_DOMAINS = {
+    "damping": Domain(0, 1, "(]"),
+    "tol": Domain(0, ends="()"),
+    "max_iter": Domain(1, integer=True),
+    "n_starts": Domain(1, integer=True),
+}
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     """Iteration controls for the fixed-point and joint solvers."""
@@ -38,15 +45,7 @@ class FixedPointConfig:
     n_starts: int = 32
 
     def __post_init__(self):
-        require_integers(self, ("max_iter", "n_starts"))
-        if not 0.0 < self.damping <= 1.0:
-            raise DomainError(f"damping must lie in (0, 1], got {self.damping}")
-        if not 0.0 < self.tol < math.inf:
-            raise DomainError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_starts < 1:
-            raise DomainError(f"n_starts must be >= 1, got {self.n_starts}")
+        require_fields(self, _FIXED_POINT_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -181,6 +180,7 @@ def enumerate_equilibria(
     10 * cfg.tol of an earlier find (in start order). Returned equilibria
     are sorted by descending max audience share.
     """
+    require("seed", seed, 0, integer=True)
     market = Market.from_params(platform, streamers)
     rng = np.random.default_rng(seed)
     starts = rng.dirichlet(np.ones(platform.n_streamers), size=cfg.n_starts) * market.m
@@ -230,11 +230,7 @@ def find_critical_beta(
         cfg = FixedPointConfig()
     if not beta_lo < beta_hi:
         raise DomainError(f"need beta_lo < beta_hi, got [{beta_lo}, {beta_hi}]")
-    big_n = platform.n_streamers
-    if not 1.0 / big_n < share_threshold < 1.0:
-        raise DomainError(
-            f"share_threshold must lie in (1/N, 1) = ({1.0 / big_n}, 1), got {share_threshold}"
-        )
+    require("share_threshold", share_threshold, 1.0 / platform.n_streamers, 1, "()")
 
     def concentrated(beta: float) -> bool:
         plat = dataclasses.replace(platform, beta=beta)

@@ -1,14 +1,20 @@
-"""Exception types shared across the package, and the integer and number
-checks of the config classes.
+"""Exception types shared across the package, and the one check of a
+scalar input's domain.
 
-The CLI maps invalid input (ConfigError, DomainError,
-DimensionMismatchError, NonFiniteError) to exit code 2 and
+The CLI maps invalid input (ConfigError, DomainError and its subclass
+NonFiniteError, DimensionMismatchError) to exit code 2 and
 NumericalError (and its subclasses) to exit code 3; everything else is
 a plain bug.
+
+require is the one home of the rule for a valid number: each config
+class and solver control states its scalar domains as a table of
+Domain values (checked by require_fields) or as require calls.
 """
 
+import math
 import numbers
 import sys
+from typing import NamedTuple
 
 
 class HeadfxError(Exception):
@@ -23,7 +29,7 @@ class DomainError(HeadfxError, ValueError):
     """A parameter or input violates its documented domain."""
 
 
-class NonFiniteError(HeadfxError, ValueError):
+class NonFiniteError(DomainError):
     """An input contains NaN or infinity where finite values are required."""
 
 
@@ -47,22 +53,58 @@ class ConfigError(HeadfxError, ValueError):
     """A scenario/sweep config file is malformed; the message names the key."""
 
 
-def require_integers(obj, names) -> None:
-    """Raise DomainError unless each named attribute of obj is an integer
-    that numpy can size an array with (at most sys.maxsize, the intp maximum)."""
-    # bool is an Integral too, but a count of True is a config mistake.
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value > sys.maxsize:
-            raise DomainError(f"{name} must be at most {sys.maxsize}, got {value}")
+class Domain(NamedTuple):
+    """The arguments of require after the value, as one table entry."""
+
+    low: float | None = None
+    high: float | None = None
+    ends: str = "[]"
+    integer: bool = False
 
 
-def require_numbers(obj, names) -> None:
-    """Raise DomainError unless each named attribute of obj is a real number;
-    NaN and infinities pass, for the range checks to name."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise DomainError(f"{name} must be a number, got {value!r}")
+def require(name, value, low=None, high=None, ends="[]", integer=False) -> None:
+    """Raise DomainError unless value lies between low and high.
+
+    ends holds the interval's brackets, "[" or "(" then "]" or ")"; a
+    bound of None is absent. bool is never a number. An integer must be
+    an Integral no larger than sys.maxsize, the intp maximum numpy sizes
+    arrays with. Any other value must be a Real whose float is finite,
+    so an int too large for a float fails, and NaN fails every domain; a
+    non-finite value raises NonFiniteError.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DomainError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    # str() refuses an int of over 4300 digits, so a long int is shown by its size
+    shown = value
+    if isinstance(value, int) and value.bit_length() > 64:
+        shown = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    if integer and value > sys.maxsize:
+        raise DomainError(f"{name} must be at most {sys.maxsize}, got {shown}")
+    try:
+        x = value if integer else float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    finite = integer or math.isfinite(x)
+    if (
+        finite
+        and (low is None or (x >= low if ends[0] == "[" else x > low))
+        and (high is None or (x <= high if ends[1] == "]" else x < high))
+    ):
+        return
+    if low is not None and high is not None:
+        rule = f"lie in {ends[0]}{low}, {high}{ends[1]}"
+    else:
+        parts = [] if integer else ["finite"]
+        if low is not None:
+            parts.append(f"{'>=' if ends[0] == '[' else '>'} {low}")
+        if high is not None:
+            parts.append(f"{'<=' if ends[1] == ']' else '<'} {high}")
+        rule = "be " + " and ".join(parts)
+    raise (DomainError if finite else NonFiniteError)(f"{name} must {rule}, got {shown}")
+
+
+def require_fields(obj, table) -> None:
+    """require each attribute of obj that table names, in the table's Domain."""
+    for name, domain in table.items():
+        require(name, getattr(obj, name), *domain)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .abm import PolicyIntervention, SimConfig, SimRun, simulate
 from .core import PlatformParams, StreamerParams
-from .errors import ConfigError, DomainError, HeadfxError, require_integers
+from .errors import ConfigError, Domain, DomainError, HeadfxError, require, require_fields
 from .metrics import METRIC_COLUMNS, MetricsSummary, summarize
 from .dynamics import PortraitResult
 
@@ -98,6 +98,9 @@ def canonical_policies(name: str) -> tuple[PolicyIntervention, ...]:
     raise ConfigError(f"unknown scenario name {name!r}; expected one of {SCENARIO_NAMES} or 'custom'")
 
 
+_SCENARIO_DOMAINS = {"n_seeds": Domain(1, integer=True), "seed_base": Domain(0, integer=True)}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One scenario to replicate across paired seeds."""
@@ -108,11 +111,7 @@ class ScenarioSpec:
     seed_base: int = 0
 
     def __post_init__(self):
-        require_integers(self, ("n_seeds", "seed_base"))
-        if self.n_seeds < 1:
-            raise DomainError(f"n_seeds must be >= 1, got {self.n_seeds}")
-        if self.seed_base < 0:
-            raise DomainError(f"seed_base must be >= 0, got {self.seed_base}")
+        require_fields(self, _SCENARIO_DOMAINS)
         # A zero-round run is valid for the simulator, but it has no history
         # to summarize, so a scenario must have at least one round.
         if self.sim.n_rounds < 1:
@@ -290,8 +289,7 @@ def _run_scenarios(specs, out_dir, threads: int) -> list[RunArtifact]:
     """Every seed of every scenario in specs, as one flat task list on one
     pool of min(threads, task count) workers (in process when that is 1);
     one artifact per scenario."""
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
+    require("threads", threads, 1, integer=True)
     tasks = [(spec.name, dataclasses.replace(spec.sim, seed=s))
              for spec in specs for s in spec.seeds()]
     workers = min(threads, len(tasks))
@@ -456,21 +454,13 @@ def _fields(value, allowed, where: str) -> dict:
     return value
 
 
-def _number(value, where: str) -> float:
-    """value as a float, if it is a JSON number (not a boolean) a float can hold."""
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    except OverflowError:
-        pass
-    raise ConfigError(f"{where} must be a number a float can hold, got {value!r}")
-
-
 def _numbers(value, where: str) -> list[float]:
-    """value as floats, if it is a JSON list of numbers."""
+    """value as floats, if it is a JSON list of finite numbers."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    return [_number(x, where) for x in value]
+    for x in value:
+        require(where, x)
+    return [float(x) for x in value]
 
 
 def parse_config(path) -> ScenarioSpec | SweepSpec:
@@ -505,8 +495,6 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
         raise ConfigError("[sweep] requires 'parameter' and 'values'")
 
     try:
-        if kwargs.get("prices") is not None:
-            kwargs["prices"] = tuple(_numbers(kwargs["prices"], "prices"))
         schedule = []
         for idx, pol in enumerate(policies):
             where = f"[policies][{idx}]"
@@ -536,25 +524,25 @@ def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
         if key not in raw:
             raise ConfigError(f"instance file is missing {key!r}")
     try:
-        # A count must be a whole number a float holds exactly: int() raises
-        # on Infinity and truncates 50.7.
-        n_viewers = _number(raw.get("n_viewers", 1000), "n_viewers")
-        if not (abs(n_viewers) < 2**53 and n_viewers.is_integer()):
-            raise ConfigError(f"n_viewers must be a whole number below 2**53, got {n_viewers!r}")
+        # A count must be a whole number a float holds exactly: int() truncates 50.7.
+        n_viewers = raw.get("n_viewers", 1000)
+        require("n_viewers", n_viewers, 0, 2**53, "()")
+        if not float(n_viewers).is_integer():
+            raise ConfigError(f"n_viewers must be a whole number, got {n_viewers!r}")
         alpha = _numbers(raw["alpha"], "alpha")
         q = np.array(_numbers(raw["q"], "q"))
         cost = _numbers(raw.get("cost", [1.0] * len(alpha)), "cost")
         if not len(alpha) == len(q) == len(cost):
             raise ConfigError("alpha, q, and cost must have equal lengths")
-        if not np.all(np.isfinite(q) & (q >= 0)):
-            raise ConfigError(f"q must be finite and >= 0, got {q.tolist()}")
+        if not np.all(q >= 0):
+            raise ConfigError(f"q must be >= 0, got {q.tolist()}")
         platform = PlatformParams(
             n_streamers=len(alpha),
             n_viewers=int(n_viewers),
-            beta=_number(raw.get("beta", 0.0), "beta"),
-            tau=_number(raw.get("tau", 0.2), "tau"),
-            revenue_per_viewer=_number(raw.get("revenue_per_viewer", 1.0), "revenue_per_viewer"),
-            phi=_number(raw.get("phi", 1.0), "phi"),
+            beta=raw.get("beta", 0.0),
+            tau=raw.get("tau", 0.2),
+            revenue_per_viewer=raw.get("revenue_per_viewer", 1.0),
+            phi=raw.get("phi", 1.0),
             prices=np.array(_numbers(raw["prices"], "prices")) if "prices" in raw else None,
         )
         streamers = [StreamerParams(alpha=a, eta=1.0, cost_coefficient=c)

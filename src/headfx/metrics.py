@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, NonFiniteError, require
 
 __all__ = [
     "MetricsSummary",
@@ -35,6 +35,14 @@ METRIC_COLUMNS = (
 )
 
 
+def _finite(x, name: str) -> np.ndarray:
+    """x as a float array, if every entry is finite; name is the metric's."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteError(f"{name} requires finite entries")
+    return x
+
+
 @dataclass(frozen=True)
 class MetricsSummary:
     """One summary row for a completed run."""
@@ -53,7 +61,7 @@ def gini(x) -> float:
     0 for a uniform vector, (n-1)/n for a one-hot vector; no small-sample
     correction is applied.
     """
-    x = np.asarray(x, dtype=float)
+    x = _finite(x, "gini")
     if x.ndim != 1 or x.size == 0:
         raise DimensionMismatchError("gini expects a non-empty 1-d vector")
     if np.any(x < 0):
@@ -70,11 +78,10 @@ def gini(x) -> float:
 
 def top_k_share(counts, k: int) -> float:
     """Share of the k largest entries in the total; ties taken by value."""
-    counts = np.asarray(counts, dtype=float)
+    counts = _finite(counts, "top_k_share")
     if counts.ndim != 1 or counts.size == 0:
         raise DimensionMismatchError("top_k_share expects a non-empty 1-d vector")
-    if k < 1 or k > counts.size:
-        raise DomainError(f"k must lie in [1, {counts.size}], got {k}")
+    require("k", k, 1, counts.size, integer=True)
     total = counts.sum()
     if total <= 0:
         raise DomainError("top_k_share requires a positive total")
@@ -84,7 +91,7 @@ def top_k_share(counts, k: int) -> float:
 
 def viewer_mobility(history) -> float:
     """Mean over consecutive rounds of the mean per-streamer |count change|."""
-    counts = np.asarray(list(history), dtype=float)
+    counts = _finite(list(history), "viewer_mobility")
     if counts.ndim != 2 or counts.shape[0] < 2:
         raise DomainError("viewer_mobility needs at least 2 rounds of counts")
     deltas = np.abs(np.diff(counts, axis=0))
@@ -93,8 +100,8 @@ def viewer_mobility(history) -> float:
 
 def quality_improvement(q_initial, q_final) -> float:
     """Mean per-streamer quality change from start to finish."""
-    q0 = np.asarray(q_initial, dtype=float)
-    q1 = np.asarray(q_final, dtype=float)
+    q0 = _finite(q_initial, "quality_improvement")
+    q1 = _finite(q_final, "quality_improvement")
     if q0.shape != q1.shape:
         raise DimensionMismatchError(
             f"quality vectors differ in shape: {q0.shape} vs {q1.shape}"

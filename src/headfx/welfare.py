@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -25,13 +24,7 @@ from .core import (
     deterministic_utility,
 )
 from .equilibrium import FixedPointConfig
-from .errors import (
-    DomainError,
-    NonFiniteError,
-    NumericalError,
-    require_integers,
-    require_numbers,
-)
+from .errors import DomainError, NonFiniteError, NumericalError, require
 from .logit import choice_jacobian, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -211,14 +204,9 @@ def optimize_allocation(
     most tol and its fixed point converged. Raises NumericalError where
     I - beta M dP/dV is singular at a visited equilibrium.
     """
-    controls = SimpleNamespace(step=step, tol=tol, max_iter=max_iter)
-    require_integers(controls, ("max_iter",))
-    require_numbers(controls, ("step", "tol"))
-    for name, value in (("step", step), ("tol", tol)):
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"{name} must be finite and > 0, got {value}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    require("step", step, 0, ends="()")
+    require("tol", tol, 0, ends="()")
+    require("max_iter", max_iter, 1, integer=True)
     q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
     if fp_cfg is None:
@@ -450,8 +438,8 @@ def grid_search_allocation(
     big_n = platform.n_streamers
     if big_n not in (2, 3):
         raise DomainError("grid oracle supports 2 or 3 streamers")
-    require_numbers(SimpleNamespace(resolution=resolution), ("resolution",))
-    steps = 1.0 / resolution if 0.0 < resolution < math.inf else math.nan
+    require("resolution", resolution, 0, ends="()")
+    steps = 1.0 / resolution
     if not (math.isfinite(steps) and round(steps) >= 1):
         raise DomainError(
             f"resolution must be finite and > 0 with round(1 / resolution) >= 1, "

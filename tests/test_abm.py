@@ -633,6 +633,11 @@ class TestPolicies:
         assert SimConfig(n_streamers=2, policy_schedule=(fits,)).policy_schedule == (fits,)
 
 
+# SimConfig's count and real fields, as its domain table lists them
+SIM_INT_FIELDS = [name for name, domain in abm._SIM_DOMAINS.items() if domain.integer]
+SIM_FLOAT_FIELDS = [name for name, domain in abm._SIM_DOMAINS.items() if not domain.integer]
+
+
 class TestRunSimulation:
     def test_table1_histories_are_pinned(self):
         h = hashlib.sha256()
@@ -673,7 +678,7 @@ class TestRunSimulation:
             means.append(np.mean(vals))
         assert means[0] <= means[1] <= means[2]
 
-    @pytest.mark.parametrize("name", abm._FLOAT_FIELDS)
+    @pytest.mark.parametrize("name", SIM_FLOAT_FIELDS)
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_config_values_rejected(self, name, value):
         with pytest.raises(NonFiniteError, match=name):
@@ -712,7 +717,7 @@ class TestRunSimulation:
                            match="policy_schedule must be a sequence of PolicyIntervention"):
             SimConfig(policy_schedule=schedule)
 
-    @pytest.mark.parametrize("name", abm._INT_FIELDS)
+    @pytest.mark.parametrize("name", SIM_INT_FIELDS)
     @pytest.mark.parametrize("value", [100.5, 2.0, True, "3"])
     def test_integer_fields_reject_non_integers(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be an integer"):
@@ -733,7 +738,7 @@ class TestRunSimulation:
         )
         assert len(simulate(cfg).records) == 3
 
-    @pytest.mark.parametrize("name", abm._INT_FIELDS)
+    @pytest.mark.parametrize("name", SIM_INT_FIELDS)
     def test_counts_beyond_intp_rejected(self, name):
         # numpy cannot size an array past its intp maximum
         with pytest.raises(DomainError, match=f"{name} must be at most"):

@@ -924,6 +924,15 @@ class TestCli:
         assert "config error" in err and f"--grid must be >= 1, got {grid}" in err
         assert not out.exists()
 
+    def test_portrait_grid_beyond_memory_exit_2(self, tmp_path, capsys):
+        # 2**62 starts: numpy refuses the array before it allocates anything
+        out = tmp_path / "o"
+        code = main(["dynamics", "--kind", "portrait", "--grid", str(2**62), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--grid" in err
+        assert not out.exists()
+
     def test_stability_kind_is_an_invalid_choice(self, tmp_path, capsys):
         # equilibrium states the stability of the point it solves
         out = tmp_path / "o"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headfx.abm import RoundRecord
-from headfx.errors import DimensionMismatchError, DomainError
+from headfx.errors import DimensionMismatchError, DomainError, NonFiniteError
 from headfx.metrics import (
     gini,
     quality_improvement,
@@ -135,6 +135,24 @@ class TestQualityImprovement:
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             quality_improvement([0.5], [0.5, 0.6])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "metric",
+    [
+        lambda bad: gini([bad, 1.0]),
+        lambda bad: top_k_share([bad, 1.0, 2.0], 2),
+        lambda bad: viewer_mobility([[1.0, bad], [2.0, 3.0]]),
+        lambda bad: quality_improvement([bad], [1.0]),
+        lambda bad: quality_improvement([1.0], [bad]),
+    ],
+    ids=["gini", "top_k_share", "viewer_mobility", "quality_initial", "quality_final"],
+)
+def test_non_finite_input_rejected(metric, bad):
+    # as dynamics.hhi: no metric returns NaN for a non-finite entry
+    with pytest.raises(NonFiniteError, match="requires finite entries"):
+        metric(bad)
 
 
 def _record(idx, counts, qualities, sat):
