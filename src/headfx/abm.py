@@ -11,12 +11,11 @@ small ones).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Domain, DomainError, require, require_fields
+from .errors import Domain, DomainError, require_array, require_fields
 from .logit import logit_slope
 
 __all__ = [
@@ -144,17 +143,8 @@ class SimConfig:
                 f"boost_investment must be true or false, got {self.boost_investment!r}"
             )
         if self.prices is not None:
-            # an item require refuses by type (bool is a Real too) fails the sequence
-            prices = _sequence(self.prices, "prices", "numbers",
-                               lambda p: isinstance(p, numbers.Real) and not isinstance(p, bool))
-            for p in prices:
-                require("prices", p)
-            prices = tuple(map(float, prices))
-            object.__setattr__(self, "prices", prices)
-            if len(prices) != self.n_streamers:
-                raise DomainError(f"prices has length {len(prices)}, expected {self.n_streamers}")
-            if not all(p >= 0 for p in prices):
-                raise DomainError(f"prices must be >= 0, got {list(prices)}")
+            object.__setattr__(self, "prices", tuple(
+                require_array("prices", self.prices, 0, shape=(self.n_streamers,)).tolist()))
         object.__setattr__(self, "policy_schedule", _sequence(
             self.policy_schedule, "policy_schedule", "PolicyIntervention",
             lambda p: isinstance(p, PolicyIntervention)))

@@ -47,7 +47,7 @@ from .dynamics import (
     stability_at,
 )
 from .equilibrium import FixedPointConfig, max_share_from_perturbed_start
-from .errors import ConfigError, DimensionMismatchError, DomainError, NumericalError
+from .errors import ConfigError, DomainError, NumericalError
 from .harness import (
     SCENARIO_NAMES,
     ScenarioSpec,
@@ -388,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, DimensionMismatchError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

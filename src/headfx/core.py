@@ -8,12 +8,18 @@ modules build on these.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, Domain, DomainError, NonFiniteError, require_fields
+from .errors import (
+    DimensionMismatchError,
+    Domain,
+    DomainError,
+    require,
+    require_array,
+    require_fields,
+)
 from .logit import logit_slope, softmax, utility
 
 __all__ = [
@@ -33,15 +39,6 @@ __all__ = [
 # The perturbed symmetric start nudges streamer 0 up by this fraction of M,
 # which fixes which streamer dominates whenever concentration occurs.
 PERTURBATION = 1e-3
-
-
-def _as_float_vector(x, name: str, n: int | None = None) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"{name} must be a 1-d vector, got shape {v.shape}")
-    if n is not None and v.shape[0] != n:
-        raise DimensionMismatchError(f"{name} has length {v.shape[0]}, expected {n}")
-    return v
 
 
 _PLATFORM_DOMAINS = {
@@ -82,13 +79,9 @@ class PlatformParams:
 
     def __post_init__(self):
         require_fields(self, _PLATFORM_DOMAINS)
-        prices = self.prices
-        if prices is None:
-            prices = np.zeros(self.n_streamers)
-        prices = _as_float_vector(prices, "prices", self.n_streamers)
-        if not np.all((prices >= 0) & (prices < math.inf)):
-            raise DomainError(f"prices must be finite and >= 0, got {prices.tolist()}")
-        object.__setattr__(self, "prices", prices)
+        prices = np.zeros(self.n_streamers) if self.prices is None else self.prices
+        object.__setattr__(self, "prices", require_array(
+            "prices", prices, 0, shape=(self.n_streamers,)))
 
 
 @dataclass(frozen=True)
@@ -164,15 +157,9 @@ class MarketState:
     q: np.ndarray
 
     def __post_init__(self):
-        n = _as_float_vector(self.n, "state.n")
-        q = _as_float_vector(self.q, "state.q", n.shape[0])
-        # NaN fails both checks; an infinite quality passes
-        if not np.all(n >= 0):
-            raise DomainError("state.n must be >= 0")
-        if not np.all(q >= 0):
-            raise DomainError("state.q must be >= 0")
+        n = require_array("state.n", self.n, 0)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", require_array("state.q", self.q, 0, shape=n.shape))
 
 
 @dataclass(frozen=True)
@@ -182,9 +169,7 @@ class TrafficAllocation:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = _as_float_vector(self.theta, "theta")
-        if not np.all(theta >= 0):
-            raise DomainError("theta entries must be >= 0")
+        theta = require_array("theta", self.theta, 0)
         total = float(theta.sum())
         if not abs(total - 1.0) <= 1e-12:
             raise DomainError(f"theta must sum to 1 within 1e-12, got {total!r}")
@@ -202,11 +187,10 @@ def deterministic_utility(
     The idiosyncratic taste term lives in the logit (or, for agents, in
     explicit noise draws) and is deliberately excluded here.
     """
-    N = platform.n_streamers
-    _as_float_vector(state.n, "state.n", N)
-    _as_float_vector(state.q, "state.q", N)
+    shape = (platform.n_streamers,)
+    require_array("state.n", state.n, shape=shape)
     alpha = Market.from_params(platform, streamers).alpha
-    th = None if theta is None else _as_float_vector(theta.theta, "theta", N)
+    th = None if theta is None else require_array("theta", theta.theta, shape=shape)
     return utility(alpha, state.q, platform.prices, platform.beta, state.n, platform.phi, th)
 
 
@@ -216,24 +200,14 @@ def choice_probabilities(v) -> np.ndarray:
     Shift-invariant and overflow-safe: network-effect terms can reach
     hundreds of utility units at large audiences.
     """
-    v = _as_float_vector(v, "V")
-    if v.shape[0] < 1:
-        raise DimensionMismatchError("V must have at least one entry")
-    if not np.all(np.isfinite(v)):
-        bad = int(np.flatnonzero(~np.isfinite(v))[0])
-        raise NonFiniteError(f"V contains a non-finite entry at index {bad}")
-    return softmax(v)
+    return softmax(require_array("V", v))
 
 
-def cost(q, c):
+def cost(q: float, c: float) -> float:
     """Quadratic content-production cost c * q**2 (strictly convex)."""
-    q = np.asarray(q, dtype=float)
-    if np.any(q < 0):
-        raise DomainError("quality must be >= 0")
-    if np.any(np.asarray(c, dtype=float) <= 0):
-        raise DomainError("cost coefficient must be > 0")
-    out = c * q * q
-    return float(out) if out.ndim == 0 else out
+    require("q", q, 0)
+    require("c", c, 0, ends="()")
+    return float(c * q * q)
 
 
 def streamer_profit(
@@ -243,8 +217,7 @@ def streamer_profit(
     streamer: StreamerParams,
 ) -> float:
     """Per-period profit (1 - tau) R n_i minus the quality cost."""
-    if n_i < 0:
-        raise DomainError(f"n_i must be >= 0, got {n_i}")
+    require("n_i", n_i, 0)
     revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * n_i
     return revenue - cost(q_i, streamer.cost_coefficient)
 

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation
-from .errors import (
-    DimensionMismatchError,
-    DivergenceError,
-    Domain,
-    DomainError,
-    NonFiniteError,
-    require,
-    require_fields,
-)
+from .errors import DivergenceError, Domain, DomainError, require, require_array, require_fields
 from .logit import choice_jacobian, quality_best_response, softmax, utility
 
 __all__ = [
@@ -123,11 +115,6 @@ def _stack_rows(shape, top, bottom) -> np.ndarray:
     return rows
 
 
-def _check_streamers(length: int, market: Market) -> None:
-    if length != market.alpha.size:
-        raise DimensionMismatchError(f"state has {length} streamers, expected {market.alpha.size}")
-
-
 def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
 
@@ -137,7 +124,6 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     and promotion are tiled to one row. Equal shapes keep numpy's
     elementwise loops off their slower broadcast path.
     """
-    _check_streamers(s.shape[-1], market)
     weights = _stack_rows(s.shape, market.beta, market.alpha)
     rate = _stack_rows(s.shape, market.m, market.revenue)
     drain = _stack_rows(s.shape, 1.0, 2.0 * market.c)
@@ -267,10 +253,12 @@ def integrate(
     Once a step returns the state bytewise unchanged, the loop stops and
     the remaining samples repeat that state, as every later step would.
     """
-    theta_vec = theta.theta if theta is not None else None
+    market = Market.from_params(platform, streamers)
+    shape = market.alpha.shape
+    require_array("state.n", state0.n, shape=shape)
+    theta_vec = None if theta is None else require_array("theta", theta.theta, shape=shape)
     (trajectory,), failures = _integrate_batch(
-        Market.from_params(platform, streamers), state0.n[np.newaxis], state0.q[np.newaxis],
-        cfg, theta_vec,
+        market, state0.n[np.newaxis], state0.q[np.newaxis], cfg, theta_vec
     )
     if failures:
         raise failures[0]
@@ -293,8 +281,9 @@ def jacobian(
          [S beta,                S diag alpha - diag(2 c eta)]]
     """
     market = Market.from_params(platform, streamers)
-    _check_streamers(state.n.size, market)
-    theta_vec = theta.theta if theta is not None else None
+    shape = market.alpha.shape
+    require_array("state.n", state.n, shape=shape)
+    theta_vec = None if theta is None else require_array("theta", theta.theta, shape=shape)
     p = softmax(utility(market.alpha, state.q, market.prices, market.beta, state.n, market.phi,
                         theta_vec))
     dp_dv = choice_jacobian(p)
@@ -308,11 +297,8 @@ def jacobian(
 
 def assess_stability(jac: np.ndarray) -> StabilityReport:
     """Eigenvalue test: stable iff every real part is below -1e-9."""
-    jac = np.asarray(jac, dtype=float)
-    if jac.ndim != 2 or jac.shape[0] != jac.shape[1]:
-        raise DimensionMismatchError(f"Jacobian must be square, got shape {jac.shape}")
-    if not np.all(np.isfinite(jac)):
-        raise NonFiniteError("Jacobian contains non-finite entries")
+    jac = require_array("Jacobian", jac, shape=(None, None))
+    require_array("Jacobian", jac, shape=(jac.shape[0],) * 2)
     real_parts = np.sort(np.linalg.eigvals(jac).real)[::-1]
     return StabilityReport(eigen_real_parts=real_parts, stable=bool(real_parts[0] < -1e-9))
 
@@ -329,11 +315,7 @@ def stability_at(
 
 def hhi(n) -> float:
     """Herfindahl-Hirschman index of an audience vector, in [1/N, 1]."""
-    n = np.asarray(n, dtype=float)
-    if not np.all(np.isfinite(n)):
-        raise NonFiniteError("audience entries must be finite")
-    if np.any(n < 0):
-        raise DomainError("audience entries must be >= 0")
+    n = require_array("n", n, 0)
     total = n.sum()
     if total <= 0:
         raise DomainError("cannot compute HHI of an all-zero vector")
@@ -392,6 +374,8 @@ def path_dependence_experiment(
     if state0 is None:
         q_base = quality_best_response(market.revenue, market.c, np.full(big_n, 1.0 / big_n))
         state0 = MarketState(n=market.symmetric_split(), q=q_base)
+    else:
+        require_array("state.n", state0.n, shape=market.alpha.shape)
 
     n_plus = state0.n.copy()
     n_plus[0] = min(n_plus[0] + delta0 / 2.0, market.m)
@@ -444,7 +428,7 @@ def phase_portrait(
         raise DomainError("phase_portrait needs a non-empty grid of initial states")
     market = Market.from_params(platform, streamers)
     for s0 in initial_states:
-        _check_streamers(s0.n.size, market)
+        require_array("state.n", s0.n, shape=market.alpha.shape)
     trajectories, failures = _integrate_batch(
         market, np.stack([s0.n for s0 in initial_states]),
         np.stack([s0.q for s0 in initial_states]), cfg, None,

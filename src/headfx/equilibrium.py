@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation
-from .errors import BracketError, Domain, DomainError, require, require_fields
+from .errors import BracketError, Domain, DomainError, require, require_array, require_fields
 from .logit import quality_best_response, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -148,14 +148,13 @@ def solve_joint_equilibrium(
     final viewer polish at the converged quality.
     """
     market = Market.from_params(platform, streamers)
-    theta_vec = theta.theta if theta is not None else None
+    shape = market.alpha.shape
+    theta_vec = None if theta is None else require_array("theta", theta.theta, shape=shape)
     if n0 is None:
         n = market.symmetric_split()
     else:
-        n = np.asarray(n0, dtype=float)
-        if not np.all((n >= 0) & (n <= market.m)):
-            raise DomainError("n0 entries must lie in [0, M]")
-    q = None if q0 is None else np.asarray(q0, dtype=float)[np.newaxis]
+        n = require_array("n0", n0, 0, market.m, shape=shape)
+    q = None if q0 is None else require_array("q0", q0, 0, shape=shape)[np.newaxis]
     (result,) = _results(*_joint_equilibrium_batch(market, n[np.newaxis], q, cfg, theta_vec))
     return result
 
@@ -228,6 +227,8 @@ def find_critical_beta(
     """
     if cfg is None:
         cfg = FixedPointConfig()
+    require("beta_lo", beta_lo, 0)
+    require("beta_hi", beta_hi, 0)
     if not beta_lo < beta_hi:
         raise DomainError(f"need beta_lo < beta_hi, got [{beta_lo}, {beta_hi}]")
     require("share_threshold", share_threshold, 1.0 / platform.n_streamers, 1, "()")

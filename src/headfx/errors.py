@@ -1,14 +1,17 @@
-"""Exception types shared across the package, and the one check of a
-scalar input's domain.
+"""Exception types shared across the package, and the one check of an
+input's domain, scalar or array.
 
-The CLI maps invalid input (ConfigError, DomainError and its subclass
-NonFiniteError, DimensionMismatchError) to exit code 2 and
+The CLI maps invalid input (ConfigError, DomainError and its subclasses
+NonFiniteError and DimensionMismatchError) to exit code 2 and
 NumericalError (and its subclasses) to exit code 3; everything else is
 a plain bug.
 
 require is the one home of the rule for a valid number: each config
 class and solver control states its scalar domains as a table of
 Domain values (checked by require_fields) or as require calls.
+require_array is the one home of the rule for a valid array: the same
+rule for each entry, plus a shape. Every public vector argument (audiences,
+qualities, promotion shares, prices, metric inputs) goes through it.
 """
 
 import math
@@ -16,17 +19,19 @@ import numbers
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 
 class HeadfxError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(HeadfxError, ValueError):
-    """A vector argument has the wrong length; the message names it."""
-
-
 class DomainError(HeadfxError, ValueError):
     """A parameter or input violates its documented domain."""
+
+
+class DimensionMismatchError(DomainError):
+    """An array argument has the wrong shape; the message names it."""
 
 
 class NonFiniteError(DomainError):
@@ -92,16 +97,76 @@ def require(name, value, low=None, high=None, ends="[]", integer=False) -> None:
         and (high is None or (x <= high if ends[1] == "]" else x < high))
     ):
         return
-    if low is not None and high is not None:
-        rule = f"lie in {ends[0]}{low}, {high}{ends[1]}"
-    else:
-        parts = [] if integer else ["finite"]
-        if low is not None:
-            parts.append(f"{'>=' if ends[0] == '[' else '>'} {low}")
-        if high is not None:
-            parts.append(f"{'<=' if ends[1] == ']' else '<'} {high}")
-        rule = "be " + " and ".join(parts)
+    rule = _rule(low, high, ends, integer)
     raise (DomainError if finite else NonFiniteError)(f"{name} must {rule}, got {shown}")
+
+
+def _rule(low, high, ends, integer=False) -> str:
+    """The domain as a message states it, after "must"."""
+    if low is not None and high is not None:
+        return f"lie in {ends[0]}{low}, {high}{ends[1]}"
+    parts = [] if integer else ["finite"]
+    if low is not None:
+        parts.append(f"{'>=' if ends[0] == '[' else '>'} {low}")
+    if high is not None:
+        parts.append(f"{'<=' if ends[1] == ']' else '<'} {high}")
+    return "be " + " and ".join(parts)
+
+
+def _holds_numbers(value, a: np.ndarray) -> bool:
+    """Whether every entry of value, read by numpy as a, is a real number."""
+    if a.dtype.kind in "iuf":
+        if isinstance(value, np.ndarray):
+            return True
+        # numpy reads a bool among numbers as 0 or 1: look at the entries
+        a = np.array(value, dtype=object)
+    elif a.dtype.kind != "O":
+        return False
+    return all(
+        issubclass(t, numbers.Real) and not issubclass(t, (bool, np.bool_))
+        for t in set(map(type, a.flat))
+    )
+
+
+def require_array(name, value, low=None, high=None, ends="[]", shape=(None,)) -> np.ndarray:
+    """value as a float array, if each entry passes require(name, entry,
+    low, high, ends) and the array has shape and at least one entry.
+
+    shape gives each axis's length, None for any length. A bool or str
+    entry fails, also inside a list of numbers. A wrong shape raises
+    DimensionMismatchError; otherwise the first entry outside the domain
+    is named by its index, and a non-finite one raises NonFiniteError.
+    A float64 array comes back as it is, not copied.
+    """
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nest of lists
+        a = None
+    if a is None or not _holds_numbers(value, a):
+        raise DomainError(f"{name} must be an array of numbers, got {value!r}")
+    try:
+        a = np.asarray(a, dtype=float)
+    except OverflowError:
+        raise NonFiniteError(f"{name} must be finite, got an int too large for a float") from None
+    if a.ndim != len(shape) or any(n not in (None, d) for n, d in zip(shape, a.shape)):
+        want = ", ".join("any" if n is None else str(n) for n in shape)
+        raise DimensionMismatchError(
+            f"{name} must have shape ({want}{',' if len(shape) == 1 else ''}), got {a.shape}"
+        )
+    if a.size == 0:
+        raise DimensionMismatchError(f"{name} must have at least one entry")
+    ok = np.isfinite(a)
+    if low is not None:
+        ok &= a >= low if ends[0] == "[" else a > low
+    if high is not None:
+        ok &= a <= high if ends[1] == "]" else a < high
+    if not ok.all():
+        at = np.unravel_index(np.argmin(ok), a.shape)
+        x = float(a[at])
+        error = DomainError if math.isfinite(x) else NonFiniteError
+        index = ", ".join(map(str, at))
+        raise error(f"{name}[{index}] must {_rule(low, high, ends)}, got {x!r}")
+    return a
 
 
 def require_fields(obj, table) -> None:

@@ -20,7 +20,15 @@ import numpy as np
 
 from .abm import PolicyIntervention, SimConfig, SimRun, simulate
 from .core import PlatformParams, StreamerParams
-from .errors import ConfigError, Domain, DomainError, HeadfxError, require, require_fields
+from .errors import (
+    ConfigError,
+    Domain,
+    DomainError,
+    HeadfxError,
+    require,
+    require_array,
+    require_fields,
+)
 from .metrics import METRIC_COLUMNS, MetricsSummary, summarize
 from .dynamics import PortraitResult
 
@@ -44,14 +52,20 @@ __all__ = [
     "write_json",
 ]
 
-SCENARIO_NAMES = ("Baseline", "High_Tax", "Boost_Small", "Combined")
-
 # Calibrated intervention magnitudes behind the four named scenarios.
 _HIGH_TAX = dict(kind="high_tax", start_round=10, top_k=3, raised_share=0.7)
 _BOOST_SMALL = dict(kind="boost_small", start_round=10, bottom_fraction=0.5,
                     boost_multiplier=1.2)
 _SUBSIDY = dict(kind="subsidy", start_round=10, bottom_fraction=0.5,
                 per_round_amount=12.0)
+# Each named scenario's policy schedule, in the order the policies apply.
+_SCHEDULES = {
+    "Baseline": (),
+    "High_Tax": (_HIGH_TAX,),
+    "Boost_Small": (_BOOST_SMALL,),
+    "Combined": (_HIGH_TAX, _BOOST_SMALL, _SUBSIDY),
+}
+SCENARIO_NAMES = tuple(_SCHEDULES)
 
 SWEEPABLE_PARAMETERS = (
     "network_effect_beta",
@@ -83,19 +97,11 @@ _INSTANCE_KEYS = (
 
 def canonical_policies(name: str) -> tuple[PolicyIntervention, ...]:
     """Policy schedule for a named scenario."""
-    if name == "Baseline":
-        return ()
-    if name == "High_Tax":
-        return (PolicyIntervention(**_HIGH_TAX),)
-    if name == "Boost_Small":
-        return (PolicyIntervention(**_BOOST_SMALL),)
-    if name == "Combined":
-        return (
-            PolicyIntervention(**_HIGH_TAX),
-            PolicyIntervention(**_BOOST_SMALL),
-            PolicyIntervention(**_SUBSIDY),
+    if name not in SCENARIO_NAMES:
+        raise ConfigError(
+            f"unknown scenario name {name!r}; expected one of {SCENARIO_NAMES} or 'custom'"
         )
-    raise ConfigError(f"unknown scenario name {name!r}; expected one of {SCENARIO_NAMES} or 'custom'")
+    return tuple(PolicyIntervention(**policy) for policy in _SCHEDULES[name])
 
 
 _SCENARIO_DOMAINS = {"n_seeds": Domain(1, integer=True), "seed_base": Domain(0, integer=True)}
@@ -454,15 +460,6 @@ def _fields(value, allowed, where: str) -> dict:
     return value
 
 
-def _numbers(value, where: str) -> list[float]:
-    """value as floats, if it is a JSON list of finite numbers."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    for x in value:
-        require(where, x)
-    return [float(x) for x in value]
-
-
 def parse_config(path) -> ScenarioSpec | SweepSpec:
     """Strict parse of a scenario or sweep config file.
 
@@ -475,10 +472,6 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
     if "name" not in raw:
         raise ConfigError(f"{path}: missing required key 'name'")
     name = raw["name"]
-    if name != "custom" and name not in SCENARIO_NAMES:
-        raise ConfigError(
-            f"unknown scenario name {name!r}; expected one of {SCENARIO_NAMES} or 'custom'"
-        )
     kwargs = {
         **_fields(raw.get("platform", {}), _PLATFORM_KEYS, "[platform]"),
         **_fields(raw.get("overrides", {}), _OVERRIDE_KEYS, "[overrides]"),
@@ -486,7 +479,7 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
     policies = raw.get("policies", [])
     if not isinstance(policies, list):
         raise ConfigError(f"[policies] must be a list, got {policies!r}")
-    if policies and name != "custom":
+    if policies and name in SCENARIO_NAMES:
         raise ConfigError(
             f"[policies] is only allowed for 'custom' scenarios; {name!r} has a canonical schedule"
         )
@@ -529,13 +522,11 @@ def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
         require("n_viewers", n_viewers, 0, 2**53, "()")
         if not float(n_viewers).is_integer():
             raise ConfigError(f"n_viewers must be a whole number, got {n_viewers!r}")
-        alpha = _numbers(raw["alpha"], "alpha")
-        q = np.array(_numbers(raw["q"], "q"))
-        cost = _numbers(raw.get("cost", [1.0] * len(alpha)), "cost")
-        if not len(alpha) == len(q) == len(cost):
-            raise ConfigError("alpha, q, and cost must have equal lengths")
-        if not np.all(q >= 0):
-            raise ConfigError(f"q must be >= 0, got {q.tolist()}")
+        # StreamerParams checks each alpha and cost entry's domain
+        alpha = require_array("alpha", raw["alpha"]).tolist()
+        n = (len(alpha),)
+        q = require_array("q", raw["q"], 0, shape=n)
+        cost = require_array("cost", raw.get("cost", [1.0] * len(alpha)), shape=n).tolist()
         platform = PlatformParams(
             n_streamers=len(alpha),
             n_viewers=int(n_viewers),
@@ -543,7 +534,8 @@ def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
             tau=raw.get("tau", 0.2),
             revenue_per_viewer=raw.get("revenue_per_viewer", 1.0),
             phi=raw.get("phi", 1.0),
-            prices=np.array(_numbers(raw["prices"], "prices")) if "prices" in raw else None,
+            # an explicit null is no list of prices, not the default
+            prices=require_array("prices", raw["prices"]) if "prices" in raw else None,
         )
         streamers = [StreamerParams(alpha=a, eta=1.0, cost_coefficient=c)
                      for a, c in zip(alpha, cost)]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, NonFiniteError, require
+from .errors import DomainError, require, require_array
 
 __all__ = [
     "MetricsSummary",
@@ -35,14 +35,6 @@ METRIC_COLUMNS = (
 )
 
 
-def _finite(x, name: str) -> np.ndarray:
-    """x as a float array, if every entry is finite; name is the metric's."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"{name} requires finite entries")
-    return x
-
-
 @dataclass(frozen=True)
 class MetricsSummary:
     """One summary row for a completed run."""
@@ -61,11 +53,7 @@ def gini(x) -> float:
     0 for a uniform vector, (n-1)/n for a one-hot vector; no small-sample
     correction is applied.
     """
-    x = _finite(x, "gini")
-    if x.ndim != 1 or x.size == 0:
-        raise DimensionMismatchError("gini expects a non-empty 1-d vector")
-    if np.any(x < 0):
-        raise DomainError("gini requires non-negative entries")
+    x = require_array("x", x, 0)
     total = x.sum()
     if total <= 0:
         raise DomainError("gini requires a positive total")
@@ -78,9 +66,7 @@ def gini(x) -> float:
 
 def top_k_share(counts, k: int) -> float:
     """Share of the k largest entries in the total; ties taken by value."""
-    counts = _finite(counts, "top_k_share")
-    if counts.ndim != 1 or counts.size == 0:
-        raise DimensionMismatchError("top_k_share expects a non-empty 1-d vector")
+    counts = require_array("counts", counts, 0)
     require("k", k, 1, counts.size, integer=True)
     total = counts.sum()
     if total <= 0:
@@ -90,9 +76,12 @@ def top_k_share(counts, k: int) -> float:
 
 
 def viewer_mobility(history) -> float:
-    """Mean over consecutive rounds of the mean per-streamer |count change|."""
-    counts = _finite(list(history), "viewer_mobility")
-    if counts.ndim != 2 or counts.shape[0] < 2:
+    """Mean over consecutive rounds of the mean per-streamer |count change|.
+
+    history holds one row of counts per round, a (rounds, N) array.
+    """
+    counts = require_array("history", history, 0, shape=(None, None))
+    if counts.shape[0] < 2:
         raise DomainError("viewer_mobility needs at least 2 rounds of counts")
     deltas = np.abs(np.diff(counts, axis=0))
     return float(deltas.mean())
@@ -100,12 +89,8 @@ def viewer_mobility(history) -> float:
 
 def quality_improvement(q_initial, q_final) -> float:
     """Mean per-streamer quality change from start to finish."""
-    q0 = _finite(q_initial, "quality_improvement")
-    q1 = _finite(q_final, "quality_improvement")
-    if q0.shape != q1.shape:
-        raise DimensionMismatchError(
-            f"quality vectors differ in shape: {q0.shape} vs {q1.shape}"
-        )
+    q0 = require_array("q_initial", q_initial)
+    q1 = require_array("q_final", q_final, shape=q0.shape)
     return float(np.mean(q1 - q0))
 
 
@@ -133,7 +118,7 @@ def summarize(history, q_initial) -> MetricsSummary:
     top3 = top_k_share(counts, k)
 
     if len(history) >= 2:
-        mobility = viewer_mobility([r.viewer_counts for r in history])
+        mobility = viewer_mobility(np.array([r.viewer_counts for r in history]))
     else:
         mobility = 0.0
 

@@ -24,7 +24,7 @@ from .core import (
     deterministic_utility,
 )
 from .equilibrium import FixedPointConfig
-from .errors import DomainError, NonFiniteError, NumericalError, require
+from .errors import DomainError, NumericalError, require, require_array
 from .logit import choice_jacobian, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -136,11 +136,7 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
 
 def simplex_project(v) -> TrafficAllocation:
     """Euclidean projection onto the probability simplex (sort-based)."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise DomainError("simplex_project expects a non-empty 1-d vector")
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteError("simplex_project requires finite entries")
+    v = require_array("v", v)
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u) - 1.0
     ranks = np.arange(1, v.size + 1)
@@ -207,16 +203,16 @@ def optimize_allocation(
     require("step", step, 0, ends="()")
     require("tol", tol, 0, ends="()")
     require("max_iter", max_iter, 1, integer=True)
-    q = np.asarray(q, dtype=float)
     market = Market.from_params(platform, streamers)
+    big_n = platform.n_streamers
+    q = require_array("q", q, 0, shape=(big_n,))
     if fp_cfg is None:
         fp_cfg = _default_fixed_point(market, tol=1e-13, max_iter=20000)
-    big_n = platform.n_streamers
 
     theta = (
         np.full(big_n, 1.0 / big_n)
         if init_theta is None
-        else np.asarray(init_theta.theta, dtype=float).copy()
+        else require_array("init_theta", init_theta.theta, shape=(big_n,)).copy()
     )
     breakdown, n, g, converged = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
 
@@ -445,7 +441,7 @@ def grid_search_allocation(
             f"resolution must be finite and > 0 with round(1 / resolution) >= 1, "
             f"got {resolution}"
         )
-    q = np.asarray(q, dtype=float)
+    q = require_array("q", q, 0, shape=(big_n,))
     market = Market.from_params(platform, streamers)
     if fp_cfg is None:
         fp_cfg = _default_fixed_point(market, tol=1e-10)

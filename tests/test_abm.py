@@ -698,12 +698,12 @@ class TestRunSimulation:
 
     def test_negative_prices_rejected(self):
         # the domain PlatformParams accepts, so the analytic commands take every config
-        with pytest.raises(DomainError, match=r"prices must be >= 0, got \[-1.0, 0.0, 2.0\]"):
+        with pytest.raises(DomainError, match=r"prices\[0\] must be finite and >= 0, got -1.0"):
             SimConfig(n_streamers=3, prices=(-1.0, 0.0, 2.0))
 
     @pytest.mark.parametrize("prices", [("x",), 5, "0", (True,), (np.bool_(False),), (None,)])
     def test_prices_must_be_numbers(self, prices):
-        with pytest.raises(DomainError, match="prices must be a sequence of numbers"):
+        with pytest.raises(DomainError, match="prices must (be an array of numbers|have shape)"):
             SimConfig(n_streamers=1, prices=prices)
 
     def test_prices_are_kept_as_a_tuple_of_floats(self):

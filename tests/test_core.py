@@ -288,10 +288,13 @@ class TestDomainGuards:
             with pytest.raises(DomainError):
                 TrafficAllocation(np.array(theta))
 
-    @pytest.mark.parametrize("n, q", [([np.nan, 1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.nan])])
+    @pytest.mark.parametrize(
+        "n, q",
+        [([np.nan, 1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.nan]),
+         ([np.inf, 1.0], [0.5, 0.5]), ([1.0, 1.0], [0.5, np.inf])],
+    )
     def test_nan_market_state_rejected(self, n, q):
-        # NaN only: an infinite quality is a start phase_portrait takes on purpose
-        with pytest.raises(DomainError):
+        with pytest.raises(NonFiniteError):
             MarketState(n=np.array(n), q=np.array(q))
 
 

@@ -133,7 +133,7 @@ class TestJointEquilibrium:
 
     def test_start_outside_box_rejected(self):
         plat, streamers = symmetric_instance()
-        with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
+        with pytest.raises(DomainError, match=r"n0\[0\] must lie in \[0, 100.0\]"):
             solve_joint_equilibrium(plat, streamers, CFG, n0=np.array([150.0, 0.0]))
 
     @pytest.mark.parametrize(
@@ -145,7 +145,7 @@ class TestJointEquilibrium:
 
         monkeypatch.setattr(equilibrium, "viewer_fixed_point", sweep)
         plat, streamers = symmetric_instance()
-        with pytest.raises(DomainError, match=r"n0 entries must lie in \[0, M\]"):
+        with pytest.raises(DomainError, match=r"n0\[\d\] must lie in \[0, 100.0\]"):
             solve_joint_equilibrium(plat, streamers, CFG, n0=np.array(n0))
 
     def test_symmetric_quality_closed_form(self):

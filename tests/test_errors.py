@@ -1,20 +1,40 @@
-"""Tests for errors.require, the one check of a scalar input's domain, and
-for every config class and solver control that states its domains with it."""
+"""Tests for errors.require and errors.require_array, the one check of a
+scalar input's and an array input's domain, and for every config class,
+solver control and public vector argument that states its domain with them."""
 
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
 
 from headfx.abm import PolicyIntervention, SimConfig
-from headfx.core import PlatformParams, StreamerParams
-from headfx.dynamics import IntegratorConfig
-from headfx.equilibrium import FixedPointConfig, enumerate_equilibria
-from headfx.errors import DomainError, NonFiniteError, require
+from headfx.core import (
+    MarketState,
+    PlatformParams,
+    StreamerParams,
+    TrafficAllocation,
+    choice_probabilities,
+    deterministic_utility,
+)
+from headfx.dynamics import IntegratorConfig, hhi, integrate, jacobian
+from headfx.equilibrium import (
+    FixedPointConfig,
+    enumerate_equilibria,
+    find_critical_beta,
+    solve_joint_equilibrium,
+)
+from headfx.errors import (
+    DimensionMismatchError,
+    DomainError,
+    NonFiniteError,
+    require,
+    require_array,
+)
 from headfx.harness import ScenarioSpec, run_scenario
-from headfx.metrics import top_k_share
-from headfx.welfare import grid_search_allocation, optimize_allocation
+from headfx.metrics import gini, quality_improvement, top_k_share
+from headfx.welfare import grid_search_allocation, optimize_allocation, simplex_project
 
 
 class TestRequire:
@@ -64,6 +84,60 @@ class TestRequire:
     def test_messages_state_the_domain(self, args, message):
         with pytest.raises(DomainError, match=message):
             require(*args)
+
+
+class TestRequireArray:
+    def test_float_array_comes_back_uncopied(self):
+        x = np.array([0.5, 1.0])
+        assert require_array("x", x, 0) is x
+
+    @pytest.mark.parametrize("value", [[1, 2], (1.0, 2), np.array([1, 2], dtype=np.int8),
+                                       [np.float32(1), np.int64(2)]])
+    def test_numbers_become_floats(self, value):
+        out = require_array("x", value)
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "value",
+        [[True, 1.0], [np.bool_(False), 2], np.array([True]), ["1"], [1.0, "2"], [None],
+         None, "12", [[1.0], [1.0, 2.0]], [1j]],
+    )
+    def test_only_numbers_pass(self, value):
+        with pytest.raises(DomainError, match="x must be an array of numbers"):
+            require_array("x", value)
+
+    @pytest.mark.parametrize(
+        "value, shape, message",
+        [
+            ([1.0, 2.0], (3,), r"x must have shape \(3,\), got \(2,\)"),
+            ([[1.0, 2.0]], (None,), r"x must have shape \(any,\), got \(1, 2\)"),
+            (1.0, (None,), r"x must have shape \(any,\), got \(\)"),
+            ([1.0, 2.0], (None, 2), r"x must have shape \(any, 2\), got \(2,\)"),
+            ([], (None,), "x must have at least one entry"),
+            (np.empty((0, 2)), (None, 2), "x must have at least one entry"),
+        ],
+    )
+    def test_shape_is_checked(self, value, shape, message):
+        with pytest.raises(DimensionMismatchError, match=message):
+            require_array("x", value, shape=shape)
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            (("x", [1.0, -1.0], 0), DomainError, r"x\[1\] must be finite and >= 0, got -1.0"),
+            (("x", [0.0, 1.0], 0, 1, "(]"), DomainError, r"x\[0\] must lie in \(0, 1\], got 0.0"),
+            (("x", [[1.0, 2.0], [np.nan, 0.0]], None, None, "[]", (None, None)), NonFiniteError,
+             r"x\[1, 0\] must be finite, got nan"),
+            (("x", [1.0, np.inf], 0), NonFiniteError, r"x\[1\] must be finite and >= 0, got inf"),
+            (("x", [10**400]), NonFiniteError, "x must be finite, got an int too large"),
+        ],
+    )
+    def test_first_bad_entry_is_named(self, args, error, message):
+        with pytest.raises(error, match=message):
+            require_array(*args)
+
+    def test_dimension_mismatch_is_a_domain_error(self):
+        assert issubclass(DimensionMismatchError, DomainError)
 
 
 def _policy(kind):
@@ -128,6 +202,12 @@ CHECKED = {
         ["seed"],
     ),
     "top_k_share": (lambda **kw: top_k_share([1.0, 2.0], **kw), [], ["k"]),
+    "find_critical_beta": (
+        lambda **kw: find_critical_beta(_PLATFORM, _STREAMERS,
+                                        **{"beta_lo": 0.0, "beta_hi": 1.0, **kw}),
+        ["beta_lo", "beta_hi"],
+        [],
+    ),
 }
 
 CASES = [
@@ -149,3 +229,82 @@ def test_every_scalar_input_is_checked(owner, field, value):
     # a numpy error from a later comparison or allocation
     with pytest.raises(DomainError, match=field):
         CHECKED[owner][0](**{field: value})
+
+
+_PLATFORM3 = PlatformParams(n_streamers=3, n_viewers=100)
+_STREAMERS3 = [StreamerParams(alpha=1.0)] * 3
+_HALVES = [0.5, 0.5, 0.5]
+
+# Every public vector argument: its name in messages, a call taking it,
+# whether its length is fixed (at 3 streamers) and whether its domain is >= 0.
+VECTORS = {
+    "MarketState.n": ("state.n", lambda v: MarketState(n=v, q=_HALVES), False, True),
+    "MarketState.q": ("state.q", lambda v: MarketState(n=_HALVES, q=v), True, True),
+    "TrafficAllocation": ("theta", TrafficAllocation, False, True),
+    "PlatformParams.prices": (
+        "prices", lambda v: PlatformParams(n_streamers=3, n_viewers=100, prices=v), True, True),
+    "SimConfig.prices": ("prices", lambda v: SimConfig(n_streamers=3, prices=v), True, True),
+    "choice_probabilities": ("V", choice_probabilities, False, False),
+    "hhi": ("n", hhi, False, True),
+    "gini": ("x", gini, False, True),
+    "top_k_share": ("counts", lambda v: top_k_share(v, 1), False, True),
+    "quality_improvement.q_initial": (
+        "q_initial", lambda v: quality_improvement(v, _HALVES), False, False),
+    "quality_improvement.q_final": (
+        "q_final", lambda v: quality_improvement(_HALVES, v), True, False),
+    "simplex_project": ("v", simplex_project, False, False),
+    "solve_joint_equilibrium.n0": (
+        "n0", lambda v: solve_joint_equilibrium(_PLATFORM3, _STREAMERS3, FixedPointConfig(), n0=v),
+        True, True),
+    "solve_joint_equilibrium.q0": (
+        "q0", lambda v: solve_joint_equilibrium(_PLATFORM3, _STREAMERS3, FixedPointConfig(), q0=v),
+        True, True),
+    "optimize_allocation.q": (
+        "q", lambda v: optimize_allocation(_PLATFORM3, _STREAMERS3, v), True, True),
+    "grid_search_allocation.q": (
+        "q", lambda v: grid_search_allocation(_PLATFORM3, _STREAMERS3, v), True, True),
+}
+
+VECTOR_CASES = [
+    pytest.param(owner, value, id=f"{owner}-{label}")
+    for owner, (_, _, fixed_length, non_negative) in VECTORS.items()
+    for label, value in [
+        ("nan", [0.5, math.nan, 0.5]),
+        ("inf", [0.5, math.inf, 0.5]),
+        ("length", [0.5, 0.5] if fixed_length else []),
+        ("2d", [_HALVES]),
+        ("bool", [True, False, True]),
+        ("str", [0.5, "0.5", 0.5]),
+        ("mixed_true", [True, 0.5, 0.5]),
+    ] + ([("negative", [0.5, -1.0, 0.5])] if non_negative else [])
+]
+
+
+@pytest.mark.parametrize("owner, value", VECTOR_CASES)
+def test_every_vector_input_is_checked(owner, value):
+    # DomainError naming the argument, never a numpy error or an answer
+    name, call, _, _ = VECTORS[owner]
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)}(\[[\d, ]+\])? must"):
+        call(value)
+
+
+_STATE3 = MarketState(n=[30.0, 30.0, 40.0], q=_HALVES)
+_PAIR = TrafficAllocation([0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: deterministic_utility(_PLATFORM3, _STREAMERS3, _STATE3, _PAIR),
+        lambda: integrate(_PLATFORM3, _STREAMERS3, _STATE3, IntegratorConfig(dt=0.1, t_end=1.0),
+                          _PAIR),
+        lambda: jacobian(_PLATFORM3, _STREAMERS3, _STATE3, _PAIR),
+        lambda: solve_joint_equilibrium(_PLATFORM3, _STREAMERS3, FixedPointConfig(), theta=_PAIR),
+        lambda: optimize_allocation(_PLATFORM3, _STREAMERS3, _HALVES, init_theta=_PAIR),
+    ],
+    ids=["deterministic_utility", "integrate", "jacobian", "solve_joint_equilibrium",
+         "optimize_allocation"],
+)
+def test_allocation_length_is_checked_against_the_market(call):
+    with pytest.raises(DimensionMismatchError, match=r"theta must have shape \(3,\), got \(2,\)"):
+        call()

@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -65,6 +66,16 @@ class TestParseConfig:
         spec = parse_config(write_config(tmp_path, {"name": "Combined"}))
         kinds = [p.kind for p in spec.sim.policy_schedule]
         assert kinds == ["high_tax", "boost_small", "subsidy"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"name": "Bogus"}, {"name": "Bogus", "policies": [{"kind": "high_tax"}]},
+         {"name": ["Baseline"]}],
+    )
+    def test_unknown_scenario_name_is_named(self, tmp_path, payload):
+        message = re.escape(f"unknown scenario name {payload['name']!r}")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write_config(tmp_path, payload))
 
     def test_misspelled_key_rejected_by_name(self, tmp_path):
         path = write_config(
@@ -893,7 +904,7 @@ class TestCli:
         out = tmp_path / "o"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "config error" in err and "prices must be >= 0" in err
+        assert "config error" in err and "prices[0] must be finite and >= 0" in err
         assert not out.exists()
 
     def test_sweep_without_parameters_is_config_error(self):

@@ -399,6 +399,71 @@ def test_outer_product_checker(source, flagged):
     assert bool(outer_products(ast.parse(source))) == flagged
 
 
+_FINITENESS_TESTS = {"isfinite", "isnan", "isinf"}
+# The checks of computed values, by module: the fixed point's residual,
+# an integration step's state, and the grid oracle's step count.
+_COMPUTED_VALUE_CHECKS = {
+    "logit.py": {"viewer_fixed_point"},
+    "dynamics.py": {"_divergence"},
+    "welfare.py": {"grid_search_allocation"},
+}
+
+
+def finiteness_tests(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(top-level function or class, line) of every isfinite, isnan or isinf
+    a module reads or imports; None outside any function or class."""
+    found = []
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name.split(".")[-1]
+            else:
+                continue
+            if name in _FINITENESS_TESTS:
+                found.append((owner, node.lineno))
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name
+)
+def test_only_computed_values_are_tested_for_finiteness(path):
+    # An input's finiteness has one home, errors.require and require_array;
+    # elsewhere only the checks of computed values test it themselves.
+    allowed = _COMPUTED_VALUE_CHECKS.get(path.name, set())
+    found = finiteness_tests(ast.parse(path.read_text(), filename=str(path)))
+    assert [f"line {line}: {owner}" for owner, line in found if owner not in allowed] == []
+
+
+def test_every_computed_value_check_is_found():
+    # the exemptions name checks that still exist
+    for name, owners in _COMPUTED_VALUE_CHECKS.items():
+        found = finiteness_tests(ast.parse((SRC / name).read_text()))
+        assert owners == {owner for owner, _ in found}
+
+
+@pytest.mark.parametrize(
+    "source, owners",
+    [
+        ("ok = np.all(np.isfinite(x))", [None]),
+        ("def f(x):\n    return math.isfinite(x)", ["f"]),
+        ("def f(x):\n    return numpy.isnan(x).any()", ["f"]),
+        ("class C:\n    def g(self):\n        return np.isinf(self.x)", ["C"]),
+        ("from numpy import isfinite", [None]),
+        ("def f(x):\n    from math import isnan", ["f"]),
+        ("def f(x):\n    return require_array('x', x)", []),
+        ("def f(x):\n    return np.all(x >= 0)", []),
+    ],
+)
+def test_finiteness_test_checker(source, owners):
+    assert [owner for owner, _ in finiteness_tests(ast.parse(source))] == owners
+
+
 def generator_builds(tree: ast.Module) -> list[str]:
     """Every numpy generator a module builds: default_rng calls and imports."""
     found = []

@@ -151,7 +151,7 @@ class TestQualityImprovement:
 )
 def test_non_finite_input_rejected(metric, bad):
     # as dynamics.hhi: no metric returns NaN for a non-finite entry
-    with pytest.raises(NonFiniteError, match="requires finite entries"):
+    with pytest.raises(NonFiniteError, match=r"\[[\d, ]+\] must be finite"):
         metric(bad)
 
 

@@ -696,9 +696,11 @@ class TestGridOracle:
 
     def test_non_finite_residual_raises(self):
         plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="residual nan"):
+        # the largest float is a valid quality; alpha q overflows to a non-finite utility
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(NumericalError, match="residual nan"):
             grid_search_allocation(
-                plat, streamers, np.array([np.inf, 0.7, 0.5]), resolution=0.01
+                plat, streamers, np.array([np.finfo(float).max, 0.7, 0.5]), resolution=0.01
             )
 
     @pytest.mark.parametrize(
