@@ -63,9 +63,9 @@ class PlatformParams:
     """Global market constants shared by every streamer and viewer.
 
     prices has one entry per streamer; beta is the network-effect weight
-    (utility per current viewer), tau the platform commission, gamma the
-    viewer adjustment rate, and phi the traffic-sensitivity factor that
-    couples promotion shares into utility.
+    of the level network term beta n (Market.network), tau the platform
+    commission, gamma the viewer adjustment rate, and phi the
+    traffic-sensitivity factor that couples promotion shares into utility.
     """
 
     n_streamers: int
@@ -138,6 +138,24 @@ class Market:
             revenue=(1.0 - platform.tau) * platform.revenue_per_viewer * platform.n_viewers * alpha,
         )
 
+    def network(self, n, out=None):
+        """The network term beta n at audiences n of any shape, into out if given."""
+        return np.multiply(self.beta, n, out=out)
+
+    def network_slope(self, n):
+        """dV_i/dn_i at audiences n: beta for the level term. Non-increasing in
+        n >= 0 (beta / (1 + n) for a log form), so network_slope(0.0) is its
+        supremum; a scalar or (N,) slope scales columns: m * slope * J = M J diag(slope)."""
+        return self.beta
+
+    def utility(self, state: MarketState, theta: TrafficAllocation | None = None) -> np.ndarray:
+        """Systematic utility V = alpha q - prices + network(n) (+ phi theta) at a
+        state whose n and theta are checked to have one entry a streamer. The
+        idiosyncratic taste term lives in the logit (or in the agents' noise)."""
+        require_array("state.n", state.n, shape=self.alpha.shape)
+        th = None if theta is None else require_array("theta", theta.theta, shape=self.alpha.shape)
+        return utility(self.alpha, state.q, self.prices, self.network(state.n), self.phi, th)
+
     def symmetric_split(self) -> np.ndarray:
         """The audience split m / N for every streamer."""
         return np.full(self.alpha.shape[0], self.m / self.alpha.shape[0])
@@ -182,16 +200,8 @@ def deterministic_utility(
     state: MarketState,
     theta: TrafficAllocation | None = None,
 ) -> np.ndarray:
-    """Systematic utility V_i = alpha_i q_i - p_i + beta n_i (+ phi theta_i).
-
-    The idiosyncratic taste term lives in the logit (or, for agents, in
-    explicit noise draws) and is deliberately excluded here.
-    """
-    shape = (platform.n_streamers,)
-    require_array("state.n", state.n, shape=shape)
-    alpha = Market.from_params(platform, streamers).alpha
-    th = None if theta is None else require_array("theta", theta.theta, shape=shape)
-    return utility(alpha, state.q, platform.prices, platform.beta, state.n, platform.phi, th)
+    """Systematic utility alpha q - p + beta n (+ phi theta) at a state; see Market.utility."""
+    return Market.from_params(platform, streamers).utility(state, theta)
 
 
 def choice_probabilities(v) -> np.ndarray:
@@ -229,7 +239,6 @@ def audience_quality_sensitivity(
     theta: TrafficAllocation | None = None,
 ) -> np.ndarray:
     """Own-quality audience response M alpha_i P_i (1 - P_i), holding n fixed."""
-    v = deterministic_utility(platform, streamers, state, theta)
-    p = choice_probabilities(v)
-    alpha = Market.from_params(platform, streamers).alpha
-    return logit_slope(platform.n_viewers * alpha, p)
+    market = Market.from_params(platform, streamers)
+    p = choice_probabilities(market.utility(state, theta))
+    return logit_slope(platform.n_viewers * market.alpha, p)

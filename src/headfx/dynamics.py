@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation
 from .errors import DivergenceError, Domain, DomainError, require, require_array, require_fields
-from .logit import choice_jacobian, quality_best_response, softmax, utility
+from .logit import choice_jacobian, quality_best_response, softmax
 
 __all__ = [
     "IntegratorConfig",
@@ -119,12 +119,13 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
 
     Its coefficients are rows shaped like s, formed once by the formulas'
-    own operations: (beta, alpha) for the utility, (m, revenue) for the
-    rate, (1, 2 c) for the drain and (gamma, eta) for the speed; prices
-    and promotion are tiled to one row. Equal shapes keep numpy's
-    elementwise loops off their slower broadcast path.
+    own operations: (slope, alpha) for the utility, the level network term
+    being slope n (a nonlinear form computes market.network(s[0]) instead),
+    (m, revenue) for the rate, (1, 2 c) for the drain and (gamma, eta) for
+    the speed; prices and promotion are tiled to one row. Equal shapes keep
+    numpy's elementwise loops off their slower broadcast path.
     """
-    weights = _stack_rows(s.shape, market.beta, market.alpha)
+    weights = _stack_rows(s.shape, market.network_slope(s[0]), market.alpha)
     rate = _stack_rows(s.shape, market.m, market.revenue)
     drain = _stack_rows(s.shape, 1.0, 2.0 * market.c)
     speed = _stack_rows(s.shape, market.gamma, market.eta)
@@ -273,25 +274,22 @@ def jacobian(
 ) -> np.ndarray:
     """Closed-form Jacobian of the flow, 2N x 2N, rows and columns ordered (n, q).
 
-    With J = dP/dV = diag P - P P^T (logit.choice_jacobian), dV/dn = beta,
-    dV/dq = diag alpha, and S = diag(eta rev (1 - 2P)) J, rev being the
-    marginal-revenue coefficient (1 - tau) R M alpha:
+    With J = dP/dV = diag P - P P^T (logit.choice_jacobian), dV/dn =
+    diag(slope), slope = Market.network_slope(n), dV/dq = diag alpha and
+    S = diag(eta rev (1 - 2P)) J, rev = (1 - tau) R M alpha (Market.revenue):
 
-        [[gamma (beta M J - I),  gamma M J diag alpha        ],
-         [S beta,                S diag alpha - diag(2 c eta)]]
+        [[gamma (M J diag(slope) - I),  gamma M J diag alpha        ],
+         [S diag(slope),                S diag alpha - diag(2 c eta)]]
     """
     market = Market.from_params(platform, streamers)
-    shape = market.alpha.shape
-    require_array("state.n", state.n, shape=shape)
-    theta_vec = None if theta is None else require_array("theta", theta.theta, shape=shape)
-    p = softmax(utility(market.alpha, state.q, market.prices, market.beta, state.n, market.phi,
-                        theta_vec))
+    p = softmax(market.utility(state, theta))
+    slope = market.network_slope(state.n)
     dp_dv = choice_jacobian(p)
     s = (market.eta * market.revenue * (1.0 - 2.0 * p))[:, np.newaxis] * dp_dv
     return np.block([
-        [market.gamma * (market.m * market.beta * dp_dv - np.eye(p.size)),
+        [market.gamma * (market.m * slope * dp_dv - np.eye(p.size)),
          market.gamma * market.m * dp_dv * market.alpha],
-        [s * market.beta, s * market.alpha - np.diag(2.0 * market.c * market.eta)],
+        [s * slope, s * market.alpha - np.diag(2.0 * market.c * market.eta)],
     ])
 
 

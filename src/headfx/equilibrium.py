@@ -79,10 +79,10 @@ def _joint_equilibrium_batch(market: Market, n0, q0, cfg, theta_vec):
     of shapes (K, N), (K, N), (K,), (K,) and (K,).
     """
     alpha, c, prices, revenue = market.alpha, market.c, market.prices, market.revenue
-    m, beta, phi = market.m, market.beta, market.phi
+    m, phi = market.m, market.phi
     n = np.array(n0, dtype=float)
     if q0 is None:
-        p = softmax(utility(alpha, np.zeros_like(n), prices, beta, n, phi, theta_vec))
+        p = softmax(utility(alpha, np.zeros_like(n), prices, market.network(n), phi, theta_vec))
         q = quality_best_response(revenue, c, p)
     else:
         q = np.array(q0, dtype=float)

@@ -7,8 +7,8 @@ response, and the damped viewer fixed point n = M P(n) (logit identities
 as in Train, *Discrete Choice Methods with Simulation*, ch. 3). The
 formulas take raw arrays of shape (..., N), work over the last axis and
 take a 1-D input as one vector; a row of a batch gets bitwise the result
-of the 1-D call on that row. The fixed point reads its coefficients from
-a ``core.Market`` by attribute, so this module imports nothing from
+of the 1-D call on that row. The fixed point reads its coefficients and
+network term from a ``core.Market`` by attribute, importing nothing from
 ``core``. Nothing here validates its inputs: the public entry points in
 ``core`` do, and the solvers call these kernels inside their iterations.
 """
@@ -29,9 +29,9 @@ __all__ = ["Q_MAX", "utility", "softmax", "logsumexp", "logit_slope", "choice_ja
 Q_MAX = 10.0
 
 
-def utility(alpha, q, prices, beta, n, phi, theta=None):
-    """Systematic utility V = alpha q - prices + beta n (+ phi theta)."""
-    v = alpha * q - prices + beta * n
+def utility(alpha, q, prices, network, phi, theta=None):
+    """Systematic utility V = alpha q - prices + network (+ phi theta)."""
+    v = alpha * q - prices + network
     if theta is not None:
         v = v + phi * theta
     return v
@@ -78,23 +78,22 @@ def quality_best_response(revenue, c, p):
 def viewer_fixed_point(market, q, n0, cfg, theta):
     """Damped viewer fixed point n = m softmax(V(n)) for K starts at once.
 
-    market is a core.Market (read by attribute for alpha, prices, beta,
-    phi and m); V is utility(alpha, q, prices, beta, n, phi, theta), its
-    constant part computed once by the same operations; q and n0 are
-    (K, N) arrays, cfg supplies damping, tol and max_iter, and theta is
-    an (N,) promotion vector or None. Each row takes the steps of a
-    single-start iteration, n <- (1 - damping) n + damping m softmax(V(n)),
-    so its result is bitwise the one it would get alone, and leaves the
-    batch on the iteration its residual first drops to cfg.tol; the batch
-    is compacted only then, and a lone active row runs as a plain vector.
-    Raises NumericalError as soon as an active row's residual turns
-    non-finite.
+    market is a core.Market, read by attribute; V is utility(alpha, q,
+    prices, market.network(n), phi, theta), its constant part computed once
+    by the same operations; q and n0 are (K, N) arrays, cfg supplies
+    damping, tol and max_iter, and theta is an (N,) promotion vector or
+    None. Each row takes the steps of a single-start iteration,
+    n <- (1 - damping) n + damping m softmax(V(n)), so its result is
+    bitwise the one it would get alone, and leaves the batch on the
+    iteration its residual first drops to cfg.tol; the batch is compacted
+    only then, and a lone active row runs as a plain vector. Raises
+    NumericalError as soon as an active row's residual turns non-finite.
 
     Returns (n, converged, iterations, residual) of shapes (K, N), (K,),
     (K,) and (K,); rows that never converged keep their last damped
     iterate, iterations = cfg.max_iter and their last residual.
     """
-    beta, m = market.beta, market.m
+    network, m = market.network, market.m
     tol, damping = cfg.tol, cfg.damping
     keep = 1.0 - damping
     n = np.array(n0, dtype=float)
@@ -110,7 +109,7 @@ def viewer_fixed_point(market, q, n0, cfg, theta):
         n, base = n[0], base[0]
     res = np.inf
     for it in range(1, cfg.max_iter + 1):
-        v = base + beta * n
+        v = base + network(n)
         if theta_term is not None:
             v = v + theta_term
         target = m * softmax(v)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Market,
-    MarketState,
-    PlatformParams,
-    TrafficAllocation,
-    choice_probabilities,
-    deterministic_utility,
-)
+from .core import Market, MarketState, PlatformParams, TrafficAllocation, choice_probabilities
 from .equilibrium import FixedPointConfig
 from .errors import DomainError, NumericalError, require, require_array
 from .logit import choice_jacobian, logsumexp, softmax, utility, viewer_fixed_point
@@ -85,8 +78,8 @@ def total_welfare(
     theta: TrafficAllocation | None = None,
 ) -> WelfareBreakdown:
     """CS + PS + platform profit at the given state."""
-    v = deterministic_utility(platform, streamers, state, theta)
     market = Market.from_params(platform, streamers)
+    v = market.utility(state, theta)
     cs, ps, pi = _welfare_parts(market, state.q, v, choice_probabilities(v), state.n)
     return WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
 
@@ -94,15 +87,15 @@ def total_welfare(
 def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> FixedPointConfig:
     """The viewer fixed-point config the welfare layer uses when none is given.
 
-    The map T(n) = M softmax(base + beta n) has the symmetric positive
-    semidefinite Jacobian beta M (diag P - P P^T), whose rows have absolute
-    sums at most beta M / 2. So for beta M < 2 it is a max-norm contraction
-    with a unique fixed point, and the undamped iteration (damping 1)
-    converges at least as fast as any damped one; otherwise the iteration
-    keeps the default damping of FixedPointConfig.
+    The map T(n) = M softmax(base + network(n)) has the Jacobian
+    M (diag P - P P^T) diag(network_slope(n)), whose rows have absolute
+    sums at most M network_slope(0.0) / 2. Below 2 it is a max-norm
+    contraction with a unique fixed point, and the undamped iteration
+    (damping 1) converges at least as fast as any damped one; otherwise
+    the iteration keeps the default damping of FixedPointConfig.
     """
     cfg = FixedPointConfig(tol=tol, max_iter=max_iter)
-    if market.beta * market.m < 2.0:
+    if market.network_slope(0.0) * market.m < 2.0:
         return dataclasses.replace(cfg, damping=1.0)
     return cfg
 
@@ -112,23 +105,24 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     promotion vector; the optimizer's one evaluation of a point.
 
     The audiences sum to M, so only consumer surplus moves with theta. By
-    the implicit function theorem, with the symmetric J = dP/dV,
-    g = M phi solve(I - beta M J, softmax(v + prices) - J prices). Where an
-    eigenvalue of I - beta M J is <= 0 the equilibrium is unstable and g
-    follows that unstable branch; a singular I - beta M J raises
+    the implicit function theorem, with the symmetric J = dP/dV and the
+    network term's slope D = diag(Market.network_slope(n)) (beta I for the
+    level term), g = M phi solve(I - M J D, softmax(v + prices) - J prices).
+    Where an eigenvalue of I - M J D is <= 0 the equilibrium is unstable
+    and g follows that unstable branch; a singular I - M J D raises
     NumericalError. Returns (breakdown, n, g, converged): the breakdown is
     total_welfare's at (n, q) and theta_vec, converged the fixed point's."""
     n, converged, _, _ = viewer_fixed_point(market, q[np.newaxis], n0[np.newaxis], cfg, theta_vec)
     n = n[0]
-    v = utility(market.alpha, q, market.prices, market.beta, n, market.phi, theta_vec)
+    v = utility(market.alpha, q, market.prices, market.network(n), market.phi, theta_vec)
     p = softmax(v)
     cs, ps, pi = _welfare_parts(market, q, v, p, n)
     jac = choice_jacobian(p)
     try:
-        dv = np.linalg.solve(np.eye(p.size) - market.beta * market.m * jac,
+        dv = np.linalg.solve(np.eye(p.size) - market.network_slope(n) * market.m * jac,
                              softmax(v + market.prices) - jac @ market.prices)
     except np.linalg.LinAlgError:
-        raise NumericalError("welfare gradient: I - beta M dP/dV is singular") from None
+        raise NumericalError("welfare gradient: I - M dP/dV dV/dn is singular") from None
     g = market.m * market.phi * dv
     breakdown = WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
     return breakdown, n, g, bool(converged[0])
@@ -275,12 +269,12 @@ def _simplex_columns(big_n: int, k: int, cols: slice, out: np.ndarray) -> None:
     np.divide(k - first - second, k, out=out[2])
 
 
-def _block_fixed_point(v_theta, n, m, beta, cfg, v, target, row) -> None:
+def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
     """Viewer fixed point, damped by cfg.damping, for one column block.
 
     v_theta is the block's streamer-major (N, width) utilities without the
-    network term, n its audiences, iterated in place from their start;
-    v, target and row are work buffers of the same width. Reductions over
+    market's network term, n its audiences, iterated in place from their
+    start; v, target and row are work buffers of the same width. Reductions over
     the short streamer axis are far faster along the leading axis than
     along the trailing axis of a (width, N) array.
 
@@ -292,14 +286,14 @@ def _block_fixed_point(v_theta, n, m, beta, cfg, v, target, row) -> None:
     sweeps.
     """
     for _ in range(cfg.max_iter):
-        # target = T(n) = m softmax(v_theta + beta n), v = |n - target|
-        np.multiply(beta, n, out=v)
+        # target = T(n) = m softmax(v_theta + network(n)), v = |n - target|
+        market.network(n, out=v)
         np.add(v_theta, v, out=v)
         np.max(v, axis=0, out=row)
         np.subtract(v, row, out=v)
         np.exp(v, out=v)
         np.sum(v, axis=0, out=row)
-        np.multiply(m, v, out=target)
+        np.multiply(market.m, v, out=target)
         np.divide(target, row, out=target)
         np.subtract(n, target, out=v)
         np.abs(v, out=v)
@@ -329,7 +323,7 @@ def _grid_blocks(market: Market, q, k: int, cfg: FixedPointConfig):
     allocated once at the first block's width and sliced for a narrower
     last block, so the yielded arrays are views that the next block
     overwrites. The welfare is the formulas of _welfare_parts at utilities
-    v_theta + beta n, in this layout: axis-0 sums of a few rows add them
+    v_theta + network(n), in this layout: axis-0 sums of a few rows add them
     left to right, as numpy's sums over a short trailing axis do, and the
     BLAS product p @ prices is formed on a C-ordered (width, N) copy of p,
     since on a transposed view it rounds differently. So every welfare is
@@ -358,9 +352,9 @@ def _grid_blocks(market: Market, q, k: int, cfg: FixedPointConfig):
         np.multiply(market.phi, tb, out=vtb)
         np.add(base, vtb, out=vtb)
         nb.fill(market.m / big_n)
-        _block_fixed_point(vtb, nb, market.m, market.beta, cfg, vb, eb, rb)
-        # p = softmax(v), v = v_theta + beta n
-        np.multiply(market.beta, nb, out=vb)
+        _block_fixed_point(vtb, nb, market, cfg, vb, eb, rb)
+        # p = softmax(v), v = v_theta + network(n)
+        market.network(nb, out=vb)
         np.add(vtb, vb, out=vb)
         np.max(vb, axis=0, out=rb)
         np.subtract(vb, rb, out=eb)

@@ -333,6 +333,28 @@ def test_streamer_count_is_checked_by_every_entry_point(entry):
         entry(platform, make_streamers([1.0, 1.0]), state)
 
 
+# these two run a public solver per probe, and each solve builds its own market
+_PROBES = ("max_share_from_perturbed_start", "find_critical_beta")
+
+
+@pytest.mark.parametrize(
+    "entry", [f for name, f in _ANALYTIC_ENTRY_POINTS.items() if name not in _PROBES],
+    ids=[name for name in _ANALYTIC_ENTRY_POINTS if name not in _PROBES],
+)
+def test_every_entry_point_builds_one_market(entry, monkeypatch):
+    builds = []
+    from_params = Market.from_params.__func__
+
+    def counted(cls, platform, streamers):
+        builds.append(platform)
+        return from_params(cls, platform, streamers)
+
+    monkeypatch.setattr(Market, "from_params", classmethod(counted))
+    state = MarketState(n=np.full(3, 100.0 / 3), q=np.full(3, 0.5))
+    entry(make_platform(n=3, beta=0.001), make_streamers([1.0, 1.1, 0.9]), state)
+    assert len(builds) == 1
+
+
 class TestMarket:
     """Every coefficient of the bundle equals, bit for bit, the inline
     expression the solvers used before it had one home."""

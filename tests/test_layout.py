@@ -399,6 +399,38 @@ def test_outer_product_checker(source, flagged):
     assert bool(outer_products(ast.parse(source))) == flagged
 
 
+def market_beta_reads(tree: ast.Module) -> list[str]:
+    """Every read of the attribute beta on a name market (`market.beta`,
+    `self.market.beta`)."""
+    return [f"line {node.lineno}: reads {_dotted(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "beta"
+            and (_dotted(node.value) or "").split(".")[-1] == "market"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name
+)
+def test_only_core_reads_market_beta(path):
+    # The network term and its slope have one home, core.Market.network and
+    # network_slope; a solver that reads beta would fix the term's form.
+    assert market_beta_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("v = base + market.beta * n", True),
+        ("slope = self.market.beta", True),
+        ("v = base + market.network(n)", False),
+        ("summary = {'beta': platform.beta}", False),
+        ("w = cfg.network_effect_beta", False),
+        ("plat = dataclasses.replace(platform, beta=beta)", False),
+    ],
+)
+def test_market_beta_read_checker(source, flagged):
+    assert bool(market_beta_reads(ast.parse(source))) == flagged
+
+
 _FINITENESS_TESTS = {"isfinite", "isnan", "isinf"}
 # The checks of computed values, by module: the fixed point's residual,
 # an integration step's state, and the grid oracle's step count.

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headfx.core import Market, PlatformParams, StreamerParams
 from headfx.logit import (
     Q_MAX,
     choice_jacobian,
@@ -105,12 +106,19 @@ class TestLogsumexp:
             assert batch[i] == logsumexp(v[i])
 
 
+def network_market(beta):
+    """A market whose network term weighs audiences by beta."""
+    platform = PlatformParams(n_streamers=1, n_viewers=1, beta=beta)
+    return Market.from_params(platform, [StreamerParams(alpha=1.0)])
+
+
 class TestElementwiseKernels:
-    """utility, logit_slope and quality_best_response act entry by entry."""
+    """utility, Market.network, logit_slope and quality_best_response act
+    entry by entry."""
 
     @staticmethod
     def evaluate(x, rows=slice(None), cols=slice(None)):
-        """The three kernels on rows and columns of the raw inputs x."""
+        """The kernels on rows and columns of the raw inputs x."""
         def vec(name):
             return x[name][cols]
 
@@ -118,9 +126,10 @@ class TestElementwiseKernels:
             return x[name][rows][..., cols]
 
         return (
-            utility(vec("alpha"), mat("q"), vec("prices"), x["beta"], mat("n"), x["phi"],
+            utility(vec("alpha"), mat("q"), vec("prices"), x["beta"] * mat("n"), x["phi"],
                     vec("theta")),
-            utility(vec("alpha"), mat("q"), vec("prices"), x["beta"], mat("n"), x["phi"]),
+            utility(vec("alpha"), mat("q"), vec("prices"), x["beta"] * mat("n"), x["phi"]),
+            network_market(x["beta"]).network(mat("n")),
             logit_slope(vec("revenue"), mat("p")),
             quality_best_response(vec("revenue"), vec("c"), mat("p")),
         )
@@ -145,9 +154,19 @@ class TestElementwiseKernels:
         for got, want in zip(self.evaluate(x, rows=0, cols=perm), self.evaluate(x, rows=0)):
             assert np.array_equal(got, want[perm])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 40))
+    def test_network_writes_into_out(self, seed, k, n):
+        x = inputs(seed, k, n)
+        market = network_market(x["beta"])
+        out = np.full((k, n), np.nan)
+        assert market.network(x["n"], out=out) is out
+        assert np.array_equal(out, x["beta"] * x["n"])
+        assert market.network_slope(x["n"]) == market.network_slope(0.0) == x["beta"]
+
     def test_hand_values(self):
-        v = utility(np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.1, 0.0]), 0.5,
-                    np.array([2.0, 4.0]), 2.0, np.array([0.25, 0.75]))
+        v = utility(np.array([1.0, 2.0]), np.array([0.5, 0.25]), np.array([0.1, 0.0]),
+                    0.5 * np.array([2.0, 4.0]), 2.0, np.array([0.25, 0.75]))
         assert v.tolist() == [0.5 - 0.1 + 1.0 + 0.5, 0.5 + 2.0 + 1.5]
         assert logit_slope(4.0, np.array([0.5, 0.25])).tolist() == [1.0, 0.75]
         q = quality_best_response(np.array([4.0, 1e6]), np.array([0.5, 0.5]), np.array([0.5, 0.5]))
