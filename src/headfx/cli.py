@@ -53,8 +53,6 @@ from .harness import (
     ScenarioSpec,
     SweepSpec,
     ab_compare,
-    export_plot_data,
-    export_phase_csv,
     make_scenario,
     parse_config,
     parse_instance,
@@ -200,7 +198,14 @@ def _cmd_dynamics(args) -> int:
                 MarketState(n=n0, q=quality_best_response(market.revenue, market.c, n0 / m))
             )
         portrait = phase_portrait(platform, streamers, starts, cfg)
-        path = export_phase_csv(portrait, args.out / "phase_portrait.csv")
+        path = write_table(
+            args.out / "phase_portrait.csv", ["trajectory", "t", "streamer", "n", "q"],
+            ([idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"]
+             for idx, traj in enumerate(portrait.trajectories)
+             if traj is not None
+             for t, n, q in zip(traj.times, traj.n, traj.q)
+             for i in range(n.shape[0])),
+        )
         summary["n_trajectories"] = len(portrait.trajectories)
         summary["n_failures"] = len(portrait.failures)
         terminal_hhis = [hhi(t.terminal.n) for t in portrait.completed()]
@@ -215,8 +220,6 @@ def _cmd_dynamics(args) -> int:
 def _cmd_simulate(args) -> int:
     spec = _load_scenario(args)
     artifact = run_scenario(spec, out_dir=args.out, threads=args.threads)
-    for kind in ("viewers", "revenues", "quality", "satisfaction"):
-        export_plot_data(artifact, kind, args.out / "plots")
     print(f"{spec.name}: {spec.n_seeds} seeds -> {args.out / spec.name}")
     for col in METRIC_COLUMNS:
         print(f"  {col}: {artifact.mean[col]:.4f} (sd {artifact.sd[col]:.4f})")

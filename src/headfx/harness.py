@@ -1,10 +1,10 @@
 """Scenario runner, A/B comparison, and sensitivity sweeps.
 
-Owns config ingestion, seed management, and every output file: per-seed
+Owns config ingestion, seed management, and the scenario outputs: per-seed
 round histories, per-scenario summaries, the cross-scenario comparison
-table, long-format sweep grids, and tidy plot-data series. write_table
-and write_json are the program's only writers; every CSV and JSON file
-is UTF-8 with LF line ends.
+table and long-format sweep grids. write_table and write_json are the
+program's only writers; every CSV and JSON file is UTF-8 with LF line
+ends.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     require_fields,
 )
 from .metrics import METRIC_COLUMNS, MetricsSummary, summarize
-from .dynamics import PortraitResult
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -44,8 +43,6 @@ __all__ = [
     "run_scenario",
     "ab_compare",
     "sensitivity_sweep",
-    "export_plot_data",
-    "export_phase_csv",
     "parse_config",
     "parse_instance",
     "write_table",
@@ -170,7 +167,6 @@ class RunArtifact:
     """Everything produced by one scenario batch."""
 
     scenario: str
-    seeds: tuple[int, ...]
     summaries: tuple[MetricsSummary, ...]
     runs: tuple[SimRun, ...]
     mean: dict[str, float]
@@ -283,7 +279,6 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
 
     return RunArtifact(
         scenario=spec.name,
-        seeds=tuple(spec.seeds()),
         summaries=tuple(summaries),
         runs=tuple(runs),
         mean=mean,
@@ -400,45 +395,6 @@ def sensitivity_sweep(sweep: SweepSpec, out_dir=None, threads: int = 1) -> Sweep
     return SweepArtifact(
         parameter=sweep.parameter, values=tuple(sweep.values), artifacts=tuple(artifacts)
     )
-
-
-_PLOT_KINDS = ("viewers", "revenues", "quality", "satisfaction")
-
-
-def export_plot_data(artifact: RunArtifact, kind: str, out_dir) -> Path:
-    """Write one tidy per-round series for a completed scenario batch.
-
-    viewers/revenues/quality are long format (seed, round, streamer,
-    value); satisfaction is (seed, round, mean_satisfaction). One row per
-    round per seed (per streamer where applicable).
-    """
-    if kind not in _PLOT_KINDS:
-        raise ConfigError(f"unknown plot kind {kind!r}; expected one of {_PLOT_KINDS}")
-    path = Path(out_dir) / f"{artifact.scenario}_{kind}.csv"
-    records = [(seed, rec) for seed, run in zip(artifact.seeds, artifact.runs)
-               for rec in run.records]
-    if kind == "satisfaction":
-        return write_table(path, ["seed", "round", "mean_satisfaction"], (
-            [seed, rec.round_index, f"{rec.mean_satisfaction:.6g}"] for seed, rec in records
-        ))
-    field = {"viewers": "viewer_counts", "revenues": "streamer_revenues",
-             "quality": "qualities"}[kind]
-    return write_table(path, ["seed", "round", "streamer", kind], (
-        [seed, rec.round_index, i + 1, str(int(v)) if kind == "viewers" else f"{v:.6g}"]
-        for seed, rec in records
-        for i, v in enumerate(getattr(rec, field))
-    ))
-
-
-def export_phase_csv(portrait: PortraitResult, path) -> Path:
-    """Write (trajectory, t, streamer, n, q) sample pairs for plotting."""
-    return write_table(path, ["trajectory", "t", "streamer", "n", "q"], (
-        [idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"]
-        for idx, traj in enumerate(portrait.trajectories)
-        if traj is not None
-        for t, n, q in zip(traj.times, traj.n, traj.q)
-        for i in range(n.shape[0])
-    ))
 
 
 def _read_document(path, allowed, where: str) -> dict:

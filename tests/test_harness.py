@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import functools
 import io
@@ -26,7 +27,6 @@ from headfx.harness import (
     ScenarioSpec,
     SweepSpec,
     ab_compare,
-    export_plot_data,
     make_scenario,
     parse_config,
     run_scenario,
@@ -232,6 +232,57 @@ class TestRunScenario:
         )
         assert header == ",".join(expected)
 
+    def test_history_holds_every_datum(self, tmp_path):
+        # each cell of seed_<k>.csv is its RoundRecord's value: counts as
+        # integers, the rest at 6 significant digits
+        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
+        artifact = run_scenario(spec, out_dir=tmp_path)
+        for seed, run in zip(spec.seeds(), artifact.runs):
+            with (tmp_path / "Baseline" / f"seed_{seed}.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == len(run.records) == FAST_SIM.n_rounds
+            for row, rec in zip(rows, run.records):
+                assert int(row["round"]) == rec.round_index
+                for i in range(FAST_SIM.n_streamers):
+                    assert int(row[f"n_{i + 1}"]) == rec.viewer_counts[i]
+                    assert row[f"rev_{i + 1}"] == f"{rec.streamer_revenues[i]:.6g}"
+                    assert row[f"q_{i + 1}"] == f"{rec.qualities[i]:.6g}"
+                assert row["platform_rev"] == f"{rec.platform_revenue:.6g}"
+                assert row["mean_satisfaction"] == f"{rec.mean_satisfaction:.6g}"
+
+    def test_readme_long_series_recipe(self, tmp_path, monkeypatch):
+        # the README's "Long-format series" block, run on a 2-seed history,
+        # writes one (seed, round, streamer, viewers) row per viewer count
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Long-format series", 1)[1]
+        recipe = section.split("```python\n", 1)[1].split("```", 1)[0]
+        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
+        artifact = run_scenario(spec, out_dir=tmp_path / "headfx_out")
+        monkeypatch.chdir(tmp_path)
+        exec(recipe, {})
+        with (tmp_path / "Baseline_viewers.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["seed", "round", "streamer", "viewers"]
+        assert rows[1:] == [
+            [str(seed), str(rec.round_index), str(i + 1), str(count)]
+            for seed, run in zip(spec.seeds(), artifact.runs)
+            for rec in run.records
+            for i, count in enumerate(rec.viewer_counts)
+        ]
+
+    def test_satisfaction_rises_then_levels_off(self):
+        # smoothed with a 5-round window; the raw per-round mean carries
+        # ~0.03 of Gumbel noise around its plateau
+        spec = make_scenario("Baseline", n_seeds=10, seed_base=0)
+        artifact = run_scenario(spec)
+        good = 0
+        for run in artifact.runs:
+            sats = np.array([rec.mean_satisfaction for rec in run.records])
+            assert sats[5:].mean() > sats[0] + 0.2  # rapid early rise
+            smooth = np.convolve(sats[4:], np.ones(5) / 5, mode="valid")
+            good += bool(np.all(np.diff(smooth) >= -0.01))
+        assert good >= 7
+
 
 class TestABCompare:
     def test_self_comparison_is_identical(self, tmp_path):
@@ -383,44 +434,6 @@ class TestSweep:
             SweepSpec(parameter="base_revenue_share", values=(0.1, 1.5), base=base)
 
 
-class TestExportPlotData:
-    @pytest.fixture(scope="class")
-    @staticmethod
-    def artifact():
-        spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
-        return run_scenario(spec)
-
-    def test_row_counts(self, artifact, tmp_path):
-        rounds, seeds, n = FAST_SIM.n_rounds, 2, FAST_SIM.n_streamers
-        sat = export_plot_data(artifact, "satisfaction", tmp_path)
-        assert len(sat.read_text().splitlines()) == 1 + rounds * seeds
-        for kind in ("viewers", "revenues", "quality"):
-            path = export_plot_data(artifact, kind, tmp_path)
-            assert len(path.read_text().splitlines()) == 1 + rounds * seeds * n
-
-    def test_re_export_byte_identical(self, artifact, tmp_path):
-        first = export_plot_data(artifact, "viewers", tmp_path / "x").read_bytes()
-        second = export_plot_data(artifact, "viewers", tmp_path / "y").read_bytes()
-        assert first == second
-
-    def test_unknown_kind_rejected(self, artifact, tmp_path):
-        with pytest.raises(ConfigError, match="unknown plot kind"):
-            export_plot_data(artifact, "pie-chart", tmp_path)
-
-    def test_satisfaction_rises_then_levels_off(self):
-        # smoothed with a 5-round window; the raw per-round mean carries
-        # ~0.03 of Gumbel noise around its plateau
-        spec = make_scenario("Baseline", n_seeds=10, seed_base=0)
-        artifact = run_scenario(spec)
-        good = 0
-        for run in artifact.runs:
-            sats = np.array([rec.mean_satisfaction for rec in run.records])
-            assert sats[5:].mean() > sats[0] + 0.2  # rapid early rise
-            smooth = np.convolve(sats[4:], np.ones(5) / 5, mode="valid")
-            good += bool(np.all(np.diff(smooth) >= -0.01))
-        assert good >= 7
-
-
 class TestCli:
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -445,9 +458,8 @@ class TestCli:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "Baseline" / "seed_0.csv").exists()
-        assert (out / "Baseline" / "summary.csv").exists()
-        assert (out / "plots" / "Baseline_satisfaction.csv").exists()
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        assert written == {"Baseline/seed_0.csv", "Baseline/summary.csv"}
         assert [p.name for p in out.rglob("*.csv") if b"\r" in p.read_bytes()] == []
 
     def test_optimize_theta_roundtrip(self, tmp_path):
@@ -1034,6 +1046,36 @@ class TestCli:
         lines = (out / table).read_text().splitlines()
         assert lines[0] == header and len(lines) > 1
 
+
+    def test_phase_portrait_csv_holds_every_sample(self, tmp_path, monkeypatch):
+        # one row per (trajectory, sample, streamer) of each completed
+        # trajectory, the floats at 6 significant digits
+        seen = {}
+
+        def spy_portrait(*args, **kwargs):
+            seen["portrait"] = cli_portrait(*args, **kwargs)
+            return seen["portrait"]
+
+        cli_portrait = cli.phase_portrait
+        monkeypatch.setattr(cli, "phase_portrait", spy_portrait)
+        cfg = write_config(tmp_path, {"name": "Baseline", "platform": {"n_streamers": 3,
+                                                                      "n_viewers": 60}})
+        out = tmp_path / "dyn"
+        code = main(["dynamics", "--config", str(cfg), "--out", str(out), "--kind", "portrait",
+                     "--beta", "0.005", "--dt", "0.05", "--t-end", "1", "--grid", "2"])
+        assert code == 0
+        with (out / "phase_portrait.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        expected = [
+            {"trajectory": str(idx), "t": f"{t:.6g}", "streamer": str(i + 1),
+             "n": f"{n[i]:.6g}", "q": f"{q[i]:.6g}"}
+            for idx, traj in enumerate(seen["portrait"].trajectories)
+            if traj is not None
+            for t, n, q in zip(traj.times, traj.n, traj.q)
+            for i in range(3)
+        ]
+        assert len(seen["portrait"].completed()) == 2
+        assert rows == expected
 
 # Values no documented key accepts everywhere: NaN, infinities, negatives,
 # fractions, booleans, null, strings, lists, objects, integers past intp.

@@ -107,6 +107,15 @@ def test_welfare_builds_on_the_static_layers_only():
     }
 
 
+def test_harness_builds_on_the_abm_only():
+    # The harness runs and writes ABM scenarios; the CLI runs the solvers
+    # and writes their tables itself.
+    tree = ast.parse((SRC / "harness.py").read_text())
+    assert headfx_imports(tree) <= {
+        "headfx.abm", "headfx.core", "headfx.errors", "headfx.metrics",
+    }
+
+
 @pytest.mark.parametrize(
     "source, modules",
     [
