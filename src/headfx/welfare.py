@@ -4,13 +4,15 @@ Consumer surplus via the logit expected-maximum-utility identity,
 producer surplus and platform profit, the equilibrium welfare's gradient
 in the promotion shares, projected gradient ascent over the probability
 simplex with a KKT stopping rule, and a brute-force simplex grid oracle
-for verification.
+for verification, whose independent column blocks run on one thread per
+available CPU.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,7 +240,7 @@ def optimize_allocation(
     )
 
 
-# The grid oracle streams its grid in column blocks of about this many
+# The grid oracle solves its grid in column blocks of about this many
 # cells, so that a block's allocations, audiences, utilities and work
 # buffers stay in cache while it iterates (16,384 columns at N = 3).
 _BLOCK_CELLS = 3 << 14
@@ -262,11 +264,15 @@ def _simplex_columns(big_n: int, k: int, cols: slice, out: np.ndarray) -> None:
         return
     i = np.arange(k + 1)
     starts = i * (k + 1) - i * (i - 1) // 2
-    first = np.searchsorted(starts, c, side="right") - 1
-    second = c - starts[first]
+    # integer steps in place, exact, so each worker holds three temporaries
+    first = np.searchsorted(starts, c, side="right")
+    first -= 1
+    c -= starts[first]
     np.divide(first, k, out=out[0])
-    np.divide(second, k, out=out[1])
-    np.divide(k - first - second, k, out=out[2])
+    np.divide(c, k, out=out[1])
+    first += c
+    np.subtract(k, first, out=first)
+    np.divide(first, k, out=out[2])
 
 
 def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
@@ -314,91 +320,131 @@ def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
         )
 
 
-def _grid_blocks(market: Market, q, k: int, cfg: FixedPointConfig):
-    """Yield (thetas, n, w) for each column block of the simplex grid at
-    step 1/k, in column order: the block's (N, width) allocations, their
-    viewer-equilibrium audiences and their (width,) total welfare.
+def _column_blocks(big_n: int, k: int) -> list[slice]:
+    """The column ranges of the simplex grid at step 1/k, in column order:
+    blocks of max(1, _BLOCK_CELLS // N) columns, the last one narrower."""
+    size = k + 1 if big_n == 2 else (k + 1) * (k + 2) // 2
+    width = max(1, _BLOCK_CELLS // big_n)
+    return [slice(start, min(start + width, size)) for start in range(0, size, width)]
 
-    Every block is built, solved and valued in one set of buffers,
-    allocated once at the first block's width and sliced for a narrower
-    last block, so the yielded arrays are views that the next block
-    overwrites. The welfare is the formulas of _welfare_parts at utilities
-    v_theta + network(n), in this layout: axis-0 sums of a few rows add them
-    left to right, as numpy's sums over a short trailing axis do, and the
-    BLAS product p @ prices is formed on a C-ordered (width, N) copy of p,
+
+def _grid_buffers(big_n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """One worker's buffers for blocks of up to width columns: v_theta, n
+    and two work arrays, each (N, width), and one (width,) row."""
+    return np.empty((4, big_n, width)), np.empty(width)
+
+
+def _grid_block(market: Market, q, k: int, cfg: FixedPointConfig, cols: slice, buffers):
+    """Build, solve and value the columns cols of the simplex grid at step
+    1/k in buffers (see _grid_buffers); returns the grid index of the
+    block's first best column, or of its first NaN welfare, and that
+    welfare.
+
+    The allocations are written into a work array and only v_theta is kept
+    from them. Once v_theta and p are spent, their arrays hold the later
+    steps' rows, so a block's audiences end in the second (N, width)
+    array and its (width,) total welfare in row 1 of the fourth. The
+    welfare is the formulas of _welfare_parts at utilities v_theta +
+    network(n), in this layout: axis-0 sums of a few rows add them left to
+    right, as numpy's sums over a short trailing axis do, and the BLAS
+    product p @ prices is formed on a C-ordered (width, N) copy of p,
     since on a transposed view it rounds differently. So every welfare is
     bitwise cs + ps + pi of _welfare_parts. A block whose fixed point
-    fails raises NumericalError (see _block_fixed_point); later blocks are
-    not run.
+    fails raises NumericalError (see _block_fixed_point).
     """
     big_n = market.alpha.shape[0]
-    size = k + 1 if big_n == 2 else (k + 1) * (k + 2) // 2
-    width = min(max(1, _BLOCK_CELLS // big_n), size)
-    # thetas, v_theta, n and two work arrays; four rows; p as (width, N) rows
-    columns = np.empty((5, big_n, width))
-    rows = np.empty((4, width))
-    p_rows = np.empty((width, big_n))
-    base = (market.alpha * q - market.prices)[:, np.newaxis]
-    prices = market.prices[:, np.newaxis]
-    net = (1.0 - market.tau) * market.revenue_per_viewer
-    cost = np.sum(market.c * q * q)
-    platform = market.tau * market.revenue_per_viewer * market.m
-    for start in range(0, size, width):
-        cols = slice(start, min(start + width, size))
-        b = cols.stop - start
-        tb, vtb, nb, vb, eb = columns[:, :, :b]
-        rb, top, dot, wb = rows[:, :b]
-        _simplex_columns(big_n, k, cols, tb)
-        np.multiply(market.phi, tb, out=vtb)
-        np.add(base, vtb, out=vtb)
-        nb.fill(market.m / big_n)
-        _block_fixed_point(vtb, nb, market, cfg, vb, eb, rb)
-        # p = softmax(v), v = v_theta + network(n)
-        market.network(nb, out=vb)
-        np.add(vtb, vb, out=vb)
-        np.max(vb, axis=0, out=rb)
-        np.subtract(vb, rb, out=eb)
-        np.exp(eb, out=eb)
-        np.sum(eb, axis=0, out=rb)
-        np.divide(eb, rb, out=eb)
-        # lse = top + log(sum(exp(gross - top))), gross = v + prices
-        np.add(vb, prices, out=vb)
-        np.max(vb, axis=0, out=top)
-        np.subtract(vb, top, out=vb)
-        np.exp(vb, out=vb)
-        np.sum(vb, axis=0, out=rb)
-        np.log(rb, out=rb)
-        np.add(top, rb, out=rb)
-        # w = cs + ps + pi, cs = m (lse - p @ prices), ps = net sum(n) - cost
-        np.copyto(p_rows[:b], eb.T)
-        np.matmul(p_rows[:b], market.prices, out=dot)
-        np.subtract(rb, dot, out=rb)
-        np.multiply(market.m, rb, out=rb)
-        np.sum(nb, axis=0, out=wb)
-        np.multiply(net, wb, out=wb)
-        np.subtract(wb, cost, out=wb)
-        np.add(rb, wb, out=wb)
-        np.add(wb, platform, out=wb)
-        yield tb, nb, wb
+    b = cols.stop - cols.start
+    columns, row = buffers
+    vtb, nb, vb, eb = columns[:, :, :b]
+    rb = row[:b]
+    _simplex_columns(big_n, k, cols, eb)
+    np.multiply(market.phi, eb, out=vtb)
+    np.add((market.alpha * q - market.prices)[:, np.newaxis], vtb, out=vtb)
+    nb.fill(market.m / big_n)
+    _block_fixed_point(vtb, nb, market, cfg, vb, eb, rb)
+    # p = softmax(v), v = v_theta + network(n); v_theta is spent from here
+    market.network(nb, out=vb)
+    np.add(vtb, vb, out=vb)
+    np.max(vb, axis=0, out=rb)
+    np.subtract(vb, rb, out=eb)
+    np.exp(eb, out=eb)
+    np.sum(eb, axis=0, out=rb)
+    np.divide(eb, rb, out=eb)
+    # lse = top + log(sum(exp(gross - top))), gross = v + prices
+    top = vtb[0]
+    np.add(vb, market.prices[:, np.newaxis], out=vb)
+    np.max(vb, axis=0, out=top)
+    np.subtract(vb, top, out=vb)
+    np.exp(vb, out=vb)
+    np.sum(vb, axis=0, out=rb)
+    np.log(rb, out=rb)
+    np.add(top, rb, out=rb)
+    # w = cs + ps + pi, cs = m (lse - p @ prices), ps = net sum(n) - cost;
+    # p's rows lie over v_theta, then dot and w over p's spent columns
+    p_rows = columns[0].reshape(-1)[:b * big_n].reshape(b, big_n)
+    np.copyto(p_rows, eb.T)
+    dot, wb = eb[0], eb[1]
+    np.matmul(p_rows, market.prices, out=dot)
+    np.subtract(rb, dot, out=rb)
+    np.multiply(market.m, rb, out=rb)
+    np.sum(nb, axis=0, out=wb)
+    np.multiply((1.0 - market.tau) * market.revenue_per_viewer, wb, out=wb)
+    np.subtract(wb, np.sum(market.c * q * q), out=wb)
+    np.add(rb, wb, out=wb)
+    np.add(wb, market.tau * market.revenue_per_viewer * market.m, out=wb)
+    best = int(np.argmax(wb))
+    return cols.start + best, float(wb[best])
 
 
-def _first_max(blocks) -> tuple[np.ndarray, float]:
-    """The column and value of the first maximum over (columns, values)
-    blocks: columns (N, width), values (width,), taken in order.
+def _first_max(maxima) -> tuple[int, float]:
+    """The index and value of the first maximum over blocks of values,
+    given each block's (index, value) of its own first maximum or first
+    NaN, in block order.
 
     Keeps np.argmax's rules on the values concatenated: the first index of
     the maximum, or the first NaN when there is one. A block's argmax
     finds its own first maximum or first NaN, and the argmax over the
-    block maxima picks the first block that holds the overall one. Each
-    block's best column is copied, so the blocks may reuse their buffers.
+    block maxima picks the first block that holds the overall one.
     """
-    maxima, best_columns = [], []
-    for columns, values in blocks:
-        best = int(np.argmax(values))
-        maxima.append(values[best])
-        best_columns.append(columns[:, best].copy())
-    best = int(np.argmax(maxima))
-    return best_columns[best], float(maxima[best])
+    indices, values = zip(*maxima)
+    best = int(np.argmax(values))
+    return indices[best], values[best]
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_in_threads(func, items, workers: int) -> list:
+    """[func(item) for item in items] on a pool of workers threads that
+    start the items in order, each item in a copy of the caller's context
+    (which holds np.errstate). Once an item raises, no further item
+    starts, and the error raised is that of the first failing item in
+    order, as in the loop."""
+    # imported here, so runs on one thread never load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+    from contextvars import copy_context
+    from threading import Event
+
+    failed = Event()
+
+    def run(item):
+        if failed.is_set():
+            return None
+        try:
+            return func(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(copy_context().run, run, item) for item in items]
+    # the items start in order, so a failure precedes every skipped item
+    return [future.result() for future in futures]
 
 
 def grid_search_allocation(
@@ -411,19 +457,23 @@ def grid_search_allocation(
     """Brute-force welfare maximization over a simplex grid (N = 2 or 3).
 
     Solves the viewer fixed point for every grid allocation; independent
-    oracle for the optimizer. The grid is streamed one cache-sized column
-    block at a time through buffers reused from block to block: each
-    block builds its allocations, iterates until its own residual is at
-    most the tol, and values them, and only its best column is kept. The
-    columns come in the order of a row-major (i, j) meshgrid filtered to
-    i + j <= k, k = round(1 / resolution), and ties in welfare go to the
-    first column. Without fp_cfg the fixed point runs to tol 1e-10 within
+    oracle for the optimizer. The grid is split into cache-sized column
+    blocks that share no state: each block builds its allocations,
+    iterates until its own residual is at most the tol, and values them,
+    and only its best column is kept. The blocks run on one thread per
+    CPU this process may use (at most one per block), each thread with its
+    own buffers reused from block to block; on one CPU they run in the
+    calling thread. The columns come in the order of a row-major (i, j)
+    meshgrid filtered to i + j <= k, k = round(1 / resolution), and ties
+    in welfare go to the first column, so the result is the same for any
+    thread count. Without fp_cfg the fixed point runs to tol 1e-10 within
     5000 sweeps, undamped when beta M < 2 (a max-norm contraction with
     factor at most beta M / 2) and with damping 0.5 otherwise; a given
     fp_cfg is used as it is. Raises DomainError unless resolution is a
     finite number > 0 with k >= 1, and NumericalError if a block of the
     grid has not converged after fp_cfg.max_iter sweeps or a residual
-    turns non-finite.
+    turns non-finite: once a block fails no further block starts, and the
+    error is that of the first failing block in column order.
     """
     big_n = platform.n_streamers
     if big_n not in (2, 3):
@@ -440,6 +490,24 @@ def grid_search_allocation(
     if fp_cfg is None:
         fp_cfg = _default_fixed_point(market, tol=1e-10)
 
-    blocks = _grid_blocks(market, q, round(steps), fp_cfg)
-    theta, welfare = _first_max((thetas, w) for thetas, _, w in blocks)
-    return simplex_project(theta), welfare
+    k = round(steps)
+    blocks = _column_blocks(big_n, k)
+    workers = min(_cpu_count(), len(blocks))
+    # one buffer set per worker: at most workers blocks run at once
+    free = [_grid_buffers(big_n, blocks[0].stop) for _ in range(workers)]
+
+    def solve(cols):
+        buffers = free.pop()
+        try:
+            return _grid_block(market, q, k, fp_cfg, cols, buffers)
+        finally:
+            free.append(buffers)
+
+    if workers == 1:
+        maxima = [solve(cols) for cols in blocks]
+    else:
+        maxima = _map_in_threads(solve, blocks, workers)
+    best, welfare = _first_max(maxima)
+    theta = np.empty((big_n, 1))
+    _simplex_columns(big_n, k, slice(best, best + 1), theta)
+    return simplex_project(theta[:, 0]), welfare

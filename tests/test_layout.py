@@ -649,19 +649,23 @@ _IN_PROCESS_RUN = f"""
 import json, sys
 import headfx.cli
 loaded = [sorted(set({_POOL_MODULES!r}) & set(sys.modules))]
-code = headfx.cli.main(["simulate", "--config", "configs/combined.json", "--seeds", "1",
-                        "--threads", "1", "--out", sys.argv[1]])
+codes = [headfx.cli.main(["simulate", "--config", "configs/combined.json", "--seeds", "1",
+                         "--threads", "1", "--out", sys.argv[1]])]
 loaded.append(sorted(set({_POOL_MODULES!r}) & set(sys.modules)))
-print(json.dumps([code, loaded]))
+codes.append(headfx.cli.main(["optimize-theta", "--instance", "configs/instance_n3.json",
+                              "--out", sys.argv[1]]))
+loaded.append(sorted(set({_POOL_MODULES!r}) & set(sys.modules)))
+print(json.dumps([codes, loaded]))
 """
 
 
 def test_runs_in_process_never_load_the_process_pool(tmp_path):
-    # The pool module is imported only by a command that starts a pool.
+    # The pool modules are imported only by a command that starts a pool:
+    # a one-thread simulate and an optimize-theta without the grid oracle.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", _IN_PROCESS_RUN, str(tmp_path)], cwd=ROOT,
                             env=env, capture_output=True, text=True, check=True)
-    code, loaded = json.loads(result.stdout.splitlines()[-1])
-    assert code == 0
-    assert loaded == [[], []]
+    codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == [[], [], []]

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -568,23 +570,36 @@ def test_solution_breakdown_is_total_welfare_at_its_state(alphas, q, prices):
         assert getattr(sol.breakdown, field.name) == getattr(want, field.name)
 
 
-def _grid_columns(market, q, k, cfg):
-    """The allocations, audiences and welfare of every column the streamed
-    grid yields, each block copied before the next overwrites it."""
-    blocks = [tuple(a.copy() for a in block) for block in welfare._grid_blocks(market, q, k, cfg)]
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
+def _grid_run(plat, streamers, q, cfg, resolution=0.01):
+    """grid_search_allocation's theta and welfare, and the allocations,
+    audiences and welfare of every column its blocks solved, in column
+    order: each block's are copied as the block returns, on whichever
+    thread ran it."""
+    solve, solved = welfare._grid_block, {}
+
+    def recording(market, q, k, cfg, cols, buffers):
+        best = solve(market, q, k, cfg, cols, buffers)
+        columns = buffers[0][:, :, :cols.stop - cols.start]
+        thetas = np.empty_like(columns[0])
+        welfare._simplex_columns(plat.n_streamers, k, cols, thetas)
+        solved[cols.start] = thetas, columns[1].copy(), columns[3, 1].copy()
+        return best
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(welfare, "_grid_block", recording)
+        theta, w = grid_search_allocation(plat, streamers, q, resolution=resolution, fp_cfg=cfg)
+    blocks = [solved[start] for start in sorted(solved)]
+    return theta, w, tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
 
 
 def _assert_grid_matches_reference(plat, streamers, q, cfg, resolution=0.01, block=None):
     """theta, welfare and audiences bitwise the row-major oracle's, at every
     grid point, with the reference's fixed point run on blocks of block rows."""
     ref = _row_major_grid_oracle(plat, streamers, q, resolution, cfg, block)
-    theta, w = grid_search_allocation(plat, streamers, q, resolution=resolution, fp_cfg=cfg)
+    theta, w_best, (thetas, n, w) = _grid_run(plat, streamers, q, cfg, resolution)
     assert np.array_equal(theta.theta, ref.theta.theta)
-    assert w == ref.w_best
+    assert w_best == ref.w_best
     # the argmax breaks ties by column order, so the columns keep the rows' order
-    market = Market.from_params(plat, streamers)
-    thetas, n, w = _grid_columns(market, q, int(round(1.0 / resolution)), cfg)
     assert np.array_equal(thetas, ref.thetas.T)
     assert np.array_equal(n, ref.n.T)
     assert np.array_equal(w, ref.w)
@@ -603,6 +618,33 @@ def blocks_of_97_columns(monkeypatch):
     return use
 
 
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}-workers")
+def workers(request, monkeypatch):
+    """The grid oracle's thread count, whatever CPUs this machine has, with
+    the threads switched as often as the interpreter allows, so that two
+    blocks sharing a buffer set would show in their outputs."""
+    monkeypatch.setattr(welfare, "_cpu_count", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _nan_in_block(monkeypatch, block):
+    """Give the last column of the given 97-column block a NaN theta, and so
+    a NaN v_theta and residual on its first sweep."""
+    columns = welfare._simplex_columns
+
+    def nan_in_last_column(big_n, k, cols, out):
+        columns(big_n, k, cols, out)
+        if cols.start == block * _BLOCK:
+            out[1, -1] = np.nan
+
+    monkeypatch.setattr(welfare, "_simplex_columns", nan_in_last_column)
+
+
 class TestGridOracle:
     @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
     def test_bitwise_equal_to_row_major_reference(self, alphas, q, prices):
@@ -618,7 +660,7 @@ class TestGridOracle:
         plat, streamers, q = _grid_instance(alphas, q, prices)
         market = Market.from_params(plat, streamers)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
-        thetas, n, w = _grid_columns(market, q, 100, cfg)
+        _, _, (thetas, n, w) = _grid_run(plat, streamers, q, cfg)
         v_theta = (market.alpha * q - market.prices)[:, np.newaxis] + market.phi * thetas
         v = np.ascontiguousarray((v_theta + market.beta * n).T)
         cs, ps, pi = welfare._welfare_parts(market, q, v, softmax(v), np.ascontiguousarray(n.T))
@@ -627,7 +669,7 @@ class TestGridOracle:
     @pytest.mark.parametrize("damping", [0.5, 1.0])
     @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
     def test_blocks_bitwise_equal_to_row_major_reference(
-        self, blocks_of_97_columns, alphas, q, prices, damping
+        self, blocks_of_97_columns, workers, alphas, q, prices, damping
     ):
         plat, streamers, q = _grid_instance(alphas, q, prices)
         blocks_of_97_columns(plat.n_streamers)
@@ -651,7 +693,7 @@ class TestGridOracle:
             plat, streamers, q, dataclasses.replace(cfg, max_iter=sweep + 1), block=_BLOCK
         )
 
-    def test_max_iter_reached_in_a_later_block(self, blocks_of_97_columns):
+    def test_max_iter_reached_in_a_later_block(self, blocks_of_97_columns, workers):
         # Undamped at tol 1e-14 the first 24 blocks of this instance stop by
         # sweep 14, but block 24's residual bounces in rounding noise above
         # tol: it raises at max_iter and names its own residual.
@@ -664,27 +706,59 @@ class TestGridOracle:
         with pytest.raises(NumericalError, match=message):
             grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
 
+    def test_earlier_blocks_error_wins_over_a_later_fast_failure(
+        self, monkeypatch, blocks_of_97_columns, workers
+    ):
+        # block 25 fails on its first sweep while block 24, started first,
+        # runs out of max_iter; the loop would raise block 24's error
+        plat, streamers, q = _grid_instance(*_GRID_CASES[2])
+        blocks_of_97_columns(3)
+        cfg = FixedPointConfig(tol=1e-14, max_iter=40, damping=1.0)
+        ref = _row_major_grid_oracle(plat, streamers, q, 0.01, cfg, _BLOCK)
+        _nan_in_block(monkeypatch, 25)
+        message = rf"residual {ref.residuals[24]:.3g} > .*\(max_iter=40\)"
+        with pytest.raises(NumericalError, match=message):
+            grid_search_allocation(plat, streamers, q, resolution=0.01, fp_cfg=cfg)
+
+    def test_no_block_starts_after_a_failure(self, monkeypatch, blocks_of_97_columns, workers):
+        # Every other block first sleeps, releasing the interpreter lock, so
+        # block 10's NaN fails while the blocks started before it still run.
+        # Of the 54 blocks none after block 10 + workers starts.
+        plat, streamers, q = _grid_instance(*_GRID_CASES[2])
+        blocks_of_97_columns(3)
+        solve, started = welfare._grid_block, []
+
+        def counting(market, q, k, cfg, cols, buffers):
+            started.append(cols.start // _BLOCK)
+            if cols.start != 10 * _BLOCK:
+                time.sleep(0.002)
+            return solve(market, q, k, cfg, cols, buffers)
+
+        monkeypatch.setattr(welfare, "_grid_block", counting)
+        _nan_in_block(monkeypatch, 10)
+        with pytest.raises(NumericalError, match="residual nan"):
+            grid_search_allocation(
+                plat, streamers, q, resolution=0.01, fp_cfg=FixedPointConfig(tol=1e-10)
+            )
+        assert sorted(started)[:11] == list(range(11))
+        assert max(started) <= 10 + workers
+
     def test_nan_in_one_later_block_raises(self, monkeypatch, blocks_of_97_columns):
         plat, streamers, q = _grid_instance(*_GRID_CASES[2])
         blocks_of_97_columns(3)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
-        columns = welfare._simplex_columns
-        size = 101 * 102 // 2
-
-        def nan_in_last_column(big_n, k, cols, out):
-            columns(big_n, k, cols, out)
-            if cols.stop == size:
-                out[1, -1] = np.nan
-
+        blocks = welfare._column_blocks(3, 100)
+        assert len(blocks) == -(-(101 * 102 // 2) // _BLOCK)
+        last = len(blocks) - 1
         # the last column, in the last block, gets a NaN theta and so a NaN v_theta
-        monkeypatch.setattr(welfare, "_simplex_columns", nan_in_last_column)
-        blocks = welfare._grid_blocks(Market.from_params(plat, streamers), q, 100, cfg)
-        solved = []
+        _nan_in_block(monkeypatch, last)
+        market = Market.from_params(plat, streamers)
+        buffers = welfare._grid_buffers(3, _BLOCK)
+        # every earlier block converges to a finite best welfare
+        for cols in blocks[:last]:
+            assert math.isfinite(welfare._grid_block(market, q, 100, cfg, cols, buffers)[1])
         with pytest.raises(NumericalError, match="residual nan"):
-            for block in blocks:
-                solved.append(block)
-        # every earlier block has converged and been yielded
-        assert len(solved) == -(-size // _BLOCK) - 1
+            welfare._grid_block(market, q, 100, cfg, blocks[last], buffers)
 
     def test_non_convergence_raises(self):
         plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
@@ -694,9 +768,12 @@ class TestGridOracle:
                 fp_cfg=FixedPointConfig(max_iter=1),
             )
 
-    def test_non_finite_residual_raises(self):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_residual_raises(self, blocks_of_97_columns, workers):
         plat, streamers, _ = instance([1.2, 1.0, 0.4], [0.8, 0.7, 0.5], beta=0.002)
-        # the largest float is a valid quality; alpha q overflows to a non-finite utility
+        blocks_of_97_columns(3)
+        # the largest float is a valid quality; alpha q overflows to a
+        # non-finite utility, silently on every worker thread
         with np.errstate(invalid="ignore", over="ignore"), \
                 pytest.raises(NumericalError, match="residual nan"):
             grid_search_allocation(
@@ -712,7 +789,7 @@ class TestGridOracle:
         def no_work(*args):
             raise AssertionError("the grid was built")
 
-        monkeypatch.setattr(welfare, "_grid_blocks", no_work)
+        monkeypatch.setattr(welfare, "_column_blocks", no_work)
         with pytest.raises(DomainError, match="resolution"):
             grid_search_allocation(plat, streamers, q, resolution=resolution)
 
@@ -723,25 +800,23 @@ class TestGridOracle:
         width=st.integers(1, 7),
     )
     def test_first_max_is_argmax_over_all_blocks(self, values, width):
-        # ties and NaN straddling blocks, fed from one reused pair of buffers
+        # ties and NaN straddling blocks, each block reduced to its own first
+        # maximum as _grid_block reduces it
         w = np.array(values)
-
-        def blocks():
-            cols, vals = np.empty((1, width)), np.empty(width)
-            for a in range(0, w.size, width):
-                b = min(width, w.size - a)
-                cols[0, :b] = np.arange(a, a + b)
-                vals[:b] = w[a:a + b]
-                yield cols[:, :b], vals[:b]
-
-        column, value = welfare._first_max(blocks())
+        maxima = []
+        for a in range(0, w.size, width):
+            best = a + int(np.argmax(w[a:a + width]))
+            maxima.append((best, float(w[best])))
+        index, value = welfare._first_max(maxima)
         best = int(np.argmax(w))
-        assert column.tolist() == [best]
+        assert index == best
         assert np.array_equal(value, w[best], equal_nan=True)
 
-    def test_traced_peak_is_a_few_blocks(self):
+    def test_traced_peak_is_a_few_blocks(self, monkeypatch):
         # numpy reports its data buffers to tracemalloc; the whole-grid
-        # (3, 501501) arrays took about 41 MB
+        # (3, 501501) arrays took about 41 MB. Two workers hold two buffer
+        # sets of about 1.7 MB each, whatever CPUs this machine has.
+        monkeypatch.setattr(welfare, "_cpu_count", lambda: 2)
         plat, streamers, q = _ORACLE_INSTANCES["instance_n3"]()
         tracemalloc.start()
         try:
