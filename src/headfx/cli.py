@@ -354,8 +354,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eq.set_defaults(func=_cmd_equilibrium)
 
     p_dyn = sub.add_parser("dynamics", parents=[scenario], help="integrate the dynamic system")
-    p_dyn.add_argument("--dt", type=float, default=0.01)
-    p_dyn.add_argument("--t-end", type=float, default=200.0)
+    p_dyn.add_argument("--dt", type=float, default=IntegratorConfig.dt)
+    p_dyn.add_argument("--t-end", type=float, default=IntegratorConfig.t_end)
     p_dyn.add_argument("--beta", type=float, default=None)
     p_dyn.add_argument(
         "--kind",

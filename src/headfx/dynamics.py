@@ -119,11 +119,16 @@ def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
 
     Its coefficients are rows shaped like s, formed once by the formulas'
-    own operations: (slope, alpha) for the utility, the level network term
-    being slope n (a nonlinear form computes market.network(s[0]) instead),
-    (m, revenue) for the rate, (1, 2 c) for the drain and (gamma, eta) for
-    the speed; prices and promotion are tiled to one row. Equal shapes keep
-    numpy's elementwise loops off their slower broadcast path.
+    own operations: (slope, alpha) for the utility, (m, revenue) for the
+    rate, (1, 2 c) for the drain and (gamma, eta) for the speed; prices and
+    promotion are tiled to one row. Equal shapes keep numpy's elementwise
+    loops off their slower broadcast path.
+
+    The utility's n row is network_slope * n, with the slope read once, at
+    the s passed here. That equals market.network(n) only for the level
+    term, whose slope is the constant beta (a test pins network(n) ==
+    network_slope(n) * n), so another form of the term must change this
+    flow as well as Market.
     """
     weights = _stack_rows(s.shape, market.network_slope(s[0]), market.alpha)
     rate = _stack_rows(s.shape, market.m, market.revenue)

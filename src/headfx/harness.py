@@ -79,17 +79,10 @@ _PLATFORM_KEYS = _SIM_FIELDS[: _SIM_FIELDS.index("policy_schedule")]
 _OVERRIDE_KEYS = _SIM_FIELDS[_SIM_FIELDS.index("seed") + 1:]
 _POLICY_KEYS = [f.name for f in dataclasses.fields(PolicyIntervention)]
 _SCENARIO_KEYS = ("name", "seed", "n_seeds", "platform", "overrides", "policies", "sweep")
-_INSTANCE_KEYS = (
-    "n_viewers",
-    "beta",
-    "tau",
-    "revenue_per_viewer",
-    "phi",
-    "prices",
-    "alpha",
-    "q",
-    "cost",
-)
+# The instance file's PlatformParams fields that take their class defaults
+# when the file leaves them out.
+_INSTANCE_PLATFORM_KEYS = ("beta", "tau", "revenue_per_viewer", "phi")
+_INSTANCE_KEYS = ("n_viewers", *_INSTANCE_PLATFORM_KEYS, "prices", "alpha", "q", "cost")
 
 
 def canonical_policies(name: str) -> tuple[PolicyIntervention, ...]:
@@ -164,11 +157,10 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunArtifact:
-    """Everything produced by one scenario batch."""
+    """One scenario batch's per-seed summaries, and their mean and sd by metric."""
 
     scenario: str
     summaries: tuple[MetricsSummary, ...]
-    runs: tuple[SimRun, ...]
     mean: dict[str, float]
     sd: dict[str, float]
 
@@ -280,7 +272,6 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
     return RunArtifact(
         scenario=spec.name,
         summaries=tuple(summaries),
-        runs=tuple(runs),
         mean=mean,
         sd=sd,
     )
@@ -464,9 +455,10 @@ def parse_config(path) -> ScenarioSpec | SweepSpec:
 def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarray]:
     """Strict parse of an optimize-theta instance file.
 
-    JSON object with alpha and q (required, one entry per streamer), cost,
-    prices, n_viewers, beta, tau, revenue_per_viewer and phi. Returns the
-    platform, the streamers and the quality vector q.
+    JSON object with alpha and q (required, one entry per streamer), cost
+    (default 1.0 each), prices, n_viewers (default 1000), beta, tau,
+    revenue_per_viewer and phi; a key left out takes PlatformParams'
+    default. Returns the platform, the streamers and the quality vector q.
     """
     raw = _read_document(path, _INSTANCE_KEYS, "instance file")
     for key in ("alpha", "q"):
@@ -486,15 +478,11 @@ def parse_instance(path) -> tuple[PlatformParams, list[StreamerParams], np.ndarr
         platform = PlatformParams(
             n_streamers=len(alpha),
             n_viewers=int(n_viewers),
-            beta=raw.get("beta", 0.0),
-            tau=raw.get("tau", 0.2),
-            revenue_per_viewer=raw.get("revenue_per_viewer", 1.0),
-            phi=raw.get("phi", 1.0),
             # an explicit null is no list of prices, not the default
             prices=require_array("prices", raw["prices"]) if "prices" in raw else None,
+            **{key: raw[key] for key in _INSTANCE_PLATFORM_KEYS if key in raw},
         )
-        streamers = [StreamerParams(alpha=a, eta=1.0, cost_coefficient=c)
-                     for a, c in zip(alpha, cost)]
+        streamers = [StreamerParams(alpha=a, cost_coefficient=c) for a, c in zip(alpha, cost)]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return platform, streamers, q

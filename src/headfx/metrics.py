@@ -9,7 +9,7 @@ are pure and RNG-free.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,15 +25,6 @@ __all__ = [
     "summarize",
 ]
 
-METRIC_COLUMNS = (
-    "gini",
-    "top3_share",
-    "viewer_mobility",
-    "tail_share",
-    "avg_satisfaction",
-    "quality_improvement",
-)
-
 
 @dataclass(frozen=True)
 class MetricsSummary:
@@ -45,6 +36,10 @@ class MetricsSummary:
     tail_share: float
     avg_satisfaction: float
     quality_improvement: float
+
+
+# The summary columns, in the order every table writes them.
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricsSummary))
 
 
 def gini(x) -> float:

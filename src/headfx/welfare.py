@@ -39,16 +39,10 @@ class WelfareBreakdown:
     consumer_surplus: float
     producer_surplus: float
     platform_profit: float
-    total: float
 
-    def __post_init__(self):
-        parts = self.consumer_surplus + self.producer_surplus + self.platform_profit
-        if abs(self.total - parts) > 1e-9 * (1.0 + abs(parts)):
-            raise DomainError("welfare total does not match its components")
-
-    @classmethod
-    def from_components(cls, cs: float, ps: float, pi: float) -> "WelfareBreakdown":
-        return cls(cs, ps, pi, cs + ps + pi)
+    @property
+    def total(self) -> float:
+        return self.consumer_surplus + self.producer_surplus + self.platform_profit
 
 
 def _welfare_parts(market: Market, q, v, p, n):
@@ -83,7 +77,7 @@ def total_welfare(
     market = Market.from_params(platform, streamers)
     v = market.utility(state, theta)
     cs, ps, pi = _welfare_parts(market, state.q, v, choice_probabilities(v), state.n)
-    return WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
+    return WelfareBreakdown(float(cs), float(ps), float(pi))
 
 
 def _default_fixed_point(market: Market, tol: float, max_iter: int = 5000) -> FixedPointConfig:
@@ -126,7 +120,7 @@ def _welfare_raw(market: Market, q, theta_vec, cfg, n0):
     except np.linalg.LinAlgError:
         raise NumericalError("welfare gradient: I - M dP/dV dV/dn is singular") from None
     g = market.m * market.phi * dv
-    breakdown = WelfareBreakdown.from_components(float(cs), float(ps), float(pi))
+    breakdown = WelfareBreakdown(float(cs), float(ps), float(pi))
     return breakdown, n, g, bool(converged[0])
 
 

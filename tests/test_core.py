@@ -399,3 +399,13 @@ class TestMarket:
         n0 = np.full(big_n, m_float / big_n)
         n0[0] = min(n0[0] + PERTURBATION * m_float, m_float)
         assert np.array_equal(market.perturbed_start(), n0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), beta=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_network_term_is_its_slope_times_n(self, n, beta, seed):
+        # dynamics._stacked_flow builds the utility's n row as network_slope * n;
+        # a form of the term for which this fails must change that flow too
+        market = Market.from_params(make_platform(n, beta=beta), make_streamers([1.0] * n))
+        audiences = np.random.default_rng(seed).uniform(0.0, 1e4, (3, n))
+        assert np.array_equal(market.network(audiences),
+                              market.network_slope(audiences) * audiences)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from headfx import cli, equilibrium, harness, welfare
 from headfx.abm import POLICY_KINDS, SimConfig, init_platform, simulate
 from headfx.cli import main
+from headfx.core import PlatformParams, StreamerParams
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import ConfigError, DomainError
 from headfx.harness import (
@@ -29,17 +30,23 @@ from headfx.harness import (
     ab_compare,
     make_scenario,
     parse_config,
+    parse_instance,
     run_scenario,
     sensitivity_sweep,
     write_json,
     write_table,
 )
-from headfx.metrics import MetricsSummary
+from headfx.metrics import MetricsSummary, summarize
 
 FAST_SIM = SimConfig(n_streamers=6, n_viewers=80, n_rounds=10)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 INSTANCE_N3 = str(CONFIGS / "instance_n3.json")
 BASELINE = str(CONFIGS / "baseline.json")
+
+
+def seed_runs(spec):
+    """abm.simulate's run at each of spec's seeds, in seed order."""
+    return [simulate(dataclasses.replace(spec.sim, seed=s)) for s in spec.seeds()]
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -49,6 +56,17 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 class TestParseConfig:
+    def test_minimal_instance_takes_the_class_defaults(self, tmp_path):
+        # the instance format's own defaults are n_viewers 1000 and cost 1.0;
+        # the rest are PlatformParams' and StreamerParams'
+        path = write_config(tmp_path, {"alpha": [1.2, 0.4], "q": [0.8, 0.5]})
+        platform, streamers, q = parse_instance(path)
+        want = PlatformParams(n_streamers=2, n_viewers=1000)
+        for field in dataclasses.fields(PlatformParams):
+            assert np.array_equal(getattr(platform, field.name), getattr(want, field.name))
+        assert streamers == [StreamerParams(alpha=a, cost_coefficient=1.0) for a in (1.2, 0.4)]
+        assert np.array_equal(q, [0.8, 0.5])
+
     def test_minimal_baseline_fills_defaults(self, tmp_path):
         spec = parse_config(write_config(tmp_path, {"name": "Baseline", "seed": 42}))
         assert isinstance(spec, ScenarioSpec)
@@ -187,12 +205,8 @@ class TestRunScenario:
     def test_single_seed_reproduces_simulate(self, tmp_path):
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=1, seed_base=5)
         artifact = run_scenario(spec, out_dir=tmp_path)
-        direct = simulate(dataclasses.replace(FAST_SIM, seed=5)).records
-        for ra, rb in zip(artifact.runs[0].records, direct):
-            assert np.array_equal(ra.viewer_counts, rb.viewer_counts)
-            assert np.array_equal(ra.streamer_revenues, rb.streamer_revenues)
-            assert np.array_equal(ra.qualities, rb.qualities)
-            assert ra.mean_satisfaction == rb.mean_satisfaction
+        (direct,) = seed_runs(spec)
+        assert artifact.summaries == (summarize(direct.records, direct.q_initial),)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
@@ -236,8 +250,8 @@ class TestRunScenario:
         # each cell of seed_<k>.csv is its RoundRecord's value: counts as
         # integers, the rest at 6 significant digits
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
-        artifact = run_scenario(spec, out_dir=tmp_path)
-        for seed, run in zip(spec.seeds(), artifact.runs):
+        run_scenario(spec, out_dir=tmp_path)
+        for seed, run in zip(spec.seeds(), seed_runs(spec)):
             with (tmp_path / "Baseline" / f"seed_{seed}.csv").open(newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == len(run.records) == FAST_SIM.n_rounds
@@ -257,7 +271,7 @@ class TestRunScenario:
         section = readme.split("### Long-format series", 1)[1]
         recipe = section.split("```python\n", 1)[1].split("```", 1)[0]
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=2, seed_base=0)
-        artifact = run_scenario(spec, out_dir=tmp_path / "headfx_out")
+        run_scenario(spec, out_dir=tmp_path / "headfx_out")
         monkeypatch.chdir(tmp_path)
         exec(recipe, {})
         with (tmp_path / "Baseline_viewers.csv").open(newline="") as fh:
@@ -265,7 +279,7 @@ class TestRunScenario:
         assert rows[0] == ["seed", "round", "streamer", "viewers"]
         assert rows[1:] == [
             [str(seed), str(rec.round_index), str(i + 1), str(count)]
-            for seed, run in zip(spec.seeds(), artifact.runs)
+            for seed, run in zip(spec.seeds(), seed_runs(spec))
             for rec in run.records
             for i, count in enumerate(rec.viewer_counts)
         ]
@@ -273,10 +287,8 @@ class TestRunScenario:
     def test_satisfaction_rises_then_levels_off(self):
         # smoothed with a 5-round window; the raw per-round mean carries
         # ~0.03 of Gumbel noise around its plateau
-        spec = make_scenario("Baseline", n_seeds=10, seed_base=0)
-        artifact = run_scenario(spec)
         good = 0
-        for run in artifact.runs:
+        for run in seed_runs(make_scenario("Baseline", n_seeds=10, seed_base=0)):
             sats = np.array([rec.mean_satisfaction for rec in run.records])
             assert sats[5:].mean() > sats[0] + 0.2  # rapid early rise
             smooth = np.convolve(sats[4:], np.ones(5) / 5, mode="valid")
@@ -408,7 +420,7 @@ class TestOnePool:
         spec = ScenarioSpec(name="Baseline", sim=FAST_SIM, n_seeds=n_tasks, seed_base=0)
         artifact = run_scenario(spec, threads=threads)
         assert sizes == expected
-        assert len(artifact.runs) == n_tasks
+        assert len(artifact.summaries) == n_tasks
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):

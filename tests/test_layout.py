@@ -4,6 +4,7 @@ checked against the parser, and the modules a run in process loads."""
 
 import argparse
 import ast
+import importlib
 import json
 import os
 import re
@@ -290,11 +291,6 @@ def defined_names(tree: ast.Module) -> set[str]:
     return found
 
 
-def _parse_module(name: str) -> ast.Module:
-    path = SRC / f"{name}.py"
-    return ast.parse(path.read_text(), filename=str(path))
-
-
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_all_lists_only_names_the_module_defines(path):
     # The benchmark's spans wrap what __all__ lists, so a stale entry
@@ -303,17 +299,30 @@ def test_all_lists_only_names_the_module_defines(path):
     assert sorted(set(listed_names(tree)) - defined_names(tree)) == []
 
 
-def test_package_exports_are_listed_by_their_modules():
-    exports = [
-        (node.module, alias.name)
-        for node in _parse_module("__init__").body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert exports
-    unlisted = [f"{module}.{name}" for module, name in exports
-                if name not in listed_names(_parse_module(module))]
-    assert unlisted == []
+# The modules whose __all__ the package republishes.
+_REPUBLISHED = ("core", "equilibrium", "dynamics", "abm", "metrics", "welfare", "harness")
+
+
+def test_package_republishes_each_modules_interface():
+    # `from headfx import name` gives the module's own object for every
+    # name those modules list
+    import headfx
+
+    modules = [importlib.import_module(f"headfx.{name}") for name in _REPUBLISHED]
+    missing = [f"{module.__name__}.{name}" for module in modules for name in module.__all__
+               if getattr(headfx, name, None) is not getattr(module, name)]
+    assert missing == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # the README's "Library example" block, run as written
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(example, {})
+    assert " True\n" in capsys.readouterr().out  # the equilibrium converged
+    assert (tmp_path / "out" / "Combined" / "summary.csv").is_file()
 
 
 @pytest.mark.parametrize(
