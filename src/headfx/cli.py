@@ -390,7 +390,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # the solvers test what they compute for finiteness and raise
+        # NumericalError, so numpy's warnings on the way would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

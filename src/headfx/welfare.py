@@ -48,9 +48,9 @@ class WelfareBreakdown:
 def _welfare_parts(market: Market, q, v, p, n):
     """Consumer surplus, producer surplus and platform profit at utilities v,
     their choice probabilities p = softmax(v) and audiences n, each of shape
-    (..., N): the formulas of every welfare this module reports except the
-    grid oracle's. p is an argument so that total_welfare can take it from
-    choice_probabilities, which rejects a non-finite v.
+    (..., N): the formulas of every welfare this module reports. p is an
+    argument so that total_welfare can take it from choice_probabilities,
+    which rejects a non-finite v.
 
     Consumer surplus is M (E[max gross utility] - expected payment): gross
     benefit is the log-sum-exp over price-free utilities and payments are
@@ -307,7 +307,11 @@ def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
             np.multiply(1.0 - cfg.damping, n, out=n)
             np.multiply(cfg.damping, target, out=target)
             np.add(n, target, out=n)
-    if not residual <= cfg.tol:
+    if not residual < math.inf:
+        raise NumericalError(
+            f"non-finite residual {residual:.3g} in grid oracle fixed-point iteration"
+        )
+    if residual > cfg.tol:
         raise NumericalError(
             f"grid oracle fixed point did not converge: residual {residual:.3g} > "
             f"tol {cfg.tol:.3g} (max_iter={cfg.max_iter})"
@@ -338,12 +342,9 @@ def _grid_block(market: Market, q, k: int, cfg: FixedPointConfig, cols: slice, b
     from them. Once v_theta and p are spent, their arrays hold the later
     steps' rows, so a block's audiences end in the second (N, width)
     array and its (width,) total welfare in row 1 of the fourth. The
-    welfare is the formulas of _welfare_parts at utilities v_theta +
-    network(n), in this layout: axis-0 sums of a few rows add them left to
-    right, as numpy's sums over a short trailing axis do, and the BLAS
-    product p @ prices is formed on a C-ordered (width, N) copy of p,
-    since on a transposed view it rounds differently. So every welfare is
-    bitwise cs + ps + pi of _welfare_parts. A block whose fixed point
+    welfare is _welfare_parts at utilities v_theta + network(n), given p
+    as a C-ordered (width, N) copy, since the BLAS product p @ prices
+    rounds differently on a transposed view. A block whose fixed point
     fails raises NumericalError (see _block_fixed_point).
     """
     big_n = market.alpha.shape[0]
@@ -364,28 +365,12 @@ def _grid_block(market: Market, q, k: int, cfg: FixedPointConfig, cols: slice, b
     np.exp(eb, out=eb)
     np.sum(eb, axis=0, out=rb)
     np.divide(eb, rb, out=eb)
-    # lse = top + log(sum(exp(gross - top))), gross = v + prices
-    top = vtb[0]
-    np.add(vb, market.prices[:, np.newaxis], out=vb)
-    np.max(vb, axis=0, out=top)
-    np.subtract(vb, top, out=vb)
-    np.exp(vb, out=vb)
-    np.sum(vb, axis=0, out=rb)
-    np.log(rb, out=rb)
-    np.add(top, rb, out=rb)
-    # w = cs + ps + pi, cs = m (lse - p @ prices), ps = net sum(n) - cost;
-    # p's rows lie over v_theta, then dot and w over p's spent columns
+    # p's rows lie over the spent v_theta, the welfare over p's spent row 1
     p_rows = columns[0].reshape(-1)[:b * big_n].reshape(b, big_n)
     np.copyto(p_rows, eb.T)
-    dot, wb = eb[0], eb[1]
-    np.matmul(p_rows, market.prices, out=dot)
-    np.subtract(rb, dot, out=rb)
-    np.multiply(market.m, rb, out=rb)
-    np.sum(nb, axis=0, out=wb)
-    np.multiply((1.0 - market.tau) * market.revenue_per_viewer, wb, out=wb)
-    np.subtract(wb, np.sum(market.c * q * q), out=wb)
-    np.add(rb, wb, out=wb)
-    np.add(wb, market.tau * market.revenue_per_viewer * market.m, out=wb)
+    cs, ps, pi = _welfare_parts(market, q, vb.T, p_rows, nb.T)
+    wb = eb[1]
+    np.add(cs + ps, pi, out=wb)
     best = int(np.argmax(wb))
     return cols.start + best, float(wb[best])
 

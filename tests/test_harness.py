@@ -856,6 +856,31 @@ class TestCli:
         assert not (out / "equilibrium_summary.json").exists()
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equilibrium", "--beta", "1e307"],
+            ["dynamics", "--beta", "1e307"],
+            ["dynamics", "--kind", "path-dependence", "--beta", "1e307"],
+            ["optimize-theta", "--instance", "{instance}"],
+            ["optimize-theta", "--instance", "{instance}", "--grid-oracle"],
+        ],
+        ids=["equilibrium", "trajectory", "path-dependence", "optimize", "grid-oracle"],
+    )
+    def test_numerical_failure_prints_one_line(self, tmp_path, capsys, argv):
+        # the network term overflows to a non-finite utility on the first
+        # step; the solver's own check reports it, and numpy stays silent
+        instance = json.loads(Path(INSTANCE_N3).read_text()) | {"beta": 1e308}
+        path = write_config(tmp_path, instance)
+        out = tmp_path / "o"
+        argv = [arg.format(instance=path) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "beta, verdict, max_real",
         [(["--beta", "0"], "unstable", 16.31), ([], "stable", -0.2113)],

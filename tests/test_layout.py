@@ -417,6 +417,44 @@ def test_outer_product_checker(source, flagged):
     assert bool(outer_products(ast.parse(source))) == flagged
 
 
+def log_calls(tree: ast.Module) -> list[str]:
+    """Every numpy natural log a module takes: np.log calls, and imports of
+    log from numpy."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func) in ("np.log", "numpy.log"):
+            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            found += [f"line {node.lineno}: imports log" for a in node.names if a.name == "log"]
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("logit.py", "abm.py")], ids=lambda p: p.name
+)
+def test_only_logit_and_abm_take_logs(path):
+    # The log-sum-exp, and with it consumer surplus, has one home,
+    # logit.logsumexp; the ABM takes logs only for its Gumbel noise and
+    # log(boost).
+    assert log_calls(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "source, flagged",
+    [
+        ("np.log(rb, out=rb)", True),
+        ("import numpy\nlse = top + numpy.log(s)", True),
+        ("from numpy import log", True),
+        ("lse = logsumexp(v + prices)", False),
+        ("x = np.log1p(n)", False),
+        ("y = math.log(2.0)", False),
+        ("from numpy import log1p", False),
+    ],
+)
+def test_log_call_checker(source, flagged):
+    assert bool(log_calls(ast.parse(source))) == flagged
+
+
 def market_beta_reads(tree: ast.Module) -> list[str]:
     """Every read of the attribute beta on a name market (`market.beta`,
     `self.market.beta`)."""
