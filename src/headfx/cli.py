@@ -198,6 +198,9 @@ def _cmd_dynamics(args) -> int:
                 MarketState(n=n0, q=quality_best_response(market.revenue, market.c, n0 / m))
             )
         portrait = phase_portrait(platform, streamers, starts, cfg)
+        if not portrait.completed():
+            idx, reason = portrait.failures[0]
+            raise NumericalError(f"no phase-portrait trajectory finished; start {idx}: {reason}")
         path = write_table(
             args.out / "phase_portrait.csv", ["trajectory", "t", "streamer", "n", "q"],
             ([idx, f"{t:.6g}", i + 1, f"{n[i]:.6g}", f"{q[i]:.6g}"]

@@ -31,7 +31,6 @@ __all__ = [
     "PERTURBATION",
     "deterministic_utility",
     "choice_probabilities",
-    "cost",
     "streamer_profit",
     "audience_quality_sensitivity",
 ]
@@ -213,23 +212,17 @@ def choice_probabilities(v) -> np.ndarray:
     return softmax(require_array("V", v))
 
 
-def cost(q: float, c: float) -> float:
-    """Quadratic content-production cost c * q**2 (strictly convex)."""
-    require("q", q, 0)
-    require("c", c, 0, ends="()")
-    return float(c * q * q)
-
-
 def streamer_profit(
     n_i: float,
     q_i: float,
     platform: PlatformParams,
     streamer: StreamerParams,
 ) -> float:
-    """Per-period profit (1 - tau) R n_i minus the quality cost."""
+    """Per-period profit (1 - tau) R n_i minus the quadratic quality cost c q_i^2."""
     require("n_i", n_i, 0)
+    require("q_i", q_i, 0)
     revenue = (1.0 - platform.tau) * platform.revenue_per_viewer * n_i
-    return revenue - cost(q_i, streamer.cost_coefficient)
+    return revenue - streamer.cost_coefficient * q_i * q_i
 
 
 def audience_quality_sensitivity(

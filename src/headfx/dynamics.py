@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation
 from .errors import DivergenceError, Domain, DomainError, require, require_array, require_fields
-from .logit import choice_jacobian, quality_best_response, softmax
+from .logit import choice_jacobian, quality_best_response, softmax, utility
 
 __all__ = [
     "IntegratorConfig",
@@ -118,33 +118,21 @@ def _stack_rows(shape, top, bottom) -> np.ndarray:
 def _stacked_flow(market: Market, theta_vec, s: np.ndarray):
     """The flow's right-hand side f(s) -> ds/dt for states shaped like s.
 
-    Its coefficients are rows shaped like s, formed once by the formulas'
-    own operations: (slope, alpha) for the utility, (m, revenue) for the
-    rate, (1, 2 c) for the drain and (gamma, eta) for the speed; prices and
-    promotion are tiled to one row. Equal shapes keep numpy's elementwise
-    loops off their slower broadcast path.
-
-    The utility's n row is network_slope * n, with the slope read once, at
-    the s passed here. That equals market.network(n) only for the level
-    term, whose slope is the constant beta (a test pins network(n) ==
-    network_slope(n) * n), so another form of the term must change this
-    flow as well as Market.
+    The utility is logit.utility with market.network(n), alpha, prices and
+    promotion tiled to one row. The other coefficients are rows shaped like
+    s, formed once by the formulas' own operations: (m, revenue) for the
+    rate, (1, 2 c) for the drain and (gamma, eta) for the speed. Equal
+    shapes keep numpy's elementwise loops off their slower broadcast path.
     """
-    weights = _stack_rows(s.shape, market.network_slope(s[0]), market.alpha)
     rate = _stack_rows(s.shape, market.m, market.revenue)
     drain = _stack_rows(s.shape, 1.0, 2.0 * market.c)
     speed = _stack_rows(s.shape, market.gamma, market.eta)
+    alpha = np.broadcast_to(market.alpha, s.shape[1:]).copy()
     prices = np.broadcast_to(market.prices, s.shape[1:]).copy()
-    promotion = None
-    if theta_vec is not None:
-        promotion = np.broadcast_to(market.phi * theta_vec, s.shape[1:]).copy()
+    theta = None if theta_vec is None else np.broadcast_to(theta_vec, s.shape[1:]).copy()
 
     def f(s):
-        weighted = weights * s
-        v = weighted[1] - prices + weighted[0]
-        if promotion is not None:
-            v = v + promotion
-        p = softmax(v)
+        p = softmax(utility(alpha, s[1], prices, market.network(s[0]), market.phi, theta))
         # (m P, revenue P (1 - P)): the q row is logit_slope(revenue, P)
         slope = rate * p
         slope[1] *= 1.0 - p

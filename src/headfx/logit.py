@@ -51,7 +51,9 @@ def softmax(v: np.ndarray) -> np.ndarray:
 def logsumexp(v: np.ndarray):
     """Max-shifted log sum exp(V): a scalar for a vector, shape (...,) for a batch."""
     m = np.maximum.reduce(v, axis=-1, keepdims=True)
-    return m[..., 0] + np.log(np.add.reduce(np.exp(v - m), axis=-1))
+    e = v - m
+    np.exp(e, out=e)
+    return m[..., 0] + np.log(np.add.reduce(e, axis=-1))
 
 
 def logit_slope(coef, p):

@@ -863,10 +863,12 @@ class TestCli:
             ["equilibrium", "--beta", "1e307"],
             ["dynamics", "--beta", "1e307"],
             ["dynamics", "--kind", "path-dependence", "--beta", "1e307"],
+            ["dynamics", "--kind", "portrait", "--beta", "1e307"],
             ["optimize-theta", "--instance", "{instance}"],
             ["optimize-theta", "--instance", "{instance}", "--grid-oracle"],
         ],
-        ids=["equilibrium", "trajectory", "path-dependence", "optimize", "grid-oracle"],
+        ids=["equilibrium", "trajectory", "path-dependence", "portrait", "optimize",
+             "grid-oracle"],
     )
     def test_numerical_failure_prints_one_line(self, tmp_path, capsys, argv):
         # the network term overflows to a non-finite utility on the first

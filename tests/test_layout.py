@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -158,38 +159,105 @@ def test_checker_allows_public_imports(source):
     assert private_imports(ast.parse(source)) == []
 
 
-def json_readers(tree: ast.Module) -> list[str]:
-    """Every read of JSON text in a module: json.load(s) calls and imports."""
+def _numpy(*names: str) -> set[str]:
+    """The dotted names of numpy attributes under either of its import names."""
+    return {f"{mod}.{name}" for mod in ("np", "numpy") for name in names}
+
+
+@dataclass(frozen=True)
+class NameRule:
+    """Only the modules in allowed call the dotted names in calls, or import
+    a name in imports from the module source; reason says why."""
+
+    calls: set[str]
+    source: str
+    imports: set[str]
+    allowed: set[str]
+    reason: str
+
+
+NAME_RULES = {
+    "json_reads": NameRule(
+        {"json.load", "json.loads"}, "json", {"load", "loads"}, {"harness.py"},
+        "the input documents' format, and its checks, live behind harness's reader",
+    ),
+    "outer_products": NameRule(
+        _numpy("outer", "multiply.outer"), "numpy", {"outer"}, {"logit.py"},
+        "the choice Jacobian diag P - P P^T has one home, logit.choice_jacobian",
+    ),
+    "logs": NameRule(
+        _numpy("log"), "numpy", {"log"}, {"logit.py", "abm.py"},
+        "the log-sum-exp, and with it consumer surplus, has one home, logit.logsumexp;"
+        " the ABM takes logs only for its Gumbel noise and log(boost)",
+    ),
+    "generator_builds": NameRule(
+        _numpy("random.default_rng") | {"random.default_rng", "default_rng"}, "numpy.random",
+        {"default_rng"},
+        {"abm.py", "equilibrium.py"},
+        "the population is drawn once, by abm.init_platform, and equilibrium draws"
+        " only its enumeration starts: a second draw of the market cannot return",
+    ),
+}
+
+
+def name_uses(tree: ast.Module, rule: NameRule) -> list[str]:
+    """Every call of one of a rule's dotted names, and every import of one of
+    its names from its source module."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _dotted(node.func) in ("json.load", "json.loads"):
+        if isinstance(node, ast.Call) and _dotted(node.func) in rule.calls:
             found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
-        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+        elif isinstance(node, ast.ImportFrom) and node.module == rule.source:
             found += [f"line {node.lineno}: imports {a.name}" for a in node.names
-                      if a.name in ("load", "loads")]
+                      if a.name in rule.imports]
     return found
 
 
 @pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "harness.py"], ids=lambda p: p.name
+    "rule, path",
+    [(name, path) for name, rule in NAME_RULES.items() for path in MODULES
+     if path.name not in rule.allowed],
+    ids=lambda x: getattr(x, "name", x),
 )
-def test_only_harness_reads_json(path):
-    # The input documents' format, and its checks, live behind harness's reader.
-    assert json_readers(ast.parse(path.read_text(), filename=str(path))) == []
+def test_only_the_allowed_modules_use_a_rules_names(rule, path):
+    found = name_uses(ast.parse(path.read_text(), filename=str(path)), NAME_RULES[rule])
+    assert found == [], NAME_RULES[rule].reason
 
 
 @pytest.mark.parametrize(
-    "source, flagged",
+    "rule, source, flagged",
     [
-        ("import json\njson.loads(text)", True),
-        ("import json\njson.load(fh)", True),
-        ("from json import loads", True),
-        ("import json\njson.dumps(summary)", False),
-        ("from json import dumps", False),
+        ("json_reads", "import json\njson.loads(text)", True),
+        ("json_reads", "import json\njson.load(fh)", True),
+        ("json_reads", "from json import loads", True),
+        ("json_reads", "import json\njson.dumps(summary)", False),
+        ("json_reads", "from json import dumps", False),
+        ("outer_products", "np.diag(p) - np.outer(p, p)", True),
+        ("outer_products", "import numpy\nnumpy.outer(p, p)", True),
+        ("outer_products", "np.multiply.outer(p, p)", True),
+        ("outer_products", "from numpy import outer", True),
+        ("outer_products", "choice_jacobian(p)", False),
+        ("outer_products", "np.diag(p)", False),
+        ("outer_products", "from numpy import diag", False),
+        ("logs", "np.log(rb, out=rb)", True),
+        ("logs", "import numpy\nlse = top + numpy.log(s)", True),
+        ("logs", "from numpy import log", True),
+        ("logs", "lse = logsumexp(v + prices)", False),
+        ("logs", "x = np.log1p(n)", False),
+        ("logs", "y = math.log(2.0)", False),
+        ("logs", "from numpy import log1p", False),
+        ("generator_builds", "rng = np.random.default_rng(seed)", True),
+        ("generator_builds", "import numpy\nnumpy.random.default_rng(0)", True),
+        ("generator_builds", "from numpy.random import default_rng\ndefault_rng(1)", True),
+        ("generator_builds", "from numpy.random import default_rng", True),
+        ("generator_builds", "from numpy import random\nrandom.default_rng(2)", True),
+        ("generator_builds", "state = init_platform(sim)", False),
+        ("generator_builds", "rng.uniform(0.1, 0.3, size=n)", False),
+        ("generator_builds", "from numpy.random import Generator", False),
     ],
 )
-def test_json_reader_checker(source, flagged):
-    assert bool(json_readers(ast.parse(source))) == flagged
+def test_name_use_checker(rule, source, flagged):
+    assert bool(name_uses(ast.parse(source), NAME_RULES[rule])) == flagged
 
 
 _WRITE_MODE_CHARS = set("wax+")
@@ -377,84 +445,6 @@ def test_unread_private_name_checker(source, unread):
     assert unread_private_names(ast.parse(source)) == unread
 
 
-_OUTER_PRODUCTS = {f"{mod}.{name}" for mod in ("np", "numpy")
-                   for name in ("outer", "multiply.outer")}
-
-
-def outer_products(tree: ast.Module) -> list[str]:
-    """Every numpy outer product a module forms: np.outer and np.multiply.outer
-    calls, and imports of outer from numpy."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _dotted(node.func) in _OUTER_PRODUCTS:
-            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found += [f"line {node.lineno}: imports outer" for a in node.names if a.name == "outer"]
-    return found
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name != "logit.py"], ids=lambda p: p.name
-)
-def test_only_logit_forms_outer_products(path):
-    # The choice Jacobian diag P - P P^T has one home, logit.choice_jacobian.
-    assert outer_products(ast.parse(path.read_text(), filename=str(path))) == []
-
-
-@pytest.mark.parametrize(
-    "source, flagged",
-    [
-        ("np.diag(p) - np.outer(p, p)", True),
-        ("import numpy\nnumpy.outer(p, p)", True),
-        ("np.multiply.outer(p, p)", True),
-        ("from numpy import outer", True),
-        ("choice_jacobian(p)", False),
-        ("np.diag(p)", False),
-        ("from numpy import diag", False),
-    ],
-)
-def test_outer_product_checker(source, flagged):
-    assert bool(outer_products(ast.parse(source))) == flagged
-
-
-def log_calls(tree: ast.Module) -> list[str]:
-    """Every numpy natural log a module takes: np.log calls, and imports of
-    log from numpy."""
-    found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _dotted(node.func) in ("np.log", "numpy.log"):
-            found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
-            found += [f"line {node.lineno}: imports log" for a in node.names if a.name == "log"]
-    return found
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in ("logit.py", "abm.py")], ids=lambda p: p.name
-)
-def test_only_logit_and_abm_take_logs(path):
-    # The log-sum-exp, and with it consumer surplus, has one home,
-    # logit.logsumexp; the ABM takes logs only for its Gumbel noise and
-    # log(boost).
-    assert log_calls(ast.parse(path.read_text(), filename=str(path))) == []
-
-
-@pytest.mark.parametrize(
-    "source, flagged",
-    [
-        ("np.log(rb, out=rb)", True),
-        ("import numpy\nlse = top + numpy.log(s)", True),
-        ("from numpy import log", True),
-        ("lse = logsumexp(v + prices)", False),
-        ("x = np.log1p(n)", False),
-        ("y = math.log(2.0)", False),
-        ("from numpy import log1p", False),
-    ],
-)
-def test_log_call_checker(source, flagged):
-    assert bool(log_calls(ast.parse(source))) == flagged
-
-
 def market_beta_reads(tree: ast.Module) -> list[str]:
     """Every read of the attribute beta on a name market (`market.beta`,
     `self.market.beta`)."""
@@ -550,45 +540,6 @@ def test_every_computed_value_check_is_found():
 )
 def test_finiteness_test_checker(source, owners):
     assert [owner for owner, _ in finiteness_tests(ast.parse(source))] == owners
-
-
-def generator_builds(tree: ast.Module) -> list[str]:
-    """Every numpy generator a module builds: default_rng calls and imports."""
-    found = []
-    for node in ast.walk(tree):
-        name = _dotted(node.func) if isinstance(node, ast.Call) else None
-        if name is not None and name.split(".")[-1] == "default_rng":
-            found.append(f"line {node.lineno}: calls {name}")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            found += [f"line {node.lineno}: imports default_rng" for a in node.names
-                      if a.name == "default_rng"]
-    return found
-
-
-@pytest.mark.parametrize(
-    "path", [p for p in MODULES if p.name not in ("abm.py", "equilibrium.py")],
-    ids=lambda p: p.name,
-)
-def test_only_abm_and_equilibrium_build_generators(path):
-    # The population is drawn once, by abm.init_platform; equilibrium draws
-    # only its enumeration starts. A second draw of the market cannot return.
-    assert generator_builds(ast.parse(path.read_text(), filename=str(path))) == []
-
-
-@pytest.mark.parametrize(
-    "source, flagged",
-    [
-        ("rng = np.random.default_rng(seed)", True),
-        ("import numpy\nnumpy.random.default_rng(0)", True),
-        ("from numpy.random import default_rng\ndefault_rng(1)", True),
-        ("from numpy.random import default_rng", True),
-        ("state = init_platform(sim)", False),
-        ("rng.uniform(0.1, 0.3, size=n)", False),
-        ("from numpy.random import Generator", False),
-    ],
-)
-def test_generator_build_checker(source, flagged):
-    assert bool(generator_builds(ast.parse(source))) == flagged
 
 
 # the viewer columns the ABM's systematic utility weighs, and its one home

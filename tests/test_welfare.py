@@ -651,8 +651,8 @@ class TestGridOracle:
 
     @pytest.mark.parametrize("alphas, q, prices", _GRID_CASES)
     def test_grid_welfare_is_the_kernel_welfare(self, alphas, q, prices):
-        # the streamer-major copy of the formulas agrees bitwise with
-        # _welfare_parts on the C-ordered (K, N) layout of the same grid
+        # the grid's welfare, _welfare_parts on each streamer-major block,
+        # agrees bitwise with _welfare_parts on the C-ordered (K, N) grid
         plat, streamers, q = _grid_instance(alphas, q, prices)
         market = Market.from_params(plat, streamers)
         cfg = FixedPointConfig(tol=1e-10, max_iter=5000)
