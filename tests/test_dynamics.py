@@ -32,7 +32,6 @@ from headfx.dynamics import (
 )
 from headfx.equilibrium import FixedPointConfig, find_critical_beta, solve_joint_equilibrium
 from headfx.errors import DimensionMismatchError, DivergenceError, DomainError, NonFiniteError
-from headfx.logit import softmax, utility
 
 CFG = FixedPointConfig(tol=1e-12, max_iter=60000)
 
@@ -382,7 +381,7 @@ def _reference_flow(platform, streamers, theta=None):
     cost_slope = 2.0 * market.c
 
     def f(n, q):
-        v = market.alpha * q - market.prices + market.beta * n
+        v = market.alpha * q - market.prices + market.network(n)
         if theta is not None:
             v = v + market.phi * theta.theta
         e = np.exp(v - v.max())
@@ -399,13 +398,11 @@ def _reference_jacobian(platform, streamers, state, theta=None):
     x0 = np.concatenate([state.n, state.q])
     flow = _reference_flow(platform, streamers, theta)
 
-    return _central_differences(lambda x: np.concatenate(flow(x[:big_n], x[big_n:])), x0)
+    def f(x):
+        return np.concatenate(flow(x[:big_n], x[big_n:]))
 
-
-def _central_differences(f, x0):
-    """The central-difference Jacobian of f at x0, steps 1e-6 (1 + |x0_i|)."""
-    jac = np.empty((x0.size, x0.size))
-    for i in range(x0.size):
+    jac = np.empty((2 * big_n, 2 * big_n))
+    for i in range(2 * big_n):
         h = 1e-6 * (1.0 + abs(x0[i]))
         xp = x0.copy()
         xm = x0.copy()
@@ -740,64 +737,37 @@ class TestStackedFlowMatchesReference:
             ref = _reference_jacobian(plat, streamers, state, theta)
             assert np.max(np.abs(jac - ref)) <= 1e-7 * (1 + np.abs(jac).max())
 
+    @pytest.mark.parametrize("network_form", ["level", "log"], indirect=True)
     @pytest.mark.parametrize("k,n,with_theta,with_prices", [c for c in FAMILY if c[0] == 2])
-    def test_integrate_rhs_and_jacobian(self, k, n, with_theta, with_prices):
+    def test_integrate_rhs_and_jacobian(self, network_form, k, n, with_theta, with_prices):
         plat, streamers, theta, starts, cfg = _family_case(k, n, with_theta, with_prices, 0.05)
         outcome = _reference_outcome(plat, streamers, starts[0], cfg, theta)
         _assert_same_path(integrate(plat, streamers, starts[0], cfg, theta), outcome)
+        rows = []
         for state in starts:
-            want = np.concatenate(_reference_flow(plat, streamers, theta)(state.n, state.q))
-            assert np.array_equal(flow_at(plat, streamers, state, theta), want)
+            rows.append(np.stack(_reference_flow(plat, streamers, theta)(state.n, state.q)))
+            assert np.array_equal(flow_at(plat, streamers, state, theta), rows[-1].reshape(-1))
             jac = jacobian(plat, streamers, state, theta)
             ref = _reference_jacobian(plat, streamers, state, theta)
             assert np.max(np.abs(jac - ref)) <= 1e-7 * (1 + np.abs(jac).max())
+        s = np.stack([np.stack([x.n for x in starts]), np.stack([x.q for x in starts])])
+        theta_vec = None if theta is None else theta.theta
+        got = _stacked_flow(Market.from_params(plat, streamers), theta_vec, s)(s)
+        _assert_same_bytes(got, np.stack(rows, axis=1))
 
 
 @pytest.fixture
-def log_network(monkeypatch):
-    """Market with the network term in the log form beta log1p(n), slope beta / (1 + n)."""
-    monkeypatch.setattr(
-        Market, "network", lambda self, n, out=None: np.multiply(self.beta, np.log1p(n), out=out)
-    )
-    monkeypatch.setattr(Market, "network_slope", lambda self, n: self.beta / (1.0 + n))
-
-
-class TestFlowFollowsTheNetworkTerm:
-    # Another form of the network term is written in core.Market alone:
-    # with the log form patched in there, the flow and its Jacobian follow.
-    CASES = [c for c in FAMILY if c[0] != 2 and c[1] in (2, 6)]
-
-    @pytest.mark.parametrize("k,n,with_theta,with_prices", CASES)
-    def test_flow_is_the_logit_formulas(self, log_network, k, n, with_theta, with_prices):
-        plat, streamers, theta, starts, _ = _family_case(k, n, with_theta, with_prices, 0.05)
-        market = Market.from_params(plat, streamers)
-        theta_vec = None if theta is None else theta.theta
-        rows = []
-        for state in starts:
-            p = softmax(utility(market.alpha, state.q, market.prices, market.network(state.n),
-                                market.phi, theta_vec))
-            rows.append((market.gamma * (market.m * p - state.n),
-                         market.eta * (market.revenue * p * (1.0 - p) - 2.0 * market.c * state.q)))
-            _assert_same_bytes(flow_at(plat, streamers, state, theta), np.concatenate(rows[-1]))
-        s = np.stack([np.stack([x.n for x in starts]), np.stack([x.q for x in starts])])
-        want = np.stack([np.stack([dn for dn, _ in rows]), np.stack([dq for _, dq in rows])])
-        _assert_same_bytes(_stacked_flow(market, theta_vec, s)(s), want)
-
-    @pytest.mark.parametrize("k,n,with_theta,with_prices", CASES)
-    def test_jacobian_matches_central_differences(self, log_network, k, n, with_theta,
-                                                  with_prices):
-        plat, streamers, theta, starts, _ = _family_case(k, n, with_theta, with_prices, 0.05)
-        market = Market.from_params(plat, streamers)
-        theta_vec = None if theta is None else theta.theta
-
-        def flow(x):  # a difference step may take n below 0, which MarketState rejects
-            s = x.reshape(2, n)
-            return _stacked_flow(market, theta_vec, s)(s).reshape(-1)
-
-        for state in starts:
-            jac = jacobian(plat, streamers, state, theta)
-            ref = _central_differences(flow, np.concatenate([state.n, state.q]))
-            assert np.max(np.abs(jac - ref)) <= 1e-7 * (1 + np.abs(jac).max())
+def network_form(request, monkeypatch):
+    """The network term's form in core.Market: the shipped level term beta n,
+    or the log form beta log1p(n) with slope beta / (1 + n) patched in, which
+    the flow and its Jacobian must follow with no edit of their own."""
+    if request.param == "log":
+        monkeypatch.setattr(
+            Market, "network",
+            lambda self, n, out=None: np.multiply(self.beta, np.log1p(n), out=out),
+        )
+        monkeypatch.setattr(Market, "network_slope", lambda self, n: self.beta / (1.0 + n))
+    return request.param
 
 
 class TestBatchProperties:

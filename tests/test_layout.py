@@ -167,7 +167,9 @@ def _numpy(*names: str) -> set[str]:
 @dataclass(frozen=True)
 class NameRule:
     """Only the modules in allowed call the dotted names in calls, or import
-    a name in imports from the module source; reason says why."""
+    a name in imports from the package source or a submodule of it; reason
+    says why. A calls entry without a dot also matches any dotted name that
+    ends in it, whatever the module was imported as."""
 
     calls: set[str]
     source: str
@@ -191,23 +193,31 @@ NAME_RULES = {
         " the ABM takes logs only for its Gumbel noise and log(boost)",
     ),
     "generator_builds": NameRule(
-        _numpy("random.default_rng") | {"random.default_rng", "default_rng"}, "numpy.random",
-        {"default_rng"},
-        {"abm.py", "equilibrium.py"},
+        {"default_rng"}, "numpy", {"default_rng"}, {"abm.py", "equilibrium.py"},
         "the population is drawn once, by abm.init_platform, and equilibrium draws"
         " only its enumeration starts: a second draw of the market cannot return",
     ),
 }
 
 
+def _matches(dotted: str | None, calls: set[str]) -> bool:
+    """Whether a call's dotted name is one of calls, or ends in `.<entry>`
+    for an entry without a dot."""
+    return dotted is not None and any(
+        dotted == c or ("." not in c and dotted.endswith("." + c)) for c in calls
+    )
+
+
 def name_uses(tree: ast.Module, rule: NameRule) -> list[str]:
     """Every call of one of a rule's dotted names, and every import of one of
-    its names from its source module."""
+    its names from its source package or a submodule of it."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _dotted(node.func) in rule.calls:
+        if isinstance(node, ast.Call) and _matches(_dotted(node.func), rule.calls):
             found.append(f"line {node.lineno}: calls {_dotted(node.func)}")
-        elif isinstance(node, ast.ImportFrom) and node.module == rule.source:
+        elif isinstance(node, ast.ImportFrom) and (
+            node.module == rule.source or (node.module or "").startswith(rule.source + ".")
+        ):
             found += [f"line {node.lineno}: imports {a.name}" for a in node.names
                       if a.name in rule.imports]
     return found
@@ -230,6 +240,7 @@ def test_only_the_allowed_modules_use_a_rules_names(rule, path):
         ("json_reads", "import json\njson.loads(text)", True),
         ("json_reads", "import json\njson.load(fh)", True),
         ("json_reads", "from json import loads", True),
+        ("json_reads", "from json.decoder import loads", True),
         ("json_reads", "import json\njson.dumps(summary)", False),
         ("json_reads", "from json import dumps", False),
         ("outer_products", "np.diag(p) - np.outer(p, p)", True),
@@ -242,15 +253,20 @@ def test_only_the_allowed_modules_use_a_rules_names(rule, path):
         ("logs", "np.log(rb, out=rb)", True),
         ("logs", "import numpy\nlse = top + numpy.log(s)", True),
         ("logs", "from numpy import log", True),
+        ("logs", "from numpy.core import log", True),
         ("logs", "lse = logsumexp(v + prices)", False),
         ("logs", "x = np.log1p(n)", False),
         ("logs", "y = math.log(2.0)", False),
         ("logs", "from numpy import log1p", False),
+        ("logs", "from numpyro import log", False),
         ("generator_builds", "rng = np.random.default_rng(seed)", True),
         ("generator_builds", "import numpy\nnumpy.random.default_rng(0)", True),
         ("generator_builds", "from numpy.random import default_rng\ndefault_rng(1)", True),
         ("generator_builds", "from numpy.random import default_rng", True),
         ("generator_builds", "from numpy import random\nrandom.default_rng(2)", True),
+        ("generator_builds", "import numpy.random as npr\nnpr.default_rng(0)", True),
+        ("generator_builds", "from numpy import random as nr\nnr.default_rng(0)", True),
+        ("generator_builds", "from numpy.random._generator import default_rng", True),
         ("generator_builds", "state = init_platform(sim)", False),
         ("generator_builds", "rng.uniform(0.1, 0.3, size=n)", False),
         ("generator_builds", "from numpy.random import Generator", False),
