@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Domain, DomainError, require_array, require_fields
+from .errors import Domain, DomainError, cpu_count, map_in_threads, require_array, require_fields
 from .logit import logit_slope
 
 __all__ = [
@@ -294,21 +294,23 @@ def apply_policy(policy: PolicyIntervention, state: SimState, share: np.ndarray,
         subsidy[targets] += policy.per_round_amount
 
 
-def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> np.ndarray:
-    """Fill out with Gumbel(0, scale) noise, reading rng as rng.gumbel does;
-    see _choose_streamers for the contract."""
+def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> bool:
+    """Fill out with Gumbel(0, scale) noise, reading rng as rng.gumbel does,
+    and return whether a uniform draw was 0.0, in which case the block was
+    redrawn with rng.gumbel; see _choose_streamers for the contract."""
     saved = rng.bit_generator.state
     rng.random(out=out)
     if not out.all():
         rng.bit_generator.state = saved
         out[...] = rng.gumbel(0.0, scale, size=out.shape)
-        return out
+        return True
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
     np.negative(out, out=out)
     np.log(out, out=out)
     np.multiply(scale, out, out=out)
-    return np.subtract(0.0, out, out=out)
+    np.subtract(0.0, out, out=out)
+    return False
 
 
 def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.ndarray,
@@ -349,6 +351,36 @@ def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.
     return u
 
 
+def _walk_blocks(state: SimState, boost: np.ndarray, rows: int, span: slice,
+                 rng: np.random.Generator, choices: np.ndarray,
+                 realized: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Walk the viewers of span, whole blocks of rows viewers but the last,
+    in two (rows, N) buffers of its own: each block adds its noise, drawn
+    from rng, to _systematic_utility and writes its picks to choices[block]
+    and their values to realized[block]. Returns the span's (N,) audience
+    counts and whether a block was redrawn with rng.gumbel."""
+    n = state.cfg.n_streamers
+    scale = state.cfg.random_effect_scale
+    utility, scratch = np.empty((2, rows, n))
+    picks = np.empty(rows, dtype=np.intp)
+    row_index = np.arange(rows)
+
+    counts = np.zeros(n, dtype=np.int64)
+    redrawn = False
+    for start in range(span.start, span.stop, rows):
+        block = slice(start, min(start + rows, span.stop))
+        k = block.stop - start
+        u = _systematic_utility(state, boost, block, utility[:k], scratch[:k])
+        if scale > 0:
+            redrawn |= _gumbel_block(rng, scale, scratch[:k])
+            u += scratch[:k]
+        picked = np.argmax(u, axis=1, out=picks[:k])
+        counts += np.bincount(picked, minlength=n)
+        choices[block] = picked
+        realized[block] = u[row_index[:k], picked]
+    return counts, redrawn
+
+
 def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every viewer picks the argmax of _systematic_utility, under the
     round's (N,) exposure boost, plus Gumbel noise; returns the round's (N,)
@@ -356,7 +388,7 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
 
     The viewers are walked in row blocks of about _BLOCK_CELLS cells
     (min(M, _BLOCK_CELLS // N) rows, at least one), built in two (rows, N)
-    buffers that this call allocates and drops. They are one allocation:
+    buffers that a walk allocates and drops. They are one allocation:
     at M = 100,000 and N = 50, two separate ones made glibc give the heap
     back at the end of each round and fault about 385 pages in again on
     the next. Each cell goes through the same operations in the same order
@@ -366,39 +398,62 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     added to the round's, and its picks overwrite state.last_choice[block]
     once its loyalty term has read it.
 
+    The blocks are split into W = min(cpu_count(), blocks) contiguous
+    ranges, each walked on its own thread with its own buffers and its own
+    copy of the generator (the PCG64 one init_platform built), advanced to
+    the range's first cell: rng.random reads one 64-bit output per double,
+    so each thread draws the doubles a walk of every block would. The
+    threads write their picks to a copy of last_choice, which replaces it
+    once all have finished, their counts are summed in int64, and state.rng
+    is left M N outputs further on (none without noise), with the 32-bit
+    output that advance clears put back. On one
+    CPU, or with one block, the calling thread walks the blocks with
+    state.rng itself and never loads concurrent.futures.
+
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),
     run op by op over a block of uniform doubles d from rng.random, so it
     reads the generator exactly as rng.gumbel does. Only the log differs:
     numpy's SIMD log rounds 1 ulp away from the C library's on about
     0.35 % of inputs. rng.gumbel rejects d == 0.0 and draws again, so a
     block holding a 0.0 is rewound to its saved generator state and
-    redrawn with rng.gumbel itself. The generator's final state therefore
-    matches one rng.gumbel draw. A realized value may differ from
-    rng.gumbel's by at most 4 eps (scale + |u| + |realized|), u the
-    systematic utility of the chosen cell: at most 2 ulp unless the noise
-    cancels the utility near zero. A choice could differ only where the
-    best two totals lie that close; no test or benchmark run has shown one.
+    redrawn with rng.gumbel itself. Every later draw then sits further on
+    in the stream, so a round whose threads drew a 0.0 is dropped and
+    walked again in the calling thread from the saved state. The
+    generator's final state therefore matches one rng.gumbel draw. A
+    realized value may differ from rng.gumbel's by at most
+    4 eps (scale + |u| + |realized|), u the systematic utility of the
+    chosen cell: at most 2 ulp unless the noise cancels the utility near
+    zero. A choice could differ only where the best two totals lie that
+    close; no test or benchmark run has shown one.
     """
     cfg = state.cfg
     n, m = cfg.n_streamers, cfg.n_viewers
     rows = min(max(1, _BLOCK_CELLS // n), m)
-    utility, scratch = np.empty((2, rows, n))
-    picks = np.empty(rows, dtype=np.intp)
+    blocks = -(-m // rows)
+    workers = min(cpu_count(), blocks)
     realized = np.empty(m)
-    scale = cfg.random_effect_scale
-    row_index = np.arange(rows)
+    if workers > 1:
+        saved = state.rng.bit_generator.state
+        bounds = [min(m, rows * (blocks * w // workers)) for w in range(workers + 1)]
+        choices = np.empty_like(state.last_choice)
 
-    counts = np.zeros(n, dtype=np.int64)
-    for start in range(0, m, rows):
-        block = slice(start, min(start + rows, m))
-        k = block.stop - start
-        u = _systematic_utility(state, boost, block, utility[:k], scratch[:k])
-        if scale > 0:
-            u += _gumbel_block(state.rng, scale, scratch[:k])
-        picked = np.argmax(u, axis=1, out=picks[:k])
-        counts += np.bincount(picked, minlength=n)
-        state.last_choice[block] = picked
-        realized[block] = u[row_index[:k], picked]
+        def walk(span):
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = saved
+            rng.bit_generator.advance(span.start * n)
+            return _walk_blocks(state, boost, rows, span, rng, choices, realized)
+
+        walks = map_in_threads(walk, [slice(*b) for b in zip(bounds, bounds[1:])], workers)
+        if not any(redrawn for _, redrawn in walks):
+            state.last_choice[:] = choices
+            if cfg.random_effect_scale > 0:
+                bit_generator = state.rng.bit_generator
+                bit_generator.advance(m * n)
+                bit_generator.state = {**bit_generator.state, "has_uint32": saved["has_uint32"],
+                                       "uinteger": saved["uinteger"]}
+            return sum(counts for counts, _ in walks), realized
+    counts, _ = _walk_blocks(state, boost, rows, slice(0, m), state.rng, state.last_choice,
+                             realized)
     return counts, realized
 
 

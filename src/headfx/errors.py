@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one check of an
-input's domain, scalar or array.
+"""Exception types shared across the package, the one check of an
+input's domain, scalar or array, and the one way to run independent
+blocks of work on threads.
 
 The CLI maps invalid input (ConfigError, DomainError and its subclasses
 NonFiniteError and DimensionMismatchError) to exit code 2 and
@@ -12,10 +13,16 @@ Domain values (checked by require_fields) or as require calls.
 require_array is the one home of the rule for a valid array: the same
 rule for each entry, plus a shape. Every public vector argument (audiences,
 qualities, promotion shares, prices, metric inputs) goes through it.
+
+map_in_threads runs the grid oracle's column blocks and the ABM round
+kernel's viewer blocks on at most cpu_count threads: a failing block
+stops the blocks after it, and its error is the one raised. It lives
+here because this is the one module every layer already imports.
 """
 
 import math
 import numbers
+import os
 import sys
 from typing import NamedTuple
 
@@ -173,3 +180,39 @@ def require_fields(obj, table) -> None:
     """require each attribute of obj that table names, in the table's Domain."""
     for name, domain in table.items():
         require(name, getattr(obj, name), *domain)
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_in_threads(func, items, workers: int) -> list:
+    """[func(item) for item in items] on a pool of workers threads that
+    start the items in order, each item in a copy of the caller's context
+    (which holds np.errstate). Once an item raises, no further item
+    starts, and the error raised is that of the first failing item in
+    order, as in the loop."""
+    # imported here, so runs on one thread never load concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+    from contextvars import copy_context
+    from threading import Event
+
+    failed = Event()
+
+    def run(item):
+        if failed.is_set():
+            return None
+        try:
+            return func(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(copy_context().run, run, item) for item in items]
+    # the items start in order, so a failure precedes every skipped item
+    return [future.result() for future in futures]

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Market, MarketState, PlatformParams, TrafficAllocation, choice_probabilities
 from .equilibrium import FixedPointConfig
-from .errors import DomainError, NumericalError, require, require_array
+from .errors import DomainError, NumericalError, cpu_count, map_in_threads, require, require_array
 from .logit import choice_jacobian, logsumexp, softmax, utility, viewer_fixed_point
 
 __all__ = [
@@ -390,42 +389,6 @@ def _first_max(maxima) -> tuple[int, float]:
     return indices[best], values[best]
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_in_threads(func, items, workers: int) -> list:
-    """[func(item) for item in items] on a pool of workers threads that
-    start the items in order, each item in a copy of the caller's context
-    (which holds np.errstate). Once an item raises, no further item
-    starts, and the error raised is that of the first failing item in
-    order, as in the loop."""
-    # imported here, so runs on one thread never load concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-    from contextvars import copy_context
-    from threading import Event
-
-    failed = Event()
-
-    def run(item):
-        if failed.is_set():
-            return None
-        try:
-            return func(item)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(copy_context().run, run, item) for item in items]
-    # the items start in order, so a failure precedes every skipped item
-    return [future.result() for future in futures]
-
-
 def grid_search_allocation(
     platform: PlatformParams,
     streamers,
@@ -471,7 +434,7 @@ def grid_search_allocation(
 
     k = round(steps)
     blocks = _column_blocks(big_n, k)
-    workers = min(_cpu_count(), len(blocks))
+    workers = min(cpu_count(), len(blocks))
     # one buffer set per worker: at most workers blocks run at once
     free = [_grid_buffers(big_n, blocks[0].stop) for _ in range(workers)]
 
@@ -485,7 +448,7 @@ def grid_search_allocation(
     if workers == 1:
         maxima = [solve(cols) for cols in blocks]
     else:
-        maxima = _map_in_threads(solve, blocks, workers)
+        maxima = map_in_threads(solve, blocks, workers)
     best, welfare = _first_max(maxima)
     theta = np.empty((big_n, 1))
     _simplex_columns(big_n, k, slice(best, best + 1), theta)

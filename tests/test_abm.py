@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -206,6 +207,34 @@ class ZeroDrawGenerator:
         return getattr(self._rng, name)
 
 
+def zero_draw_at(rng, cell):
+    """Put rng where its draw number cell (from 0) of rng.random is 0.0,
+    keeping its 32-bit buffer. PCG64 outputs 0 from a state whose two 64-bit
+    halves are equal, and its stream has period 2^128, so advancing by
+    -(cell + 1) modulo 2^128 steps back cell + 1 draws from such a state."""
+    bit_generator = rng.bit_generator
+    saved = bit_generator.state
+    half = saved["state"]["state"] >> 64
+    bit_generator.state = {**saved, "state": {**saved["state"], "state": half << 64 | half}}
+    bit_generator.advance(-(cell + 1) % 2**128)
+    bit_generator.state = {**bit_generator.state, "has_uint32": saved["has_uint32"],
+                           "uinteger": saved["uinteger"]}
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda w: f"{w}-workers")
+def workers(request, monkeypatch):
+    """The round kernel's thread count, whatever CPUs this machine has, with
+    the threads switched as often as the interpreter allows, so that two
+    threads sharing a buffer would show in their outputs."""
+    monkeypatch.setattr(abm, "cpu_count", lambda: request.param)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield request.param
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @st.composite
 def noisy_round_states(draw):
     """A mid-run state whose viewer count sits near a block boundary, with
@@ -246,8 +275,9 @@ class TestChooseStreamers:
     @staticmethod
     def mid_run_state(m, **kw):
         """A state and a round's boost: mixed loyalty (some viewers have no
-        last choice), uneven audiences, two exited streamers, a live boost
-        and nonzero prices."""
+        last choice), uneven audiences, two exited streamers, a live boost,
+        nonzero prices and a generator holding a buffered 32-bit output, as
+        an odd number of the population's integer draws leaves it."""
         cfg = SimConfig(
             n_streamers=BLOCK_N, n_viewers=m, seed=21, interaction_weight=0.3,
             prices=tuple(np.linspace(0.0, 0.6, BLOCK_N)), **kw,
@@ -260,11 +290,13 @@ class TestChooseStreamers:
         boost = np.ones(BLOCK_N)
         boost[::3] = 1.2
         state.active[[4, 17]] = False
+        state.rng.bit_generator.state = {**state.rng.bit_generator.state, "has_uint32": 1,
+                                         "uinteger": 2**31 + 5}
         return state, boost
 
     @pytest.mark.parametrize("m", BLOCK_SIZES)
     @pytest.mark.parametrize("scale", [0.2, 0.0])
-    def test_one_round_matches_whole_matrix(self, m, scale):
+    def test_one_round_matches_whole_matrix(self, workers, m, scale):
         state, boost = self.mid_run_state(m, random_effect_scale=scale)
         twin = twin_of(state)
         counts, realized = abm._choose_streamers(state, boost)
@@ -291,12 +323,14 @@ class TestChooseStreamers:
         assert np.array_equal(realized, float_realized)
 
     @settings(max_examples=100, deadline=None)
-    @given(state=noisy_round_states())
-    def test_noise_kernel_matches_gumbel_reference(self, state):
+    @given(state=noisy_round_states(), workers=st.sampled_from([1, 2, 3]))
+    def test_noise_kernel_matches_gumbel_reference(self, state, workers):
         twin = twin_of(state)
         boost = np.ones(state.cfg.n_streamers)
         utility = reference_round_utilities(state, boost)
-        counts, realized = abm._choose_streamers(state, boost)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(abm, "cpu_count", lambda: workers)
+            counts, realized = abm._choose_streamers(state, boost)
         ref_counts, ref_realized = reference_choose_streamers(twin, boost)
         choices = state.last_choice
         assert np.array_equal(choices, twin.last_choice)
@@ -331,7 +365,9 @@ class TestChooseStreamers:
         whole = simulate(cfg)
         assert_same_history(blocked, whole.records)
 
-    def test_zero_draw_redoes_block_with_gumbel(self):
+    def test_zero_draw_redoes_block_with_gumbel(self, monkeypatch):
+        # one worker walks every block with state.rng, the wrapper itself
+        monkeypatch.setattr(abm, "cpu_count", lambda: 1)
         m = int(2.5 * BLOCK_ROWS)
         state, boost = self.mid_run_state(m, random_effect_scale=0.2)
         twin = twin_of(state)
@@ -345,6 +381,39 @@ class TestChooseStreamers:
         assert np.array_equal(realized[redone], ref_realized[redone])
         np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_zero_draw_in_a_thread_redoes_the_round(self, workers):
+        # The 0.0 sits in block 1, which the second thread walks at two or
+        # three workers, so only a generator advanced to the right cell
+        # draws it; the round is then walked again in the calling thread.
+        m = int(2.5 * BLOCK_ROWS)
+        state, boost = self.mid_run_state(m, random_effect_scale=0.2)
+        zero_draw_at(state.rng, (BLOCK_ROWS + 5) * BLOCK_N + 7)
+        twin = twin_of(state)
+        counts, realized = abm._choose_streamers(state, boost)
+        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
+        assert np.array_equal(state.last_choice, twin.last_choice)
+        assert np.array_equal(counts, ref_counts)
+        redone = slice(BLOCK_ROWS, 2 * BLOCK_ROWS)
+        assert np.array_equal(realized[redone], ref_realized[redone])
+        np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
+        assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+
+    def test_histories_equal_at_any_worker_count(self, monkeypatch):
+        # three blocks of viewers, the last half full: two workers walk one
+        # block and two, three workers one each
+        cfg = SimConfig(
+            n_streamers=BLOCK_N, n_viewers=int(2.5 * BLOCK_ROWS), n_rounds=12, seed=4,
+            policy_schedule=canonical_policies("Combined"), interaction_weight=0.3,
+            exit_revenue_floor=0.3 * 2.5 * BLOCK_ROWS / BLOCK_N,
+        )
+        histories = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(abm, "cpu_count", lambda count=count: count)
+            histories.append(simulate(cfg).records)
+        assert cfg.n_viewers * cfg.n_streamers > abm._BLOCK_CELLS
+        for history in histories[1:]:
+            assert_same_history(histories[0], history)
 
     def test_zero_sensitivities_give_zero_utility(self):
         cfg = small_cfg(random_effect_scale=0.0, match_bonus=0.0, prices=(0.5,) * 5)

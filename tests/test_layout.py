@@ -193,9 +193,11 @@ NAME_RULES = {
         " the ABM takes logs only for its Gumbel noise and log(boost)",
     ),
     "generator_builds": NameRule(
-        {"default_rng"}, "numpy", {"default_rng"}, {"abm.py", "equilibrium.py"},
-        "the population is drawn once, by abm.init_platform, and equilibrium draws"
-        " only its enumeration starts: a second draw of the market cannot return",
+        {"default_rng", "Generator", "PCG64"}, "numpy", {"default_rng"},
+        {"abm.py", "equilibrium.py"},
+        "the population is drawn once, by abm.init_platform, whose round threads copy"
+        " its generator, and equilibrium draws only its enumeration starts: a second"
+        " draw of the market cannot return",
     ),
 }
 
@@ -270,6 +272,13 @@ def test_only_the_allowed_modules_use_a_rules_names(rule, path):
         ("generator_builds", "state = init_platform(sim)", False),
         ("generator_builds", "rng.uniform(0.1, 0.3, size=n)", False),
         ("generator_builds", "from numpy.random import Generator", False),
+        ("generator_builds", "rng = np.random.Generator(np.random.PCG64())", True),
+        ("generator_builds", "import numpy\nnumpy.random.PCG64(seed)", True),
+        ("generator_builds", "from numpy.random import Generator, PCG64\nGenerator(PCG64(0))",
+         True),
+        ("generator_builds", "import numpy.random as npr\nnpr.Generator(bit_generator)", True),
+        ("generator_builds", "rng.bit_generator.advance(start * n)", False),
+        ("generator_builds", "def draw(rng: np.random.Generator) -> float: ...", False),
     ],
 )
 def test_name_use_checker(rule, source, flagged):

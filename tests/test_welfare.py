@@ -26,7 +26,7 @@ from headfx.core import (
 from headfx.equilibrium import FixedPointConfig
 from headfx.errors import DomainError, NonFiniteError, NumericalError
 from headfx.harness import parse_instance
-from headfx import welfare
+from headfx import abm, welfare
 from headfx.logit import softmax, viewer_fixed_point
 from headfx.welfare import (
     WelfareBreakdown,
@@ -619,7 +619,7 @@ def workers(request, monkeypatch):
     """The grid oracle's thread count, whatever CPUs this machine has, with
     the threads switched as often as the interpreter allows, so that two
     blocks sharing a buffer set would show in their outputs."""
-    monkeypatch.setattr(welfare, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(welfare, "cpu_count", lambda: request.param)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -812,7 +812,7 @@ class TestGridOracle:
         # numpy reports its data buffers to tracemalloc; the whole-grid
         # (3, 501501) arrays took about 41 MB. Two workers hold two buffer
         # sets of about 1.7 MB each, whatever CPUs this machine has.
-        monkeypatch.setattr(welfare, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(welfare, "cpu_count", lambda: 2)
         plat, streamers, q = _ORACLE_INSTANCES["instance_n3"]()
         tracemalloc.start()
         try:
@@ -822,19 +822,24 @@ class TestGridOracle:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_abm_traced_peak_is_a_few_bytes_per_viewer(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_abm_traced_peak_is_a_few_bytes_per_viewer(self, monkeypatch, workers):
         # The ABM at M = 100,000, N = 50: three float64 viewer columns, two
         # int8 ones and the (M,) realized utilities make 3.4 MB, the block
-        # buffers 1.1 MB. Every column kept as float64 or int64, with three
-        # fresh (M,) arrays a round, peaks above 9 MB.
-        simulate(SimConfig(n_streamers=2, n_viewers=10, n_rounds=1))  # lazy imports
+        # buffers 1.1 MB per worker thread. More than one worker adds the
+        # 0.1 MB copy of the last choices. Every column kept as float64 or
+        # int64, with three fresh (M,) arrays a round, peaks above 9 MB on
+        # one worker.
+        monkeypatch.setattr(abm, "cpu_count", lambda: workers)
+        # lazy imports, the thread pool's among them: two blocks of viewers
+        simulate(SimConfig(n_streamers=50, n_viewers=2000, n_rounds=1))
         tracemalloc.start()
         try:
             simulate(SimConfig(n_streamers=50, n_viewers=100_000, n_rounds=3, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5e6
+        assert peak <= 5e6 + 1.3e6 * (workers - 1)
 
 
 # Each entry point's own (tol, max_iter) when it is called without a config.
