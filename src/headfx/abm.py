@@ -406,8 +406,8 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     threads write their picks to a copy of last_choice, which replaces it
     once all have finished, their counts are summed in int64, and state.rng
     is left M N outputs further on (none without noise), with the 32-bit
-    output that advance clears put back. On one
-    CPU, or with one block, the calling thread walks the blocks with
+    output that advance clears put back. With one thread (one CPU, or a
+    pool worker) or one block, the calling thread walks the blocks with
     state.rng itself and never loads concurrent.futures.
 
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),

@@ -111,11 +111,15 @@ def _apply_seed_flags(spec: ScenarioSpec, args) -> ScenarioSpec:
     return spec
 
 
-def _cmd_equilibrium(args) -> int:
-    spec = _load_scenario(args)
-    platform, streamers = analytic_instance(spec.sim)
+def _instance_from_args(args) -> tuple[PlatformParams, list[StreamerParams]]:
+    platform, streamers = analytic_instance(_load_scenario(args).sim)
     if args.beta is not None:
         platform = dataclasses.replace(platform, beta=args.beta)
+    return platform, streamers
+
+
+def _cmd_equilibrium(args) -> int:
+    platform, streamers = _instance_from_args(args)
     share, result = max_share_from_perturbed_start(platform, streamers, FixedPointConfig())
     if not result.converged:
         raise NumericalError(
@@ -145,17 +149,14 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    spec = _load_scenario(args)
-    platform, streamers = analytic_instance(spec.sim)
-    if args.beta is not None:
-        platform = dataclasses.replace(platform, beta=args.beta)
+    platform, streamers = _instance_from_args(args)
     cfg = IntegratorConfig(dt=args.dt, t_end=args.t_end, record_every=args.record_every)
     market = Market.from_params(platform, streamers)
     summary: dict = {"kind": args.kind, "beta": platform.beta}
 
     if args.kind == "trajectory":
         # from the equilibrium probe's start, at the best response to even shares
-        n0 = market.perturbed_start()
+        n0 = platform.perturbed_start()
         q0 = quality_best_response(market.revenue, market.c, np.full(n0.size, 1.0 / n0.size))
         traj = integrate(platform, streamers, MarketState(n=n0, q=q0), cfg)
         labels = range(1, n0.size + 1)
@@ -344,7 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runs = argparse.ArgumentParser(add_help=False, parents=[scenario])
     runs.add_argument("--seeds", type=int, default=None, help="replication count")
-    runs.add_argument("--threads", type=int, default=1, help="worker processes (>= 1)")
+    runs.add_argument("--threads", type=int, default=1,
+                      help="worker processes (>= 1), each running its kernels on one thread")
 
     parser = argparse.ArgumentParser(
         prog="headfx",

@@ -82,6 +82,17 @@ class PlatformParams:
         object.__setattr__(self, "prices", require_array(
             "prices", prices, 0, shape=(self.n_streamers,)))
 
+    def symmetric_split(self) -> np.ndarray:
+        """The audience split M / N for every streamer."""
+        return np.full(self.n_streamers, float(self.n_viewers) / self.n_streamers)
+
+    def perturbed_start(self) -> np.ndarray:
+        """The symmetric split with streamer 0 nudged up by PERTURBATION * M."""
+        m = float(self.n_viewers)
+        n0 = self.symmetric_split()
+        n0[0] = min(n0[0] + PERTURBATION * m, m)
+        return n0
+
 
 @dataclass(frozen=True)
 class StreamerParams:
@@ -154,16 +165,6 @@ class Market:
         require_array("state.n", state.n, shape=self.alpha.shape)
         th = None if theta is None else require_array("theta", theta.theta, shape=self.alpha.shape)
         return utility(self.alpha, state.q, self.prices, self.network(state.n), self.phi, th)
-
-    def symmetric_split(self) -> np.ndarray:
-        """The audience split m / N for every streamer."""
-        return np.full(self.alpha.shape[0], self.m / self.alpha.shape[0])
-
-    def perturbed_start(self) -> np.ndarray:
-        """The symmetric split with streamer 0 nudged up by PERTURBATION * m."""
-        n0 = self.symmetric_split()
-        n0[0] = min(n0[0] + PERTURBATION * self.m, self.m)
-        return n0
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,7 @@ def path_dependence_experiment(
 
     if state0 is None:
         q_base = quality_best_response(market.revenue, market.c, np.full(big_n, 1.0 / big_n))
-        state0 = MarketState(n=market.symmetric_split(), q=q_base)
+        state0 = MarketState(n=platform.symmetric_split(), q=q_base)
     else:
         require_array("state.n", state0.n, shape=market.alpha.shape)
 

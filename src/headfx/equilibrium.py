@@ -151,7 +151,7 @@ def solve_joint_equilibrium(
     shape = market.alpha.shape
     theta_vec = None if theta is None else require_array("theta", theta.theta, shape=shape)
     if n0 is None:
-        n = market.symmetric_split()
+        n = platform.symmetric_split()
     else:
         n = require_array("n0", n0, 0, market.m, shape=shape)
     q = None if q0 is None else require_array("q0", q0, 0, shape=shape)[np.newaxis]
@@ -202,10 +202,10 @@ def max_share_from_perturbed_start(
 ) -> tuple[float, EquilibriumResult]:
     """Deterministic concentration probe used by the critical-beta search.
 
-    Starts the joint solver from Market.perturbed_start: the symmetric
+    Starts the joint solver from PlatformParams.perturbed_start: the symmetric
     audience split with coordinate 0 nudged up by core.PERTURBATION * M.
     """
-    n0 = Market.from_params(platform, streamers).perturbed_start()
+    n0 = platform.perturbed_start()
     res = solve_joint_equilibrium(platform, streamers, cfg, n0=n0)
     return res.max_share(), res
 

@@ -14,10 +14,12 @@ require_array is the one home of the rule for a valid array: the same
 rule for each entry, plus a shape. Every public vector argument (audiences,
 qualities, promotion shares, prices, metric inputs) goes through it.
 
-map_in_threads runs the grid oracle's column blocks and the ABM round
-kernel's viewer blocks on at most cpu_count threads: a failing block
-stops the blocks after it, and its error is the one raised. It lives
-here because this is the one module every layer already imports.
+cpu_count decides how many threads a kernel may use (1 in a pool
+worker, so a command runs in parallel across runs or inside a run, not
+both), and map_in_threads runs the grid oracle's column blocks and the
+ABM round kernel's viewer blocks on that many: a failing block stops
+the blocks after it, and its error is the one raised. Both live here
+because this is the one module every layer already imports.
 """
 
 import math
@@ -183,7 +185,12 @@ def require_fields(obj, table) -> None:
 
 
 def cpu_count() -> int:
-    """The number of CPUs this process may run on."""
+    """The threads a kernel may use: 1 in a process that multiprocessing
+    started (a pool worker), else the CPUs this process may run on."""
+    # looked up, not imported: a run in process never loads multiprocessing
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -195,7 +202,9 @@ def map_in_threads(func, items, workers: int) -> list:
     start the items in order, each item in a copy of the caller's context
     (which holds np.errstate). Once an item raises, no further item
     starts, and the error raised is that of the first failing item in
-    order, as in the loop."""
+    order, as in the loop, which one worker runs in the calling thread."""
+    if workers == 1:
+        return [func(item) for item in items]
     # imported here, so runs on one thread never load concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
     from contextvars import copy_context

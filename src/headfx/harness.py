@@ -24,7 +24,6 @@ from .errors import (
     ConfigError,
     Domain,
     DomainError,
-    HeadfxError,
     require,
     require_array,
     require_fields,
@@ -194,14 +193,6 @@ def make_scenario(name: str, sim: SimConfig | None = None, n_seeds: int = 10,
     )
 
 
-def _simulate_seed(task: tuple[str, SimConfig]) -> SimRun:
-    scenario, cfg = task
-    try:
-        return simulate(cfg)
-    except HeadfxError as exc:
-        raise type(exc)(f"scenario {scenario!r}, seed {cfg.seed}: {exc}") from exc
-
-
 def write_table(path, header, rows) -> Path:
     """Write the CSV table at path: the header row, then rows.
 
@@ -278,21 +269,20 @@ def _artifact(spec: ScenarioSpec, runs: list[SimRun], out_dir) -> RunArtifact:
 
 
 def _run_scenarios(specs, out_dir, threads: int) -> list[RunArtifact]:
-    """Every seed of every scenario in specs, as one flat task list on one
-    pool of min(threads, task count) workers (in process when that is 1);
+    """Every seed of every scenario in specs, as one flat run list on one
+    pool of min(threads, run count) workers (in process when that is 1);
     one artifact per scenario."""
     require("threads", threads, 1, integer=True)
-    tasks = [(spec.name, dataclasses.replace(spec.sim, seed=s))
-             for spec in specs for s in spec.seeds()]
-    workers = min(threads, len(tasks))
+    cfgs = [dataclasses.replace(spec.sim, seed=s) for spec in specs for s in spec.seeds()]
+    workers = min(threads, len(cfgs))
     if workers > 1:
         # imported here, so runs in process never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_simulate_seed, tasks))
+            runs = list(pool.map(simulate, cfgs))
     else:
-        runs = [_simulate_seed(task) for task in tasks]
+        runs = list(map(simulate, cfgs))
     flat = iter(runs)
     return [_artifact(spec, list(itertools.islice(flat, spec.n_seeds)), out_dir)
             for spec in specs]

@@ -203,7 +203,7 @@ def optimize_allocation(
         if init_theta is None
         else require_array("init_theta", init_theta.theta, shape=(big_n,)).copy()
     )
-    breakdown, n, g, converged = _welfare_raw(market, q, theta, fp_cfg, market.symmetric_split())
+    breakdown, n, g, converged = _welfare_raw(market, q, theta, fp_cfg, platform.symmetric_split())
 
     s = step
     for iterations in range(1, max_iter + 1):
@@ -402,11 +402,11 @@ def grid_search_allocation(
     oracle for the optimizer. The grid is split into cache-sized column
     blocks that share no state: each block builds its allocations,
     iterates until its own residual is at most the tol, and values them,
-    and only its best column is kept. The blocks run on one thread per
-    CPU this process may use (at most one per block), each thread with its
-    own buffers reused from block to block; on one CPU they run in the
-    calling thread. The columns come in the order of a row-major (i, j)
-    meshgrid filtered to i + j <= k, k = round(1 / resolution), and ties
+    and only its best column is kept. The blocks run on cpu_count()
+    threads (at most one per block), each with its own buffers reused
+    from block to block; with one thread (one CPU, or a pool worker) they
+    run in the calling thread. The columns come in the order of a
+    row-major (i, j) meshgrid filtered to i + j <= k, k = round(1 / resolution), and ties
     in welfare go to the first column, so the result is the same for any
     thread count. Without fp_cfg the fixed point runs to tol 1e-10 within
     5000 sweeps, undamped when beta M < 2 (a max-norm contraction with
@@ -445,11 +445,7 @@ def grid_search_allocation(
         finally:
             free.append(buffers)
 
-    if workers == 1:
-        maxima = [solve(cols) for cols in blocks]
-    else:
-        maxima = map_in_threads(solve, blocks, workers)
-    best, welfare = _first_max(maxima)
+    best, welfare = _first_max(map_in_threads(solve, blocks, workers))
     theta = np.empty((big_n, 1))
     _simplex_columns(big_n, k, slice(best, best + 1), theta)
     return simplex_project(theta[:, 0]), welfare

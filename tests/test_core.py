@@ -321,15 +321,12 @@ def test_streamer_count_is_checked_by_every_entry_point(entry):
         entry(platform, make_streamers([1.0, 1.0]), state)
 
 
-# these two run a public solver per probe, and each solve builds its own market
-_PROBES = ("max_share_from_perturbed_start", "find_critical_beta")
+# this one runs a public solver per probe, and each solve builds its own market
+_PROBES = ("find_critical_beta",)
 
 
-@pytest.mark.parametrize(
-    "entry", [f for name, f in _ANALYTIC_ENTRY_POINTS.items() if name not in _PROBES],
-    ids=[name for name in _ANALYTIC_ENTRY_POINTS if name not in _PROBES],
-)
-def test_every_entry_point_builds_one_market(entry, monkeypatch):
+def count_market_builds(monkeypatch) -> list:
+    """The platforms Market.from_params is called with from now on."""
     builds = []
     from_params = Market.from_params.__func__
 
@@ -338,9 +335,34 @@ def test_every_entry_point_builds_one_market(entry, monkeypatch):
         return from_params(cls, platform, streamers)
 
     monkeypatch.setattr(Market, "from_params", classmethod(counted))
+    return builds
+
+
+@pytest.mark.parametrize(
+    "entry", [f for name, f in _ANALYTIC_ENTRY_POINTS.items() if name not in _PROBES],
+    ids=[name for name in _ANALYTIC_ENTRY_POINTS if name not in _PROBES],
+)
+def test_every_entry_point_builds_one_market(entry, monkeypatch):
+    builds = count_market_builds(monkeypatch)
     state = MarketState(n=np.full(3, 100.0 / 3), q=np.full(3, 0.5))
     entry(make_platform(n=3, beta=0.001), make_streamers([1.0, 1.1, 0.9]), state)
     assert len(builds) == 1
+
+
+def test_critical_beta_builds_one_market_per_probe(monkeypatch):
+    probes = []
+    probe = equilibrium.max_share_from_perturbed_start
+
+    def counted(platform, streamers, cfg):
+        probes.append(platform.beta)
+        return probe(platform, streamers, cfg)
+
+    monkeypatch.setattr(equilibrium, "max_share_from_perturbed_start", counted)
+    builds = count_market_builds(monkeypatch)
+    equilibrium.find_critical_beta(make_platform(n=3), make_streamers([1.0, 1.1, 0.9]), 0.0, 1.0)
+    # both bracket ends, then one probe per halving down to 1e-3 of the width
+    assert len(probes) == 12
+    assert [platform.beta for platform in builds] == probes
 
 
 class TestMarket:
@@ -383,8 +405,8 @@ class TestMarket:
             assert getattr(market, name) == getattr(platform, name)
 
         big_n = platform.n_streamers
-        assert np.array_equal(market.symmetric_split(), np.full(big_n, m_float / big_n))
+        assert np.array_equal(platform.symmetric_split(), np.full(big_n, m_float / big_n))
         n0 = np.full(big_n, m_float / big_n)
         n0[0] = min(n0[0] + PERTURBATION * m_float, m_float)
-        assert np.array_equal(market.perturbed_start(), n0)
+        assert np.array_equal(platform.perturbed_start(), n0)
 

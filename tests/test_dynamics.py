@@ -294,6 +294,11 @@ class TestPathDependence:
         with pytest.raises(DomainError):
             path_dependence_experiment(plat, streamers, 0.0, IntegratorConfig(dt=0.1, t_end=1.0))
 
+    def test_needs_two_streamers(self):
+        plat, streamers = symmetric_instance(n=1)
+        with pytest.raises(DomainError, match="path dependence needs at least 2 streamers"):
+            path_dependence_experiment(plat, streamers, 1.0, IntegratorConfig(dt=0.1, t_end=1.0))
+
 
 class TestHHI:
     def test_uniform(self):

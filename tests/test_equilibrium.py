@@ -273,6 +273,12 @@ class TestCriticalBeta:
         with pytest.raises(BracketError, match="straddle"):
             find_critical_beta(plat, streamers, 1e-5, 1e-4, 0.95, CFG)
 
+    @pytest.mark.parametrize("beta_lo, beta_hi", [(0.3, 0.3), (0.3, 1e-4)])
+    def test_bracket_order_validated(self, beta_lo, beta_hi):
+        plat, streamers = symmetric_instance(n=2, c=2.0)
+        with pytest.raises(DomainError, match=r"need beta_lo < beta_hi, got \[0.3, "):
+            find_critical_beta(plat, streamers, beta_lo, beta_hi, 0.95, CFG)
+
     def test_threshold_domain_validated(self):
         plat, streamers = symmetric_instance(n=2, c=2.0)
         with pytest.raises(DomainError):

@@ -1,10 +1,18 @@
 """Tests for errors.require and errors.require_array, the one check of a
 scalar input's and an array input's domain, and for every config class,
-solver control and public vector argument that states its domain with them."""
+solver control and public vector argument that states its domain with them;
+and for errors.cpu_count and errors.map_in_threads, the one decision of a
+kernel's thread count and the one way to run blocks on those threads."""
 
 import math
+import multiprocessing
+import os
 import re
+import subprocess
 import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +37,8 @@ from headfx.errors import (
     DimensionMismatchError,
     DomainError,
     NonFiniteError,
+    cpu_count,
+    map_in_threads,
     require,
     require_array,
 )
@@ -308,3 +318,51 @@ _PAIR = TrafficAllocation([0.5, 0.5])
 def test_allocation_length_is_checked_against_the_market(call):
     with pytest.raises(DimensionMismatchError, match=r"theta must have shape \(3,\), got \(2,\)"):
         call()
+
+
+class TestCpuCount:
+    # harness's pool forks; spawn starts the worker from a fresh import
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_pool_worker_runs_its_kernels_on_one_thread(self, method):
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(cpu_count).result(timeout=60) == 1
+        assert cpu_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("count, expected", [(7, 7), (None, 1)])
+    def test_without_an_affinity_call_every_cpu_counts(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert cpu_count() == expected
+
+
+class TestMapInThreads:
+    def test_one_worker_runs_in_the_calling_thread(self):
+        calls = []
+
+        def record(item):
+            calls.append((item, threading.get_ident()))
+            if item == 2:
+                raise KeyError(item)
+            return 10 * item
+
+        assert map_in_threads(record, [0, 1], 1) == [0, 10]
+        with pytest.raises(KeyError):
+            map_in_threads(record, [0, 1, 2, 3], 1)
+        # in order, and nothing after the first failing item starts
+        assert [item for item, _ in calls] == [0, 1, 0, 1, 2]
+        assert {thread for _, thread in calls} == {threading.get_ident()}
+
+    def test_one_worker_never_loads_the_thread_pool(self):
+        run = (
+            "import sys\n"
+            "from headfx.errors import map_in_threads\n"
+            "assert map_in_threads(abs, [-1, 2], 1) == [1, 2]\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.split() == ["False"]

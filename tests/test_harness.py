@@ -95,6 +95,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=message):
             parse_config(write_config(tmp_path, payload))
 
+    def test_missing_name_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"n_seeds": 1})
+        with pytest.raises(ConfigError, match="missing required key 'name'"):
+            parse_config(path)
+
     def test_misspelled_key_rejected_by_name(self, tmp_path):
         path = write_config(
             tmp_path, {"name": "Baseline", "platform": {"n_streamrs": 10}}
@@ -306,6 +311,11 @@ class TestABCompare:
             assert art_b.mean[col] == value
         for (metric, x, y), frac in comparison.ordering_fractions.items():
             assert frac == 0.0  # strict inequality never holds between clones
+
+    def test_one_scenario_rejected(self):
+        a = ScenarioSpec(name="A", sim=FAST_SIM, n_seeds=2, seed_base=0)
+        with pytest.raises(ConfigError, match="ab_compare needs at least 2 scenarios"):
+            ab_compare([a])
 
     def test_mismatched_seed_plans_rejected(self):
         a = ScenarioSpec(name="A", sim=FAST_SIM, n_seeds=2, seed_base=0)
@@ -617,6 +627,16 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["alpha", "q"])
+    def test_optimize_theta_instance_without_a_required_key_exit_2(self, tmp_path, capsys, key):
+        document = {"alpha": [1.2, 1.0, 0.4], "q": [0.8, 0.7, 0.5]}
+        del document[key]
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(document))
+        code = main(["optimize-theta", "--instance", str(inst), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"instance file is missing {key!r}" in capsys.readouterr().err
+
     def test_integer_override_runs_as_its_float(self, tmp_path):
         # JSON integers reach SimConfig as ints; the round kernel's float buffers take them
         outputs = []
@@ -742,11 +762,18 @@ class TestCli:
             ({"platform": {"n_viewers": 10**48}}, [], "n_viewers"),
             ({}, ["--seeds", "0"], "n_seeds"),
             ({}, ["--seeds", "-1"], "n_seeds"),
+            ({"sweep": {"parameter": "n_viewers", "values": [40]}}, [],
+             "this subcommand takes a scenario config, not a sweep"),
+            ({"sweep": {"parameter": "n_viewers"}}, [],
+             "[sweep] requires 'parameter' and 'values'"),
+            ({"name": "custom", "policies": [{"start_round": 1}]}, [],
+             "[policies][0] is missing 'kind'"),
         ],
         ids=["beta_nan", "beta_inf", "match_bonus_nan", "interaction_weight_inf", "prices_nan",
              "missing_file", "prices_string", "prices_number", "policies_number",
              "policy_amount_string", "sweep_values_number", "seed_negative", "boost_string",
-             "n_viewers_beyond_intp", "seeds_flag_zero", "seeds_flag_negative"],
+             "n_viewers_beyond_intp", "seeds_flag_zero", "seeds_flag_negative", "sweep_config",
+             "sweep_without_values", "policy_without_kind"],
     )
     def test_simulate_rejects_non_finite_config(self, tmp_path, capsys, payload, flags, key):
         # payload None: no file at the --config path
@@ -960,6 +987,13 @@ class TestCli:
 
     def test_sweep_without_parameters_is_config_error(self):
         assert main(["sweep"]) == 2
+
+    def test_unparsable_sweep_values_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["sweep", "--parameter", "n_viewers", "--values", "1,x", "--out", str(out)]
+        assert main(argv) == 2
+        assert "config error: bad sweep values '1,x'" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags",

@@ -97,6 +97,10 @@ class TestTopKShare:
         with pytest.raises(DomainError):
             top_k_share(np.ones(3), 0)
 
+    def test_zero_total_rejected(self):
+        with pytest.raises(DomainError, match="top_k_share requires a positive total"):
+            top_k_share(np.zeros(3), 2)
+
 
 class TestViewerMobility:
     def test_constant_history_is_zero(self):

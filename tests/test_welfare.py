@@ -146,7 +146,7 @@ class TestTotalWelfare:
         theta = TrafficAllocation(np.array(shares))
         cfg = FixedPointConfig(tol=1e-12, max_iter=5000)
         market = Market.from_params(plat, streamers)
-        raw = welfare._welfare_raw(market, q, theta.theta, cfg, market.symmetric_split())
+        raw = welfare._welfare_raw(market, q, theta.theta, cfg, plat.symmetric_split())
         state = MarketState(n=np.maximum(raw[1], 0.0), q=q)
         assert total_welfare(plat, streamers, state, theta).total == raw[0].total
 
@@ -179,7 +179,7 @@ def _gradient(plat, streamers, q, theta):
     cfg = welfare._default_fixed_point(market, tol=1e-13, max_iter=20000)
     breakdown, n, g, converged = welfare._welfare_raw(
         market, np.asarray(q, dtype=float), np.asarray(theta, dtype=float), cfg,
-        market.symmetric_split(),
+        plat.symmetric_split(),
     )
     assert converged
     return breakdown.total, g, n
@@ -918,7 +918,7 @@ class TestDefaultDamping:
         for damping in (1.0, 0.5):
             cfg = FixedPointConfig(damping=damping, tol=tol, max_iter=20000)
             n, converged, sweeps, _ = viewer_fixed_point(
-                market, q[np.newaxis], market.symmetric_split()[np.newaxis], cfg, theta
+                market, q[np.newaxis], plat.symmetric_split()[np.newaxis], cfg, theta
             )
             assert converged[0]
             solved[damping] = n[0], int(sweeps[0])
