@@ -294,23 +294,18 @@ def apply_policy(policy: PolicyIntervention, state: SimState, share: np.ndarray,
         subsidy[targets] += policy.per_round_amount
 
 
-def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> bool:
-    """Fill out with Gumbel(0, scale) noise, reading rng as rng.gumbel does,
-    and return whether a uniform draw was 0.0, in which case the block was
-    redrawn with rng.gumbel; see _choose_streamers for the contract."""
-    saved = rng.bit_generator.state
+def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
+    """Fill out with Gumbel(0, scale) noise from one uniform double of rng
+    per cell, a draw of 0.0 counting as 2^-53; see _choose_streamers."""
     rng.random(out=out)
     if not out.all():
-        rng.bit_generator.state = saved
-        out[...] = rng.gumbel(0.0, scale, size=out.shape)
-        return True
+        out[out == 0.0] = 2.0 ** -53
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
     np.negative(out, out=out)
     np.log(out, out=out)
     np.multiply(scale, out, out=out)
     np.subtract(0.0, out, out=out)
-    return False
 
 
 def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.ndarray,
@@ -352,13 +347,13 @@ def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.
 
 
 def _walk_blocks(state: SimState, boost: np.ndarray, rows: int, span: slice,
-                 rng: np.random.Generator, choices: np.ndarray,
-                 realized: np.ndarray) -> tuple[np.ndarray, bool]:
+                 rng: np.random.Generator, realized: np.ndarray) -> np.ndarray:
     """Walk the viewers of span, whole blocks of rows viewers but the last,
     in two (rows, N) buffers of its own: each block adds its noise, drawn
-    from rng, to _systematic_utility and writes its picks to choices[block]
-    and their values to realized[block]. Returns the span's (N,) audience
-    counts and whether a block was redrawn with rng.gumbel."""
+    from rng, to _systematic_utility and writes its picks to
+    state.last_choice[block], once its loyalty term has read them, and
+    their values to realized[block]. It reads and writes no row outside
+    span. Returns the span's (N,) audience counts."""
     n = state.cfg.n_streamers
     scale = state.cfg.random_effect_scale
     utility, scratch = np.empty((2, rows, n))
@@ -366,19 +361,18 @@ def _walk_blocks(state: SimState, boost: np.ndarray, rows: int, span: slice,
     row_index = np.arange(rows)
 
     counts = np.zeros(n, dtype=np.int64)
-    redrawn = False
     for start in range(span.start, span.stop, rows):
         block = slice(start, min(start + rows, span.stop))
         k = block.stop - start
         u = _systematic_utility(state, boost, block, utility[:k], scratch[:k])
         if scale > 0:
-            redrawn |= _gumbel_block(rng, scale, scratch[:k])
+            _gumbel_block(rng, scale, scratch[:k])
             u += scratch[:k]
         picked = np.argmax(u, axis=1, out=picks[:k])
         counts += np.bincount(picked, minlength=n)
-        choices[block] = picked
+        state.last_choice[block] = picked
         realized[block] = u[row_index[:k], picked]
-    return counts, redrawn
+    return counts
 
 
 def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -402,24 +396,20 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     ranges, each walked on its own thread with its own buffers and its own
     copy of the generator (the PCG64 one init_platform built), advanced to
     the range's first cell: rng.random reads one 64-bit output per double,
-    so each thread draws the doubles a walk of every block would. The
-    threads write their picks to a copy of last_choice, which replaces it
-    once all have finished, their counts are summed in int64, and state.rng
-    is left M N outputs further on (none without noise), with the 32-bit
-    output that advance clears put back. With one thread (one CPU, or a
-    pool worker) or one block, the calling thread walks the blocks with
-    state.rng itself and never loads concurrent.futures.
+    so each thread draws the doubles a walk of every block would. A thread
+    writes the picks and realized values of its own rows only, the counts
+    are summed in int64, and state.rng is left M N outputs further on (none
+    without noise), with the 32-bit output that advance clears put back.
+    With one thread (one CPU, or a pool worker) or one block, the calling
+    thread walks the blocks with state.rng itself and never loads
+    concurrent.futures.
 
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),
-    run op by op over a block of uniform doubles d from rng.random, so it
-    reads the generator exactly as rng.gumbel does. Only the log differs:
-    numpy's SIMD log rounds 1 ulp away from the C library's on about
-    0.35 % of inputs. rng.gumbel rejects d == 0.0 and draws again, so a
-    block holding a 0.0 is rewound to its saved generator state and
-    redrawn with rng.gumbel itself. Every later draw then sits further on
-    in the stream, so a round whose threads drew a 0.0 is dropped and
-    walked again in the calling thread from the saved state. The
-    generator's final state therefore matches one rng.gumbel draw. A
+    run op by op over a block of uniform doubles d from rng.random, and
+    a d of 0.0, which rng.gumbel would reject and draw again, counts as
+    2^-53, the smallest positive double rng.random returns, so every cell
+    reads exactly one output. Only the log differs: numpy's SIMD log
+    rounds 1 ulp away from the C library's on about 0.35 % of inputs. A
     realized value may differ from rng.gumbel's by at most
     4 eps (scale + |u| + |realized|), u the systematic utility of the
     chosen cell: at most 2 ulp unless the noise cancels the utility near
@@ -432,28 +422,23 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     blocks = -(-m // rows)
     workers = min(cpu_count(), blocks)
     realized = np.empty(m)
-    if workers > 1:
-        saved = state.rng.bit_generator.state
-        bounds = [min(m, rows * (blocks * w // workers)) for w in range(workers + 1)]
-        choices = np.empty_like(state.last_choice)
+    if workers == 1:
+        return _walk_blocks(state, boost, rows, slice(0, m), state.rng, realized), realized
+    saved = state.rng.bit_generator.state
+    bounds = [min(m, rows * (blocks * w // workers)) for w in range(workers + 1)]
 
-        def walk(span):
-            rng = np.random.Generator(np.random.PCG64())
-            rng.bit_generator.state = saved
-            rng.bit_generator.advance(span.start * n)
-            return _walk_blocks(state, boost, rows, span, rng, choices, realized)
+    def walk(span):
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = saved
+        rng.bit_generator.advance(span.start * n)
+        return _walk_blocks(state, boost, rows, span, rng, realized)
 
-        walks = map_in_threads(walk, [slice(*b) for b in zip(bounds, bounds[1:])], workers)
-        if not any(redrawn for _, redrawn in walks):
-            state.last_choice[:] = choices
-            if cfg.random_effect_scale > 0:
-                bit_generator = state.rng.bit_generator
-                bit_generator.advance(m * n)
-                bit_generator.state = {**bit_generator.state, "has_uint32": saved["has_uint32"],
-                                       "uinteger": saved["uinteger"]}
-            return sum(counts for counts, _ in walks), realized
-    counts, _ = _walk_blocks(state, boost, rows, slice(0, m), state.rng, state.last_choice,
-                             realized)
+    counts = sum(map_in_threads(walk, [slice(*b) for b in zip(bounds, bounds[1:])], workers))
+    if cfg.random_effect_scale > 0:
+        bit_generator = state.rng.bit_generator
+        bit_generator.advance(m * n)
+        bit_generator.state = {**bit_generator.state, "has_uint32": saved["has_uint32"],
+                               "uinteger": saved["uinteger"]}
     return counts, realized
 
 

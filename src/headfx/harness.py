@@ -218,7 +218,7 @@ def write_json(path, document) -> Path:
 
 
 def _write_history_csv(path: Path, run: SimRun) -> None:
-    n = len(run.records[0].viewer_counts) if run.records else 0
+    n = len(run.records[0].viewer_counts)
     header = (
         ["round"]
         + [f"n_{i + 1}" for i in range(n)]

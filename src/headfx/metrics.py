@@ -8,7 +8,6 @@ are pure and RNG-free.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -94,8 +93,8 @@ def summarize(history, q_initial) -> MetricsSummary:
 
     Gini, top-3 share, and satisfaction are taken from the final round;
     mobility uses the full count history; quality improvement compares
-    final qualities to the pre-simulation initial ones. For fewer than
-    three streamers k is clamped to N with a warning.
+    final qualities to the pre-simulation initial ones. With fewer than
+    three streamers the top-3 share is that of all of them.
     """
     history = list(history)
     if not history:
@@ -103,14 +102,7 @@ def summarize(history, q_initial) -> MetricsSummary:
     final = history[-1]
     counts = np.asarray(final.viewer_counts, dtype=float)
 
-    k = 3
-    if counts.size < 3:
-        warnings.warn(
-            f"fewer than 3 streamers; clamping top-k to k={counts.size}",
-            stacklevel=2,
-        )
-        k = counts.size
-    top3 = top_k_share(counts, k)
+    top3 = top_k_share(counts, min(3, counts.size))
 
     if len(history) >= 2:
         mobility = viewer_mobility(np.array([r.viewer_counts for r in history]))

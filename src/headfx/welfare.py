@@ -268,6 +268,17 @@ def _simplex_columns(big_n: int, k: int, cols: slice, out: np.ndarray) -> None:
     np.divide(first, k, out=out[2])
 
 
+def _block_exp_utilities(market, v_theta, n, v, e, row) -> None:
+    """Write v = v_theta + network(n), e = exp(v - max v) and its column
+    sums row for a streamer-major (N, width) block; e may be v."""
+    market.network(n, out=v)
+    np.add(v_theta, v, out=v)
+    np.max(v, axis=0, out=row)
+    np.subtract(v, row, out=e)
+    np.exp(e, out=e)
+    np.sum(e, axis=0, out=row)
+
+
 def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
     """Viewer fixed point, damped by cfg.damping, for one column block.
 
@@ -286,12 +297,7 @@ def _block_fixed_point(v_theta, n, market, cfg, v, target, row) -> None:
     """
     for _ in range(cfg.max_iter):
         # target = T(n) = m softmax(v_theta + network(n)), v = |n - target|
-        market.network(n, out=v)
-        np.add(v_theta, v, out=v)
-        np.max(v, axis=0, out=row)
-        np.subtract(v, row, out=v)
-        np.exp(v, out=v)
-        np.sum(v, axis=0, out=row)
+        _block_exp_utilities(market, v_theta, n, v, v, row)
         np.multiply(market.m, v, out=target)
         np.divide(target, row, out=target)
         np.subtract(n, target, out=v)
@@ -357,12 +363,7 @@ def _grid_block(market: Market, q, k: int, cfg: FixedPointConfig, cols: slice, b
     nb.fill(market.m / big_n)
     _block_fixed_point(vtb, nb, market, cfg, vb, eb, rb)
     # p = softmax(v), v = v_theta + network(n); v_theta is spent from here
-    market.network(nb, out=vb)
-    np.add(vtb, vb, out=vb)
-    np.max(vb, axis=0, out=rb)
-    np.subtract(vb, rb, out=eb)
-    np.exp(eb, out=eb)
-    np.sum(eb, axis=0, out=rb)
+    _block_exp_utilities(market, vtb, nb, vb, eb, rb)
     np.divide(eb, rb, out=eb)
     # p's rows lie over the spent v_theta, the welfare over p's spent row 1
     p_rows = columns[0].reshape(-1)[:b * big_n].reshape(b, big_n)
@@ -448,4 +449,4 @@ def grid_search_allocation(
     best, welfare = _first_max(map_in_threads(solve, blocks, workers))
     theta = np.empty((big_n, 1))
     _simplex_columns(big_n, k, slice(best, best + 1), theta)
-    return simplex_project(theta[:, 0]), welfare
+    return TrafficAllocation(theta[:, 0]), welfare

@@ -188,25 +188,6 @@ class TestInitPlatform:
         assert state.preferred.max() < n_content_types
 
 
-class ZeroDrawGenerator:
-    """A generator whose random(out=) leaves one 0.0 in one block's draws;
-    everything else, rng.gumbel and the state included, is delegated."""
-
-    def __init__(self, rng, block, cell):
-        self._rng, self._block, self._cell = rng, block, cell
-        self.blocks = 0
-
-    def random(self, *args, out=None, **kwargs):
-        result = self._rng.random(*args, out=out, **kwargs)
-        if self.blocks == self._block:
-            out[self._cell] = 0.0
-        self.blocks += 1
-        return result
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
 def zero_draw_at(rng, cell):
     """Put rng where its draw number cell (from 0) of rng.random is 0.0,
     keeping its 32-bit buffer. PCG64 outputs 0 from a state whose two 64-bit
@@ -365,39 +346,31 @@ class TestChooseStreamers:
         whole = simulate(cfg)
         assert_same_history(blocked, whole.records)
 
-    def test_zero_draw_redoes_block_with_gumbel(self, monkeypatch):
-        # one worker walks every block with state.rng, the wrapper itself
-        monkeypatch.setattr(abm, "cpu_count", lambda: 1)
-        m = int(2.5 * BLOCK_ROWS)
-        state, boost = self.mid_run_state(m, random_effect_scale=0.2)
-        twin = twin_of(state)
-        state.rng = ZeroDrawGenerator(state.rng, block=1, cell=(5, 7))
-        counts, realized = abm._choose_streamers(state, boost)
-        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
-        assert state.rng.blocks == 3
-        assert np.array_equal(state.last_choice, twin.last_choice)
-        assert np.array_equal(counts, ref_counts)
-        redone = slice(BLOCK_ROWS, 2 * BLOCK_ROWS)
-        assert np.array_equal(realized[redone], ref_realized[redone])
-        np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
-        assert state.rng.bit_generator.state == twin.rng.bit_generator.state
-
-    def test_zero_draw_in_a_thread_redoes_the_round(self, workers):
+    def test_zero_draw_counts_as_smallest_draw(self, workers):
         # The 0.0 sits in block 1, which the second thread walks at two or
         # three workers, so only a generator advanced to the right cell
-        # draws it; the round is then walked again in the calling thread.
+        # draws it. Every cell reads one output, whatever its draw.
         m = int(2.5 * BLOCK_ROWS)
-        state, boost = self.mid_run_state(m, random_effect_scale=0.2)
-        zero_draw_at(state.rng, (BLOCK_ROWS + 5) * BLOCK_N + 7)
+        scale = 0.2
+        state, boost = self.mid_run_state(m, random_effect_scale=scale)
+        cell = (BLOCK_ROWS + 5) * BLOCK_N + 7
+        zero_draw_at(state.rng, cell)
         twin = twin_of(state)
         counts, realized = abm._choose_streamers(state, boost)
-        ref_counts, ref_realized = reference_choose_streamers(twin, boost)
-        assert np.array_equal(state.last_choice, twin.last_choice)
-        assert np.array_equal(counts, ref_counts)
-        redone = slice(BLOCK_ROWS, 2 * BLOCK_ROWS)
-        assert np.array_equal(realized[redone], ref_realized[redone])
-        np.testing.assert_array_max_ulp(realized, ref_realized, maxulp=2)
+
+        draws = twin.rng.random((m, BLOCK_N))
+        assert draws.flat[cell] == 0.0 and np.count_nonzero(draws == 0.0) == 1
+        draws[draws == 0.0] = 2.0 ** -53
+        total = reference_round_utilities(twin, boost) + (
+            0.0 - scale * np.log(-np.log(1.0 - draws)))
+        choices = np.argmax(total, axis=1)
+        assert np.array_equal(state.last_choice, choices)
+        assert np.array_equal(counts, np.bincount(choices, minlength=BLOCK_N))
+        assert np.isfinite(realized).all()
+        np.testing.assert_array_max_ulp(realized, total[np.arange(m), choices], maxulp=2)
+        # M N outputs on, with the buffered 32-bit output kept
         assert state.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert state.rng.bit_generator.state["has_uint32"] == 1
 
     def test_histories_equal_at_any_worker_count(self, monkeypatch):
         # three blocks of viewers, the last half full: two workers walk one

@@ -199,6 +199,11 @@ NAME_RULES = {
         " its generator, and equilibrium draws only its enumeration starts: a second"
         " draw of the market cannot return",
     ),
+    "gumbel_draws": NameRule(
+        {"gumbel"}, "numpy", {"gumbel"}, set(),
+        "the ABM's noise has one path, abm._gumbel_block, which reads one uniform"
+        " double per cell: a second noise path cannot return",
+    ),
 }
 
 
@@ -279,6 +284,12 @@ def test_only_the_allowed_modules_use_a_rules_names(rule, path):
         ("generator_builds", "import numpy.random as npr\nnpr.Generator(bit_generator)", True),
         ("generator_builds", "rng.bit_generator.advance(start * n)", False),
         ("generator_builds", "def draw(rng: np.random.Generator) -> float: ...", False),
+        ("gumbel_draws", "noise = rng.gumbel(0.0, scale, size=out.shape)", True),
+        ("gumbel_draws", "state.rng.gumbel(0.0, 0.2)", True),
+        ("gumbel_draws", "import numpy\nnumpy.random.gumbel(size=3)", True),
+        ("gumbel_draws", "from numpy.random import gumbel", True),
+        ("gumbel_draws", "_gumbel_block(rng, scale, out)", False),
+        ("gumbel_draws", "rng.random(out=out)", False),
     ],
 )
 def test_name_use_checker(rule, source, flagged):

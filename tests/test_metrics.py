@@ -1,5 +1,7 @@
 """Tests for the evaluation metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,12 +191,13 @@ class TestSummarize:
         assert summary.avg_satisfaction == pytest.approx(0.9)
         assert summary.quality_improvement == pytest.approx(0.0, abs=1e-15)
 
-    def test_single_streamer_clamps_k_with_warning(self):
+    def test_single_streamer_clamps_k_silently(self):
         history = [
             _record(1, [10], [0.5], 0.5),
             _record(2, [10], [0.5], 0.5),
         ]
-        with pytest.warns(UserWarning, match="clamping top-k"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             summary = summarize(history, q_initial=np.array([0.5]))
         assert summary.gini == pytest.approx(0.0)
         assert summary.top3_share == pytest.approx(1.0)

@@ -536,7 +536,7 @@ def _row_major_grid_oracle(platform, streamers, q, resolution, fp_cfg, block=Non
     w = cs + ps + platform.tau * platform.revenue_per_viewer * m
     best = int(np.argmax(w))
     return SimpleNamespace(
-        theta=simplex_project(thetas[best]), w_best=float(w[best]), thetas=thetas,
+        theta=TrafficAllocation(thetas[best]), w_best=float(w[best]), thetas=thetas,
         v_theta=v_theta, n=n, w=w, sweeps=sweeps, residuals=residuals,
     )
 
