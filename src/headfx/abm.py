@@ -295,62 +295,92 @@ def apply_policy(policy: PolicyIntervention, state: SimState, share: np.ndarray,
 
 
 def _gumbel_block(rng: np.random.Generator, scale: float, out: np.ndarray) -> None:
-    """Fill out with Gumbel(0, scale) noise from one uniform double of rng
-    per cell, a draw of 0.0 counting as 2^-53; see _choose_streamers."""
+    """Fill out with scale * log(-log(1.0 - d)), the negated Gumbel(0,
+    scale) noise, from one uniform double d of rng per cell, a draw of 0.0
+    counting as 2^-53; the round kernel subtracts it. See _choose_streamers."""
     rng.random(out=out)
-    if not out.all():
+    # the doubles lie in [0, 1), and a min reduction runs faster than all()
+    if out.min() == 0.0:
         out[out == 0.0] = 2.0 ** -53
     np.subtract(1.0, out, out=out)
     np.log(out, out=out)
     np.negative(out, out=out)
     np.log(out, out=out)
     np.multiply(scale, out, out=out)
-    np.subtract(0.0, out, out=out)
 
 
-def _systematic_utility(state: SimState, boost: np.ndarray, block: slice, u: np.ndarray,
+def _streamer_rows(state: SimState, boost: np.ndarray) -> tuple:
+    """The round's streamer rows that _systematic_utility reads, built once
+    a round under its (N,) exposure boost: log1p of last round's (N,)
+    audiences, the (content types, N) match-bonus table, the (N,) log(boost)
+    (None when no streamer is boosted) and the exited streamers' indices
+    (None when none has exited)."""
+    cfg = state.cfg
+    lognet = np.log1p(state.prev_counts.astype(float))
+    match = np.arange(cfg.n_content_types)[:, None] == state.content_type
+    bonus = float(cfg.match_bonus) * match  # float64 for np.take's out=, an int bonus too
+    log_boost = np.log(boost) if (boost != 1.0).any() else None
+    exited = None if state.active.all() else np.flatnonzero(~state.active)
+    return lognet, bonus, log_boost, exited
+
+
+def _systematic_utility(state: SimState, round_rows: tuple, block: slice, u: np.ndarray,
                         term: np.ndarray) -> np.ndarray:
     """Fill u, of shape (rows of block, N), with the block's viewers'
-    systematic utilities under the round's (N,) exposure boost, and return
-    it; term is scratch of u's shape.
+    systematic utilities under the round's streamer rows round_rows (see
+    _streamer_rows), and return it; term is scratch of u's shape, and both
+    must be C-contiguous.
 
     Viewer j's systematic utility for streamer i is
         qs_j q_i + beta ns_j log1p(n_i) - ps_j p_i + match_bonus [pref_j == type_i]
         + log(boost_i) + w inter_j log1p(n_i) + loyalty_j [last_j == i],
     with -inf for streamers that exited, where n_i = state.prev_counts[i] is
-    last round's audience (integer or float) and boost_i = boost[i]. The
-    network term damps the raw count at large viewer pools, and the
-    exposure boost acts as a multiplicative logit weight. This is the one
-    place the ABM's utility is written: the round kernel adds Gumbel noise
-    to it.
+    last round's audience (integer or float) and boost_i is the round's
+    exposure boost. The network term damps the raw count at large viewer
+    pools, and the exposure boost acts as a multiplicative logit weight.
+    This is the one place the ABM's utility is written: the round kernel
+    subtracts its negated Gumbel noise from it.
+
+    The terms are added left to right, as one whole-matrix broadcast would
+    add them, and each rank-one product col_j row_i is one BLAS product
+    np.dot(col, row) per cell: the multiply's result, but +0.0 where the
+    multiply gives -0.0 (the product accumulates onto +0.0). The first
+    product is never -0.0 (qs_j, q_i >= +0), and no later sum is: x + y is
+    -0.0 only when x is, and x - x is +0.0. So a zero of either sign
+    added to it gives it back unchanged, and the sums carry the bits of the
+    broadcast's. For the same reason the add of log(1) = 0 is skipped when
+    no streamer is boosted. The loyalty term is added at the flat indices
+    j N + last_j, and -inf is written only when a streamer has exited.
     """
+    lognet, bonus, log_boost, exited = round_rows
     cfg = state.cfg
-    lognet = np.log1p(state.prev_counts.astype(float))
-    match = np.arange(cfg.n_content_types)[:, None] == state.content_type
-    bonus = float(cfg.match_bonus) * match  # float64 for np.take's out=, an int bonus too
-    np.multiply(state.quality_sens[block, None], state.quality, out=u)
+    np.dot(state.quality_sens[block, None], state.quality[None], out=u)
     network = cfg.network_effect_beta * state.network_sens[block, None]
-    u += np.multiply(network, lognet, out=term)
+    u += np.dot(network, lognet[None], out=term)
     if state.price_sens is not None:
-        u -= np.multiply(state.price_sens[block, None], state.prices, out=term)
+        u -= np.dot(state.price_sens[block, None], state.prices[None], out=term)
     # preferred is in range; mode "raise" would copy through a temporary block
     u += np.take(bonus, state.preferred[block], axis=0, out=term, mode="clip")
-    u += np.log(boost)
+    if log_boost is not None:
+        u += log_boost
     if state.interaction is not None:
         interaction = cfg.interaction_weight * state.interaction[block, None]
-        u += np.multiply(interaction, lognet, out=term)
+        u += np.dot(interaction, lognet[None], out=term)
     last = state.last_choice[block]
     loyal = np.flatnonzero(last >= 0)
-    u[loyal, last[loyal]] += state.loyalty[block][loyal]
-    u[:, ~state.active] = -np.inf
+    # np.dot's out= took u only C-contiguous, so this reshape is a view
+    u.reshape(-1)[loyal * u.shape[1] + last[loyal]] += state.loyalty[block][loyal]
+    if exited is not None:
+        u[:, exited] = -np.inf
     return u
 
 
-def _walk_blocks(state: SimState, boost: np.ndarray, rows: int, span: slice,
+def _walk_blocks(state: SimState, round_rows: tuple, rows: int, span: slice,
                  rng: np.random.Generator, realized: np.ndarray) -> np.ndarray:
     """Walk the viewers of span, whole blocks of rows viewers but the last,
-    in two (rows, N) buffers of its own: each block adds its noise, drawn
-    from rng, to _systematic_utility and writes its picks to
+    in two (rows, N) buffers of its own: each block subtracts its negated
+    noise, drawn from rng, from _systematic_utility under the round's
+    streamer rows round_rows and writes its picks to
     state.last_choice[block], once its loyalty term has read them, and
     their values to realized[block]. It reads and writes no row outside
     span. Returns the span's (N,) audience counts."""
@@ -364,10 +394,10 @@ def _walk_blocks(state: SimState, boost: np.ndarray, rows: int, span: slice,
     for start in range(span.start, span.stop, rows):
         block = slice(start, min(start + rows, span.stop))
         k = block.stop - start
-        u = _systematic_utility(state, boost, block, utility[:k], scratch[:k])
+        u = _systematic_utility(state, round_rows, block, utility[:k], scratch[:k])
         if scale > 0:
             _gumbel_block(rng, scale, scratch[:k])
-            u += scratch[:k]
+            u -= scratch[:k]
         picked = np.argmax(u, axis=1, out=picks[:k])
         counts += np.bincount(picked, minlength=n)
         state.last_choice[block] = picked
@@ -380,7 +410,8 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     round's (N,) exposure boost, plus Gumbel noise; returns the round's (N,)
     audience counts and the (M,) realized utilities, the values there.
 
-    The viewers are walked in row blocks of about _BLOCK_CELLS cells
+    The round's streamer rows (_streamer_rows) are built once, before any
+    block. The viewers are walked in row blocks of about _BLOCK_CELLS cells
     (min(M, _BLOCK_CELLS // N) rows, at least one), built in two (rows, N)
     buffers that a walk allocates and drops. They are one allocation:
     at M = 100,000 and N = 50, two separate ones made glibc give the heap
@@ -402,28 +433,35 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
     without noise), with the 32-bit output that advance clears put back.
     With one thread (one CPU, or a pool worker) or one block, the calling
     thread walks the blocks with state.rng itself and never loads
-    concurrent.futures.
+    concurrent.futures. A block's BLAS products, (rows, 1) by (1, N), make
+    rows N <= 2^16 multiply-adds, below OpenBLAS's threading threshold of
+    2^18, so each runs on the thread that calls it at any BLAS thread count.
 
     The noise is rng.gumbel's formula 0.0 - scale * log(-log(1.0 - d)),
-    run op by op over a block of uniform doubles d from rng.random, and
-    a d of 0.0, which rng.gumbel would reject and draw again, counts as
-    2^-53, the smallest positive double rng.random returns, so every cell
-    reads exactly one output. Only the log differs: numpy's SIMD log
-    rounds 1 ulp away from the C library's on about 0.35 % of inputs. A
-    realized value may differ from rng.gumbel's by at most
-    4 eps (scale + |u| + |realized|), u the systematic utility of the
-    chosen cell: at most 2 ulp unless the noise cancels the utility near
-    zero. A choice could differ only where the best two totals lie that
-    close; no test or benchmark run has shown one.
+    run op by op over a block of uniform doubles d from rng.random, up to
+    its last step: the kernel forms u - y, y = scale * log(-log(1.0 - d)),
+    where the formula's noise would be added as u + (0.0 - y). The two are
+    the same double: 0.0 - y is -y but for y = +0.0, u + (-y) is u - y, and
+    they could differ only in the sign of a zero total from u = -0.0, which
+    _systematic_utility never returns. A d of 0.0, which rng.gumbel would
+    reject and draw again, counts as 2^-53, the smallest positive double
+    rng.random returns, so every cell reads exactly one output. Only the
+    log differs: numpy's SIMD log rounds 1 ulp away from the C library's
+    on about 0.35 % of inputs. A realized value may differ from
+    rng.gumbel's by at most 4 eps (scale + |u| + |realized|), u the
+    systematic utility of the chosen cell: at most 2 ulp unless the noise
+    cancels the utility near zero. A choice could differ only where the
+    best two totals lie that close; no test or benchmark run has shown one.
     """
     cfg = state.cfg
     n, m = cfg.n_streamers, cfg.n_viewers
+    round_rows = _streamer_rows(state, boost)
     rows = min(max(1, _BLOCK_CELLS // n), m)
     blocks = -(-m // rows)
     workers = min(cpu_count(), blocks)
     realized = np.empty(m)
     if workers == 1:
-        return _walk_blocks(state, boost, rows, slice(0, m), state.rng, realized), realized
+        return _walk_blocks(state, round_rows, rows, slice(0, m), state.rng, realized), realized
     saved = state.rng.bit_generator.state
     bounds = [min(m, rows * (blocks * w // workers)) for w in range(workers + 1)]
 
@@ -431,7 +469,7 @@ def _choose_streamers(state: SimState, boost: np.ndarray) -> tuple[np.ndarray, n
         rng = np.random.Generator(np.random.PCG64())
         rng.bit_generator.state = saved
         rng.bit_generator.advance(span.start * n)
-        return _walk_blocks(state, boost, rows, span, rng, realized)
+        return _walk_blocks(state, round_rows, rows, span, rng, realized)
 
     counts = sum(map_in_threads(walk, [slice(*b) for b in zip(bounds, bounds[1:])], workers))
     if cfg.random_effect_scale > 0:

@@ -250,6 +250,56 @@ BLOCK_ROWS = abm._BLOCK_CELLS // BLOCK_N
 BLOCK_SIZES = (700, BLOCK_ROWS, BLOCK_ROWS + 1, int(2.5 * BLOCK_ROWS))
 
 
+@st.composite
+def utility_cases(draw):
+    """A mid-run state and a round's (N,) boost that reach every signed zero
+    the utility's terms can take: zero audiences, qualities, prices and
+    sensitivities under negative network, interaction and match weights,
+    exited streamers, viewers without a last choice, and rounds with and
+    without a boosted streamer."""
+    n = draw(st.sampled_from([1, 2, 15, 50]))
+    m = draw(st.integers(1, 400))
+    weight = st.sampled_from([-0.4, 0.0, 0.3])
+    cfg = SimConfig(
+        n_streamers=n, n_viewers=m, seed=draw(st.integers(0, 2**32 - 1)),
+        network_effect_beta=draw(weight), interaction_weight=draw(weight),
+        match_bonus=draw(weight),
+        prices=tuple(np.linspace(0.0, 0.6, n)) if draw(st.booleans()) else None,
+    )
+    state = init_platform(cfg)
+    fill = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    state.last_choice[:] = fill.integers(-1, n, size=m)
+    state.prev_counts = np.where(fill.random(n) < 0.5, 0, fill.integers(1, 3 * m // n + 2, size=n))
+    state.quality = np.where(fill.random(n) < 0.3, 0.0, fill.uniform(0.0, 1.0, size=n))
+    for column in (state.quality_sens, state.network_sens, state.interaction, state.price_sens):
+        if column is not None:
+            column[fill.random(m) < 0.2] = 0.0
+    state.active = fill.random(n) < draw(st.sampled_from([0.0, 0.7, 1.0]))
+    state.active[draw(st.integers(0, n - 1))] = True
+    boost = np.where(fill.random(n) < draw(st.sampled_from([0.0, 0.5])), 1.5, 1.0)
+    return state, boost
+
+
+class TestSystematicUtility:
+    @settings(max_examples=200, deadline=None)
+    @given(case=utility_cases(), cut=st.floats(0.0, 1.0))
+    def test_bytes_match_broadcast_reference(self, case, cut):
+        # The BLAS products give +0.0 where the broadcast multiply gives
+        # -0.0, and the add of log 1 is skipped when nothing is boosted:
+        # the same bytes, because no partial sum of the utility is -0.0.
+        state, boost = case
+        m, n = state.cfg.n_viewers, state.cfg.n_streamers
+        reference = reference_round_utilities(state, boost)
+        assert not np.signbit(reference[reference == 0.0]).any()
+        rows = abm._streamer_rows(state, boost)
+        u, term = np.empty((2, m, n))
+        split = max(1, round(cut * m))
+        for block in (slice(0, split), slice(split, m)):
+            if block.stop > block.start:
+                abm._systematic_utility(state, rows, block, u[block], term[block])
+        assert u.tobytes() == reference.tobytes()
+
+
 class TestChooseStreamers:
     """The row-block round kernel against the whole-matrix reference."""
 
@@ -418,6 +468,59 @@ class TestChooseStreamers:
         assert np.all(np.isfinite(realized))
 
 
+# Runs whose every RoundRecord is pinned bit for bit, with the sha256 of
+# each, recorded before the round kernel's rank-one products went through
+# BLAS. Together they reach every branch of the kernel: one block and
+# several, prices, negative network and interaction weights, live boosts,
+# exits, no noise and a single viewer.
+GOLDEN_CONFIGS = {
+    "baseline": SimConfig(),
+    "combined_blocks": SimConfig(
+        n_streamers=BLOCK_N, n_viewers=int(2.5 * BLOCK_ROWS), n_rounds=12, seed=5,
+        policy_schedule=canonical_policies("Combined"),
+        prices=tuple(np.linspace(0.0, 0.6, BLOCK_N)), interaction_weight=-0.3,
+        network_effect_beta=-0.2,
+    ),
+    "exits": SimConfig(
+        n_streamers=BLOCK_N, n_viewers=2 * BLOCK_ROWS + 3, n_rounds=15, seed=6,
+        policy_schedule=canonical_policies("Combined"),
+        exit_revenue_floor=0.3 * (2 * BLOCK_ROWS + 3) / BLOCK_N,
+    ),
+    "no_noise": SimConfig(n_streamers=BLOCK_N, n_viewers=int(1.5 * BLOCK_ROWS), n_rounds=10,
+                          seed=8, random_effect_scale=0.0, interaction_weight=0.3),
+    "one_viewer": SimConfig(n_viewers=1, n_rounds=30, seed=9),
+}
+GOLDEN_SHA256 = {
+    "baseline": "a9875eca91a003b1b232ed8525c0f326f994e87e6342acf64f94ad4e321b2503",
+    "combined_blocks": "461f2752ea66aa3600ad5b504e226fa2594128285fdf5d3454689bfa9e5f450c",
+    "exits": "b218f6824de90460c6d6c60162cf6b495494a68893696c75ab2a737b04293301",
+    "no_noise": "ae04b00de29eca86c45e71657d6dc647b319045445fcdd383446dba98272e39d",
+    "one_viewer": "6c883d2890f31921902c7096a0e0735fd5915cf2906992d3e5db878f1c31cf20",
+}
+
+
+def golden_run(cfg):
+    """Run cfg's rounds as simulate does; returns the sha256 of every value
+    of every RoundRecord, as its bytes, and the final state."""
+    state = init_platform(cfg)
+    h = hashlib.sha256()
+    for idx in range(1, cfg.n_rounds + 1):
+        rec = run_round(state, cfg, idx)
+        for value in (rec.round_index, rec.viewer_counts, rec.streamer_revenues,
+                      rec.platform_revenue, rec.qualities, rec.mean_satisfaction):
+            h.update(np.asarray(value).tobytes())
+    return h.hexdigest(), state
+
+
+class TestGoldenBits:
+    @pytest.mark.parametrize("name", GOLDEN_CONFIGS)
+    def test_records_are_pinned(self, workers, name):
+        digest, state = golden_run(GOLDEN_CONFIGS[name])
+        assert digest == GOLDEN_SHA256[name]
+        if name == "exits":
+            assert not state.active.all()
+
+
 # The 0.999 quantile of the chi-square distribution with 14 degrees of freedom.
 CHI2_14_Q999 = 36.123
 
@@ -474,7 +577,8 @@ def skeleton_counts(state, boost, tol=1e-6, max_rounds=2000):
 
     def choice_given(last):
         state.last_choice[:] = last
-        utility = abm._systematic_utility(state, boost, slice(0, m), u, term)
+        utility = abm._systematic_utility(state, abm._streamer_rows(state, boost),
+                                          slice(0, m), u, term)
         return logit.softmax(utility / cfg.random_effect_scale)
 
     p = choice_given(-1)  # round 1: nobody has a last choice, prev_counts is 0
